@@ -30,10 +30,25 @@ class ConfigError(ValueError):
     pass
 
 
+def _strip_comment(line):
+    """``line`` up to the first ``#`` outside a double-quoted JSON string."""
+    in_string = escaped = False
+    for i, ch in enumerate(line):
+        if escaped:
+            escaped = False
+        elif ch == "\\" and in_string:
+            escaped = True
+        elif ch == '"':
+            in_string = not in_string
+        elif ch == "#" and not in_string:
+            return line[:i]
+    return line
+
+
 def _parse_lines(text):
     root = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _strip_comment(raw).strip()
         if not line:
             continue
         if "=" not in line:
@@ -85,6 +100,13 @@ class ScenarioConfig:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if "seed" not in self.mc:
             raise ConfigError("mc.seed required")
+        seed = self.mc["seed"]
+        # the seed keys a Philox generator, which takes an unsigned 64-bit key
+        integral = (isinstance(seed, int) and not isinstance(seed, bool)) or (
+            isinstance(seed, float) and seed.is_integer())
+        if not (integral and 0 <= seed < 2 ** 64):
+            raise ConfigError(
+                f"mc.seed must be an integer in [0, 2**64), got {seed!r}")
         build_scenario(self)  # raises naming the offending field
 
 

@@ -202,37 +202,81 @@ class BsdeSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _monomial_exponents(dim_x, degree):
-    exps = []
-    for total in range(1, degree + 1):
-        for c in itertools.combinations_with_replacement(range(dim_x), total):
-            e = [0] * dim_x
-            for j in c:
-                e[j] += 1
-            exps.append(tuple(e))
-    return exps
+# Design condition number (2-norm) above which the normal equations would
+# lose too many digits; such a node is solved by SVD least squares instead.
+_MAX_CONDITION = 1e6
 
 
 def _design_matrix(Xi, degree):
-    """Constant plus standardized monomials; zero-variance columns dropped."""
-    n = Xi.shape[0]
-    cols = [np.ones(n)]
-    for e in _monomial_exponents(Xi.shape[1], degree):
-        col = np.ones(n)
-        for j, p in enumerate(e):
-            if p:
-                col = col * Xi[:, j] ** p
-        mu, sd = col.mean(), col.std()
+    """Constant plus standardized monomials; zero-variance columns dropped.
+
+    Built feature-major: each monomial is its parent (the same index tuple
+    less its last entry) times one coordinate, so every operation runs on a
+    contiguous row of a (k, n) array. Returns the (n, k) transpose view.
+    """
+    n, dim_x = Xi.shape
+    coords = np.ascontiguousarray(Xi.T)
+    monomials = [c for total in range(1, degree + 1)
+                 for c in itertools.combinations_with_replacement(range(dim_x), total)]
+    rows = np.empty((len(monomials) + 1, n))
+    rows[0] = 1.0
+    row_of = {(): 0}
+    for r, c in enumerate(monomials, start=1):
+        parent = row_of[c[:-1]]
+        if parent:
+            np.multiply(rows[parent], coords[c[-1]], out=rows[r])
+        else:
+            rows[r] = coords[c[-1]]
+        row_of[c] = r
+    # standardize in place, compacting the kept rows to the front; every
+    # raw row is read before a later write can reach it
+    k = 1
+    for r in range(1, len(rows)):
+        mu, sd = rows[r].mean(), rows[r].std()
         if sd > 1e-12:
-            cols.append((col - mu) / sd)
-    return np.column_stack(cols)
+            np.subtract(rows[r], mu, out=rows[k])
+            rows[k] /= sd
+            k += 1
+    return rows[:k].T
 
 
-def _regress(design, targets):
-    """Least squares via SVD; returns (predictions, condition number)."""
-    sol, _, _, sv = np.linalg.lstsq(design, targets, rcond=None)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    return design @ sol, cond
+class _Projector:
+    """Least-squares projection onto the columns of one node's design.
+
+    The Gram matrix is factored once by Cholesky and reused for every
+    right-hand side. A design whose condition number passes
+    ``_MAX_CONDITION``, or whose Gram matrix is not positive definite, is
+    solved by ``lstsq`` (SVD) instead.
+    """
+
+    def __init__(self, design):
+        self.design = design
+        gram = design.T @ design
+        eig = np.linalg.eigvalsh(gram)
+        self.chol = None
+        self.condition = np.inf
+        if eig[0] > 0:
+            self.condition = float(np.sqrt(eig[-1] / eig[0]))
+            if self.condition <= _MAX_CONDITION:
+                try:
+                    self.chol = np.linalg.cholesky(gram)
+                except np.linalg.LinAlgError:
+                    pass
+
+    @property
+    def fallback(self):
+        return self.chol is None
+
+    def fit(self, targets):
+        """Fitted values of ``targets`` (n,) or (n, m) on the design."""
+        X = self.design
+        if self.chol is None:
+            sol, _, _, sv = np.linalg.lstsq(X, targets, rcond=None)
+            self.condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+        else:
+            L = self.chol
+            sol = np.linalg.solve(L.T, np.linalg.solve(L, X.T @ targets))
+        return X @ sol
 
 
 def solve_theta_bsde(scenario, paths=None, terminal_values=None):
@@ -254,7 +298,10 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None):
     n_paths = ens.n_paths
     db = dB.shape[2]
 
-    g_limit = isinstance(sc.driver, GLimitDriver)
+    g_limit = isinstance(sc.driver, GLimitDriver)  # never depends on y
+    # a y-independent driver makes the Picard map constant in y, so its
+    # first evaluation is the fixed point and also yields the maximizer
+    y_free = not driver_depends_on_y(sc.driver)
     Y = np.empty((n_paths, n + 1))
     Z = np.zeros((n_paths, n + 1, db))
     A = None if g_limit else np.empty((n_paths, n + 1, sc.uset.dim))
@@ -265,46 +312,53 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None):
         Y[:, n] = sc.terminal.value(X[:, n])
 
     conds = []
+    fallbacks = 0
     degenerate = False
-
-    # terminal-node Z from one extra regression of xi * dB / dt
-    design = _design_matrix(X[:, n - 1], sc.regression_degree)
-    resid_T = Y[:, n] - _regress(design, Y[:, n])[0]
-    zt, cond = _regress(design, resid_T[:, None] * dB[:, n - 1] / dt)
-    Z[:, n] = zt
-    conds.append(cond)
-    if not g_limit:
-        astar, _, deg = maximizer(sc.driver, sc.uset, times[n], X[:, n], Y[:, n], Z[:, n])
-        A[:, n] = astar
-        degenerate = degenerate or deg
-
     picard = max(1, sc.picard_iters)
     # per-path total of terminal + accumulated driver, for the Y0 stderr
     accum = Y[:, n].copy()
     for i in range(n - 1, -1, -1):
-        design = _design_matrix(X[:, i], sc.regression_degree)
-        Ey, cond = _regress(design, Y[:, i + 1])
-        conds.append(cond)
-        resid = Y[:, i + 1] - Ey
-        Zi, cond = _regress(design, resid[:, None] * dB[:, i] / dt)
-        conds.append(cond)
+        proj = _Projector(_design_matrix(X[:, i], sc.regression_degree))
+        Ey = proj.fit(Y[:, i + 1])
+        Zi = proj.fit((Y[:, i + 1] - Ey)[:, None] * dB[:, i] / dt)
+        conds.append(proj.condition)
+        fallbacks += proj.fallback
         Z[:, i] = Zi
+        if i == n - 1:
+            # the terminal Z is the regression of xi * dB / dt on the same
+            # design, i.e. exactly this node's Z
+            Z[:, n] = Zi
+            if not g_limit:
+                astar, _, deg = maximizer(sc.driver, sc.uset, times[n], X[:, n],
+                                          Y[:, n], Z[:, n])
+                A[:, n] = astar
+                degenerate = degenerate or deg
 
-        Yk = Ey
-        for _ in range(picard):
-            f, _ = effective_driver(sc.driver, sc.uset, times[i], X[:, i], Yk, Zi)
-            Ynew = Ey + dt * f
-            if np.max(np.abs(Ynew - Yk)) <= 1e-12:
+        if y_free:
+            if g_limit:
+                f, _ = effective_driver(sc.driver, sc.uset, times[i], X[:, i], Ey, Zi)
+            else:
+                astar, f, deg = maximizer(sc.driver, sc.uset, times[i], X[:, i],
+                                          Ey, Zi)
+            Yk = Ey + dt * f
+        else:
+            Yk = Ey
+            for _ in range(picard):
+                f, _ = effective_driver(sc.driver, sc.uset, times[i], X[:, i], Yk, Zi)
+                Ynew = Ey + dt * f
+                if np.max(np.abs(Ynew - Yk)) <= 1e-12:
+                    Yk = Ynew
+                    break
                 Yk = Ynew
-                break
-            Yk = Ynew
         if sc.y_clip is not None:
             Yk = np.clip(Yk, sc.y_clip[0], sc.y_clip[1])
         Y[:, i] = Yk
         accum += dt * f
 
         if not g_limit:
-            astar, _, deg = maximizer(sc.driver, sc.uset, times[i], X[:, i], Y[:, i], Zi)
+            if not y_free:
+                astar, _, deg = maximizer(sc.driver, sc.uset, times[i], X[:, i],
+                                          Y[:, i], Zi)
             A[:, i] = astar
             degenerate = degenerate or deg
 
@@ -313,6 +367,7 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None):
 
     diagnostics = {
         "max_condition": float(np.max(conds)),
+        "lstsq_fallbacks": fallbacks,
         "degenerate_argmax": bool(degenerate),
         "unsound_for_existence": bool(
             isinstance(sc.driver, ProjectionDriver) and not is_convex(sc.uset)),

@@ -229,10 +229,10 @@ def run_scenario(cfg, out_dir, paths_dump=False):
     elif kind == "fk_check":
         sc = _config.build_scenario(cfg)
         pgrid = _config.build_pde_grid(cfg, sc)
-        rep = feynman_kac_compare(sc, pgrid)
+        surface = solve_pde(sc.driver, sc.uset, sc.sde, sc.terminal, pgrid)
+        rep = feynman_kac_compare(sc, surface=surface)
         summary.update(rep)
         summary["y0"] = rep["y0_mc"]
-        surface = solve_pde(sc.driver, sc.uset, sc.sde, sc.terminal, pgrid)
         extra_files[f"{name}.surface.csv"] = _surface_csv(surface)
         ok = rep["abs_err"] <= max(0.02, 3.0 * rep["stderr"])
 

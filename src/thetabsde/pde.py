@@ -125,13 +125,18 @@ def solve_pde(driver, uset, sde, payoff, pgrid):
     return ValueSurface(u=u, grid=pgrid)
 
 
-def feynman_kac_compare(scenario, pde_grid=None):
+def feynman_kac_compare(scenario, pde_grid=None, surface=None):
     """Solve the same problem by Monte Carlo and by the FD oracle and
-    compare the time-zero values."""
+    compare the time-zero values.
+
+    ``surface`` is an already solved ``ValueSurface`` of this scenario; the
+    PDE is solved here (on ``pde_grid``) only when it is not given.
+    """
     sc = scenario
-    if pde_grid is None:
-        pde_grid = auto_grid(sc.sde, sc.grid)
-    surface = solve_pde(sc.driver, sc.uset, sc.sde, sc.terminal, pde_grid)
+    if surface is None:
+        if pde_grid is None:
+            pde_grid = auto_grid(sc.sde, sc.grid)
+        surface = solve_pde(sc.driver, sc.uset, sc.sde, sc.terminal, pde_grid)
     ens = simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
     sol = solve_theta_bsde(sc, paths=ens)
     u0 = surface.value_at(0, float(sc.sde.x0[0]))

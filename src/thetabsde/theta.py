@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drivers import effective_driver
-from .engine import (EngineError, PathEnsemble, Scenario, brownian_increments,
-                     simulate_forward, solve_theta_bsde)
+from .engine import (EngineError, PathEnsemble, Scenario, TimeGrid,
+                     brownian_increments, solve_theta_bsde)
 
 
 @dataclass
@@ -114,7 +114,8 @@ def verify_theta_martingale(scenario_base, process, t_index, s_index, c=1.0):
         raise EngineError(f"unknown process {process!r}")
 
     window = s_index - t_index
-    sub_grid = sc.grid.truncated(window)
+    times = sc.grid.times
+    sub_grid = TimeGrid(times[t_index], times[s_index], window)
     # reuse the realized driving noise on the [t, s] window
     sub = PathEnsemble(sub_grid, sc.n_paths, sc.seed,
                        dB[:, t_index:s_index],

@@ -70,6 +70,25 @@ def test_negative_ball_radius_names_field():
         parse_config(bad)
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "1.5", "true",
+                                  '"abc"'])
+def test_seed_outside_philox_key_range_rejected(seed):
+    with pytest.raises(ConfigError, match="mc.seed"):
+        parse_config(GOOD.replace("mc.seed = 1", f"mc.seed = {seed}"))
+
+
+def test_largest_seed_accepted():
+    assert parse_config(GOOD.replace("mc.seed = 1",
+                                     "mc.seed = 18446744073709551615"))
+
+
+def test_hash_inside_quoted_value_is_kept():
+    cfg = parse_config(GOOD + 'name = "run#1"   # a trailing comment\n'
+                       + 'set.label = "say \\"#\\" twice" # comment\n')
+    assert cfg.name == "run#1"
+    assert cfg.data["set"]["label"] == 'say "#" twice'
+
+
 def test_unknown_kind():
     with pytest.raises(ConfigError, match="kind"):
         parse_config(GOOD.replace("kind = solve", "kind = bogus"))
@@ -109,6 +128,20 @@ def test_cli_run_writes_summary(tmp_path, capsys):
     assert (out / "solve.summary.json").exists()
     line = capsys.readouterr().out.strip()
     assert line.startswith("kind=solve") and "seed=1" in line
+
+
+def test_cli_validate_negative_seed_exits_2(tmp_path, capsys):
+    p = tmp_path / "neg.cfg"
+    p.write_text(GOOD.replace("mc.seed = 1", "mc.seed = -3"))
+    assert main(["validate", str(p)]) == 2
+    assert "mc.seed" in capsys.readouterr().err
+
+
+def test_cli_run_quoted_hash_in_name(tmp_path):
+    p = tmp_path / "solve.cfg"
+    p.write_text(GOOD + 'name = "run#1"\n')
+    assert main(["run", str(p), "--out", str(tmp_path), "--quiet"]) == 0
+    assert (tmp_path / "run#1.summary.json").exists()
 
 
 def test_cli_run_missing_file(capsys):

@@ -1,9 +1,13 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 import thetabsde as tb
+from thetabsde import engine
 from thetabsde.drivers import evaluate
-from thetabsde.engine import EngineError, axiom_check
+from thetabsde.engine import EngineError, _design_matrix, _Projector, axiom_check
 
 
 def make_sde(**kw):
@@ -191,3 +195,137 @@ def test_engine_validation_errors():
         tb.SdeSpec(dim_x=2, dim_b=1, x0=[0.0])
     with pytest.raises(EngineError):
         tb.Payoff([0.0, 1.0], clamp=(2.0, 1.0))
+
+
+# backward regression --------------------------------------------------------
+
+def power_design(Xi, degree):
+    """Reference construction: every monomial rebuilt with ``**``."""
+    n, dim_x = Xi.shape
+    cols = [np.ones(n)]
+    for total in range(1, degree + 1):
+        for c in itertools.combinations_with_replacement(range(dim_x), total):
+            col = np.ones(n)
+            for j in range(dim_x):
+                if c.count(j):
+                    col = col * Xi[:, j] ** c.count(j)
+            if col.std() > 1e-12:
+                cols.append((col - col.mean()) / col.std())
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("dim_x", [1, 2, 3])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_incremental_design_matches_power_construction(dim_x, degree):
+    rng = np.random.default_rng(10 * dim_x + degree)
+    Xi = 0.5 + 1.5 * rng.standard_normal((3000, dim_x))
+    got = _design_matrix(Xi, degree)
+    assert got.shape == (3000, math.comb(dim_x + degree, degree))
+    assert np.max(np.abs(got - power_design(Xi, degree))) <= 1e-12
+    if dim_x > 1:
+        # a frozen coordinate: its pure powers have zero variance and drop
+        Xi[:, 1] = 2.0
+        got = _design_matrix(Xi, degree)
+        ref = power_design(Xi, degree)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def test_design_at_a_point_mass_is_the_constant():
+    got = _design_matrix(np.full((50, 2), 0.3), 3)
+    assert got.shape == (50, 1) and np.all(got == 1.0)
+
+
+def test_projector_matches_lstsq():
+    rng = np.random.default_rng(1)
+    design = _design_matrix(rng.standard_normal((5000, 2)), 3)
+    proj = _Projector(design)
+    assert not proj.fallback
+    sv = np.linalg.svd(design, compute_uv=False)
+    assert proj.condition == pytest.approx(sv[0] / sv[-1], rel=1e-8)
+    for targets in (rng.standard_normal(5000), rng.standard_normal((5000, 3))):
+        ref = design @ np.linalg.lstsq(design, targets, rcond=None)[0]
+        assert np.max(np.abs(proj.fit(targets) - ref)) <= 1e-10
+
+
+def test_collinear_design_falls_back_to_lstsq():
+    # on X in {-1, 1}: x^2 == 1 drops out and x^3 == x duplicates a column
+    rng = np.random.default_rng(2)
+    design = _design_matrix(rng.choice([-1.0, 1.0], size=(400, 1)), 3)
+    assert design.shape == (400, 3)
+    proj = _Projector(design)
+    assert proj.fallback
+    targets = rng.standard_normal(400)
+    got = proj.fit(targets)
+    ref = design @ np.linalg.lstsq(design, targets, rcond=None)[0]
+    assert np.all(np.isfinite(got)) and np.max(np.abs(got - ref)) <= 1e-12
+
+    grid = tb.TimeGrid(0.0, 1.0, 8)
+    n_paths = 400
+    ens = tb.PathEnsemble(grid, n_paths, 0,
+                          rng.standard_normal((n_paths, 8, 1)) * np.sqrt(grid.dt),
+                          rng.choice([-1.0, 1.0], size=(n_paths, 9, 1)))
+    sc = tb.Scenario(sde=make_sde(), driver=tb.AffineDriver(0.1, 0.0, [0.2]),
+                     uset=UNIT_BOX, terminal=tb.Payoff([0.0, 1.0]), grid=grid,
+                     n_paths=n_paths, seed=0)
+    sol = tb.solve_theta_bsde(sc, paths=ens)
+    assert sol.diagnostics["lstsq_fallbacks"] == 8
+    assert np.all(np.isfinite(sol.Y)) and np.all(np.isfinite(sol.Z))
+
+
+def count_driver_calls(monkeypatch):
+    calls = {"maximizer": 0, "effective_driver": 0}
+    for name in calls:
+        fn = getattr(engine, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(engine, name, counted)
+    return calls
+
+
+def driver_scenario(driver, uset=UNIT_BOX, n_steps=10, y_clip=None):
+    return tb.Scenario(sde=make_sde(), driver=driver, uset=uset,
+                       terminal=tb.Payoff([0.0, 1.0]),
+                       grid=tb.TimeGrid(0.0, 1.0, n_steps), n_paths=500,
+                       seed=12, picard_iters=3, y_clip=y_clip)
+
+
+def test_y_independent_driver_is_evaluated_once_per_node(monkeypatch):
+    calls = count_driver_calls(monkeypatch)
+    G = tb.StateFn(c0=np.array([0.0]), C_z=[[1.0]])
+    tb.solve_theta_bsde(driver_scenario(
+        tb.RegularizedProjectionDriver(h=tb.StateFn(c0=0.0), G=G, eps=0.5)))
+    # one per node, plus the maximizer at the terminal node
+    assert calls == {"maximizer": 11, "effective_driver": 0}
+
+    calls.update(maximizer=0, effective_driver=0)
+    tb.solve_theta_bsde(driver_scenario(tb.GLimitDriver(),
+                                        uset=tb.Box([1.0], [2.0])))
+    assert calls == {"maximizer": 0, "effective_driver": 10}
+
+
+def test_y_dependent_driver_runs_picard(monkeypatch):
+    calls = count_driver_calls(monkeypatch)
+    tb.solve_theta_bsde(driver_scenario(tb.AffineDriver(0.3, 0.5, [0.2])))
+    assert calls == {"maximizer": 11, "effective_driver": 30}
+
+
+@pytest.mark.parametrize("driver", [
+    tb.RegularizedProjectionDriver(h=tb.StateFn(c0=0.0),
+                                   G=tb.StateFn(c0=np.array([0.0]), C_z=[[2.0]]),
+                                   eps=0.5),
+    tb.GRegularizedDriver(eps=0.25, a0=[1.0]),
+])
+def test_single_evaluation_equals_picard_bitwise(monkeypatch, driver):
+    uset = tb.Box([1.0], [2.0]) if isinstance(driver, tb.GRegularizedDriver) \
+        else tb.UnionSet([tb.Box([0.0], [1.0]), tb.Box([3.0], [4.0])])
+    sc = driver_scenario(driver, uset=uset, y_clip=(-0.5, 0.8))
+    fast = tb.solve_theta_bsde(sc)
+    monkeypatch.setattr(engine, "driver_depends_on_y", lambda d: True)
+    slow = tb.solve_theta_bsde(sc)
+    for a, b in ((fast.Y, slow.Y), (fast.Z, slow.Z), (fast.A, slow.A)):
+        assert np.array_equal(a, b)
+    assert (fast.Y0, fast.stderr) == (slow.Y0, slow.stderr)
+    assert fast.diagnostics == slow.diagnostics

@@ -157,3 +157,23 @@ def test_run_scenario_dispatch_kinds(tmp_path):
         + "martingale.process = theta_bm\n"
     summary, ok = run_scenario(parse_config(mg), str(tmp_path))
     assert ok and "residual" in summary
+
+
+def test_fk_check_solves_the_pde_once(tmp_path, monkeypatch):
+    from thetabsde import experiments, pde
+    calls = []
+    solve = pde.solve_pde
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(experiments, "solve_pde", counted)
+    monkeypatch.setattr(pde, "solve_pde", counted)
+    fk = SOLVE_CFG.replace("kind = solve", "kind = fk_check") + "pde.n_x = 100\n"
+    summary, ok = run_scenario(parse_config(fk), str(tmp_path))
+    assert ok and len(calls) == 1
+    # the comparison reads the same surface that was written
+    rows = (tmp_path / "demo.surface.csv").read_text().splitlines()
+    xs = np.array([float(r.split(",")[1]) for r in rows[1:101]])
+    u0 = np.array([float(r.split(",")[2]) for r in rows[1:101]])
+    assert summary["u0"] == np.interp(0.0, xs, u0)

@@ -131,3 +131,16 @@ def test_martingale_index_validation():
         verify_theta_martingale(sc, "theta_bm", 5, 5)
     with pytest.raises(EngineError):
         verify_theta_martingale(sc, "bogus", 0, 5)
+
+
+def test_martingale_window_is_solved_on_its_own_times():
+    # F = t exactly (G = 0.5 lies inside the box); with M = 0 the window
+    # value is the left-point sum dt * sum_{t <= t_i < s} t_i
+    drv = tb.ProjectionDriver(h=tb.StateFn(c0=0.0, c_t=1.0),
+                              G=tb.StateFn(c0=np.array([0.5])))
+    sc = base_scenario(drv, n_paths=200, n_steps=20)
+    times = sc.grid.times
+    for t_index, s_index in ((0, 10), (10, 20)):
+        rep = verify_theta_martingale(sc, "linear_bm", t_index, s_index, c=0.0)
+        expected = sc.grid.dt * np.sum(times[t_index:s_index])
+        assert rep["residual"] == pytest.approx(expected, rel=1e-9)
