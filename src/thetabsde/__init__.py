@@ -5,12 +5,11 @@ oracle, drift-corrected Brownian calculus, and reproducible experiments.
 
 __version__ = "0.1.0"
 
-from ._kernels import BACKEND
 from .ambient import embed, extract, frobenius_inner, matrix_dim, sym_vec_dim
 from .drivers import (AffineDriver, GLimitDriver, GRegularizedDriver,
-                      ProjectionDriver, RegularizedProjectionDriver, StateFn,
-                      ZeroDriver, effective_driver, empirical_lipschitz,
-                      evaluate, maximizer, maximizer_oracle)
+                      RegularizedProjectionDriver, StateFn, ZeroDriver,
+                      effective_driver, empirical_lipschitz, evaluate,
+                      maximizer, maximizer_oracle)
 from .engine import (Payoff, PathEnsemble, Scenario, SdeSpec, TimeGrid,
                      axiom_check, simulate_forward, solve_theta_bsde,
                      theta_expectation)

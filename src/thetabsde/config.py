@@ -16,8 +16,8 @@ import json
 import numpy as np
 
 from .drivers import (AffineDriver, GLimitDriver, GRegularizedDriver,
-                      ProjectionDriver, RegularizedProjectionDriver, StateFn,
-                      ZeroDriver, validate_driver)
+                      RegularizedProjectionDriver, StateFn, ZeroDriver,
+                      validate_driver)
 from .engine import Payoff, Scenario, SdeSpec, TimeGrid
 from .pde import PdeGrid, auto_grid
 from .sets import Ball, Box, PointCloud, UnionSet
@@ -197,15 +197,13 @@ def build_driver(spec, where="driver"):
         if typ == "affine":
             return AffineDriver(spec.get("alpha", 0.0), spec.get("beta", 0.0),
                                 spec.get("gamma", [0.0]))
-        if typ == "projection":
-            return ProjectionDriver(
-                _build_statefn(spec.get("h", 0.0), f"{where}.h"),
-                _build_statefn(_need(spec, "g", where), f"{where}.g", vector=True))
-        if typ == "regularized_projection":
+        if typ in ("projection", "regularized_projection"):
+            # the plain projection driver is the eps = 0 member
+            eps = 0.0 if typ == "projection" else _need(spec, "eps", where)
             return RegularizedProjectionDriver(
                 _build_statefn(spec.get("h", 0.0), f"{where}.h"),
                 _build_statefn(_need(spec, "g", where), f"{where}.g", vector=True),
-                _need(spec, "eps", where))
+                eps)
         if typ == "g_regularized":
             return GRegularizedDriver(_need(spec, "eps", where),
                                       _need(spec, "a0", where))

@@ -123,65 +123,121 @@ class StateFn:
         return self.c_y is not None and np.any(np.atleast_1d(self.c_y) != 0)
 
 
-@dataclass
-class ZeroDriver:
-    kind = "zero"
+def _check_g_type_dim(uset, dim_b):
+    need = sym_vec_dim(dim_b)
+    if uset.dim != need:
+        raise DriverError(
+            f"G-type driver with dim_b={dim_b} needs ambient dim {need}, "
+            f"set has {uset.dim}")
+
+
+class Driver:
+    """A driver family. Each subclass owns its formulas: the value F, the
+    projection query (the point whose projection onto the set is the
+    argmax; None when the argmax degenerates to the set's fixed element),
+    whether F depends on y, and its set and dimension checks. The methods
+    receive (t, x, y, z) already batched by ``_batch_args``, and ``value``
+    receives ``a`` as an (n, dim_a) batch."""
+
+    # False for a driver given only by its reduced value max_a F
+    has_argmax = True
+
+    def value(self, t, x, y, z, a):
+        raise NotImplementedError
+
+    def query(self, t, x, y, z):
+        return None
+
+    def depends_on_y(self):
+        return False
+
+    def check(self, uset, dim_b):
+        pass
+
+    def unsound_for_existence(self, uset):
+        """True when the argmax may jump, so existence is not guaranteed."""
+        return False
 
 
 @dataclass
-class AffineDriver:
+class ZeroDriver(Driver):
+    def value(self, t, x, y, z, a):
+        return np.zeros(x.shape[0])
+
+
+@dataclass
+class AffineDriver(Driver):
     """F = alpha + beta*y + <gamma, z>; independent of a."""
 
     alpha: float
     beta: float
     gamma: np.ndarray
 
-    kind = "affine"
-
     def __post_init__(self):
         self.alpha = float(self.alpha)
         self.beta = float(self.beta)
         self.gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
 
+    def value(self, t, x, y, z, a):
+        return self.alpha + self.beta * y + z @ self.gamma
 
-@dataclass
-class ProjectionDriver:
-    """F = h(t,x,y,z) - 0.5*||a - G(t,x,y,z)||^2."""
-
-    h: StateFn
-    G: StateFn
-
-    kind = "projection"
+    def depends_on_y(self):
+        return self.beta != 0.0
 
 
 @dataclass
-class RegularizedProjectionDriver:
-    """Projection driver with the extra penalty -(eps/2)*||a||^2."""
+class RegularizedProjectionDriver(Driver):
+    """F = h(t,x,y,z) - 0.5*||a - G(t,x,y,z)||^2 - (eps/2)*||a||^2.
+
+    ``eps = 0`` is the plain projection driver, whose argmax (the metric
+    projection of G) can jump between the members of a non-convex set.
+    """
 
     h: StateFn
     G: StateFn
     eps: float
 
-    kind = "regularized_projection"
-
     def __post_init__(self):
         self.eps = float(self.eps)
-        if not self.eps > 0:
-            raise DriverError("eps must be positive")
+        if not 0.0 <= self.eps < np.inf:
+            raise DriverError("eps must be finite and non-negative")
 
     def maximizer_lipschitz(self):
         """Lipschitz constant of the maximizer map in (y, z)."""
         return self.G.lipschitz_yz() / (1.0 + self.eps)
 
+    def _G(self, t, x, y, z):
+        G = self.G.value(t, x, y, z)
+        return G if G.ndim == 2 else G[:, None]
+
+    def value(self, t, x, y, z, a):
+        h = self.h.value(t, x, y, z)
+        G = self._G(t, x, y, z)
+        val = h - 0.5 * np.sum((a - G) ** 2, axis=1)
+        val -= 0.5 * self.eps * np.sum(a * a, axis=1)
+        return val
+
+    def query(self, t, x, y, z):
+        return self._G(t, x, y, z) / (1.0 + self.eps)
+
+    def depends_on_y(self):
+        return self.h.depends_on_y() or self.G.depends_on_y()
+
+    def check(self, uset, dim_b):
+        if self.G.dim_out != uset.dim:
+            raise DriverError(
+                f"G codomain dim {self.G.dim_out} != set dim {uset.dim}")
+
+    def unsound_for_existence(self, uset):
+        return self.eps == 0 and not is_convex(uset)
+
 
 @dataclass
-class GRegularizedDriver:
+class GRegularizedDriver(Driver):
     """F = 0.5*<a, embed(z^T z)> - (eps/2)*||a - a0||^2."""
 
     eps: float
     a0: np.ndarray
-
-    kind = "g_regularized"
 
     def __post_init__(self):
         self.eps = float(self.eps)
@@ -189,13 +245,40 @@ class GRegularizedDriver:
             raise DriverError("eps must be positive")
         self.a0 = as_point(self.a0)
 
+    def value(self, t, x, y, z, a):
+        return 0.5 * np.sum(a * embed_zz(z), axis=1) \
+            - 0.5 * self.eps * np.sum((a - self.a0) ** 2, axis=1)
+
+    def query(self, t, x, y, z):
+        # complete the square: argmax_a <a,c> - (eps/2)||a-a0||^2
+        return self.a0 + embed_zz(z) / (2.0 * self.eps)
+
+    def check(self, uset, dim_b):
+        _check_g_type_dim(uset, dim_b)
+        as_point(self.a0, dim=uset.dim)
+        if not uset.contains(self.a0, tol=1e-9):
+            raise DriverError("a0 must lie in the uncertainty set")
+
 
 @dataclass
-class GLimitDriver:
+class GLimitDriver(Driver):
     """Reduced driver is the support function max_a 0.5*<a, embed(z^T z)>
     directly; there is no a argument."""
 
-    kind = "g_limit"
+    has_argmax = False
+
+    def value(self, t, x, y, z, a):
+        raise DriverError("g_limit driver has no a argument; use effective_driver")
+
+    def query(self, t, x, y, z):
+        raise DriverError("g_limit driver has no maximizer; use effective_driver")
+
+    def support(self, uset, z):
+        vals, _ = uset.linear_max_batch(0.5 * embed_zz(z))
+        return vals
+
+    def check(self, uset, dim_b):
+        _check_g_type_dim(uset, dim_b)
 
 
 def is_convex(uset):
@@ -204,80 +287,35 @@ def is_convex(uset):
 
 def validate_driver(driver, uset, dim_b):
     """Dimension and membership checks before any compute."""
-    if isinstance(driver, (GRegularizedDriver, GLimitDriver)):
-        need = sym_vec_dim(dim_b)
-        if uset.dim != need:
-            raise DriverError(
-                f"G-type driver with dim_b={dim_b} needs ambient dim {need}, "
-                f"set has {uset.dim}")
-        if isinstance(driver, GRegularizedDriver):
-            as_point(driver.a0, dim=uset.dim)
-            if not uset.contains(driver.a0, tol=1e-9):
-                raise DriverError("a0 must lie in the uncertainty set")
-    if isinstance(driver, (ProjectionDriver, RegularizedProjectionDriver)):
-        if driver.G.dim_out != uset.dim:
-            raise DriverError(
-                f"G codomain dim {driver.G.dim_out} != set dim {uset.dim}")
+    driver.check(uset, dim_b)
 
 
 def evaluate(driver, t, x, y, z, a):
     """Pointwise driver value F(t, x, y, z, a)."""
     t, x, y, z = _batch_args(t, x, y, z)
-    n = x.shape[0]
-    if isinstance(driver, GLimitDriver):
-        raise DriverError("g_limit driver has no a argument; use effective_driver")
-    if isinstance(driver, ZeroDriver):
-        return np.zeros(n)
-    if isinstance(driver, AffineDriver):
-        return driver.alpha + driver.beta * y + z @ driver.gamma
-    a = np.asarray(a, dtype=float)
-    if a.ndim == 1:
-        a = np.broadcast_to(a, (n, a.size))
-    if isinstance(driver, (ProjectionDriver, RegularizedProjectionDriver)):
-        h = driver.h.value(t, x, y, z)
-        G = driver.G.value(t, x, y, z)
-        if G.ndim == 1:
-            G = G[:, None]
-        val = h - 0.5 * np.sum((a - G) ** 2, axis=1)
-        if isinstance(driver, RegularizedProjectionDriver):
-            val -= 0.5 * driver.eps * np.sum(a * a, axis=1)
-        return val
-    if isinstance(driver, GRegularizedDriver):
-        c = embed_zz(z)
-        return 0.5 * np.sum(a * c, axis=1) \
-            - 0.5 * driver.eps * np.sum((a - driver.a0) ** 2, axis=1)
-    raise DriverError(f"unknown driver {driver!r}")
+    if a is not None:
+        a = np.asarray(a, dtype=float)
+        if a.ndim == 1:
+            a = np.broadcast_to(a, (x.shape[0], a.size))
+    return driver.value(t, x, y, z, a)
 
 
 def maximizer(driver, uset, t, x, y, z):
     """Closed-form argmax over the set. Returns (astar, value, degenerate)."""
     t, x, y, z = _batch_args(t, x, y, z)
-    n = x.shape[0]
-    if isinstance(driver, GLimitDriver):
-        raise DriverError("g_limit driver has no maximizer; use effective_driver")
-    if isinstance(driver, (ZeroDriver, AffineDriver)):
-        astar = np.tile(uset.fixed_element(), (n, 1))
-        return astar, evaluate(driver, t, x, y, z, astar), True
-    if isinstance(driver, ProjectionDriver):
-        G = driver.G.value(t, x, y, z)
-        query = G if G.ndim == 2 else G[:, None]
-    elif isinstance(driver, RegularizedProjectionDriver):
-        G = driver.G.value(t, x, y, z)
-        query = (G if G.ndim == 2 else G[:, None]) / (1.0 + driver.eps)
-    elif isinstance(driver, GRegularizedDriver):
-        # complete the square: argmax_a <a,c> - (eps/2)||a-a0||^2
-        query = driver.a0 + embed_zz(z) / (2.0 * driver.eps)
+    query = driver.query(t, x, y, z)
+    degenerate = query is None
+    if degenerate:
+        astar = np.tile(uset.fixed_element(), (x.shape[0], 1))
     else:
-        raise DriverError(f"unknown driver {driver!r}")
-    astar, _ = uset.project_batch(query)
-    return astar, evaluate(driver, t, x, y, z, astar), False
+        astar, _ = uset.project_batch(query)
+    return astar, evaluate(driver, t, x, y, z, astar), degenerate
 
 
 def effective_driver(driver, uset, t, x, y, z):
-    """Value of max_a F; astar is None for the g_limit variant."""
-    if isinstance(driver, GLimitDriver):
-        vals, _ = uset.linear_max_batch(0.5 * embed_zz(z))
-        return vals, None
+    """Value of max_a F; astar is None for a driver without an argmax."""
+    if not driver.has_argmax:
+        return driver.support(uset, z), None
     astar, vals, _ = maximizer(driver, uset, t, x, y, z)
     return vals, astar
 
@@ -324,10 +362,3 @@ def empirical_lipschitz(driver, uset, sample_box, n_pairs, seed):
     ok = denom > 1e-12
     return float(np.max(np.abs(f_u[ok] - f_v[ok]) / denom[ok]))
 
-
-def driver_depends_on_y(driver):
-    if isinstance(driver, (ZeroDriver, GRegularizedDriver, GLimitDriver)):
-        return False
-    if isinstance(driver, AffineDriver):
-        return driver.beta != 0.0
-    return driver.h.depends_on_y() or driver.G.depends_on_y()

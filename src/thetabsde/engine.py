@@ -14,8 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .drivers import (GLimitDriver, ProjectionDriver, driver_depends_on_y,
-                      effective_driver, is_convex, maximizer, validate_driver)
+from .drivers import effective_driver, maximizer, validate_driver
 
 
 class EngineError(ValueError):
@@ -298,13 +297,13 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None):
     n_paths = ens.n_paths
     db = dB.shape[2]
 
-    g_limit = isinstance(sc.driver, GLimitDriver)  # never depends on y
+    has_argmax = sc.driver.has_argmax
     # a y-independent driver makes the Picard map constant in y, so its
     # first evaluation is the fixed point and also yields the maximizer
-    y_free = not driver_depends_on_y(sc.driver)
+    y_free = not sc.driver.depends_on_y()
     Y = np.empty((n_paths, n + 1))
     Z = np.zeros((n_paths, n + 1, db))
-    A = None if g_limit else np.empty((n_paths, n + 1, sc.uset.dim))
+    A = np.empty((n_paths, n + 1, sc.uset.dim)) if has_argmax else None
 
     if terminal_values is not None:
         Y[:, n] = np.asarray(terminal_values, dtype=float)
@@ -328,18 +327,18 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None):
             # the terminal Z is the regression of xi * dB / dt on the same
             # design, i.e. exactly this node's Z
             Z[:, n] = Zi
-            if not g_limit:
+            if has_argmax:
                 astar, _, deg = maximizer(sc.driver, sc.uset, times[n], X[:, n],
                                           Y[:, n], Z[:, n])
                 A[:, n] = astar
                 degenerate = degenerate or deg
 
         if y_free:
-            if g_limit:
-                f, _ = effective_driver(sc.driver, sc.uset, times[i], X[:, i], Ey, Zi)
-            else:
+            if has_argmax:
                 astar, f, deg = maximizer(sc.driver, sc.uset, times[i], X[:, i],
                                           Ey, Zi)
+            else:
+                f, _ = effective_driver(sc.driver, sc.uset, times[i], X[:, i], Ey, Zi)
             Yk = Ey + dt * f
         else:
             Yk = Ey
@@ -355,7 +354,7 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None):
         Y[:, i] = Yk
         accum += dt * f
 
-        if not g_limit:
+        if has_argmax:
             if not y_free:
                 astar, _, deg = maximizer(sc.driver, sc.uset, times[i], X[:, i],
                                           Y[:, i], Zi)
@@ -369,8 +368,7 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None):
         "max_condition": float(np.max(conds)),
         "lstsq_fallbacks": fallbacks,
         "degenerate_argmax": bool(degenerate),
-        "unsound_for_existence": bool(
-            isinstance(sc.driver, ProjectionDriver) and not is_convex(sc.uset)),
+        "unsound_for_existence": sc.driver.unsound_for_existence(sc.uset),
     }
     if A is not None:
         flat = A.reshape(-1, sc.uset.dim)
@@ -425,7 +423,7 @@ def axiom_check(scenario, axiom, params=None):
                 "violation_fraction": frac, "stderr": stderr}
 
     if axiom == "A2_translation":
-        if driver_depends_on_y(scenario.driver):
+        if scenario.driver.depends_on_y():
             raise EngineError("A2 check requires a y-independent driver")
         m = float(params.get("m", 1.0))
         sol1 = solve_theta_bsde(scenario, paths=ens)

@@ -140,7 +140,7 @@ def eos_demo(uset, driver, sde, terminal, grid, n_paths, seed,
     lands near the medial region between union members."""
     if not isinstance(uset, UnionSet) or len(uset.members) < 2:
         raise ExperimentError("demo requires a union of at least two members")
-    if not isinstance(driver, RegularizedProjectionDriver):
+    if not isinstance(driver, RegularizedProjectionDriver) or driver.eps == 0:
         raise ExperimentError("demo requires the regularized projection driver")
 
     sc = Scenario(sde=sde, driver=driver, uset=uset, terminal=terminal,
@@ -154,8 +154,7 @@ def eos_demo(uset, driver, sde, terminal, grid, n_paths, seed,
     times = grid.times
     K = np.empty((n_paths, n + 1, uset.dim))
     for i in range(n + 1):
-        G = driver.G.value(times[i], ens.states[:, i], sol.Y[:, i], sol.Z[:, i])
-        K[:, i] = (G if G.ndim == 2 else G[:, None]) / (1.0 + driver.eps)
+        K[:, i] = driver.query(times[i], ens.states[:, i], sol.Y[:, i], sol.Z[:, i])
 
     flat = K.reshape(-1, uset.dim)
     idx = uset.member_index_batch(flat)

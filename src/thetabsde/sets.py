@@ -12,10 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .ambient import MAX_DIM, as_point
 
 INF_GAP = np.inf
+
+# Query rows per block of the point-cloud search: its (rows, k, dim)
+# temporaries then stay bounded however large the query batch grows.
+_CLOUD_BLOCK = 1024
 
 
 class SetError(ValueError):
@@ -31,14 +34,24 @@ def _check_batch(P, dim):
     return P
 
 
-def _lex_smaller(a, b):
-    """True if a precedes b lexicographically (strict)."""
-    for x, y in zip(a, b):
-        if x < y:
-            return True
-        if x > y:
-            return False
-    return False
+def _cloud_nearest(P, pts):
+    """Per query row: index of the nearest cloud point, its distance and
+    the second-smallest distance (inf for a single-point cloud)."""
+    n = len(P)
+    idx = np.empty(n, dtype=np.int64)
+    d1 = np.empty(n)
+    d2 = np.full(n, np.inf)
+    for s in range(0, n, _CLOUD_BLOCK):
+        rows = slice(s, s + _CLOUD_BLOCK)
+        diff = P[rows, None, :] - pts[None, :, :]
+        D = np.sqrt(np.sum(diff * diff, axis=2))
+        # pts are stored lexicographically sorted, so the first argmin among
+        # exact ties is the lexicographically smallest candidate.
+        idx[rows] = np.argmin(D, axis=1)
+        d1[rows] = D[np.arange(len(D)), idx[rows]]
+        if pts.shape[0] >= 2:
+            d2[rows] = np.partition(D, 1, axis=1)[:, 1]
+    return idx, d1, d2
 
 
 @dataclass(frozen=True)
@@ -72,7 +85,11 @@ class UncertaintySet:
         return np.full(len(P), -1, dtype=np.int64)
 
     def linear_max(self, c):
-        raise NotImplementedError
+        """(max over the set of <c, a>, an argmax); a batch of one, so the
+        scalar and batched calls share one tie rule."""
+        c = as_point(c, dim=self.dim)
+        vals, args = self.linear_max_batch(c.reshape(1, -1))
+        return float(vals[0]), args[0]
 
     def linear_max_batch(self, C):
         """Vectorized linear_max over a (n, dim) batch of functionals."""
@@ -122,17 +139,12 @@ class Box(UncertaintySet):
 
     def project_batch(self, P):
         P = _check_batch(P, self.dim)
-        pts = _kernels.box_project(P, self.lower, self.upper)
+        pts = np.clip(P, self.lower, self.upper)
         return pts, np.linalg.norm(P - pts, axis=1)
-
-    def linear_max(self, c):
-        c = as_point(c, dim=self.dim)
-        # per-coordinate sign selection; c == 0 picks the lower bound
-        arg = np.where(c > 0, self.upper, self.lower)
-        return float(arg @ c), arg
 
     def linear_max_batch(self, C):
         C = _check_batch(C, self.dim)
+        # per-coordinate sign selection; c == 0 picks the lower bound
         args = np.where(C > 0, self.upper, self.lower)
         return np.sum(args * C, axis=1), args
 
@@ -158,16 +170,16 @@ class Ball(UncertaintySet):
 
     def project_batch(self, P):
         P = _check_batch(P, self.dim)
-        pts = _kernels.ball_project(P, self.center, self.radius)
+        diff = P - self.center
+        dist = np.sqrt(np.sum(diff * diff, axis=1))
+        pts = P.copy()
+        outside = dist > self.radius
+        scale = self.radius / dist[outside]
+        pts[outside] = self.center + diff[outside] * scale[:, None]
+        # free the (n, dim) temporaries before the distance pass: the
+        # max_a_distance diagnostic projects n_paths x (n_steps + 1) rows
+        del diff, dist, outside
         return pts, np.linalg.norm(P - pts, axis=1)
-
-    def linear_max(self, c):
-        c = as_point(c, dim=self.dim)
-        nc = np.linalg.norm(c)
-        if nc == 0.0:
-            return float(self.center @ c), self.center.copy()
-        arg = self.center + self.radius * c / nc
-        return float(self.center @ c + self.radius * nc), arg
 
     def linear_max_batch(self, C):
         C = _check_batch(C, self.dim)
@@ -206,19 +218,13 @@ class PointCloud(UncertaintySet):
 
     def project_batch(self, P):
         P = _check_batch(P, self.dim)
-        idx, d1, _ = _kernels.cloud_nearest(P, self.points)
+        idx, d1, _ = _cloud_nearest(P, self.points)
         return self.points[idx], d1
 
     def medial_gap_batch(self, P):
         P = _check_batch(P, self.dim)
-        _, d1, d2 = _kernels.cloud_nearest(P, self.points)
+        _, d1, d2 = _cloud_nearest(P, self.points)
         return d2 - d1
-
-    def linear_max(self, c):
-        c = as_point(c, dim=self.dim)
-        vals = self.points @ c
-        i = int(np.argmax(vals))
-        return float(vals[i]), self.points[i].copy()
 
     def linear_max_batch(self, C):
         C = _check_batch(C, self.dim)
@@ -270,13 +276,13 @@ class UnionSet(UncertaintySet):
 
     def project_batch(self, P):
         P = _check_batch(P, self.dim)
-        D = self._member_distances(P)
+        projs = [m.project_batch(P) for m in self.members]
+        D = np.stack([d for _, d in projs], axis=1)
         best = np.argmin(D, axis=1)  # first minimum = lowest member index
         pts = np.empty_like(P)
-        for j, m in enumerate(self.members):
+        for j, (member_pts, _) in enumerate(projs):
             sel = best == j
-            if np.any(sel):
-                pts[sel] = m.project_batch(P[sel])[0]
+            pts[sel] = member_pts[sel]
         return pts, D[np.arange(len(P)), best]
 
     def member_index_batch(self, P):
@@ -292,15 +298,6 @@ class UnionSet(UncertaintySet):
             return np.full(len(D), INF_GAP)
         two = np.partition(D, 1, axis=1)
         return two[:, 1] - two[:, 0]
-
-    def linear_max(self, c):
-        c = as_point(c, dim=self.dim)
-        best_val, best_arg = -np.inf, None
-        for m in self.members:
-            val, arg = m.linear_max(c)
-            if val > best_val or (val == best_val and _lex_smaller(arg, best_arg)):
-                best_val, best_arg = val, arg
-        return best_val, best_arg
 
     def linear_max_batch(self, C):
         C = _check_batch(C, self.dim)

@@ -44,6 +44,26 @@ def test_vector_valued_projection_map_from_config():
     assert sc.driver.G.dim_out == 1 and not sc.driver.G.scalar
 
 
+def test_projection_type_is_the_eps_zero_member():
+    from thetabsde.config import build_scenario
+    from thetabsde.drivers import RegularizedProjectionDriver
+    sc = build_scenario(parse_config(GOOD.replace(
+        "driver.type = zero", "driver.type = projection\ndriver.g.z = [[1.0]]")))
+    assert isinstance(sc.driver, RegularizedProjectionDriver)
+    assert sc.driver.eps == 0.0
+
+
+def test_cli_validate_negative_eps_exits_2(tmp_path, capsys):
+    p = tmp_path / "neg_eps.cfg"
+    p.write_text(GOOD.replace(
+        "driver.type = zero",
+        "driver.type = regularized_projection\n"
+        "driver.eps = -0.1\n"
+        "driver.g.z = [[1.0]]"))
+    assert main(["validate", str(p)]) == 2
+    assert "eps" in capsys.readouterr().err
+
+
 def test_union_set_from_json_members():
     cfg = parse_config(GOOD.replace(
         "set.type = box",

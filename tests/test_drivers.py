@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from thetabsde.drivers import (AffineDriver, DriverError, GLimitDriver,
-                               GRegularizedDriver, ProjectionDriver,
+                               GRegularizedDriver,
                                RegularizedProjectionDriver, StateFn,
-                               ZeroDriver, driver_depends_on_y, effective_driver,
+                               ZeroDriver, effective_driver,
                                embed_zz, empirical_lipschitz, evaluate,
                                maximizer, maximizer_oracle, validate_driver)
 from thetabsde.ambient import embed
@@ -39,7 +39,7 @@ def test_evaluate_formulas():
     d = AffineDriver(1.0, 2.0, [3.0])
     assert evaluate(d, 0.0, [[0.0]], [1.0], z, None)[0] == pytest.approx(9.0)
     G = StateFn(c0=np.array([0.0]), C_z=[[1.0]])
-    p = ProjectionDriver(h=StateFn(c0=1.0), G=G)
+    p = RegularizedProjectionDriver(h=StateFn(c0=1.0), G=G, eps=0.0)
     # h - 0.5*(a - z)^2 with a=0.5, z=2
     assert evaluate(p, 0.0, [[0.0]], [0.0], z, [0.5])[0] == pytest.approx(
         1.0 - 0.5 * 1.5 ** 2)
@@ -106,8 +106,9 @@ def test_validate_driver_dimension_checks():
                         Box([0.0], [1.0]), 1)  # a0 outside the set
     G2 = StateFn(c0=np.array([0.0, 0.0]))
     with pytest.raises(DriverError):
-        validate_driver(ProjectionDriver(h=StateFn(c0=0.0), G=G2),
-                        Box([0.0], [1.0]), 1)
+        validate_driver(
+            RegularizedProjectionDriver(h=StateFn(c0=0.0), G=G2, eps=0.0),
+            Box([0.0], [1.0]), 1)
 
 
 def test_effective_driver_is_max_over_random_feasible_points():
@@ -134,9 +135,29 @@ def test_empirical_lipschitz_respects_affine_bound():
 
 
 def test_driver_depends_on_y():
-    assert not driver_depends_on_y(ZeroDriver())
-    assert driver_depends_on_y(AffineDriver(0.0, 1.0, [0.0]))
-    assert not driver_depends_on_y(AffineDriver(1.0, 0.0, [2.0]))
+    assert not ZeroDriver().depends_on_y()
+    assert AffineDriver(0.0, 1.0, [0.0]).depends_on_y()
+    assert not AffineDriver(1.0, 0.0, [2.0]).depends_on_y()
     G = StateFn(c0=np.array([0.0]), c_y=[1.0])
-    assert driver_depends_on_y(
-        ProjectionDriver(h=StateFn(c0=0.0), G=G))
+    assert RegularizedProjectionDriver(h=StateFn(c0=0.0), G=G, eps=0.0).depends_on_y()
+
+
+@pytest.mark.parametrize("eps", [-0.1, np.nan, np.inf])
+def test_projection_eps_must_be_finite_and_non_negative(eps):
+    G = StateFn(c0=np.array([0.0]))
+    with pytest.raises(DriverError):
+        RegularizedProjectionDriver(h=StateFn(c0=0.0), G=G, eps=eps)
+
+
+@pytest.mark.parametrize("eps, uset, unsound", [
+    (0.0, UnionSet([Box([0.0], [1.0]), Box([3.0], [4.0])]), True),
+    (0.0, Ball([0.0], 1.0), False),
+    (0.5, UnionSet([Box([0.0], [1.0]), Box([3.0], [4.0])]), False),
+    (0.5, PointCloud([[0.0], [1.0]]), False),
+])
+def test_unsound_for_existence_exactly_at_eps_zero_on_nonconvex_sets(
+        eps, uset, unsound):
+    G = StateFn(c0=np.array([0.0]))
+    rp = RegularizedProjectionDriver(h=StateFn(c0=0.0), G=G, eps=eps)
+    assert rp.unsound_for_existence(uset) is unsound
+    assert not GRegularizedDriver(eps=0.5, a0=[0.0]).unsound_for_existence(uset)

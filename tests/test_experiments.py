@@ -102,6 +102,9 @@ def test_eos_rejects_bad_inputs():
     with pytest.raises(ExperimentError):
         eos_demo(two_interval_union(), tb.ZeroDriver(), make_sde(),
                  tb.Payoff([0.0, 1.0]), tb.TimeGrid(0.0, 1.0, 10), 100, 1)
+    with pytest.raises(ExperimentError):  # the plain projection driver
+        eos_demo(two_interval_union(), rp_driver(eps=0.0), make_sde(),
+                 tb.Payoff([0.0, 1.0]), tb.TimeGrid(0.0, 1.0, 10), 100, 1)
 
 
 SOLVE_CFG = """

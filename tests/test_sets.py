@@ -1,7 +1,11 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from thetabsde import _kernels
+from thetabsde import sets
 from thetabsde.sets import (Ball, Box, PointCloud, SetError, UnionSet,
                             grid_cover)
 
@@ -129,18 +133,151 @@ def test_set_validation_errors():
         UnionSet([Box([0.0], [1.0]), Box([0.0, 0.0], [1.0, 1.0])])
 
 
-def test_numba_and_numpy_kernels_agree():
+def test_union_linear_max_tie_keeps_lowest_member_index():
+    u = UnionSet([PointCloud([[1.0, 0.0]]), PointCloud([[0.0, 1.0]])])
+    c = np.array([1.0, 1.0])
+    val, arg = u.linear_max(c)
+    vals, args = u.linear_max_batch(c.reshape(1, -1))
+    assert val == vals[0] == 1.0
+    assert np.array_equal(arg, [1.0, 0.0])
+    assert np.array_equal(args[0], [1.0, 0.0])
+
+
+def test_union_projects_each_member_once(monkeypatch):
+    u = UnionSet([Box([0.0], [1.0]), PointCloud([[3.0], [4.0]])])
+    rows = []
+    project = PointCloud.project_batch
+
+    def counted(self, P):
+        rows.append(len(P))
+        return project(self, P)
+    monkeypatch.setattr(PointCloud, "project_batch", counted)
+    pts, dist = u.project_batch(np.array([[0.5], [3.2], [5.0]]))
+    assert rows == [3]
+    assert np.array_equal(pts[:, 0], [0.5, 3.0, 4.0])
+    assert np.allclose(dist, [0.0, 0.2, 1.0])
+
+
+def test_cloud_search_spanning_blocks_matches_one_shot_brute_force():
     rng = np.random.default_rng(4)
-    P = rng.standard_normal((500, 3)) * 3
-    lo, hi = -np.ones(3), np.ones(3)
-    assert np.array_equal(_kernels.box_project(P, lo, hi),
-                          _kernels.numpy_box_project(P, lo, hi))
-    c = np.zeros(3)
-    assert np.allclose(_kernels.ball_project(P, c, 1.5),
-                       _kernels.numpy_ball_project(P, c, 1.5), atol=1e-14)
-    pts = rng.standard_normal((20, 3))
-    i1, a1, b1 = _kernels.cloud_nearest(P, pts)
-    i2, a2, b2 = _kernels.numpy_cloud_nearest(P, pts)
-    assert np.array_equal(i1, i2)
-    assert np.allclose(a1, a2, atol=1e-12)
-    assert np.allclose(b1, b2, atol=1e-12)
+    # half-integer coordinates make exact distance ties common
+    cloud = PointCloud(np.round(rng.uniform(-2, 2, size=(40, 2)) * 2) / 2)
+    P = np.round(rng.uniform(-3, 3, size=(2 * sets._CLOUD_BLOCK + 37, 2)) * 2) / 2
+    pts, dist = cloud.project_batch(P)
+    gap = cloud.medial_gap_batch(P)
+    D = np.linalg.norm(P[:, None, :] - cloud.points[None, :, :], axis=2)
+    idx = np.argmin(D, axis=1)
+    assert np.array_equal(pts, cloud.points[idx])
+    assert np.array_equal(dist, D[np.arange(len(P)), idx])
+    assert np.array_equal(gap, np.sort(D, axis=1)[:, 1] - dist)
+    assert np.any(gap == 0.0)  # the batch does contain exact ties
+
+
+# property test: batched calls, the scalar API and a plain-Python oracle ----
+
+def _dist(p, q):
+    return math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
+
+
+def _dot(p, q):
+    return sum(a * b for a, b in zip(p, q))
+
+
+def oracle_project(s, p):
+    """(nearest point, distance, medial gap, member index) by enumeration."""
+    if isinstance(s, UnionSet):
+        per = [oracle_project(m, p) for m in s.members]
+        d = [r[1] for r in per]
+        i = d.index(min(d))  # lowest member index on ties
+        two = sorted(d)
+        return per[i][0], d[i], two[1] - two[0] if len(d) > 1 else math.inf, i
+    if isinstance(s, Box):
+        q = [min(max(v, lo), hi) for v, lo, hi in zip(p, s.lower, s.upper)]
+        return q, _dist(p, q), math.inf, -1
+    if isinstance(s, Ball):
+        r = _dist(p, s.center)
+        q = list(p) if r <= s.radius else \
+            [c + (v - c) * (s.radius / r) for v, c in zip(p, s.center)]
+        return q, _dist(p, q), math.inf, -1
+    # nearest, then lexicographically smallest
+    cands = sorted((_dist(p, q), tuple(q)) for q in s.points)
+    gap = cands[1][0] - cands[0][0] if len(cands) > 1 else math.inf
+    return list(cands[0][1]), cands[0][0], gap, -1
+
+
+def oracle_linear_max(s, c):
+    """(max of <c, a>, argmax): lowest member index, then lex smallest."""
+    if isinstance(s, UnionSet):
+        per = [oracle_linear_max(m, c) for m in s.members]
+        return max(per, key=lambda r: r[0])  # first maximum on ties
+    if isinstance(s, Ball):
+        nc = math.sqrt(_dot(c, c))
+        if nc == 0.0:
+            return _dot(s.center, c), list(s.center)
+        return (_dot(s.center, c) + s.radius * nc,
+                [m + s.radius * v / nc for m, v in zip(s.center, c)])
+    cands = itertools.product(*zip(s.lower, s.upper)) if isinstance(s, Box) \
+        else map(tuple, s.points)
+    val, neg = max((_dot(q, c), tuple(-v for v in q)) for q in cands)
+    return val, [-v for v in neg]
+
+
+HALF = st.integers(-6, 6).map(lambda k: k / 2)
+
+
+@st.composite
+def simple_set(draw, dim):
+    kind = draw(st.sampled_from(["box", "ball", "cloud"]))
+    if kind == "box":
+        lo = [draw(HALF) for _ in range(dim)]
+        return Box(lo, [v + draw(st.integers(0, 4)) / 2 for v in lo])
+    if kind == "ball":
+        return Ball([draw(HALF) for _ in range(dim)], draw(st.integers(1, 4)) / 2)
+    k = draw(st.integers(1, 5))
+    return PointCloud([[draw(HALF) for _ in range(dim)] for _ in range(k)])
+
+
+@st.composite
+def set_queries(draw):
+    dim = draw(st.integers(1, 3))
+    members = draw(st.lists(simple_set(dim), min_size=1, max_size=3))
+    uset = members[0] if len(members) == 1 else UnionSet(members)
+    n = draw(st.integers(1, 8))
+    P = np.array([[draw(HALF) for _ in range(dim)] for _ in range(n)])
+    # small integer functionals: zero coefficients and ties are frequent
+    C = np.array([[draw(st.integers(-2, 2)) for _ in range(dim)]
+                  for _ in range(n)], dtype=float)
+    return uset, members, P, C
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(set_queries())
+def test_batched_scalar_and_oracle_geometry_agree(case):
+    uset, members, P, C = case
+    # on half-integer data box and cloud arithmetic is exact, so ties are
+    # exact and every result must equal the oracle's; balls round
+    exact = not any(isinstance(m, Ball) for m in members)
+    tol = 0.0 if exact else 1e-9
+    pts, dist = uset.project_batch(P)
+    gaps = uset.medial_gap_batch(P)
+    index = uset.member_index_batch(P)
+    vals, args = uset.linear_max_batch(C)
+    assert np.array_equal(uset.distance_batch(P), dist)
+    for i, p in enumerate(P):
+        r = uset.project(p)
+        assert np.array_equal(r.point, pts[i]) and r.distance == dist[i]
+        assert r.medial_gap == gaps[i] and r.member_index == index[i]
+        val, arg = uset.linear_max(C[i])
+        assert val == vals[i] and np.array_equal(arg, args[i])
+
+        q, d, gap, mi = oracle_project(uset, p)
+        assert abs(dist[i] - d) <= tol
+        assert gaps[i] == gap if math.isinf(gap) else abs(gaps[i] - gap) <= tol
+        assert abs(_dist(p, pts[i]) - d) <= tol
+        assert oracle_project(uset, pts[i])[1] <= tol  # a point of the set
+        ov, oa = oracle_linear_max(uset, C[i])
+        assert abs(vals[i] - ov) <= tol and abs(_dot(args[i], C[i]) - ov) <= tol
+        assert oracle_project(uset, args[i])[1] <= tol
+        if exact:
+            assert np.array_equal(pts[i], q) and index[i] == mi
+            assert np.array_equal(args[i], oa)

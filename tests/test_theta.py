@@ -136,8 +136,9 @@ def test_martingale_index_validation():
 def test_martingale_window_is_solved_on_its_own_times():
     # F = t exactly (G = 0.5 lies inside the box); with M = 0 the window
     # value is the left-point sum dt * sum_{t <= t_i < s} t_i
-    drv = tb.ProjectionDriver(h=tb.StateFn(c0=0.0, c_t=1.0),
-                              G=tb.StateFn(c0=np.array([0.5])))
+    drv = tb.RegularizedProjectionDriver(h=tb.StateFn(c0=0.0, c_t=1.0),
+                                         G=tb.StateFn(c0=np.array([0.5])),
+                                         eps=0.0)
     sc = base_scenario(drv, n_paths=200, n_steps=20)
     times = sc.grid.times
     for t_index, s_index in ((0, 10), (10, 20)):
