@@ -16,8 +16,7 @@ import json
 import numpy as np
 
 from .drivers import (AffineDriver, GLimitDriver, GRegularizedDriver,
-                      RegularizedProjectionDriver, StateFn, ZeroDriver,
-                      validate_driver)
+                      RegularizedProjectionDriver, StateFn, ZeroDriver)
 from .engine import Payoff, Scenario, SdeSpec, TimeGrid
 from .pde import PdeGrid, auto_grid
 from .sets import Ball, Box, PointCloud, UnionSet
@@ -262,7 +261,7 @@ def build_scenario(cfg):
     grid = build_grid(_need(d, "grid", "config"))
     mc = d.get("mc", {})
     try:
-        validate_driver(driver, uset, sde.dim_b)
+        driver.check(uset, sde.dim_b)
     except Exception as e:
         raise ConfigError(f"driver/set/sde dimensions: {e}") from None
     y_clip = mc.get("y_clip")

@@ -152,7 +152,7 @@ class Driver:
         return False
 
     def check(self, uset, dim_b):
-        pass
+        """Dimension and membership checks before any compute."""
 
     def unsound_for_existence(self, uset):
         """True when the argmax may jump, so existence is not guaranteed."""
@@ -285,11 +285,6 @@ def is_convex(uset):
     return isinstance(uset, (Box, Ball))
 
 
-def validate_driver(driver, uset, dim_b):
-    """Dimension and membership checks before any compute."""
-    driver.check(uset, dim_b)
-
-
 def evaluate(driver, t, x, y, z, a):
     """Pointwise driver value F(t, x, y, z, a)."""
     t, x, y, z = _batch_args(t, x, y, z)
@@ -308,7 +303,7 @@ def maximizer(driver, uset, t, x, y, z):
     if degenerate:
         astar = np.tile(uset.fixed_element(), (x.shape[0], 1))
     else:
-        astar, _ = uset.project_batch(query)
+        astar = uset.project_batch(query).point
     return astar, evaluate(driver, t, x, y, z, astar), degenerate
 
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .drivers import effective_driver, maximizer, validate_driver
+from .drivers import effective_driver, maximizer
 
 
 class EngineError(ValueError):
@@ -286,7 +286,7 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None):
     (nested tower-property solves).
     """
     sc = scenario
-    validate_driver(sc.driver, sc.uset, sc.sde.dim_b)
+    sc.driver.check(sc.uset, sc.sde.dim_b)
     ens = paths if paths is not None else simulate_forward(
         sc.sde, sc.grid, sc.n_paths, sc.seed)
     grid = ens.grid
@@ -313,6 +313,8 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None):
     conds = []
     fallbacks = 0
     degenerate = False
+    # per node: largest distance from a row of A to the set
+    a_dists = []
     picard = max(1, sc.picard_iters)
     # per-path total of terminal + accumulated driver, for the Y0 stderr
     accum = Y[:, n].copy()
@@ -332,6 +334,7 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None):
                                           Y[:, n], Z[:, n])
                 A[:, n] = astar
                 degenerate = degenerate or deg
+                a_dists.append(np.max(sc.uset.project_batch(astar).distance))
 
         if y_free:
             if has_argmax:
@@ -360,6 +363,7 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None):
                                           Y[:, i], Zi)
             A[:, i] = astar
             degenerate = degenerate or deg
+            a_dists.append(np.max(sc.uset.project_batch(astar).distance))
 
     if not np.all(np.isfinite(Y)) or not np.all(np.isfinite(Z)):
         raise EngineError("solver produced non-finite values")
@@ -371,8 +375,7 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None):
         "unsound_for_existence": sc.driver.unsound_for_existence(sc.uset),
     }
     if A is not None:
-        flat = A.reshape(-1, sc.uset.dim)
-        diagnostics["max_a_distance"] = float(np.max(sc.uset.distance_batch(flat)))
+        diagnostics["max_a_distance"] = float(np.max(a_dists))
 
     Y0 = float(np.mean(Y[:, 0]))
     stderr = float(np.std(accum) / np.sqrt(n_paths))

@@ -153,14 +153,16 @@ def eos_demo(uset, driver, sde, terminal, grid, n_paths, seed,
     n = grid.n_steps
     times = grid.times
     K = np.empty((n_paths, n + 1, uset.dim))
+    idx = np.empty((n_paths, n + 1), dtype=np.int64)
+    gaps = np.empty((n_paths, n + 1))
     for i in range(n + 1):
         K[:, i] = driver.query(times[i], ens.states[:, i], sol.Y[:, i], sol.Z[:, i])
+        r = uset.project_batch(K[:, i])
+        idx[:, i] = r.member_index
+        gaps[:, i] = r.medial_gap
 
-    flat = K.reshape(-1, uset.dim)
-    idx = uset.member_index_batch(flat)
-    counts = np.bincount(idx, minlength=len(uset.members)).astype(float)
+    counts = np.bincount(idx.ravel(), minlength=len(uset.members)).astype(float)
     occupancy = counts / counts.sum()
-    gaps = uset.medial_gap_batch(flat)
     finite = gaps[np.isfinite(gaps)]
     min_gap = float(finite.min()) if finite.size else np.inf
 
@@ -275,14 +277,9 @@ def run_scenario(cfg, out_dir, paths_dump=False):
     elif kind == "theta_qv":
         sc = _config.build_scenario(cfg)
         ens = simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
-        finals, monotone = [], True
-        for p in range(sc.n_paths):
-            qv = integrate_theta_qv(sc.driver, sc.uset,
-                                    (sc.grid, ens.states[p]), sc.sde.dim_x)
-            finals.append(qv.qv[-1])
-            monotone = monotone and qv.monotone
-        summary.update(qv_final_mean=float(np.mean(finals)),
-                       monotone=bool(monotone))
+        qv = integrate_theta_qv(sc.driver, sc.uset, sc.grid, ens.states)
+        summary.update(qv_final_mean=float(np.mean(qv.qv[:, -1])),
+                       monotone=bool(np.all(qv.monotone)))
 
     elif kind == "axiom_check":
         sc = _config.build_scenario(cfg)

@@ -56,10 +56,26 @@ def _cloud_nearest(P, pts):
 
 @dataclass(frozen=True)
 class ProjectionResult:
+    """Nearest point per query row, its distance, the winning union member
+    (-1 outside a union) and the medial gap: second-smallest candidate
+    distance minus the smallest (inf with a single candidate). Fields are
+    (n, dim) and (n,) arrays from ``project_batch``, one row's values from
+    ``project``."""
+
     point: np.ndarray
-    distance: float
-    member_index: int = -1
-    medial_gap: float = INF_GAP
+    distance: np.ndarray
+    member_index: np.ndarray
+    medial_gap: np.ndarray
+
+
+def _plain_result(point, distance, medial_gap=None):
+    """Record of a set that is not a union: member index -1 and, unless
+    given, an inf medial gap, both as stride-0 views."""
+    n = len(distance)
+    if medial_gap is None:
+        medial_gap = np.broadcast_to(INF_GAP, n)
+    return ProjectionResult(point, distance, np.broadcast_to(np.int64(-1), n),
+                            medial_gap)
 
 
 class UncertaintySet:
@@ -68,21 +84,8 @@ class UncertaintySet:
     dim: int
 
     def project_batch(self, P):
-        """Return (nearest points, distances) for a (n, dim) batch."""
+        """The ProjectionResult of a (n, dim) batch of query points."""
         raise NotImplementedError
-
-    def distance_batch(self, P):
-        return self.project_batch(P)[1]
-
-    def medial_gap_batch(self, P):
-        """Second-smallest candidate distance minus smallest; inf if the
-        set has a single projection candidate."""
-        P = _check_batch(P, self.dim)
-        return np.full(len(P), INF_GAP)
-
-    def member_index_batch(self, P):
-        P = _check_batch(P, self.dim)
-        return np.full(len(P), -1, dtype=np.int64)
 
     def linear_max(self, c):
         """(max over the set of <c, a>, an argmax); a batch of one, so the
@@ -105,23 +108,17 @@ class UncertaintySet:
     # conveniences ---------------------------------------------------------
 
     def project(self, p):
+        """project_batch on one row, with scalar fields."""
         p = as_point(p, dim=self.dim)
-        pts, dist = self.project_batch(p.reshape(1, -1))
-        gap = float(self.medial_gap_batch(p.reshape(1, -1))[0])
-        mi = int(self.member_index_batch(p.reshape(1, -1))[0])
-        return ProjectionResult(point=pts[0], distance=float(dist[0]),
-                                member_index=mi, medial_gap=gap)
+        r = self.project_batch(p.reshape(1, -1))
+        return ProjectionResult(r.point[0], float(r.distance[0]),
+                                int(r.member_index[0]), float(r.medial_gap[0]))
 
     def contains(self, p, tol=0.0):
-        p = as_point(p, dim=self.dim)
-        return bool(self.distance_batch(p.reshape(1, -1))[0] <= tol)
+        return bool(self.project(p).distance <= tol)
 
     def contains_batch(self, P, tol=0.0):
-        return self.distance_batch(P) <= tol
-
-    def diameter(self):
-        lo, hi = self.bounding_box()
-        return float(np.linalg.norm(hi - lo))
+        return self.project_batch(P).distance <= tol
 
 
 @dataclass
@@ -140,7 +137,7 @@ class Box(UncertaintySet):
     def project_batch(self, P):
         P = _check_batch(P, self.dim)
         pts = np.clip(P, self.lower, self.upper)
-        return pts, np.linalg.norm(P - pts, axis=1)
+        return _plain_result(pts, np.linalg.norm(P - pts, axis=1))
 
     def linear_max_batch(self, C):
         C = _check_batch(C, self.dim)
@@ -176,10 +173,7 @@ class Ball(UncertaintySet):
         outside = dist > self.radius
         scale = self.radius / dist[outside]
         pts[outside] = self.center + diff[outside] * scale[:, None]
-        # free the (n, dim) temporaries before the distance pass: the
-        # max_a_distance diagnostic projects n_paths x (n_steps + 1) rows
-        del diff, dist, outside
-        return pts, np.linalg.norm(P - pts, axis=1)
+        return _plain_result(pts, np.linalg.norm(P - pts, axis=1))
 
     def linear_max_batch(self, C):
         C = _check_batch(C, self.dim)
@@ -218,13 +212,9 @@ class PointCloud(UncertaintySet):
 
     def project_batch(self, P):
         P = _check_batch(P, self.dim)
-        idx, d1, _ = _cloud_nearest(P, self.points)
-        return self.points[idx], d1
-
-    def medial_gap_batch(self, P):
-        P = _check_batch(P, self.dim)
-        _, d1, d2 = _cloud_nearest(P, self.points)
-        return d2 - d1
+        idx, d1, d2 = _cloud_nearest(P, self.points)
+        d2 -= d1
+        return _plain_result(self.points[idx], d1, d2)
 
     def linear_max_batch(self, C):
         C = _check_batch(C, self.dim)
@@ -243,7 +233,6 @@ class PointCloud(UncertaintySet):
 class UnionSet(UncertaintySet):
     members: list
     dim: int = field(init=False)
-    min_member_gap: float = field(init=False)
 
     def __post_init__(self):
         if not self.members:
@@ -253,51 +242,22 @@ class UnionSet(UncertaintySet):
         if len(dims) != 1:
             raise SetError(f"union members disagree on dim: {sorted(dims)}")
         self.dim = dims.pop()
-        self.min_member_gap = self._measure_member_gap()
-
-    def _measure_member_gap(self, iters=16):
-        """Diagnostic only: alternating-projection estimate of the smallest
-        distance between two distinct members (0 if they overlap)."""
-        if len(self.members) < 2:
-            return INF_GAP
-        best = INF_GAP
-        for i, a in enumerate(self.members):
-            for b in self.members[i + 1:]:
-                p = a.fixed_element().reshape(1, -1)
-                for _ in range(iters):
-                    q = b.project_batch(p)[0]
-                    p = a.project_batch(q)[0]
-                best = min(best, float(b.distance_batch(p)[0]))
-        return best
-
-    def _member_distances(self, P):
-        P = _check_batch(P, self.dim)
-        return np.stack([m.distance_batch(P) for m in self.members], axis=1)
 
     def project_batch(self, P):
         P = _check_batch(P, self.dim)
         projs = [m.project_batch(P) for m in self.members]
-        D = np.stack([d for _, d in projs], axis=1)
+        D = np.stack([r.distance for r in projs], axis=1)
         best = np.argmin(D, axis=1)  # first minimum = lowest member index
         pts = np.empty_like(P)
-        for j, (member_pts, _) in enumerate(projs):
+        for j, r in enumerate(projs):
             sel = best == j
-            pts[sel] = member_pts[sel]
-        return pts, D[np.arange(len(P)), best]
-
-    def member_index_batch(self, P):
-        D = self._member_distances(P)
-        return np.argmin(D, axis=1).astype(np.int64)
-
-    def distance_batch(self, P):
-        return self._member_distances(P).min(axis=1)
-
-    def medial_gap_batch(self, P):
-        D = self._member_distances(P)
-        if D.shape[1] < 2:
-            return np.full(len(D), INF_GAP)
-        two = np.partition(D, 1, axis=1)
-        return two[:, 1] - two[:, 0]
+            pts[sel] = r.point[sel]
+        if len(projs) < 2:
+            gap = np.broadcast_to(INF_GAP, len(P))
+        else:
+            two = np.partition(D, 1, axis=1)
+            gap = two[:, 1] - two[:, 0]
+        return ProjectionResult(pts, D[np.arange(len(P)), best], best, gap)
 
     def linear_max_batch(self, C):
         C = _check_batch(C, self.dim)

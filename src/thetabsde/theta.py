@@ -46,38 +46,30 @@ def simulate_theta_bm(driver, uset, grid, n_paths, seed):
 @dataclass
 class QvPath:
     grid: object
-    qv: np.ndarray      # (n_steps + 1,)
-    m_path: np.ndarray  # |B_t|^2 - qv_t per node
-    monotone: bool      # integrand stayed >= 0 along the path
+    qv: np.ndarray        # (n_paths, n_steps + 1)
+    m_path: np.ndarray    # |B_t|^2 - qv_t per path and node
+    monotone: np.ndarray  # (n_paths,) integrand stayed >= 0 along the path
 
 
-def integrate_theta_qv(driver, uset, b_path, d):
-    """Forward Euler for the compensator ODE along one frozen B path.
-
-    ``b_path`` is (n_steps + 1, d) node values on the uniform grid of
-    ``b_path.grid``; pass the grid via the attribute-style tuple
-    (grid, values) or call with grid attached below.
-    """
-    grid, B = b_path
+def integrate_theta_qv(driver, uset, grid, B):
+    """Forward Euler for the compensator ODE along frozen B paths, all
+    paths at once; ``B`` is (n_paths, n_steps + 1, d) node values on
+    ``grid``."""
     B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
-    if B.shape != (grid.n_steps + 1, d):
-        raise EngineError(f"b_path shape {B.shape} does not match grid/d")
+    if B.ndim != 3 or B.shape[1] != grid.n_steps + 1:
+        raise EngineError(f"B shape {B.shape} does not match the grid")
+    d = B.shape[2]
     dt = grid.dt
     times = grid.times
-    qv = np.zeros(grid.n_steps + 1)
-    monotone = True
+    norms = np.einsum("pij,pij->pi", B, B)
+    qv = np.zeros(norms.shape)
+    monotone = np.ones(len(B), dtype=bool)
     for i in range(grid.n_steps):
-        y = float(B[i] @ B[i]) - qv[i]
-        z = (2.0 * B[i]).reshape(1, -1)
-        f, _ = effective_driver(driver, uset, times[i], B[i].reshape(1, -1),
-                                np.array([y]), z)
-        integrand = d + float(f[0])
-        if integrand < 0:
-            monotone = False
-        qv[i + 1] = qv[i] + integrand * dt
-    norms = np.einsum("ij,ij->i", B, B)
+        f, _ = effective_driver(driver, uset, times[i], B[:, i],
+                                norms[:, i] - qv[:, i], 2.0 * B[:, i])
+        integrand = d + f
+        monotone &= integrand >= 0
+        qv[:, i + 1] = qv[:, i] + integrand * dt
     return QvPath(grid=grid, qv=qv, m_path=norms - qv, monotone=monotone)
 
 
@@ -106,10 +98,8 @@ def verify_theta_martingale(scenario_base, process, t_index, s_index, c=1.0):
         if process == "linear_bm":
             M = c * B
         else:
-            M = np.empty_like(B)
-            for p in range(sc.n_paths):
-                M[p] = integrate_theta_qv(sc.driver, sc.uset,
-                                          (sc.grid, B[p]), 1).m_path
+            M = integrate_theta_qv(sc.driver, sc.uset, sc.grid,
+                                   B[:, :, None]).m_path
     else:
         raise EngineError(f"unknown process {process!r}")
 

@@ -201,7 +201,7 @@ def test_c7_theta_calculus():
                    * np.sqrt(grid.dt), axis=0)
     B2[0] = 0.0
     qv = integrate_theta_qv(tb.ZeroDriver(), tb.Box([0.0, 0.0], [1.0, 1.0]),
-                            (grid, B2), 2)
+                            grid, B2[None])
     ode_exact = np.allclose(qv.qv, 2.0 * grid.times, atol=1e-12)
 
     c = 0.4

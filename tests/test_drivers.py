@@ -6,7 +6,7 @@ from thetabsde.drivers import (AffineDriver, DriverError, GLimitDriver,
                                RegularizedProjectionDriver, StateFn,
                                ZeroDriver, effective_driver,
                                embed_zz, empirical_lipschitz, evaluate,
-                               maximizer, maximizer_oracle, validate_driver)
+                               maximizer, maximizer_oracle)
 from thetabsde.ambient import embed
 from thetabsde.sets import Ball, Box, PointCloud, UnionSet
 
@@ -97,17 +97,16 @@ def test_glimit_has_no_pointwise_interface():
         maximizer(GLimitDriver(), uset, 0.0, [[0.0]], [0.0], [[1.0]])
 
 
-def test_validate_driver_dimension_checks():
+def test_driver_check_dimension_checks():
     with pytest.raises(DriverError):
         # dim_b=2 needs ambient dim 3 for the G-type drivers
-        validate_driver(GLimitDriver(), Box([0.0], [1.0]), 2)
+        GLimitDriver().check(Box([0.0], [1.0]), 2)
     with pytest.raises(DriverError):
-        validate_driver(GRegularizedDriver(eps=0.5, a0=[5.0]),
-                        Box([0.0], [1.0]), 1)  # a0 outside the set
+        GRegularizedDriver(eps=0.5, a0=[5.0]).check(
+            Box([0.0], [1.0]), 1)  # a0 outside the set
     G2 = StateFn(c0=np.array([0.0, 0.0]))
     with pytest.raises(DriverError):
-        validate_driver(
-            RegularizedProjectionDriver(h=StateFn(c0=0.0), G=G2, eps=0.0),
+        RegularizedProjectionDriver(h=StateFn(c0=0.0), G=G2, eps=0.0).check(
             Box([0.0], [1.0]), 1)
 
 

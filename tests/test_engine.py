@@ -329,3 +329,50 @@ def test_single_evaluation_equals_picard_bitwise(monkeypatch, driver):
         assert np.array_equal(a, b)
     assert (fast.Y0, fast.stderr) == (slow.Y0, slow.stderr)
     assert fast.diagnostics == slow.diagnostics
+
+
+def box_cloud_union():
+    return tb.UnionSet([tb.Box([-1.0], [0.0]),
+                        tb.PointCloud([[0.5], [1.25], [2.0]])])
+
+
+def record_projection_rows(monkeypatch, classes):
+    """Rows of every project_batch call, per class, at every nesting level."""
+    rows = {cls: [] for cls in classes}
+    for cls, seen in rows.items():
+        def counted(self, P, _fn=cls.project_batch, _seen=seen):
+            _seen.append(len(P))
+            return _fn(self, P)
+        monkeypatch.setattr(cls, "project_batch", counted)
+    return rows
+
+
+def test_set_calls_never_exceed_one_node_of_paths(monkeypatch):
+    rows = record_projection_rows(monkeypatch,
+                                  (tb.Box, tb.PointCloud, tb.UnionSet))
+    G = tb.StateFn(c0=np.array([0.5]), C_z=[[2.0]])
+    sc = driver_scenario(
+        tb.RegularizedProjectionDriver(h=tb.StateFn(c0=0.0), G=G, eps=0.3),
+        uset=box_cloud_union())
+    sol = tb.solve_theta_bsde(sc)
+    assert "max_a_distance" in sol.diagnostics
+    assert all(rows.values())
+    assert max(max(r) for r in rows.values()) <= sc.n_paths
+
+
+@pytest.mark.parametrize("uset, G", [
+    (box_cloud_union(), tb.StateFn(c0=np.array([0.5]), C_z=[[2.0]])),
+    (tb.Ball([0.0, 0.0], 0.5), tb.StateFn(c0=np.array([0.3, -0.1]),
+                                          C_x=np.eye(2))),
+])
+def test_max_a_distance_is_the_flat_maximum(uset, G):
+    dim = uset.dim
+    sc = tb.Scenario(sde=make_sde(dim_x=dim, dim_b=dim, x0=[0.0] * dim,
+                                  vol_const=np.eye(dim)),
+                     driver=tb.RegularizedProjectionDriver(
+                         h=tb.StateFn(c0=0.0), G=G, eps=0.3),
+                     uset=uset, terminal=tb.Payoff([0.0, 1.0]),
+                     grid=tb.TimeGrid(0.0, 1.0, 10), n_paths=500, seed=12)
+    sol = tb.solve_theta_bsde(sc)
+    flat = uset.project_batch(sol.A.reshape(-1, dim)).distance
+    assert sol.diagnostics["max_a_distance"] == float(np.max(flat))

@@ -180,3 +180,24 @@ def test_fk_check_solves_the_pde_once(tmp_path, monkeypatch):
     xs = np.array([float(r.split(",")[1]) for r in rows[1:101]])
     u0 = np.array([float(r.split(",")[2]) for r in rows[1:101]])
     assert summary["u0"] == np.interp(0.0, xs, u0)
+
+
+def test_eos_projects_each_node_once(monkeypatch):
+    # y-independent driver: per node one maximizer projection, one
+    # max_a_distance projection and one diagnostic projection of the query
+    uset = tb.UnionSet([tb.Box([-1.0], [0.0]),
+                        tb.PointCloud([[0.5], [1.25], [2.0]])])
+    rows = []
+    project = tb.PointCloud.project_batch
+
+    def counted(self, P):
+        rows.append(len(P))
+        return project(self, P)
+    monkeypatch.setattr(tb.PointCloud, "project_batch", counted)
+    n_paths, n_steps = 300, 12
+    res = eos_demo(uset, rp_driver(g_x=[[1.0]]), make_sde(),
+                   tb.Payoff([0.0, 1.0]), tb.TimeGrid(0.0, 1.0, n_steps),
+                   n_paths, 3)
+    assert sum(rows) == 3 * (n_steps + 1) * n_paths
+    assert max(rows) == n_paths
+    assert abs(sum(res.member_occupancy) - 1.0) <= 1e-12

@@ -24,7 +24,8 @@ def test_box_projection_against_dense_oracle():
     # dense grid of the box as oracle candidates
     g = np.stack(np.meshgrid(np.linspace(-1, 1, 201), np.linspace(0, 2, 201),
                              indexing="ij"), axis=-1).reshape(-1, 2)
-    pts, dist = box.project_batch(P)
+    r = box.project_batch(P)
+    pts, dist = r.point, r.distance
     opts, odist = brute_nearest(P, g)
     assert np.all(dist <= odist + 1e-9)
     assert np.allclose(pts, np.clip(P, box.lower, box.upper))
@@ -34,7 +35,8 @@ def test_ball_projection():
     ball = Ball([1.0, 1.0], 2.0)
     rng = np.random.default_rng(1)
     P = rng.uniform(-5, 5, size=(300, 2))
-    pts, dist = ball.project_batch(P)
+    r = ball.project_batch(P)
+    pts, dist = r.point, r.distance
     # projected points on/inside the sphere, distances consistent
     assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= 2.0 + 1e-12)
     assert np.allclose(dist, np.linalg.norm(P - pts, axis=1))
@@ -75,12 +77,11 @@ def test_union_projection_and_member_index():
     r = u.project(3.0)
     assert r.medial_gap == pytest.approx(0.0)
     assert r.member_index == 0  # tie broken to the lowest member index
-    assert u.min_member_gap == pytest.approx(4.0)
 
 
 def test_union_medial_gap_values():
     u = UnionSet([Box([0.0], [1.0]), Box([5.0], [6.0])])
-    gaps = u.medial_gap_batch(np.array([[2.0], [4.5]]))
+    gaps = u.project_batch(np.array([[2.0], [4.5]])).medial_gap
     assert gaps[0] == pytest.approx(3.0 - 1.0)  # 3 vs 1
     assert gaps[1] == pytest.approx(3.5 - 0.5)
 
@@ -152,7 +153,8 @@ def test_union_projects_each_member_once(monkeypatch):
         rows.append(len(P))
         return project(self, P)
     monkeypatch.setattr(PointCloud, "project_batch", counted)
-    pts, dist = u.project_batch(np.array([[0.5], [3.2], [5.0]]))
+    r = u.project_batch(np.array([[0.5], [3.2], [5.0]]))
+    pts, dist = r.point, r.distance
     assert rows == [3]
     assert np.array_equal(pts[:, 0], [0.5, 3.0, 4.0])
     assert np.allclose(dist, [0.0, 0.2, 1.0])
@@ -163,8 +165,8 @@ def test_cloud_search_spanning_blocks_matches_one_shot_brute_force():
     # half-integer coordinates make exact distance ties common
     cloud = PointCloud(np.round(rng.uniform(-2, 2, size=(40, 2)) * 2) / 2)
     P = np.round(rng.uniform(-3, 3, size=(2 * sets._CLOUD_BLOCK + 37, 2)) * 2) / 2
-    pts, dist = cloud.project_batch(P)
-    gap = cloud.medial_gap_batch(P)
+    r = cloud.project_batch(P)
+    pts, dist, gap = r.point, r.distance, r.medial_gap
     D = np.linalg.norm(P[:, None, :] - cloud.points[None, :, :], axis=2)
     idx = np.argmin(D, axis=1)
     assert np.array_equal(pts, cloud.points[idx])
@@ -258,11 +260,12 @@ def test_batched_scalar_and_oracle_geometry_agree(case):
     # exact and every result must equal the oracle's; balls round
     exact = not any(isinstance(m, Ball) for m in members)
     tol = 0.0 if exact else 1e-9
-    pts, dist = uset.project_batch(P)
-    gaps = uset.medial_gap_batch(P)
-    index = uset.member_index_batch(P)
+    rec = uset.project_batch(P)
+    pts, dist, gaps, index = (rec.point, rec.distance, rec.medial_gap,
+                              rec.member_index)
+    assert pts.shape == P.shape
+    assert dist.shape == gaps.shape == index.shape == (len(P),)
     vals, args = uset.linear_max_batch(C)
-    assert np.array_equal(uset.distance_batch(P), dist)
     for i, p in enumerate(P):
         r = uset.project(p)
         assert np.array_equal(r.point, pts[i]) and r.distance == dist[i]

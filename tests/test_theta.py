@@ -54,7 +54,7 @@ def test_qv_ode_recovers_classical_dimension():
     B = np.cumsum(rng.standard_normal((26, 2)) * np.sqrt(grid.dt), axis=0)
     B[0] = 0.0
     qv = integrate_theta_qv(tb.ZeroDriver(), tb.Box([0.0, 0.0], [1.0, 1.0]),
-                            (grid, B), 2)
+                            grid, B[None])
     assert np.allclose(qv.qv, 2.0 * grid.times, atol=1e-12)
     assert qv.monotone
     assert np.allclose(qv.m_path, np.sum(B ** 2, axis=1) - qv.qv)
@@ -64,7 +64,7 @@ def test_qv_constant_driver():
     grid = tb.TimeGrid(0.0, 1.0, 30)
     B = np.zeros((31, 1))
     qv = integrate_theta_qv(tb.AffineDriver(0.5, 0.0, [0.0]), UNIT_BOX,
-                            (grid, B), 1)
+                            grid, B[None])
     assert np.allclose(qv.qv, 1.5 * grid.times, atol=1e-12)
 
 
@@ -73,7 +73,7 @@ def test_qv_gregularized_at_frozen_zero_path():
     grid = tb.TimeGrid(0.0, 1.0, 20)
     B = np.zeros((21, 1))
     drv = tb.GRegularizedDriver(eps=0.5, a0=[1.5])
-    qv = integrate_theta_qv(drv, tb.Box([1.0], [2.0]), (grid, B), 1)
+    qv = integrate_theta_qv(drv, tb.Box([1.0], [2.0]), grid, B[None])
     assert np.allclose(qv.qv, grid.times, atol=1e-12)
 
 
@@ -81,8 +81,29 @@ def test_qv_refinement_exact_for_constant_integrand():
     drv = tb.AffineDriver(0.25, 0.0, [0.0])
     for n in (10, 20, 40):
         grid = tb.TimeGrid(0.0, 1.0, n)
-        qv = integrate_theta_qv(drv, UNIT_BOX, (grid, np.zeros((n + 1, 1))), 1)
-        assert qv.qv[-1] == pytest.approx(1.25, abs=1e-14)
+        qv = integrate_theta_qv(drv, UNIT_BOX, grid, np.zeros((1, n + 1, 1)))
+        assert qv.qv[0, -1] == pytest.approx(1.25, abs=1e-14)
+
+
+@pytest.mark.parametrize("driver, uset", [
+    (tb.AffineDriver(-0.4, 0.3, [0.2]), UNIT_BOX),
+    (tb.RegularizedProjectionDriver(
+        h=tb.StateFn(c0=0.0, c_y=0.2),
+        G=tb.StateFn(c0=np.array([0.0]), C_x=[[1.0]], C_z=[[0.5]]), eps=0.3),
+     tb.UnionSet([tb.Box([-1.0], [0.0]), tb.PointCloud([[0.5], [1.25], [2.0]])])),
+    (tb.GRegularizedDriver(eps=0.5, a0=[1.5]), tb.Box([1.0], [2.0])),
+])
+def test_qv_paths_batch_equals_one_path_at_a_time(driver, uset):
+    grid = tb.TimeGrid(0.0, 1.0, 25)
+    ens = tb.simulate_forward(tb.SdeSpec(dim_x=1, dim_b=1, x0=[0.2]),
+                              grid, 300, 11)
+    qv = integrate_theta_qv(driver, uset, grid, ens.states)
+    assert qv.qv.shape == qv.m_path.shape == (300, 26)
+    for p in range(300):
+        one = integrate_theta_qv(driver, uset, grid, ens.states[p:p + 1])
+        assert np.array_equal(one.qv[0], qv.qv[p])
+        assert np.array_equal(one.m_path[0], qv.m_path[p])
+        assert one.monotone[0] == qv.monotone[p]
 
 
 def test_martingale_zero_driver():
