@@ -54,7 +54,7 @@ def main(argv=None):
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except Exception as e:
-        print(f"run failed: {e}", file=sys.stderr)
+        print(f"run failed: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
     wall = time.perf_counter() - start
     if not args.quiet:

@@ -12,14 +12,17 @@ first offending field.
 """
 
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
 from .drivers import (AffineDriver, GLimitDriver, GRegularizedDriver,
-                      RegularizedProjectionDriver, StateFn, ZeroDriver)
+                      RegularizedProjectionDriver, StateFn, ZeroDriver,
+                      is_convex)
 from .engine import Payoff, Scenario, SdeSpec, TimeGrid
-from .pde import PdeGrid, auto_grid
+from .pde import PdeGrid, auto_grid, check_sde
 from .sets import Ball, Box, PointCloud, UnionSet
+from .theta import check_martingale
 
 KINDS = ("solve", "fk_check", "epsilon_sweep", "eos_demo", "theta_bm",
          "theta_qv", "axiom_check", "martingale_check")
@@ -27,6 +30,21 @@ KINDS = ("solve", "fk_check", "epsilon_sweep", "eos_demo", "theta_bm",
 
 class ConfigError(ValueError):
     pass
+
+
+class ExperimentError(ValueError):
+    pass
+
+
+@contextmanager
+def _field(where):
+    """Re-raise any failure inside the block as a ConfigError naming ``where``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except Exception as e:
+        raise ConfigError(f"{where}: {e}") from None
 
 
 def _strip_comment(line):
@@ -106,7 +124,7 @@ class ScenarioConfig:
         if not (integral and 0 <= seed < 2 ** 64):
             raise ConfigError(
                 f"mc.seed must be an integer in [0, 2**64), got {seed!r}")
-        build_scenario(self)  # raises naming the offending field
+        kind_params(self, build_scenario(self))  # raise naming the field
 
 
 def parse_config(text):
@@ -133,7 +151,7 @@ def build_set(spec, where="set"):
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be a mapping")
     typ = _need(spec, "type", where)
-    try:
+    with _field(where):
         if typ == "box":
             return Box(_need(spec, "lower", where), _need(spec, "upper", where))
         if typ == "ball":
@@ -144,10 +162,6 @@ def build_set(spec, where="set"):
             members = _need(spec, "members", where)
             return UnionSet([build_set(m, f"{where}.members[{i}]")
                              for i, m in enumerate(members)])
-    except ConfigError:
-        raise
-    except Exception as e:
-        raise ConfigError(f"{where}: {e}") from None
     raise ConfigError(f"{where}.type unknown: {typ!r}")
 
 
@@ -178,19 +192,17 @@ def _build_statefn(spec, where, vector=False):
         c0 = 0.0
     elif vector:
         c0 = np.atleast_1d(np.asarray(c0, dtype=float))
-    try:
+    with _field(where):
         return StateFn(c0=np.asarray(c0, dtype=float),
                        c_t=spec.get("t"), C_x=spec.get("x"),
                        c_y=spec.get("y"), C_z=spec.get("z"))
-    except Exception as e:
-        raise ConfigError(f"{where}: {e}") from None
 
 
 def build_driver(spec, where="driver"):
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be a mapping")
     typ = _need(spec, "type", where)
-    try:
+    with _field(where):
         if typ == "zero":
             return ZeroDriver()
         if typ == "affine":
@@ -208,48 +220,36 @@ def build_driver(spec, where="driver"):
                                       _need(spec, "a0", where))
         if typ == "g_limit":
             return GLimitDriver()
-    except ConfigError:
-        raise
-    except Exception as e:
-        raise ConfigError(f"{where}: {e}") from None
     raise ConfigError(f"{where}.type unknown: {typ!r}")
 
 
 def build_sde(spec, where="sde"):
     spec = spec or {}
-    dim_x = int(spec.get("dim_x", 1))
-    dim_b = int(spec.get("dim_b", dim_x))
-    vol = spec.get("vol_const")
-    if vol is None and "vol_lin" not in spec:
-        vol = np.eye(dim_x, dim_b)  # default: driving noise passes through
-    try:
+    with _field(where):
+        dim_x = int(spec.get("dim_x", 1))
+        dim_b = int(spec.get("dim_b", dim_x))
+        vol = spec.get("vol_const")
+        if vol is None and "vol_lin" not in spec:
+            vol = np.eye(dim_x, dim_b)  # default: driving noise passes through
         return SdeSpec(dim_x=dim_x, dim_b=dim_b,
                        x0=spec.get("x0", np.zeros(dim_x)),
                        drift_const=spec.get("drift_const"),
                        drift_t=spec.get("drift_t"),
                        drift_lin=spec.get("drift_lin"),
                        vol_const=vol, vol_lin=spec.get("vol_lin"))
-    except Exception as e:
-        raise ConfigError(f"{where}: {e}") from None
 
 
 def build_terminal(spec, where="terminal"):
     spec = spec or {}
-    try:
+    with _field(where):
         return Payoff(spec.get("coeffs", [0.0, 1.0]), clamp=spec.get("clamp"))
-    except Exception as e:
-        raise ConfigError(f"{where}: {e}") from None
 
 
 def build_grid(spec, where="grid"):
     spec = spec or {}
-    try:
+    with _field(where):
         return TimeGrid(float(spec.get("t0", 0.0)), float(_need(spec, "T", where)),
                         int(_need(spec, "n_steps", where)))
-    except ConfigError:
-        raise
-    except Exception as e:
-        raise ConfigError(f"{where}: {e}") from None
 
 
 def build_scenario(cfg):
@@ -260,10 +260,8 @@ def build_scenario(cfg):
     terminal = build_terminal(d.get("terminal"))
     grid = build_grid(_need(d, "grid", "config"))
     mc = d.get("mc", {})
-    try:
+    with _field("driver/set/sde dimensions"):
         driver.check(uset, sde.dim_b)
-    except Exception as e:
-        raise ConfigError(f"driver/set/sde dimensions: {e}") from None
     y_clip = mc.get("y_clip")
     if y_clip is not None:
         try:
@@ -284,12 +282,69 @@ def build_scenario(cfg):
 
 def build_pde_grid(cfg, scenario):
     spec = cfg.data.get("pde", {})
-    if {"x_min", "x_max", "n_x", "n_t"} <= set(spec):
-        try:
+    with _field("pde"):
+        check_sde(scenario.sde)
+        if {"x_min", "x_max", "n_x", "n_t"} <= set(spec):
             return PdeGrid(float(spec["x_min"]), float(spec["x_max"]),
                            int(spec["n_x"]), int(spec["n_t"]),
                            scenario.grid.t0, scenario.grid.T,
                            scenario.sde.sigma_max())
-        except Exception as e:
-            raise ConfigError(f"pde: {e}") from None
-    return auto_grid(scenario.sde, scenario.grid, n_x=int(spec.get("n_x", 400)))
+        return auto_grid(scenario.sde, scenario.grid,
+                         n_x=int(spec.get("n_x", 400)))
+
+
+def kind_params(cfg, scenario):
+    """Arguments of the kind's library call after the scenario, from the
+    kind's config section, passed through the library's own checks."""
+    kind, d = cfg.kind, cfg.data
+    with _field(kind):
+        if kind == "fk_check":
+            return {"pde_grid": build_pde_grid(cfg, scenario)}
+        if kind == "epsilon_sweep":
+            sw = d.get("sweep", {})
+            eps = sw.get("epsilons", [0.5, 0.25, 0.125, 0.0625])
+            return {"epsilons": check_sweep(scenario, eps),
+                    "a0": sw.get("a0", scenario.uset.fixed_element())}
+        if kind == "eos_demo":
+            check_eos(scenario)
+            return {"gap_threshold": d.get("eos", {}).get("gap_threshold")}
+        if kind == "axiom_check":
+            ax = dict(d.get("axiom", {}))
+            axiom = _need(ax, "name", "axiom")
+            del ax["name"]
+            if "terminal2_coeffs" in ax:
+                ax["terminal2"] = Payoff(ax.pop("terminal2_coeffs"),
+                                         clamp=ax.pop("terminal2_clamp", None))
+            return {"axiom": axiom, "params": ax}
+        if kind == "martingale_check":
+            mg = d.get("martingale", {})
+            p = {"process": mg.get("process", "theta_bm"),
+                 "t_index": int(mg.get("t_index", 0)),
+                 "s_index": int(mg.get("s_index", scenario.grid.n_steps)),
+                 "c": float(mg.get("c", 1.0))}
+            check_martingale(scenario.grid, p["process"], p["t_index"],
+                             p["s_index"])
+            return p
+    return {}
+
+
+# preconditions of the experiment kinds, shared with experiments.py
+def check_sweep(scenario, epsilons):
+    """Preconditions of ``epsilon_sweep``; returns the epsilons as floats."""
+    if not is_convex(scenario.uset):
+        raise ExperimentError("epsilon sweep requires a convex set (box/ball)")
+    eps = [float(e) for e in epsilons]
+    if len(eps) < 2 or not all(eps[i] > eps[i + 1] > 0 for i in range(len(eps) - 1)):
+        raise ExperimentError("epsilons must be strictly decreasing and positive")
+    if scenario.terminal.clamp is None:
+        raise ExperimentError("sweep requires a bounded (clamped) terminal")
+    return eps
+
+
+def check_eos(scenario):
+    """Preconditions of ``eos_demo``."""
+    uset, driver = scenario.uset, scenario.driver
+    if not isinstance(uset, UnionSet) or len(uset.members) < 2:
+        raise ExperimentError("demo requires a union of at least two members")
+    if not isinstance(driver, RegularizedProjectionDriver) or driver.eps == 0:
+        raise ExperimentError("demo requires the regularized projection driver")

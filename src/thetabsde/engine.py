@@ -9,7 +9,7 @@ parameter path is read off from the maximizer map.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -397,7 +397,7 @@ def axiom_check(scenario, axiom, params=None):
     params = dict(params or {})
     if axiom == "normalization":
         m = float(params.get("m", 1.0))
-        sc = Scenario(**{**scenario.__dict__, "terminal": Payoff([m])})
+        sc = replace(scenario, terminal=Payoff([m]))
         sol = solve_theta_bsde(sc)
         disc = float(np.max(np.abs(sol.Y - m)))
         tol = float(params.get("tol", 1e-12))
@@ -414,7 +414,7 @@ def axiom_check(scenario, axiom, params=None):
         if np.any(xi1 < xi2):
             raise EngineError("A1 requires terminal1 >= terminal2 on the sample")
         sol1 = solve_theta_bsde(scenario, paths=ens)
-        sc2 = Scenario(**{**scenario.__dict__, "terminal": terminal2})
+        sc2 = replace(scenario, terminal=terminal2)
         sol2 = solve_theta_bsde(sc2, paths=ens)
         diff = sol1.Y - sol2.Y
         viol = diff < -1e-12
@@ -435,7 +435,7 @@ def axiom_check(scenario, axiom, params=None):
                          clamp=None)
         if scenario.terminal.clamp is not None:
             raise EngineError("A2 shift check does not support clamped payoffs")
-        sc2 = Scenario(**{**scenario.__dict__, "terminal": shifted})
+        sc2 = replace(scenario, terminal=shifted)
         sol2 = solve_theta_bsde(sc2, paths=ens)
         disc = float(np.max(np.abs(sol2.Y - sol1.Y - m)))
         tol = float(params.get("tol", 1e-12))

@@ -66,11 +66,18 @@ class PdeGrid:
         return self.t0 + self.dt_pde * np.arange(self.n_t + 1)
 
 
+def check_sde(sde):
+    """The oracle's scope: one state, one noise, constant volatility."""
+    if sde.dim_x != 1 or sde.dim_b != 1:
+        raise PdeError("PDE oracle supports dim_x = dim_b = 1 only")
+    if sde.vol_lin is not None:
+        raise PdeError("PDE oracle requires constant volatility")
+
+
 def auto_grid(sde, grid, n_x=400, half_width_sigmas=6.0):
     """Domain x0 +/- 6 sigma sqrt(T - t0), n_t chosen to satisfy the CFL
     stability bound."""
-    if sde.dim_x != 1 or sde.dim_b != 1:
-        raise PdeError("PDE oracle supports dim_x = dim_b = 1 only")
+    check_sde(sde)
     smax = sde.sigma_max()
     if smax == 0.0:
         raise PdeError("need nonzero volatility for an automatic domain")
@@ -94,10 +101,7 @@ class ValueSurface:
 
 def solve_pde(driver, uset, sde, payoff, pgrid):
     """Backward explicit sweep; returns the value surface on the grid."""
-    if sde.dim_x != 1 or sde.dim_b != 1:
-        raise PdeError("PDE oracle supports dim_x = dim_b = 1 only")
-    if sde.vol_lin is not None:
-        raise PdeError("PDE oracle requires constant volatility")
+    check_sde(sde)
     xs = pgrid.xs
     ts = pgrid.ts
     dx, dt = pgrid.dx, pgrid.dt_pde

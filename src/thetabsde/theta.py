@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drivers import effective_driver
-from .engine import (EngineError, PathEnsemble, Scenario, TimeGrid,
-                     brownian_increments, solve_theta_bsde)
+from .engine import (EngineError, PathEnsemble, TimeGrid, brownian_increments,
+                     solve_theta_bsde)
 
 
 @dataclass
@@ -73,6 +73,14 @@ def integrate_theta_qv(driver, uset, grid, B):
     return QvPath(grid=grid, qv=qv, m_path=norms - qv, monotone=monotone)
 
 
+def check_martingale(grid, process, t_index, s_index):
+    """Preconditions of ``verify_theta_martingale`` on ``grid``."""
+    if process not in ("theta_bm", "m_qv", "linear_bm"):
+        raise EngineError(f"unknown process {process!r}")
+    if not 0 <= t_index < s_index <= grid.n_steps:
+        raise EngineError("need 0 <= t_index < s_index <= n_steps")
+
+
 def verify_theta_martingale(scenario_base, process, t_index, s_index, c=1.0):
     """Check M_t = E_t[M_s] numerically for one of the canonical processes.
 
@@ -83,14 +91,13 @@ def verify_theta_martingale(scenario_base, process, t_index, s_index, c=1.0):
     per-path terminal M_s; at t_index 0 the conditioning is exact.
     """
     sc = scenario_base
-    if not 0 <= t_index < s_index <= sc.grid.n_steps:
-        raise EngineError("need 0 <= t_index < s_index <= n_steps")
+    check_martingale(sc.grid, process, t_index, s_index)
     if process == "theta_bm":
         ens_th = simulate_theta_bm(sc.driver, sc.uset, sc.grid, sc.n_paths, sc.seed)
         B = ens_th.b_theta
         dB = ens_th.increments
         M = B
-    elif process in ("m_qv", "linear_bm"):
+    else:
         # plain Brownian paths; d = 1 throughout the verification fixtures
         dB = brownian_increments(sc.grid, sc.n_paths, sc.seed, 1)
         B = np.concatenate([np.zeros((sc.n_paths, 1)),
@@ -100,18 +107,14 @@ def verify_theta_martingale(scenario_base, process, t_index, s_index, c=1.0):
         else:
             M = integrate_theta_qv(sc.driver, sc.uset, sc.grid,
                                    B[:, :, None]).m_path
-    else:
-        raise EngineError(f"unknown process {process!r}")
 
-    window = s_index - t_index
     times = sc.grid.times
-    sub_grid = TimeGrid(times[t_index], times[s_index], window)
+    sub_grid = TimeGrid(times[t_index], times[s_index], s_index - t_index)
     # reuse the realized driving noise on the [t, s] window
     sub = PathEnsemble(sub_grid, sc.n_paths, sc.seed,
                        dB[:, t_index:s_index],
                        B[:, t_index:s_index + 1, None])
-    sub_sc = Scenario(**{**sc.__dict__})
-    sol = solve_theta_bsde(sub_sc, paths=sub, terminal_values=M[:, s_index])
+    sol = solve_theta_bsde(sc, paths=sub, terminal_values=M[:, s_index])
     diff = M[:, t_index] - sol.Y[:, 0]
     # sampling scale of the window increment, not of the (possibly
     # cross-path-constant) residual itself

@@ -171,10 +171,11 @@ def test_c5_feynman_kac_cross_checks():
 
 def test_c6_regularization_convergence():
     start = time.perf_counter()
-    res = epsilon_sweep(tb.Box([1.0], [2.0]), [0.5, 0.25, 0.125, 0.0625],
-                        [1.0], make_sde(),
-                        tb.Payoff([0.0, 0.0, 1.0], clamp=(0.0, 4.0)),
-                        tb.TimeGrid(0.0, 1.0, 50), 50_000, 6)
+    sc = tb.Scenario(sde=make_sde(), driver=tb.GLimitDriver(),
+                     uset=tb.Box([1.0], [2.0]),
+                     terminal=tb.Payoff([0.0, 0.0, 1.0], clamp=(0.0, 4.0)),
+                     grid=tb.TimeGrid(0.0, 1.0, 50), n_paths=50_000, seed=6)
+    res = epsilon_sweep(sc, [0.5, 0.25, 0.125, 0.0625], [1.0])
     mono = all(res.sup_y_err[i + 1] <= res.sup_y_err[i]
                + np.hypot(res.stderrs[i], res.stderrs[i + 1])
                for i in range(len(res.epsilons) - 1))
@@ -219,10 +220,10 @@ def test_c8_pathwise_uniqueness_empirics():
     uset = tb.UnionSet([tb.Box([0.0], [1.0]), tb.Box([5.0], [6.0])])
     drv = rp_driver(eps=0.5, g_c=0.0)
     drv.G.C_x = np.array([[1.0]])  # query follows the state
-    kwargs = dict(sde=make_sde(), terminal=tb.Payoff([0.0, 1.0]),
-                  n_paths=10_000, seed=10)
-    r1 = eos_demo(uset, drv, grid=tb.TimeGrid(0.0, 1.0, 200), **kwargs)
-    r2 = eos_demo(uset, drv, grid=tb.TimeGrid(0.0, 1.0, 400), **kwargs)
+    kwargs = dict(sde=make_sde(), driver=drv, uset=uset,
+                  terminal=tb.Payoff([0.0, 1.0]), n_paths=10_000, seed=10)
+    r1 = eos_demo(tb.Scenario(grid=tb.TimeGrid(0.0, 1.0, 200), **kwargs))
+    r2 = eos_demo(tb.Scenario(grid=tb.TimeGrid(0.0, 1.0, 400), **kwargs))
     report(f"C8 medial hit fraction {r1.medial_hit_fraction:.2e} "
            f"-> {r2.medial_hit_fraction:.2e} under step doubling",
            r1.medial_hit_fraction <= 0.01

@@ -183,3 +183,46 @@ def test_cli_paths_dump_flag(tmp_path):
     assert main(["run", str(p), "--out", str(tmp_path), "--paths-dump",
                  "--quiet"]) == 0
     assert (tmp_path / "dumped.paths.csv").exists()
+
+
+UNION = ('set.type = union\nset.members = [{"type": "box", "lower": [0.0], '
+         '"upper": [1.0]}, {"type": "box", "lower": [2.0], "upper": [3.0]}]')
+
+
+@pytest.mark.parametrize("kind_cfg, message", [
+    # each of these passed validate and then failed in run with exit 1
+    (GOOD.replace("kind = solve", "kind = epsilon_sweep")
+     .replace("driver.type = zero", "driver.type = g_limit")
+     .replace("set.type = box", UNION).replace("set.lower = [0.0]", "")
+     .replace("set.upper = [1.0]", "")
+     + "terminal.clamp = [0.0, 4.0]\n", "convex"),
+    (GOOD.replace("kind = solve", "kind = fk_check")
+     .replace("set.lower = [0.0]", "set.lower = [0.0, 0.0]")
+     .replace("set.upper = [1.0]", "set.upper = [1.0, 1.0]")
+     + "sde.dim_x = 2\n", "dim_x"),
+    (GOOD.replace("kind = solve", "kind = eos_demo")
+     .replace("driver.type = zero", "driver.type = regularized_projection\n"
+              "driver.eps = 0.5\ndriver.g.z = [[1.0]]"), "union"),
+    (GOOD.replace("kind = solve", "kind = martingale_check")
+     + "martingale.s_index = 9\n", "s_index"),
+], ids=["sweep_on_union", "fk_in_dim_2", "eos_on_box", "martingale_past_grid"])
+def test_cli_validate_rejects_what_run_would_fail(tmp_path, capsys, kind_cfg,
+                                                  message):
+    p = tmp_path / "kind.cfg"
+    p.write_text(kind_cfg)
+    assert main(["validate", str(p)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_run_failure_names_the_exception_type(tmp_path, capsys):
+    p = tmp_path / "bad_axiom.cfg"
+    p.write_text(GOOD.replace("kind = solve", "kind = axiom_check")
+                 + "axiom.name = A1_monotonicity\n"
+                 + "axiom.terminal2_coeffs = [10.0, 1.0]\n")
+    assert main(["run", str(p), "--out", str(tmp_path)]) == 1
+    assert "run failed: EngineError: A1 requires" in capsys.readouterr().err
+
+
+def test_non_numeric_sde_dimension_is_a_config_error():
+    with pytest.raises(ConfigError, match="sde"):
+        parse_config(GOOD + 'sde.dim_x = "two"\n')
