@@ -19,7 +19,7 @@ import numpy as np
 from .drivers import (AffineDriver, GLimitDriver, GRegularizedDriver,
                       RegularizedProjectionDriver, StateFn, ZeroDriver,
                       is_convex)
-from .engine import Payoff, Scenario, SdeSpec, TimeGrid
+from .engine import Payoff, Scenario, SdeSpec, TimeGrid, check_axiom
 from .pde import PdeGrid, auto_grid, check_sde
 from .sets import Ball, Box, PointCloud, UnionSet
 from .theta import check_martingale
@@ -271,13 +271,16 @@ def build_scenario(cfg):
         if not lo < hi:
             raise ConfigError("mc.y_clip must satisfy lo < hi")
         y_clip = (lo, hi)
-    return Scenario(sde=sde, driver=driver, uset=uset, terminal=terminal,
-                    grid=grid,
-                    n_paths=int(mc.get("n_paths", 1000)),
-                    seed=int(_need(mc, "seed", "mc")),
-                    regression_degree=int(mc.get("regression_degree", 3)),
-                    picard_iters=int(mc.get("picard_iters", 3)),
-                    y_clip=y_clip)
+    with _field("mc"):
+        n_paths = int(mc.get("n_paths", 1000))
+        if n_paths < 1:
+            raise ConfigError(f"mc.n_paths must be >= 1, got {n_paths}")
+        return Scenario(sde=sde, driver=driver, uset=uset, terminal=terminal,
+                        grid=grid, n_paths=n_paths,
+                        seed=int(_need(mc, "seed", "mc")),
+                        regression_degree=int(mc.get("regression_degree", 3)),
+                        picard_iters=int(mc.get("picard_iters", 3)),
+                        y_clip=y_clip)
 
 
 def build_pde_grid(cfg, scenario):
@@ -315,6 +318,7 @@ def kind_params(cfg, scenario):
             if "terminal2_coeffs" in ax:
                 ax["terminal2"] = Payoff(ax.pop("terminal2_coeffs"),
                                          clamp=ax.pop("terminal2_clamp", None))
+            check_axiom(scenario, axiom, ax)
             return {"axiom": axiom, "params": ax}
         if kind == "martingale_check":
             mg = d.get("martingale", {})

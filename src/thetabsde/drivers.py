@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .ambient import as_point, sym_vec_dim
-from .sets import Box, Ball, SetError, grid_cover
+from .sets import Box, Ball, SetError, grid_cover, plain_result
 
 
 class DriverError(ValueError):
@@ -296,23 +296,27 @@ def evaluate(driver, t, x, y, z, a):
 
 
 def maximizer(driver, uset, t, x, y, z):
-    """Closed-form argmax over the set. Returns (astar, value, degenerate)."""
+    """Closed-form argmax over the set. Returns (proj, value, degenerate):
+    ``proj`` is the ProjectionResult of the query, whose ``point`` is the
+    argmax; a degenerate argmax gets the tiled fixed element at distance 0,
+    member index -1 and an inf medial gap."""
     t, x, y, z = _batch_args(t, x, y, z)
     query = driver.query(t, x, y, z)
     degenerate = query is None
     if degenerate:
-        astar = np.tile(uset.fixed_element(), (x.shape[0], 1))
+        n = x.shape[0]
+        proj = plain_result(np.tile(uset.fixed_element(), (n, 1)), np.zeros(n))
     else:
-        astar = uset.project_batch(query).point
-    return astar, evaluate(driver, t, x, y, z, astar), degenerate
+        proj = uset.project_batch(query)
+    return proj, evaluate(driver, t, x, y, z, proj.point), degenerate
 
 
 def effective_driver(driver, uset, t, x, y, z):
     """Value of max_a F; astar is None for a driver without an argmax."""
     if not driver.has_argmax:
         return driver.support(uset, z), None
-    astar, vals, _ = maximizer(driver, uset, t, x, y, z)
-    return vals, astar
+    proj, vals, _ = maximizer(driver, uset, t, x, y, z)
+    return vals, proj.point
 
 
 def maximizer_oracle(driver, uset, t, x, y, z, grid_step):

@@ -199,6 +199,10 @@ class BsdeSolution:
     stderr: float
     regression_degree: int
     diagnostics: dict = field(default_factory=dict)
+    # the maximizer's projection record per node, (n_paths, n_steps + 1);
+    # kept only when asked for and the driver has an argmax
+    member_index: Optional[np.ndarray] = None
+    medial_gap: Optional[np.ndarray] = None
 
 
 # Design condition number (2-norm) above which the normal equations would
@@ -278,12 +282,14 @@ class _Projector:
         return X @ sol
 
 
-def solve_theta_bsde(scenario, paths=None, terminal_values=None):
+def solve_theta_bsde(scenario, paths=None, terminal_values=None,
+                     keep_projection=False):
     """Backward regression sweep; returns the solution triplet ensembles.
 
     ``paths`` reuses a pre-simulated ensemble (common-path experiments);
     ``terminal_values`` overrides the payoff with per-path terminal data
-    (nested tower-property solves).
+    (nested tower-property solves); ``keep_projection`` keeps the member
+    index and medial gap of every maximizer projection on the solution.
     """
     sc = scenario
     sc.driver.check(sc.uset, sc.sde.dim_b)
@@ -304,6 +310,9 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None):
     Y = np.empty((n_paths, n + 1))
     Z = np.zeros((n_paths, n + 1, db))
     A = np.empty((n_paths, n + 1, sc.uset.dim)) if has_argmax else None
+    keep = keep_projection and has_argmax
+    member_index = np.empty((n_paths, n + 1), dtype=np.int64) if keep else None
+    medial_gap = np.empty((n_paths, n + 1)) if keep else None
 
     if terminal_values is not None:
         Y[:, n] = np.asarray(terminal_values, dtype=float)
@@ -313,8 +322,19 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None):
     conds = []
     fallbacks = 0
     degenerate = False
-    # per node: largest distance from a row of A to the set
-    a_dists = []
+
+    def argmax_at(i, y, z):
+        """Record the maximizer at node i; returns the driver value. The
+        projection record lives only for this call."""
+        nonlocal degenerate
+        rec, f, deg = maximizer(sc.driver, sc.uset, times[i], X[:, i], y, z)
+        A[:, i] = rec.point
+        if keep:
+            member_index[:, i] = rec.member_index
+            medial_gap[:, i] = rec.medial_gap
+        degenerate = degenerate or deg
+        return f
+
     picard = max(1, sc.picard_iters)
     # per-path total of terminal + accumulated driver, for the Y0 stderr
     accum = Y[:, n].copy()
@@ -330,16 +350,11 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None):
             # design, i.e. exactly this node's Z
             Z[:, n] = Zi
             if has_argmax:
-                astar, _, deg = maximizer(sc.driver, sc.uset, times[n], X[:, n],
-                                          Y[:, n], Z[:, n])
-                A[:, n] = astar
-                degenerate = degenerate or deg
-                a_dists.append(np.max(sc.uset.project_batch(astar).distance))
+                argmax_at(n, Y[:, n], Z[:, n])
 
         if y_free:
             if has_argmax:
-                astar, f, deg = maximizer(sc.driver, sc.uset, times[i], X[:, i],
-                                          Ey, Zi)
+                f = argmax_at(i, Ey, Zi)
             else:
                 f, _ = effective_driver(sc.driver, sc.uset, times[i], X[:, i], Ey, Zi)
             Yk = Ey + dt * f
@@ -357,13 +372,8 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None):
         Y[:, i] = Yk
         accum += dt * f
 
-        if has_argmax:
-            if not y_free:
-                astar, _, deg = maximizer(sc.driver, sc.uset, times[i], X[:, i],
-                                          Y[:, i], Zi)
-            A[:, i] = astar
-            degenerate = degenerate or deg
-            a_dists.append(np.max(sc.uset.project_batch(astar).distance))
+        if has_argmax and not y_free:
+            argmax_at(i, Y[:, i], Zi)
 
     if not np.all(np.isfinite(Y)) or not np.all(np.isfinite(Z)):
         raise EngineError("solver produced non-finite values")
@@ -374,14 +384,13 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None):
         "degenerate_argmax": bool(degenerate),
         "unsound_for_existence": sc.driver.unsound_for_existence(sc.uset),
     }
-    if A is not None:
-        diagnostics["max_a_distance"] = float(np.max(a_dists))
 
     Y0 = float(np.mean(Y[:, 0]))
     stderr = float(np.std(accum) / np.sqrt(n_paths))
     return BsdeSolution(grid=grid, Y=Y, Z=Z, A=A, Y0=Y0, stderr=stderr,
                         regression_degree=sc.regression_degree,
-                        diagnostics=diagnostics)
+                        diagnostics=diagnostics, member_index=member_index,
+                        medial_gap=medial_gap)
 
 
 def theta_expectation(solution, t_index):
@@ -392,9 +401,31 @@ def theta_expectation(solution, t_index):
     return float(np.mean(solution.Y[:, t_index]))
 
 
+AXIOMS = ("normalization", "A1_monotonicity", "A2_translation", "A3_tower")
+
+
+def check_axiom(scenario, axiom, params):
+    """Preconditions of ``axiom_check`` that need no sample."""
+    if axiom not in AXIOMS:
+        raise EngineError(f"unknown axiom {axiom!r}, expected one of {AXIOMS}")
+    if axiom == "A1_monotonicity" and "terminal2" not in params:
+        raise EngineError("A1 check needs a second terminal 'terminal2'")
+    if axiom == "A2_translation":
+        if scenario.driver.depends_on_y():
+            raise EngineError("A2 check requires a y-independent driver")
+        if scenario.terminal.clamp is not None:
+            raise EngineError("A2 shift check does not support clamped payoffs")
+    if axiom == "A3_tower":
+        if "s_index" not in params:
+            raise EngineError("A3 check needs 's_index'")
+        if not 0 <= int(params["s_index"]) <= scenario.grid.n_steps:
+            raise EngineError("s_index outside the grid")
+
+
 def axiom_check(scenario, axiom, params=None):
     """Numeric check of one valuation axiom; returns a report dict."""
     params = dict(params or {})
+    check_axiom(scenario, axiom, params)
     if axiom == "normalization":
         m = float(params.get("m", 1.0))
         sc = replace(scenario, terminal=Payoff([m]))
@@ -426,15 +457,10 @@ def axiom_check(scenario, axiom, params=None):
                 "violation_fraction": frac, "stderr": stderr}
 
     if axiom == "A2_translation":
-        if scenario.driver.depends_on_y():
-            raise EngineError("A2 check requires a y-independent driver")
         m = float(params.get("m", 1.0))
         sol1 = solve_theta_bsde(scenario, paths=ens)
         shifted = Payoff(np.concatenate(([scenario.terminal.coeffs[0] + m],
-                                         scenario.terminal.coeffs[1:])),
-                         clamp=None)
-        if scenario.terminal.clamp is not None:
-            raise EngineError("A2 shift check does not support clamped payoffs")
+                                         scenario.terminal.coeffs[1:])))
         sc2 = replace(scenario, terminal=shifted)
         sol2 = solve_theta_bsde(sc2, paths=ens)
         disc = float(np.max(np.abs(sol2.Y - sol1.Y - m)))
@@ -442,20 +468,16 @@ def axiom_check(scenario, axiom, params=None):
         return {"axiom": axiom, "passed": disc <= tol, "discrepancy": disc,
                 "tol": tol}
 
-    if axiom == "A3_tower":
-        s_index = int(params["s_index"])
-        if not 0 <= s_index <= scenario.grid.n_steps:
-            raise EngineError("s_index outside the grid")
-        sol = solve_theta_bsde(scenario, paths=ens)
-        if s_index == 0:
-            return {"axiom": axiom, "passed": True, "discrepancy": 0.0,
-                    "stderr": sol.stderr}
-        nested = solve_theta_bsde(scenario, paths=ens.truncated(s_index),
-                                  terminal_values=sol.Y[:, s_index])
-        disc = float(abs(nested.Y0 - sol.Y0))
-        stderr = float(np.hypot(sol.stderr, nested.stderr))
-        passed = disc <= 3.0 * stderr + 1e-12
-        return {"axiom": axiom, "passed": passed, "discrepancy": disc,
-                "stderr": stderr}
-
-    raise EngineError(f"unknown axiom {axiom!r}")
+    # A3_tower, the last name check_axiom lets through
+    s_index = int(params["s_index"])
+    sol = solve_theta_bsde(scenario, paths=ens)
+    if s_index == 0:
+        return {"axiom": axiom, "passed": True, "discrepancy": 0.0,
+                "stderr": sol.stderr}
+    nested = solve_theta_bsde(scenario, paths=ens.truncated(s_index),
+                              terminal_values=sol.Y[:, s_index])
+    disc = float(abs(nested.Y0 - sol.Y0))
+    stderr = float(np.hypot(sol.stderr, nested.stderr))
+    passed = disc <= 3.0 * stderr + 1e-12
+    return {"axiom": axiom, "passed": passed, "discrepancy": disc,
+            "stderr": stderr}

@@ -130,30 +130,30 @@ class EosDemoResult:
 
 def eos_demo(scenario, gap_threshold=None):
     """Pathwise uniqueness empirics: how often the projection query point
-    lands near the medial region between union members."""
+    lands near the medial region between union members. Reads the member
+    index and medial gap of the solver's own maximizer projections."""
     check_eos(scenario)
     sc, uset = scenario, scenario.uset
     ens = simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
-    sol = solve_theta_bsde(sc, paths=ens)
+    sol = solve_theta_bsde(sc, paths=ens, keep_projection=True)
+    gaps = sol.medial_gap
 
-    shape = sol.Y.shape  # (n_paths, n_steps + 1)
-    K = np.empty(shape + (uset.dim,))
-    idx = np.empty(shape, dtype=np.int64)
-    gaps = np.empty(shape)
-    for i, t in enumerate(sc.grid.times):
-        K[:, i] = sc.driver.query(t, ens.states[:, i], sol.Y[:, i], sol.Z[:, i])
-        r = uset.project_batch(K[:, i])
-        idx[:, i] = r.member_index
-        gaps[:, i] = r.medial_gap
-
-    counts = np.bincount(idx.ravel(), minlength=len(uset.members)).astype(float)
+    counts = np.bincount(sol.member_index.ravel(),
+                         minlength=len(uset.members)).astype(float)
     occupancy = counts / counts.sum()
     finite = gaps[np.isfinite(gaps)]
     min_gap = float(finite.min()) if finite.size else np.inf
 
     if gap_threshold is None:
-        steps = np.linalg.norm(np.diff(K, axis=1), axis=2)
-        gap_threshold = 2.0 * float(steps.max())
+        # largest one-step move of the query: the solver's last query at
+        # node i is driver.query(t_i, X_i, Y_i, Z_i), Y_i after any clip
+        step, prev = 0.0, None
+        for i, t in enumerate(sc.grid.times):
+            K = sc.driver.query(t, ens.states[:, i], sol.Y[:, i], sol.Z[:, i])
+            if prev is not None:
+                step = max(step, float(np.linalg.norm(K - prev, axis=1).max()))
+            prev = K
+        gap_threshold = 2.0 * step
     hit = float(np.mean(gaps < gap_threshold))
     return EosDemoResult(member_occupancy=[float(o) for o in occupancy],
                          min_medial_gap=min_gap,

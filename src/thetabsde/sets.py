@@ -16,8 +16,8 @@ from .ambient import MAX_DIM, as_point
 
 INF_GAP = np.inf
 
-# Query rows per block of the point-cloud search: its (rows, k, dim)
-# temporaries then stay bounded however large the query batch grows.
+# Query rows per block of the point-cloud search: its (rows, k) buffers
+# then stay bounded however large the query batch grows.
 _CLOUD_BLOCK = 1024
 
 
@@ -36,15 +36,30 @@ def _check_batch(P, dim):
 
 def _cloud_nearest(P, pts):
     """Per query row: index of the nearest cloud point, its distance and
-    the second-smallest distance (inf for a single-point cloud)."""
+    the second-smallest distance (inf for a single-point cloud).
+
+    Squared distances accumulate coordinate by coordinate on (rows, k)
+    buffers, left to right, which is the order ``np.sum`` uses over a
+    trailing axis shorter than 8: up to dim 7 the result is bitwise that
+    of summing the (rows, k, dim) squared differences.
+    """
     n = len(P)
+    cols = np.ascontiguousarray(pts.T)  # (dim, k): coordinate j of each point
     idx = np.empty(n, dtype=np.int64)
     d1 = np.empty(n)
     d2 = np.full(n, np.inf)
+    buf = np.empty((2, min(n, _CLOUD_BLOCK), len(pts)))
     for s in range(0, n, _CLOUD_BLOCK):
         rows = slice(s, s + _CLOUD_BLOCK)
-        diff = P[rows, None, :] - pts[None, :, :]
-        D = np.sqrt(np.sum(diff * diff, axis=2))
+        Q = P[rows]
+        D, sq = buf[:, :len(Q)]
+        np.subtract(Q[:, :1], cols[0], out=D)
+        np.multiply(D, D, out=D)
+        for j in range(1, len(cols)):
+            np.subtract(Q[:, j:j + 1], cols[j], out=sq)
+            np.multiply(sq, sq, out=sq)
+            D += sq
+        np.sqrt(D, out=D)
         # pts are stored lexicographically sorted, so the first argmin among
         # exact ties is the lexicographically smallest candidate.
         idx[rows] = np.argmin(D, axis=1)
@@ -68,7 +83,7 @@ class ProjectionResult:
     medial_gap: np.ndarray
 
 
-def _plain_result(point, distance, medial_gap=None):
+def plain_result(point, distance, medial_gap=None):
     """Record of a set that is not a union: member index -1 and, unless
     given, an inf medial gap, both as stride-0 views."""
     n = len(distance)
@@ -137,7 +152,7 @@ class Box(UncertaintySet):
     def project_batch(self, P):
         P = _check_batch(P, self.dim)
         pts = np.clip(P, self.lower, self.upper)
-        return _plain_result(pts, np.linalg.norm(P - pts, axis=1))
+        return plain_result(pts, np.linalg.norm(P - pts, axis=1))
 
     def linear_max_batch(self, C):
         C = _check_batch(C, self.dim)
@@ -173,7 +188,7 @@ class Ball(UncertaintySet):
         outside = dist > self.radius
         scale = self.radius / dist[outside]
         pts[outside] = self.center + diff[outside] * scale[:, None]
-        return _plain_result(pts, np.linalg.norm(P - pts, axis=1))
+        return plain_result(pts, np.linalg.norm(P - pts, axis=1))
 
     def linear_max_batch(self, C):
         C = _check_batch(C, self.dim)
@@ -214,7 +229,7 @@ class PointCloud(UncertaintySet):
         P = _check_batch(P, self.dim)
         idx, d1, d2 = _cloud_nearest(P, self.points)
         d2 -= d1
-        return _plain_result(self.points[idx], d1, d2)
+        return plain_result(self.points[idx], d1, d2)
 
     def linear_max_batch(self, C):
         C = _check_batch(C, self.dim)

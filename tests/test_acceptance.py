@@ -47,10 +47,10 @@ def test_c1_maximizer_matches_grid_oracle():
     for _ in range(50):
         y = rng.uniform(-2, 2)
         z = rng.uniform(-2, 2, size=(1, 1))
-        a, _, _ = maximizer(rp, UNIT_BOX, 0.0, np.zeros((1, 1)), [y], z)
+        a = maximizer(rp, UNIT_BOX, 0.0, np.zeros((1, 1)), [y], z)[0].point
         ao, _ = maximizer_oracle(rp, UNIT_BOX, 0.0, np.zeros((1, 1)), [y], z, 1e-3)
         worst = max(worst, abs(a[0, 0] - ao[0]))
-        a, _, _ = maximizer(gr, gset, 0.0, np.zeros((1, 1)), [y], z)
+        a = maximizer(gr, gset, 0.0, np.zeros((1, 1)), [y], z)[0].point
         ao, _ = maximizer_oracle(gr, gset, 0.0, np.zeros((1, 1)), [y], z, 1e-3)
         worst = max(worst, abs(a[0, 0] - ao[0]))
     wall = time.perf_counter() - start

@@ -226,3 +226,41 @@ def test_cli_run_failure_names_the_exception_type(tmp_path, capsys):
 def test_non_numeric_sde_dimension_is_a_config_error():
     with pytest.raises(ConfigError, match="sde"):
         parse_config(GOOD + 'sde.dim_x = "two"\n')
+
+
+@pytest.mark.parametrize("line, message", [
+    ("mc.n_paths = 0", "n_paths"),    # validate passed, run exited 1
+    ("mc.n_paths = two", "mc"),       # validate died with a ValueError
+    ("mc.regression_degree = cubic", "mc"),
+    ("mc.picard_iters = [3]", "mc"),
+], ids=["zero_paths", "word_paths", "word_degree", "list_picard"])
+def test_cli_validate_rejects_bad_mc_fields(tmp_path, capsys, line, message):
+    p = tmp_path / "mc.cfg"
+    p.write_text(GOOD.replace("mc.n_paths = 50", line) if "n_paths" in line
+                 else GOOD + line + "\n")
+    assert main(["validate", str(p)]) == 2
+    assert message in capsys.readouterr().err
+
+
+AXIOM = GOOD.replace("kind = solve", "kind = axiom_check")
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (AXIOM + "axiom.name = A9\n", "unknown axiom"),
+    (AXIOM + "axiom.name = A2_translation\nterminal.clamp = [0.0, 1.0]\n",
+     "clamped"),
+    (AXIOM + "axiom.name = A2_translation\n", None),
+    (AXIOM.replace("driver.type = zero", "driver.type = affine\ndriver.beta = 0.5")
+     + "axiom.name = A2_translation\n", "y-independent"),
+    (AXIOM + "axiom.name = A3_tower\naxiom.s_index = 6\n", "s_index"),
+    (AXIOM + "axiom.name = A3_tower\naxiom.s_index = 5\n", None),
+    (AXIOM + "axiom.name = A3_tower\n", "s_index"),
+    (AXIOM + "axiom.name = A1_monotonicity\n", "terminal2"),
+], ids=["unknown", "a2_clamped", "a2_ok", "a2_y_dependent", "a3_past_grid",
+        "a3_ok", "a3_missing", "a1_missing"])
+def test_cli_validate_checks_axiom_preconditions(tmp_path, capsys, cfg, message):
+    p = tmp_path / "axiom.cfg"
+    p.write_text(cfg)
+    assert main(["validate", str(p)]) == (0 if message is None else 2)
+    if message is not None:
+        assert message in capsys.readouterr().err

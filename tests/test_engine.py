@@ -106,7 +106,7 @@ def test_recorded_maximizers_are_feasible_and_optimal():
                      n_paths=500, seed=6)
     ens = tb.simulate_forward(sc.sde, grid, sc.n_paths, sc.seed)
     sol = tb.solve_theta_bsde(sc, paths=ens)
-    assert sol.diagnostics["max_a_distance"] <= 1e-9
+    assert uset.project_batch(sol.A.reshape(-1, uset.dim)).distance.max() <= 1e-9
     assert sol.diagnostics["unsound_for_existence"] is False  # regularized variant
     rng = np.random.default_rng(0)
     for _ in range(100):
@@ -184,6 +184,25 @@ def test_axiom_a3_s_equals_t():
                      n_paths=500, seed=8)
     rep = axiom_check(sc, "A3_tower", {"s_index": 0})
     assert rep["passed"] and rep["discrepancy"] == 0.0
+
+
+@pytest.mark.parametrize("axiom, params, clamp, message", [
+    ("A9", {}, None, "unknown axiom"),
+    ("A2_translation", {}, (0.0, 1.0), "clamped"),
+    ("A3_tower", {"s_index": 11}, None, "outside the grid"),
+    ("A1_monotonicity", {}, None, "terminal2"),
+])
+def test_axiom_preconditions_fail_before_any_simulation(monkeypatch, axiom,
+                                                        params, clamp, message):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("simulated before checking the preconditions")
+    monkeypatch.setattr(engine, "simulate_forward", forbidden)
+    monkeypatch.setattr(engine, "solve_theta_bsde", forbidden)
+    sc = tb.Scenario(sde=make_sde(), driver=tb.ZeroDriver(), uset=UNIT_BOX,
+                     terminal=tb.Payoff([0.0, 1.0], clamp=clamp),
+                     grid=tb.TimeGrid(0.0, 1.0, 10), n_paths=500, seed=8)
+    with pytest.raises(EngineError, match=message):
+        axiom_check(sc, axiom, params)
 
 
 def test_engine_validation_errors():
@@ -354,8 +373,7 @@ def test_set_calls_never_exceed_one_node_of_paths(monkeypatch):
     sc = driver_scenario(
         tb.RegularizedProjectionDriver(h=tb.StateFn(c0=0.0), G=G, eps=0.3),
         uset=box_cloud_union())
-    sol = tb.solve_theta_bsde(sc)
-    assert "max_a_distance" in sol.diagnostics
+    tb.solve_theta_bsde(sc)
     assert all(rows.values())
     assert max(max(r) for r in rows.values()) <= sc.n_paths
 
@@ -365,7 +383,7 @@ def test_set_calls_never_exceed_one_node_of_paths(monkeypatch):
     (tb.Ball([0.0, 0.0], 0.5), tb.StateFn(c0=np.array([0.3, -0.1]),
                                           C_x=np.eye(2))),
 ])
-def test_max_a_distance_is_the_flat_maximum(uset, G):
+def test_recorded_maximizers_lie_in_the_set(uset, G):
     dim = uset.dim
     sc = tb.Scenario(sde=make_sde(dim_x=dim, dim_b=dim, x0=[0.0] * dim,
                                   vol_const=np.eye(dim)),
@@ -374,5 +392,42 @@ def test_max_a_distance_is_the_flat_maximum(uset, G):
                      uset=uset, terminal=tb.Payoff([0.0, 1.0]),
                      grid=tb.TimeGrid(0.0, 1.0, 10), n_paths=500, seed=12)
     sol = tb.solve_theta_bsde(sc)
-    flat = uset.project_batch(sol.A.reshape(-1, dim)).distance
-    assert sol.diagnostics["max_a_distance"] == float(np.max(flat))
+    assert uset.project_batch(sol.A.reshape(-1, dim)).distance.max() <= 1e-9
+
+
+def test_keep_projection_records_the_maximizer_projection():
+    uset = box_cloud_union()
+    G = tb.StateFn(c0=np.array([0.5]), C_z=[[2.0]])
+    sc = driver_scenario(
+        tb.RegularizedProjectionDriver(h=tb.StateFn(c0=0.0), G=G, eps=0.3),
+        uset=uset)
+    plain = tb.solve_theta_bsde(sc)
+    assert plain.member_index is None and plain.medial_gap is None
+    sol = tb.solve_theta_bsde(sc, keep_projection=True)
+    for a, b in ((plain.Y, sol.Y), (plain.Z, sol.Z), (plain.A, sol.A)):
+        assert np.array_equal(a, b)
+    assert sol.member_index.dtype == np.int64
+    assert sol.member_index.shape == sol.medial_gap.shape == sol.Y.shape
+    # the y-free query depends on z only, so re-projecting it node by node
+    # must give the solver's own record
+    for i in range(sc.grid.n_steps + 1):
+        rec = uset.project_batch(sc.driver.query(0.0, np.zeros((1, 1)),
+                                                 sol.Y[:, i], sol.Z[:, i]))
+        assert np.array_equal(rec.point, sol.A[:, i])
+        assert np.array_equal(rec.member_index, sol.member_index[:, i])
+        assert np.array_equal(rec.medial_gap, sol.medial_gap[:, i])
+    assert set(np.unique(sol.member_index)) == {0, 1}
+
+
+def test_keep_projection_of_degenerate_and_reduced_drivers():
+    # AffineDriver ignores a: the argmax degenerates to the fixed element
+    sol = tb.solve_theta_bsde(driver_scenario(tb.AffineDriver(0.3, 0.0, [0.2])),
+                              keep_projection=True)
+    assert sol.diagnostics["degenerate_argmax"]
+    assert np.all(sol.member_index == -1) and np.all(sol.medial_gap == np.inf)
+    assert np.all(sol.A == UNIT_BOX.fixed_element())
+    # g_limit has no argmax, so there is no record to keep
+    sol = tb.solve_theta_bsde(driver_scenario(tb.GLimitDriver(),
+                                              uset=tb.Box([1.0], [2.0])),
+                              keep_projection=True)
+    assert sol.A is None and sol.member_index is None and sol.medial_gap is None

@@ -196,8 +196,8 @@ def test_fk_check_solves_the_pde_once(tmp_path, monkeypatch):
 
 
 def test_eos_projects_each_node_once(monkeypatch):
-    # y-independent driver: per node one maximizer projection, one
-    # max_a_distance projection and one diagnostic projection of the query
+    # y-independent driver: per node one maximizer projection, whose record
+    # the demo reads instead of projecting the query again
     uset = tb.UnionSet([tb.Box([-1.0], [0.0]),
                         tb.PointCloud([[0.5], [1.25], [2.0]])])
     rows = []
@@ -211,9 +211,55 @@ def test_eos_projects_each_node_once(monkeypatch):
     res = eos_demo(scenario(uset, rp_driver(g_x=[[1.0]]),
                             tb.Payoff([0.0, 1.0]),
                             tb.TimeGrid(0.0, 1.0, n_steps), n_paths, 3))
-    assert sum(rows) == 3 * (n_steps + 1) * n_paths
+    assert sum(rows) == (n_steps + 1) * n_paths
     assert max(rows) == n_paths
     assert abs(sum(res.member_occupancy) - 1.0) <= 1e-12
+
+
+def eos_by_reprojection(sc):
+    """The demo's four statistics from projecting ``driver.query`` node by
+    node after the solve."""
+    ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
+    sol = tb.solve_theta_bsde(sc, paths=ens)
+    shape = sol.Y.shape
+    K = np.empty(shape + (sc.uset.dim,))
+    idx = np.empty(shape, dtype=np.int64)
+    gaps = np.empty(shape)
+    for i, t in enumerate(sc.grid.times):
+        K[:, i] = sc.driver.query(t, ens.states[:, i], sol.Y[:, i], sol.Z[:, i])
+        r = sc.uset.project_batch(K[:, i])
+        idx[:, i] = r.member_index
+        gaps[:, i] = r.medial_gap
+    counts = np.bincount(idx.ravel(), minlength=len(sc.uset.members))
+    threshold = 2.0 * float(np.linalg.norm(np.diff(K, axis=1), axis=2).max())
+    return ([float(c) for c in counts / counts.sum()],
+            float(gaps[np.isfinite(gaps)].min()),
+            float(np.mean(gaps < threshold)), threshold)
+
+
+@pytest.mark.parametrize("G, terminal, y_clip", [
+    (tb.StateFn(c0=np.array([0.5]), C_x=[[1.5]], C_z=[[0.2]]),
+     tb.Payoff([0.0, 1.0]), None),
+    (tb.StateFn(c0=np.array([0.5]), c_y=[1.0], C_x=[[1.5]]),
+     tb.Payoff([0.0, 1.0], clamp=(-1.0, 1.0)), (-0.4, 0.4)),
+])
+def test_eos_reads_the_solver_record_bitwise(G, terminal, y_clip):
+    uset = tb.UnionSet([tb.Box([-1.0], [0.0]),
+                        tb.PointCloud([[2.0], [4.0], [6.0]])])
+    driver = tb.RegularizedProjectionDriver(h=tb.StateFn(c0=0.0), G=G, eps=0.5)
+    sc = scenario(uset, driver, terminal, tb.TimeGrid(0.0, 1.0, 40), 800, 11,
+                  y_clip=y_clip)
+    res = eos_demo(sc)
+    expected = eos_by_reprojection(sc)
+    assert (res.member_occupancy, res.min_medial_gap, res.medial_hit_fraction,
+            res.gap_threshold) == expected
+    assert 0.0 < res.medial_hit_fraction < 1.0
+    assert all(0.0 < o < 1.0 for o in res.member_occupancy)
+    if y_clip is not None:
+        # the clip binds, and the y-dependent query sees the clipped Y
+        Y = tb.solve_theta_bsde(sc).Y
+        assert np.any(Y == y_clip[0]) and np.any(Y == y_clip[1])
+        assert expected != eos_by_reprojection(replace(sc, y_clip=None))
 
 
 def test_eos_honours_y_clip():

@@ -175,6 +175,33 @@ def test_cloud_search_spanning_blocks_matches_one_shot_brute_force():
     assert np.any(gap == 0.0)  # the batch does contain exact ties
 
 
+def broadcast_cloud_nearest(P, pts):
+    """The (rows, k, dim) broadcast search, summed by ``np.sum``."""
+    diff = P[:, None, :] - pts[None, :, :]
+    D = np.sqrt(np.sum(diff * diff, axis=2))
+    idx = np.argmin(D, axis=1)
+    d2 = np.partition(D, 1, axis=1)[:, 1] if len(pts) >= 2 \
+        else np.full(len(P), np.inf)
+    return idx, D[np.arange(len(P)), idx], d2
+
+
+@pytest.mark.parametrize("dim", range(1, 11))
+@pytest.mark.parametrize("k", [1, 37])
+def test_feature_major_cloud_search_matches_broadcast_sum(dim, k):
+    rng = np.random.default_rng(100 * dim + k)
+    pts = np.unique(rng.normal(size=(k, dim)), axis=0)
+    P = rng.normal(scale=2.0, size=(2 * sets._CLOUD_BLOCK + 37, dim))
+    idx, d1, d2 = sets._cloud_nearest(P, pts)
+    o_idx, o_d1, o_d2 = broadcast_cloud_nearest(P, pts)
+    assert np.array_equal(idx, o_idx)
+    if dim <= 7:  # the same left-to-right sum as np.sum
+        assert np.array_equal(d1, o_d1) and np.array_equal(d2, o_d2)
+    else:  # np.sum sums pairwise from 8 terms on
+        assert np.allclose(d1, o_d1, rtol=1e-15, atol=0.0)
+        assert np.allclose(d2, o_d2, rtol=1e-15, atol=0.0)
+    assert np.all(np.isinf(d2)) == (k == 1)
+
+
 # property test: batched calls, the scalar API and a plain-Python oracle ----
 
 def _dist(p, q):
@@ -284,3 +311,8 @@ def test_batched_scalar_and_oracle_geometry_agree(case):
         if exact:
             assert np.array_equal(pts[i], q) and index[i] == mi
             assert np.array_equal(args[i], oa)
+    # the projected points lie in the set, which is what makes every
+    # maximizer the solver records feasible
+    scale = 1.0 + max(np.max(np.abs(P)), *(np.max(np.abs(b))
+                                           for b in uset.bounding_box()))
+    assert np.all(uset.project_batch(pts).distance <= 1e-12 * scale)
