@@ -309,8 +309,8 @@ def kind_params(cfg, scenario):
             return {"epsilons": check_sweep(scenario, eps),
                     "a0": sw.get("a0", scenario.uset.fixed_element())}
         if kind == "eos_demo":
-            check_eos(scenario)
-            return {"gap_threshold": d.get("eos", {}).get("gap_threshold")}
+            threshold = d.get("eos", {}).get("gap_threshold")
+            return {"gap_threshold": check_eos(scenario, threshold)}
         if kind == "axiom_check":
             ax = dict(d.get("axiom", {}))
             axiom = _need(ax, "name", "axiom")
@@ -345,10 +345,21 @@ def check_sweep(scenario, epsilons):
     return eps
 
 
-def check_eos(scenario):
-    """Preconditions of ``eos_demo``."""
+def check_eos(scenario, gap_threshold=None):
+    """Preconditions of ``eos_demo``; returns the gap threshold as a float,
+    or None for the default."""
     uset, driver = scenario.uset, scenario.driver
     if not isinstance(uset, UnionSet) or len(uset.members) < 2:
         raise ExperimentError("demo requires a union of at least two members")
     if not isinstance(driver, RegularizedProjectionDriver) or driver.eps == 0:
         raise ExperimentError("demo requires the regularized projection driver")
+    if gap_threshold is None:
+        return None
+    try:
+        threshold = float(gap_threshold)
+    except (TypeError, ValueError):
+        threshold = np.nan
+    if not 0.0 <= threshold < np.inf:
+        raise ExperimentError("gap_threshold must be a finite number >= 0, "
+                              f"got {gap_threshold!r}")
+    return threshold

@@ -404,10 +404,24 @@ def theta_expectation(solution, t_index):
 AXIOMS = ("normalization", "A1_monotonicity", "A2_translation", "A3_tower")
 
 
+def _axiom_number(params, key, default):
+    """``params[key]``, or ``default`` when absent, as a finite float."""
+    try:
+        value = float(params.get(key, default))
+    except (TypeError, ValueError):
+        value = np.nan
+    if not np.isfinite(value):
+        raise EngineError(f"{key} must be a finite number, got {params[key]!r}")
+    return value
+
+
 def check_axiom(scenario, axiom, params):
     """Preconditions of ``axiom_check`` that need no sample."""
     if axiom not in AXIOMS:
         raise EngineError(f"unknown axiom {axiom!r}, expected one of {AXIOMS}")
+    if axiom in ("normalization", "A2_translation"):
+        _axiom_number(params, "m", 1.0)
+        _axiom_number(params, "tol", 1e-12)
     if axiom == "A1_monotonicity" and "terminal2" not in params:
         raise EngineError("A1 check needs a second terminal 'terminal2'")
     if axiom == "A2_translation":
@@ -427,11 +441,11 @@ def axiom_check(scenario, axiom, params=None):
     params = dict(params or {})
     check_axiom(scenario, axiom, params)
     if axiom == "normalization":
-        m = float(params.get("m", 1.0))
+        m = _axiom_number(params, "m", 1.0)
         sc = replace(scenario, terminal=Payoff([m]))
         sol = solve_theta_bsde(sc)
         disc = float(np.max(np.abs(sol.Y - m)))
-        tol = float(params.get("tol", 1e-12))
+        tol = _axiom_number(params, "tol", 1e-12)
         return {"axiom": axiom, "passed": disc <= tol, "discrepancy": disc,
                 "tol": tol}
 
@@ -457,14 +471,14 @@ def axiom_check(scenario, axiom, params=None):
                 "violation_fraction": frac, "stderr": stderr}
 
     if axiom == "A2_translation":
-        m = float(params.get("m", 1.0))
+        m = _axiom_number(params, "m", 1.0)
         sol1 = solve_theta_bsde(scenario, paths=ens)
         shifted = Payoff(np.concatenate(([scenario.terminal.coeffs[0] + m],
                                          scenario.terminal.coeffs[1:])))
         sc2 = replace(scenario, terminal=shifted)
         sol2 = solve_theta_bsde(sc2, paths=ens)
         disc = float(np.max(np.abs(sol2.Y - sol1.Y - m)))
-        tol = float(params.get("tol", 1e-12))
+        tol = _axiom_number(params, "tol", 1e-12)
         return {"axiom": axiom, "passed": disc <= tol, "discrepancy": disc,
                 "tol": tol}
 

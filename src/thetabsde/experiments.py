@@ -62,16 +62,29 @@ def dump_json(obj, indent=0):
     raise ExperimentError(f"cannot serialize {type(obj).__name__}")
 
 
-def write_csv(path, header, blocks):
-    """Stream a CSV: the header, then the rows of each 2-d block as it
-    comes, every value (integers included) in ``FLOAT_FORMAT``."""
+def write_csv(path, header, keys, blocks):
+    """Stream a CSV: the header, then for each block ``(lead, values)`` as
+    it comes, one row ``lead..., keys[j], values[j]...`` per key, every
+    value (integers included) in ``FLOAT_FORMAT``. Keys are formatted once
+    per file, a block's lead once per block."""
+    keys = [fmt(k) for k in keys]
+    rows = None  # one row template per key, built for the first block
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
-        for block in blocks:
-            row = ",".join([FLOAT_FORMAT] * block.shape[1]) + "\n"
-            for i in range(0, len(block), 1024):  # bounds the text held
-                rows = block[i:i + 1024]
-                f.write(row * len(rows) % tuple(rows.ravel().tolist()))
+        for lead, values in blocks:
+            k = values.shape[1]
+            if len(values) != len(keys) or len(lead) + 1 + k != len(header):
+                raise ExperimentError(
+                    f"block of {len(lead)} lead and {values.shape} values "
+                    f"does not fit {len(keys)} keys and header {header}")
+            if rows is None:
+                # a formatted number holds no '%', so a key-filled
+                # template still has exactly k format slots
+                rows = [key + ("," + FLOAT_FORMAT) * k + "\n" for key in keys]
+            prefix = "".join(fmt(v) + "," for v in lead)
+            for i in range(0, len(keys), 1024):  # bounds the text held
+                f.write((prefix + prefix.join(rows[i:i + 1024]))
+                        % tuple(values[i:i + 1024].ravel().tolist()))
 
 
 # epsilon sweep -------------------------------------------------------------
@@ -132,7 +145,7 @@ def eos_demo(scenario, gap_threshold=None):
     """Pathwise uniqueness empirics: how often the projection query point
     lands near the medial region between union members. Reads the member
     index and medial gap of the solver's own maximizer projections."""
-    check_eos(scenario)
+    gap_threshold = check_eos(scenario, gap_threshold)
     sc, uset = scenario, scenario.uset
     ens = simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
     sol = solve_theta_bsde(sc, paths=ens, keep_projection=True)
@@ -158,7 +171,7 @@ def eos_demo(scenario, gap_threshold=None):
     return EosDemoResult(member_occupancy=[float(o) for o in occupancy],
                          min_medial_gap=min_gap,
                          medial_hit_fraction=hit,
-                         gap_threshold=float(gap_threshold),
+                         gap_threshold=gap_threshold,
                          a_path_mean=sol.A.mean(axis=0),
                          a_path_std=sol.A.std(axis=0))
 
@@ -170,10 +183,8 @@ def _write_paths(path, sol):
     parts = [sol.Z] if sol.A is None else [sol.Z, sol.A]
     header = ["t", "path_id", "Y"] + [f"{p}{k}" for p, a in zip("ZA", parts)
                                       for k in range(a.shape[2])]
-    ids = np.arange(len(sol.Y), dtype=float)
-    write_csv(path, header, (
-        np.column_stack([np.full(len(ids), t), ids, sol.Y[:, i]]
-                        + [a[:, i] for a in parts])
+    write_csv(path, header, np.arange(len(sol.Y)), (
+        ((t,), np.column_stack([sol.Y[:, i]] + [a[:, i] for a in parts]))
         for i, t in enumerate(sol.grid.times)))
 
 
@@ -201,17 +212,17 @@ def run_scenario(cfg, out_dir, paths_dump=False):
         rep = feynman_kac_compare(sc, surface=surface)
         summary.update(rep)
         summary["y0"] = rep["y0_mc"]
-        ts, xs = surface.grid.ts, surface.grid.xs
-        write_csv(f"{out}.surface.csv", ["t", "x", "u"],
-                  (np.column_stack([np.full(len(xs), t), xs, u])
-                   for t, u in zip(ts, surface.u)))
+        grid = surface.grid
+        write_csv(f"{out}.surface.csv", ["t", "x", "u"], grid.xs,
+                  (((t,), u[:, None]) for t, u in zip(grid.ts, surface.u)))
         ok = rep["abs_err"] <= max(0.02, 3.0 * rep["stderr"])
 
     elif kind == "epsilon_sweep":
         res = epsilon_sweep(sc, **params)
         summary.update(vars(res))
         write_csv(f"{out}.sweep.csv", ["epsilon", "sup_y_err", "z_err_l2"],
-                  [np.column_stack([res.epsilons, res.sup_y_err, res.z_err_l2])])
+                  res.epsilons,
+                  [((), np.column_stack([res.sup_y_err, res.z_err_l2]))])
 
     elif kind == "eos_demo":
         res = eos_demo(sc, **params)

@@ -256,11 +256,44 @@ AXIOM = GOOD.replace("kind = solve", "kind = axiom_check")
     (AXIOM + "axiom.name = A3_tower\naxiom.s_index = 5\n", None),
     (AXIOM + "axiom.name = A3_tower\n", "s_index"),
     (AXIOM + "axiom.name = A1_monotonicity\n", "terminal2"),
+    # these passed validate and then failed in run with exit 1
+    (AXIOM + "axiom.name = A2_translation\naxiom.m = big\n", "m must be"),
+    (AXIOM + "axiom.name = A2_translation\naxiom.tol = [1]\n", "tol must be"),
+    (AXIOM + "axiom.name = normalization\naxiom.m = tiny\n", "m must be"),
+    (AXIOM + "axiom.name = normalization\naxiom.tol = loose\n", "tol must be"),
+    (AXIOM + "axiom.name = A2_translation\naxiom.m = 2\naxiom.tol = 1e-9\n",
+     None),
 ], ids=["unknown", "a2_clamped", "a2_ok", "a2_y_dependent", "a3_past_grid",
-        "a3_ok", "a3_missing", "a1_missing"])
+        "a3_ok", "a3_missing", "a1_missing", "a2_word_m", "a2_list_tol",
+        "norm_word_m", "norm_word_tol", "a2_numbers_ok"])
 def test_cli_validate_checks_axiom_preconditions(tmp_path, capsys, cfg, message):
     p = tmp_path / "axiom.cfg"
     p.write_text(cfg)
+    assert main(["validate", str(p)]) == (0 if message is None else 2)
+    if message is not None:
+        assert message in capsys.readouterr().err
+
+
+EOS = (GOOD.replace("kind = solve", "kind = eos_demo")
+       .replace("set.type = box", UNION).replace("set.lower = [0.0]", "")
+       .replace("set.upper = [1.0]", "")
+       .replace("driver.type = zero", "driver.type = regularized_projection\n"
+                "driver.eps = 0.5\ndriver.g.z = [[1.0]]"))
+
+
+@pytest.mark.parametrize("line, message", [
+    # all four passed validate; a word then failed in run with exit 1, and
+    # the others ran to a hit fraction of 0 or 1 (threshold null if not finite)
+    ("eos.gap_threshold = big", "gap_threshold"),
+    ("eos.gap_threshold = NaN", "gap_threshold"),
+    ("eos.gap_threshold = -0.5", "gap_threshold"),
+    ("eos.gap_threshold = Infinity", "gap_threshold"),
+    ("eos.gap_threshold = 0.25", None),
+    ("", None),
+], ids=["word", "nan", "negative", "inf", "number_ok", "default_ok"])
+def test_cli_validate_checks_eos_gap_threshold(tmp_path, capsys, line, message):
+    p = tmp_path / "eos.cfg"
+    p.write_text(EOS + line + "\n")
     assert main(["validate", str(p)]) == (0 if message is None else 2)
     if message is not None:
         assert message in capsys.readouterr().err

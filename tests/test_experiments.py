@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import thetabsde as tb
-from thetabsde.config import parse_config
+from thetabsde.config import build_pde_grid, build_scenario, parse_config
 from thetabsde.experiments import (ExperimentError, dump_json, eos_demo,
                                    epsilon_sweep, fmt, run_scenario, write_csv)
+from thetabsde.pde import solve_pde
 
 
 def make_sde():
@@ -118,6 +119,10 @@ def test_eos_rejects_bad_inputs():
         eos_demo(scenario(two_interval_union(), tb.ZeroDriver(), *rest))
     with pytest.raises(ExperimentError):  # the plain projection driver
         eos_demo(scenario(two_interval_union(), rp_driver(eps=0.0), *rest))
+    for threshold in ("big", np.nan, -1.0, np.inf):
+        with pytest.raises(ExperimentError, match="gap_threshold"):
+            eos_demo(scenario(two_interval_union(), rp_driver(), *rest),
+                     gap_threshold=threshold)
 
 
 SOLVE_CFG = """
@@ -274,15 +279,61 @@ def test_eos_honours_y_clip():
     assert np.array_equal(res.a_path_mean, clipped)
 
 
+def csv_oracle(header, keys, blocks):
+    """The CSV text with every value formatted on its own."""
+    return ",".join(header) + "\n" + "".join(
+        ",".join(format(float(v), ".17g") for v in (*lead, key, *row)) + "\n"
+        for lead, values in blocks for key, row in zip(keys, values))
+
+
 def test_write_csv_matches_per_value_formatting(tmp_path):
-    rows = [(0.0, 0, -0.0, 5e-324), (0.1, 1, 1e22, 0.1),
-            (1.0 / 3.0, 12345, -np.inf, np.nan), (2.5, 10 ** 15, 1.0, -7e-300)]
-    blocks = [np.array(rows[:1], dtype=float), np.array(rows[1:], dtype=float)]
-    write_csv(tmp_path / "x.csv", ["t", "path_id", "a", "b"], iter(blocks))
-    expected = "t,path_id,a,b\n" + "".join(
-        ",".join([format(t, ".17g"), str(p), format(a, ".17g"),
-                  format(b, ".17g")]) + "\n" for t, p, a, b in rows)
-    assert (tmp_path / "x.csv").read_bytes() == expected.encode()
+    path = tmp_path / "x.csv"
+    edge = [-0.0, 5e-324, 1e22, 0.1, np.inf, -np.inf, np.nan, -7e-300]
+    ids = [0, 1, 12345, 10 ** 15]
+    blocks = [((t,), np.array(edge, dtype=float).reshape(4, 2))
+              for t in (0.0, 1.0 / 3.0, -0.0, 2.5)]
+    write_csv(path, ["t", "path_id", "a", "b"], np.array(ids), iter(blocks))
+    text = path.read_text()
+    assert text == csv_oracle(["t", "path_id", "a", "b"], ids, blocks)
+    # integer keys come out as integer text
+    assert text.splitlines()[4].split(",")[1] == str(10 ** 15)
+
+    # chunk boundaries inside the key templates, two leads
+    rng = np.random.default_rng(3)
+    n = 2 * 1024 + 37
+    keys = np.ldexp(rng.standard_normal(n), rng.integers(-1070, 1020, n))
+    blocks = [((t, -t), np.ldexp(rng.standard_normal((n, 3)),
+                                 rng.integers(-1070, 1020, (n, 3))))
+              for t in (0.1, 7e-300)]
+    header = ["s", "r", "key", "u", "v", "w"]
+    write_csv(path, header, keys, iter(blocks))
+    assert path.read_text() == csv_oracle(header, keys, blocks)
+
+    # no lead: one block, the epsilon sweep's shape
+    blocks = [((), np.array([[1e-3, 0.25], [np.nan, -0.0], [1e22, 5e-324]]))]
+    keys = [0.5, 0.25, 0.125]
+    write_csv(path, ["epsilon", "a", "b"], keys, blocks)
+    assert path.read_text() == csv_oracle(["epsilon", "a", "b"], keys, blocks)
+
+    with pytest.raises(ExperimentError, match="3 keys"):
+        write_csv(path, ["t", "x", "u"], keys, [((0.0,), np.zeros((2, 1)))])
+    with pytest.raises(ExperimentError, match="header"):  # lead missing
+        write_csv(path, ["t", "x", "u"], keys, [((), np.zeros((3, 1)))])
+
+
+def test_surface_csv_is_the_pde_solution_row_by_row(tmp_path):
+    fk = SOLVE_CFG.replace("kind = solve", "kind = fk_check") + "pde.n_x = 16\n"
+    cfg = parse_config(fk)
+    run_scenario(cfg, str(tmp_path))
+    sc = build_scenario(cfg)
+    surf = solve_pde(sc.driver, sc.uset, sc.sde, sc.terminal,
+                     build_pde_grid(cfg, sc))
+    assert len(surf.grid.xs) == 16
+    expected = "t,x,u\n" + "".join(
+        f"{format(t, '.17g')},{format(x, '.17g')},{format(v, '.17g')}\n"
+        for t, row in zip(surf.grid.ts, surf.u)
+        for x, v in zip(surf.grid.xs, row))
+    assert (tmp_path / "demo.surface.csv").read_bytes() == expected.encode()
 
 
 def test_paths_dump_streams(tmp_path):
