@@ -119,9 +119,7 @@ class ScenarioConfig:
             raise ConfigError("mc.seed required")
         seed = self.mc["seed"]
         # the seed keys a Philox generator, which takes an unsigned 64-bit key
-        integral = (isinstance(seed, int) and not isinstance(seed, bool)) or (
-            isinstance(seed, float) and seed.is_integer())
-        if not (integral and 0 <= seed < 2 ** 64):
+        if not 0 <= _integer(seed, "mc.seed") < 2 ** 64:
             raise ConfigError(
                 f"mc.seed must be an integer in [0, 2**64), got {seed!r}")
         kind_params(self, build_scenario(self))  # raise naming the field
@@ -145,6 +143,16 @@ def _need(section, key, where):
     if key not in section:
         raise ConfigError(f"{where}.{key} required")
     return section[key]
+
+
+def _integer(value, where):
+    """``value`` as an int: an int or an integral float passes, anything
+    else (50.9, "50", true) is rejected rather than truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{where} must be an integer, got {value!r}")
 
 
 def build_set(spec, where="set"):
@@ -226,8 +234,8 @@ def build_driver(spec, where="driver"):
 def build_sde(spec, where="sde"):
     spec = spec or {}
     with _field(where):
-        dim_x = int(spec.get("dim_x", 1))
-        dim_b = int(spec.get("dim_b", dim_x))
+        dim_x = _integer(spec.get("dim_x", 1), f"{where}.dim_x")
+        dim_b = _integer(spec.get("dim_b", dim_x), f"{where}.dim_b")
         vol = spec.get("vol_const")
         if vol is None and "vol_lin" not in spec:
             vol = np.eye(dim_x, dim_b)  # default: driving noise passes through
@@ -249,7 +257,7 @@ def build_grid(spec, where="grid"):
     spec = spec or {}
     with _field(where):
         return TimeGrid(float(spec.get("t0", 0.0)), float(_need(spec, "T", where)),
-                        int(_need(spec, "n_steps", where)))
+                        _integer(_need(spec, "n_steps", where), f"{where}.n_steps"))
 
 
 def build_scenario(cfg):
@@ -272,14 +280,16 @@ def build_scenario(cfg):
             raise ConfigError("mc.y_clip must satisfy lo < hi")
         y_clip = (lo, hi)
     with _field("mc"):
-        n_paths = int(mc.get("n_paths", 1000))
+        n_paths = _integer(mc.get("n_paths", 1000), "mc.n_paths")
         if n_paths < 1:
             raise ConfigError(f"mc.n_paths must be >= 1, got {n_paths}")
         return Scenario(sde=sde, driver=driver, uset=uset, terminal=terminal,
                         grid=grid, n_paths=n_paths,
-                        seed=int(_need(mc, "seed", "mc")),
-                        regression_degree=int(mc.get("regression_degree", 3)),
-                        picard_iters=int(mc.get("picard_iters", 3)),
+                        seed=_integer(_need(mc, "seed", "mc"), "mc.seed"),
+                        regression_degree=_integer(
+                            mc.get("regression_degree", 3), "mc.regression_degree"),
+                        picard_iters=_integer(mc.get("picard_iters", 3),
+                                              "mc.picard_iters"),
                         y_clip=y_clip)
 
 
@@ -289,11 +299,12 @@ def build_pde_grid(cfg, scenario):
         check_sde(scenario.sde)
         if {"x_min", "x_max", "n_x", "n_t"} <= set(spec):
             return PdeGrid(float(spec["x_min"]), float(spec["x_max"]),
-                           int(spec["n_x"]), int(spec["n_t"]),
+                           _integer(spec["n_x"], "pde.n_x"),
+                           _integer(spec["n_t"], "pde.n_t"),
                            scenario.grid.t0, scenario.grid.T,
                            scenario.sde.sigma_max())
         return auto_grid(scenario.sde, scenario.grid,
-                         n_x=int(spec.get("n_x", 400)))
+                         n_x=_integer(spec.get("n_x", 400), "pde.n_x"))
 
 
 def kind_params(cfg, scenario):
@@ -315,6 +326,8 @@ def kind_params(cfg, scenario):
             ax = dict(d.get("axiom", {}))
             axiom = _need(ax, "name", "axiom")
             del ax["name"]
+            if "s_index" in ax:
+                ax["s_index"] = _integer(ax["s_index"], "axiom.s_index")
             if "terminal2_coeffs" in ax:
                 ax["terminal2"] = Payoff(ax.pop("terminal2_coeffs"),
                                          clamp=ax.pop("terminal2_clamp", None))
@@ -323,8 +336,9 @@ def kind_params(cfg, scenario):
         if kind == "martingale_check":
             mg = d.get("martingale", {})
             p = {"process": mg.get("process", "theta_bm"),
-                 "t_index": int(mg.get("t_index", 0)),
-                 "s_index": int(mg.get("s_index", scenario.grid.n_steps)),
+                 "t_index": _integer(mg.get("t_index", 0), "martingale.t_index"),
+                 "s_index": _integer(mg.get("s_index", scenario.grid.n_steps),
+                                     "martingale.s_index"),
                  "c": float(mg.get("c", 1.0))}
             check_martingale(scenario.grid, p["process"], p["t_index"],
                              p["s_index"])

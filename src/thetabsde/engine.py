@@ -135,8 +135,17 @@ class Payoff:
         return out
 
 
+def _swap(a):
+    """Path-major view of a node-major array and back; None stays None."""
+    return None if a is None else np.swapaxes(a, 0, 1)
+
+
 @dataclass
 class PathEnsemble:
+    """Simulated paths. ``simulate_forward`` stores both arrays node-major
+    and hands out their path-major transpose views, so ``states[:, i]`` is
+    one contiguous row; arrays with other strides are read correctly too."""
+
     grid: TimeGrid
     n_paths: int
     seed: int
@@ -150,10 +159,27 @@ class PathEnsemble:
                             self.states[:, :n_steps + 1])
 
 
+# paths per Philox draw: a block's transpose into the node-major buffer
+# stays in cache
+_DRAW_BLOCK = 256
+
+
 def brownian_increments(grid, n_paths, seed, dim_b):
-    """Counter-based (Philox) draws; regeneration is bit-identical."""
+    """Counter-based (Philox) draws; regeneration is bit-identical.
+
+    The stream is drawn path-major, block by block, which continues it
+    exactly as one draw would; each block is scaled straight into its
+    columns of the node-major buffer. Returns the (n_paths, n_steps, dim_b)
+    transpose view."""
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    return gen.standard_normal((n_paths, grid.n_steps, dim_b)) * np.sqrt(grid.dt)
+    out = np.empty((grid.n_steps, n_paths, dim_b))
+    scale = np.sqrt(grid.dt)
+    for p in range(0, n_paths, _DRAW_BLOCK):
+        draw = gen.standard_normal((min(_DRAW_BLOCK, n_paths - p),
+                                    grid.n_steps, dim_b))
+        for j in range(dim_b):  # 2-d transposes: long inner loops
+            np.multiply(draw[:, :, j].T, scale, out=out[:, p:p + len(draw), j])
+    return _swap(out)
 
 
 def simulate_forward(sde, grid, n_paths, seed):
@@ -161,14 +187,15 @@ def simulate_forward(sde, grid, n_paths, seed):
     if n_paths < 1:
         raise EngineError("need n_paths >= 1")
     dB = brownian_increments(grid, n_paths, seed, sde.dim_b)
-    X = np.empty((n_paths, grid.n_steps + 1, sde.dim_x))
-    X[:, 0] = sde.x0
+    steps = _swap(dB)
+    X = np.empty((grid.n_steps + 1, n_paths, sde.dim_x))
+    X[0] = sde.x0
     times = grid.times
     dt = grid.dt
     for i in range(grid.n_steps):
-        Xi = X[:, i]
-        X[:, i + 1] = Xi + sde.drift(times[i], Xi) * dt + sde.vol_mul(times[i], Xi, dB[:, i])
-    return PathEnsemble(grid, n_paths, int(seed), dB, X)
+        Xi = X[i]
+        X[i + 1] = Xi + sde.drift(times[i], Xi) * dt + sde.vol_mul(times[i], Xi, steps[i])
+    return PathEnsemble(grid, n_paths, int(seed), dB, _swap(X))
 
 
 @dataclass
@@ -191,6 +218,9 @@ class Scenario:
 
 @dataclass
 class BsdeSolution:
+    """Solution ensembles; every per-path array is the path-major transpose
+    view of a node-major buffer, so ``Y[:, i]`` is one contiguous row."""
+
     grid: TimeGrid
     Y: np.ndarray                 # (n_paths, n_steps + 1)
     Z: np.ndarray                 # (n_paths, n_steps + 1, dim_b)
@@ -299,7 +329,8 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None,
     n = grid.n_steps
     dt = grid.dt
     times = grid.times
-    X, dB = ens.states, ens.increments
+    # node-major reads, contiguous for an ensemble from simulate_forward
+    X, dB = _swap(ens.states), _swap(ens.increments)
     n_paths = ens.n_paths
     db = dB.shape[2]
 
@@ -307,17 +338,18 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None,
     # a y-independent driver makes the Picard map constant in y, so its
     # first evaluation is the fixed point and also yields the maximizer
     y_free = not sc.driver.depends_on_y()
-    Y = np.empty((n_paths, n + 1))
-    Z = np.zeros((n_paths, n + 1, db))
-    A = np.empty((n_paths, n + 1, sc.uset.dim)) if has_argmax else None
+    Y = np.empty((n + 1, n_paths))
+    Z = np.zeros((n + 1, n_paths, db))
+    A = np.empty((n + 1, n_paths, sc.uset.dim)) if has_argmax else None
     keep = keep_projection and has_argmax
-    member_index = np.empty((n_paths, n + 1), dtype=np.int64) if keep else None
-    medial_gap = np.empty((n_paths, n + 1)) if keep else None
+    member_index = np.empty((n + 1, n_paths), dtype=np.int64) if keep else None
+    medial_gap = np.empty((n + 1, n_paths)) if keep else None
 
     if terminal_values is not None:
-        Y[:, n] = np.asarray(terminal_values, dtype=float)
+        Y[n] = np.asarray(terminal_values, dtype=float)
     else:
-        Y[:, n] = sc.terminal.value(X[:, n])
+        Y[n] = sc.terminal.value(X[n])
+    _require_finite(n, Y[n])
 
     conds = []
     fallbacks = 0
@@ -327,41 +359,41 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None,
         """Record the maximizer at node i; returns the driver value. The
         projection record lives only for this call."""
         nonlocal degenerate
-        rec, f, deg = maximizer(sc.driver, sc.uset, times[i], X[:, i], y, z)
-        A[:, i] = rec.point
+        rec, f, deg = maximizer(sc.driver, sc.uset, times[i], X[i], y, z)
+        A[i] = rec.point
         if keep:
-            member_index[:, i] = rec.member_index
-            medial_gap[:, i] = rec.medial_gap
+            member_index[i] = rec.member_index
+            medial_gap[i] = rec.medial_gap
         degenerate = degenerate or deg
         return f
 
     picard = max(1, sc.picard_iters)
     # per-path total of terminal + accumulated driver, for the Y0 stderr
-    accum = Y[:, n].copy()
+    accum = Y[n].copy()
     for i in range(n - 1, -1, -1):
-        proj = _Projector(_design_matrix(X[:, i], sc.regression_degree))
-        Ey = proj.fit(Y[:, i + 1])
-        Zi = proj.fit((Y[:, i + 1] - Ey)[:, None] * dB[:, i] / dt)
+        proj = _Projector(_design_matrix(X[i], sc.regression_degree))
+        Ey = proj.fit(Y[i + 1])
+        Zi = proj.fit((Y[i + 1] - Ey)[:, None] * dB[i] / dt)
         conds.append(proj.condition)
         fallbacks += proj.fallback
-        Z[:, i] = Zi
+        Z[i] = Zi
         if i == n - 1:
             # the terminal Z is the regression of xi * dB / dt on the same
             # design, i.e. exactly this node's Z
-            Z[:, n] = Zi
+            Z[n] = Zi
             if has_argmax:
-                argmax_at(n, Y[:, n], Z[:, n])
+                argmax_at(n, Y[n], Z[n])
 
         if y_free:
             if has_argmax:
                 f = argmax_at(i, Ey, Zi)
             else:
-                f, _ = effective_driver(sc.driver, sc.uset, times[i], X[:, i], Ey, Zi)
+                f, _ = effective_driver(sc.driver, sc.uset, times[i], X[i], Ey, Zi)
             Yk = Ey + dt * f
         else:
             Yk = Ey
             for _ in range(picard):
-                f, _ = effective_driver(sc.driver, sc.uset, times[i], X[:, i], Yk, Zi)
+                f, _ = effective_driver(sc.driver, sc.uset, times[i], X[i], Yk, Zi)
                 Ynew = Ey + dt * f
                 if np.max(np.abs(Ynew - Yk)) <= 1e-12:
                     Yk = Ynew
@@ -369,14 +401,12 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None,
                 Yk = Ynew
         if sc.y_clip is not None:
             Yk = np.clip(Yk, sc.y_clip[0], sc.y_clip[1])
-        Y[:, i] = Yk
+        _require_finite(i, Yk, Zi)
+        Y[i] = Yk
         accum += dt * f
 
         if has_argmax and not y_free:
-            argmax_at(i, Y[:, i], Zi)
-
-    if not np.all(np.isfinite(Y)) or not np.all(np.isfinite(Z)):
-        raise EngineError("solver produced non-finite values")
+            argmax_at(i, Y[i], Zi)
 
     diagnostics = {
         "max_condition": float(np.max(conds)),
@@ -385,12 +415,20 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None,
         "unsound_for_existence": sc.driver.unsound_for_existence(sc.uset),
     }
 
-    Y0 = float(np.mean(Y[:, 0]))
+    Y0 = float(np.mean(Y[0]))
     stderr = float(np.std(accum) / np.sqrt(n_paths))
-    return BsdeSolution(grid=grid, Y=Y, Z=Z, A=A, Y0=Y0, stderr=stderr,
+    return BsdeSolution(grid=grid, Y=_swap(Y), Z=_swap(Z), A=_swap(A),
+                        Y0=Y0, stderr=stderr,
                         regression_degree=sc.regression_degree,
-                        diagnostics=diagnostics, member_index=member_index,
-                        medial_gap=medial_gap)
+                        diagnostics=diagnostics,
+                        member_index=_swap(member_index),
+                        medial_gap=_swap(medial_gap))
+
+
+def _require_finite(i, *values):
+    """Raise naming node ``i`` when any of ``values`` is not finite."""
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise EngineError(f"solver produced non-finite values at node {i}")
 
 
 def theta_expectation(solution, t_index):

@@ -18,6 +18,9 @@ from .engine import (EngineError, PathEnsemble, TimeGrid, brownian_increments,
 
 @dataclass
 class ThetaEnsemble:
+    """Per-path arrays are path-major transpose views of node-major
+    buffers, as on ``PathEnsemble``."""
+
     grid: object
     b_theta: np.ndarray       # (n_paths, n_steps + 1)
     increments: np.ndarray    # (n_paths, n_steps, 1)
@@ -27,24 +30,27 @@ class ThetaEnsemble:
 def simulate_theta_bm(driver, uset, grid, n_paths, seed):
     """Euler scheme for the scalar drift-corrected Brownian motion."""
     dB = brownian_increments(grid, n_paths, seed, 1)
+    steps = dB[:, :, 0].T
     n = grid.n_steps
     dt = grid.dt
     times = grid.times
-    b = np.zeros((n_paths, n + 1))
-    drift = np.empty((n_paths, n))
+    b = np.zeros((n + 1, n_paths))
+    drift = np.empty((n, n_paths))
     ones = np.ones((n_paths, 1))
     for i in range(n):
-        x = b[:, i].reshape(-1, 1)
-        f, _ = effective_driver(driver, uset, times[i], x, b[:, i], ones)
-        drift[:, i] = f
-        b[:, i + 1] = b[:, i] - f * dt + dB[:, i, 0]
+        f, _ = effective_driver(driver, uset, times[i], b[i, :, None], b[i], ones)
+        drift[i] = f
+        b[i + 1] = b[i] - f * dt + steps[i]
     if not np.all(np.isfinite(b)):
         raise EngineError("drift-corrected simulation produced non-finite values")
-    return ThetaEnsemble(grid=grid, b_theta=b, increments=dB, drift_record=drift)
+    return ThetaEnsemble(grid=grid, b_theta=b.T, increments=dB,
+                         drift_record=drift.T)
 
 
 @dataclass
 class QvPath:
+    """``qv`` and ``m_path`` are transpose views of node-major buffers."""
+
     grid: object
     qv: np.ndarray        # (n_paths, n_steps + 1)
     m_path: np.ndarray    # |B_t|^2 - qv_t per path and node
@@ -54,23 +60,25 @@ class QvPath:
 def integrate_theta_qv(driver, uset, grid, B):
     """Forward Euler for the compensator ODE along frozen B paths, all
     paths at once; ``B`` is (n_paths, n_steps + 1, d) node values on
-    ``grid``."""
+    ``grid``, read node by node (contiguously when it is the transpose
+    view of a node-major buffer)."""
     B = np.asarray(B, dtype=float)
     if B.ndim != 3 or B.shape[1] != grid.n_steps + 1:
         raise EngineError(f"B shape {B.shape} does not match the grid")
     d = B.shape[2]
     dt = grid.dt
     times = grid.times
-    norms = np.einsum("pij,pij->pi", B, B)
+    nodes = np.swapaxes(B, 0, 1)
+    norms = np.einsum("ipj,ipj->ip", nodes, nodes)
     qv = np.zeros(norms.shape)
     monotone = np.ones(len(B), dtype=bool)
     for i in range(grid.n_steps):
-        f, _ = effective_driver(driver, uset, times[i], B[:, i],
-                                norms[:, i] - qv[:, i], 2.0 * B[:, i])
+        f, _ = effective_driver(driver, uset, times[i], nodes[i],
+                                norms[i] - qv[i], 2.0 * nodes[i])
         integrand = d + f
         monotone &= integrand >= 0
-        qv[:, i + 1] = qv[:, i] + integrand * dt
-    return QvPath(grid=grid, qv=qv, m_path=norms - qv, monotone=monotone)
+        qv[i + 1] = qv[i] + integrand * dt
+    return QvPath(grid=grid, qv=qv.T, m_path=(norms - qv).T, monotone=monotone)
 
 
 def check_martingale(grid, process, t_index, s_index):
@@ -100,8 +108,8 @@ def verify_theta_martingale(scenario_base, process, t_index, s_index, c=1.0):
     else:
         # plain Brownian paths; d = 1 throughout the verification fixtures
         dB = brownian_increments(sc.grid, sc.n_paths, sc.seed, 1)
-        B = np.concatenate([np.zeros((sc.n_paths, 1)),
-                            np.cumsum(dB[:, :, 0], axis=1)], axis=1)
+        B = np.concatenate([np.zeros((1, sc.n_paths)),
+                            np.cumsum(dB[:, :, 0].T, axis=0)]).T
         if process == "linear_bm":
             M = c * B
         else:

@@ -243,6 +243,41 @@ def test_cli_validate_rejects_bad_mc_fields(tmp_path, capsys, line, message):
 
 
 AXIOM = GOOD.replace("kind = solve", "kind = axiom_check")
+FK = GOOD.replace("kind = solve", "kind = fk_check")
+MARTINGALE = GOOD.replace("kind = solve", "kind = martingale_check")
+
+
+@pytest.mark.parametrize("cfg, message", [
+    # each of these passed validate and ran with the value truncated by int()
+    (GOOD.replace("mc.n_paths = 50", "mc.n_paths = 50.9"), "mc.n_paths"),
+    (GOOD.replace("mc.n_paths = 50", 'mc.n_paths = "50"'), "mc.n_paths"),
+    (GOOD.replace("mc.n_paths = 50", "mc.n_paths = true"), "mc.n_paths"),
+    (GOOD.replace("grid.n_steps = 5", "grid.n_steps = 5.5"), "grid.n_steps"),
+    (GOOD + "sde.dim_x = 1.5\n", "sde.dim_x"),
+    (GOOD + "sde.dim_b = 1.5\n", "sde.dim_b"),
+    (GOOD + "mc.regression_degree = 2.5\n", "mc.regression_degree"),
+    (GOOD + "mc.picard_iters = 1.5\n", "mc.picard_iters"),
+    (AXIOM + "axiom.name = A3_tower\naxiom.s_index = 2.7\n", "axiom.s_index"),
+    (MARTINGALE + "martingale.t_index = 0.5\n", "martingale.t_index"),
+    (MARTINGALE + "martingale.s_index = 4.5\n", "martingale.s_index"),
+    (FK + "pde.n_x = 16.5\n", "pde.n_x"),
+    (FK + "pde.x_min = -3.0\npde.x_max = 3.0\npde.n_x = 40\npde.n_t = 100.5\n",
+     "pde.n_t"),
+    # integral floats are integers
+    (GOOD.replace("mc.n_paths = 50", "mc.n_paths = 50.0"), None),
+    (AXIOM + "axiom.name = A3_tower\naxiom.s_index = 2.0\n", None),
+    (FK + "pde.x_min = -3.0\npde.x_max = 3.0\npde.n_x = 40\npde.n_t = 100.0\n",
+     None),
+], ids=["paths_fraction", "paths_string", "paths_bool", "steps", "dim_x",
+        "dim_b", "degree", "picard", "axiom_s_index", "martingale_t_index",
+        "martingale_s_index", "pde_n_x", "pde_n_t", "paths_integral_float",
+        "axiom_integral_float", "pde_integral_float"])
+def test_cli_validate_rejects_non_integer_fields(tmp_path, capsys, cfg, message):
+    p = tmp_path / "int.cfg"
+    p.write_text(cfg)
+    assert main(["validate", str(p)]) == (0 if message is None else 2)
+    if message is not None:
+        assert f"{message} must be an integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cfg, message", [

@@ -431,3 +431,77 @@ def test_keep_projection_of_degenerate_and_reduced_drivers():
                                               uset=tb.Box([1.0], [2.0])),
                               keep_projection=True)
     assert sol.A is None and sol.member_index is None and sol.medial_gap is None
+
+
+# storage layout -------------------------------------------------------------
+
+def layout_scenario():
+    """Union set, y-dependent regularized projection (Picard and argmax)."""
+    G = tb.StateFn(c0=np.array([0.5]), c_y=[0.4], C_z=[[2.0]])
+    return driver_scenario(tb.RegularizedProjectionDriver(
+        h=tb.StateFn(c0=0.0, c_y=0.2), G=G, eps=0.3), uset=box_cloud_union())
+
+
+def test_per_node_slices_are_contiguous():
+    sc = layout_scenario()
+    ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
+    sol = tb.solve_theta_bsde(sc, paths=ens, keep_projection=True)
+    n = sc.grid.n_steps
+    assert ens.states.shape == (sc.n_paths, n + 1, 1)
+    assert ens.increments.shape == (sc.n_paths, n, 1)
+    assert sol.Y.shape == sol.member_index.shape == (sc.n_paths, n + 1)
+    for i in range(n + 1):
+        rows = [ens.states, sol.Y, sol.Z, sol.A, sol.member_index, sol.medial_gap]
+        if i < n:
+            rows.append(ens.increments)
+        assert all(a[:, i].flags.c_contiguous for a in rows)
+
+
+def test_forward_matches_path_major_reference_bitwise():
+    sde = tb.SdeSpec(dim_x=2, dim_b=3, x0=[0.1, -0.2], drift_const=[0.2, 0.1],
+                     drift_t=[0.3, 0.0], drift_lin=[[-0.3, 0.1], [0.0, -0.2]],
+                     vol_const=np.full((2, 3), 0.4),
+                     vol_lin=np.full((2, 2, 3), 0.05))
+    grid = tb.TimeGrid(0.0, 1.0, 13)
+    n_paths, seed = 1001, 2027  # several draw blocks, the last one partial
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    dB = gen.standard_normal((n_paths, grid.n_steps, 3)) * np.sqrt(grid.dt)
+    X = np.empty((n_paths, grid.n_steps + 1, 2))
+    X[:, 0] = sde.x0
+    for i, t in enumerate(grid.times[:-1]):
+        Xi = X[:, i]
+        X[:, i + 1] = Xi + sde.drift(t, Xi) * grid.dt + sde.vol_mul(t, Xi, dB[:, i])
+    ens = tb.simulate_forward(sde, grid, n_paths, seed)
+    assert np.array_equal(ens.increments, dB)
+    assert np.array_equal(ens.states, X)
+    assert np.array_equal(engine.brownian_increments(grid, n_paths, seed, 3), dB)
+
+
+def test_solve_on_path_major_copies_matches_node_major():
+    sc = layout_scenario()
+    ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
+    copy = engine.PathEnsemble(ens.grid, ens.n_paths, ens.seed,
+                               np.ascontiguousarray(ens.increments),
+                               np.ascontiguousarray(ens.states))
+    assert not copy.states[:, 0].flags.c_contiguous
+    node = tb.solve_theta_bsde(sc, paths=ens, keep_projection=True)
+    path = tb.solve_theta_bsde(sc, paths=copy, keep_projection=True)
+    for a, b in ((node.Y, path.Y), (node.Z, path.Z), (node.A, path.A),
+                 (node.medial_gap, path.medial_gap)):
+        np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)
+    assert np.array_equal(node.member_index, path.member_index)
+    assert abs(node.Y0 - path.Y0) <= 1e-12
+
+
+@pytest.mark.parametrize("big, node", [(None, 10), (1.7e308, 9)],
+                         ids=["nan_on_one_path", "overflow_in_regression"])
+def test_non_finite_values_name_the_node(big, node):
+    sc = driver_scenario(tb.AffineDriver(0.3, 0.2, [0.0]))
+    xi = np.ones(sc.n_paths)
+    if big is None:
+        xi[17] = np.nan
+    else:
+        xi[:] = big  # finite, but its regression at the next node overflows
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            EngineError, match=f"non-finite values at node {node}$"):
+        tb.solve_theta_bsde(sc, terminal_values=xi)

@@ -166,3 +166,15 @@ def test_martingale_window_is_solved_on_its_own_times():
         rep = verify_theta_martingale(sc, "linear_bm", t_index, s_index, c=0.0)
         expected = sc.grid.dt * np.sum(times[t_index:s_index])
         assert rep["residual"] == pytest.approx(expected, rel=1e-9)
+
+
+def test_theta_paths_are_stored_node_major():
+    grid = tb.TimeGrid(0.0, 1.0, 10)
+    ens = simulate_theta_bm(tb.AffineDriver(0.5, 0.0, [0.0]), UNIT_BOX, grid, 100, 3)
+    qv = integrate_theta_qv(tb.ZeroDriver(), UNIT_BOX, grid, ens.b_theta[:, :, None])
+    assert ens.b_theta.shape == qv.qv.shape == qv.m_path.shape == (100, 11)
+    for i in range(grid.n_steps + 1):
+        rows = [ens.b_theta, qv.qv, qv.m_path]
+        if i < grid.n_steps:
+            rows.append(ens.drift_record)
+        assert all(a[:, i].flags.c_contiguous for a in rows)
