@@ -19,7 +19,8 @@ import numpy as np
 from .drivers import (AffineDriver, GLimitDriver, GRegularizedDriver,
                       RegularizedProjectionDriver, StateFn, ZeroDriver,
                       is_convex)
-from .engine import Payoff, Scenario, SdeSpec, TimeGrid, check_axiom
+from .engine import (EngineError, Payoff, Scenario, SdeSpec, TimeGrid,
+                     as_integer, check_axiom)
 from .pde import PdeGrid, auto_grid, check_sde
 from .sets import Ball, Box, PointCloud, UnionSet
 from .theta import check_martingale
@@ -146,13 +147,11 @@ def _need(section, key, where):
 
 
 def _integer(value, where):
-    """``value`` as an int: an int or an integral float passes, anything
-    else (50.9, "50", true) is rejected rather than truncated."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ConfigError(f"{where} must be an integer, got {value!r}")
+    """``value`` as an int by the library's rule (``engine.as_integer``)."""
+    try:
+        return as_integer(value, where)
+    except EngineError as e:
+        raise ConfigError(str(e)) from None
 
 
 def build_set(spec, where="set"):
@@ -301,8 +300,7 @@ def build_pde_grid(cfg, scenario):
             return PdeGrid(float(spec["x_min"]), float(spec["x_max"]),
                            _integer(spec["n_x"], "pde.n_x"),
                            _integer(spec["n_t"], "pde.n_t"),
-                           scenario.grid.t0, scenario.grid.T,
-                           scenario.sde.sigma_max())
+                           scenario.grid.t0, scenario.grid.T)
         return auto_grid(scenario.sde, scenario.grid,
                          n_x=_integer(spec.get("n_x", 400), "pde.n_x"))
 

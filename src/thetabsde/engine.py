@@ -100,7 +100,8 @@ class SdeSpec:
         return out
 
     def sigma_max(self):
-        """Bound on ||sigma|| for constant-volatility specs (PDE CFL)."""
+        """Bound on ||sigma|| for constant-volatility specs; it sizes the
+        PDE oracle's automatic domain."""
         if self.vol_lin is not None:
             raise EngineError("sigma_max undefined for state-dependent volatility")
         if self.vol_const is None:
@@ -442,6 +443,16 @@ def theta_expectation(solution, t_index):
 AXIOMS = ("normalization", "A1_monotonicity", "A2_translation", "A3_tower")
 
 
+def as_integer(value, where):
+    """``value`` as an int: an int or an integral float passes, anything
+    else (2.7, "2", True) is rejected rather than truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise EngineError(f"{where} must be an integer, got {value!r}")
+
+
 def _axiom_number(params, key, default):
     """``params[key]``, or ``default`` when absent, as a finite float."""
     try:
@@ -470,7 +481,8 @@ def check_axiom(scenario, axiom, params):
     if axiom == "A3_tower":
         if "s_index" not in params:
             raise EngineError("A3 check needs 's_index'")
-        if not 0 <= int(params["s_index"]) <= scenario.grid.n_steps:
+        s_index = as_integer(params["s_index"], "s_index")
+        if not 0 <= s_index <= scenario.grid.n_steps:
             raise EngineError("s_index outside the grid")
 
 
@@ -521,7 +533,7 @@ def axiom_check(scenario, axiom, params=None):
                 "tol": tol}
 
     # A3_tower, the last name check_axiom lets through
-    s_index = int(params["s_index"])
+    s_index = as_integer(params["s_index"], "s_index")
     sol = solve_theta_bsde(scenario, paths=ens)
     if s_index == 0:
         return {"axiom": axiom, "passed": True, "discrepancy": 0.0,

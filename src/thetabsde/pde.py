@@ -1,11 +1,14 @@
-"""Explicit finite-difference oracle for the 1-d nonlinear parabolic PDE
-associated with the worst-case-driver valuation:
+"""Finite-difference oracle for the 1-d nonlinear parabolic PDE associated
+with the worst-case-driver valuation:
 
     -du/dt - b u_x - (1/2) sigma^2 u_xx - F_max(t, x, u, u_x * sigma) = 0,
     u(T, x) = phi(x),
 
-stepped backward in time with central differences. Used as an independent
-check of the Monte Carlo solver (the value process satisfies Y = u(t, X_t)).
+stepped backward in time by IMEX Euler (Ascher, Ruuth & Spiteri 1997,
+"Implicit-explicit Runge-Kutta methods for time-dependent partial
+differential equations"): the diffusion is implicit, drift and driver are
+explicit, all with central differences. Used as an independent check of the
+Monte Carlo solver (the value process satisfies Y = u(t, X_t)).
 """
 
 from dataclasses import dataclass
@@ -20,7 +23,8 @@ class PdeError(ValueError):
     pass
 
 
-_CFL_MARGIN = 0.1
+def _times(t0, T, n_t):
+    return t0 + (T - t0) / n_t * np.arange(n_t + 1)
 
 
 @dataclass(frozen=True)
@@ -31,19 +35,16 @@ class PdeGrid:
     n_t: int
     t0: float
     T: float
-    sigma_max: float
 
     def __post_init__(self):
         if self.n_x < 8:
             raise PdeError("need n_x >= 8")
-        if self.n_t < 1:
-            raise PdeError("need n_t >= 1")
+        if self.n_t < 2:
+            raise PdeError("need n_t >= 2")
+        if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)):
+            raise PdeError("need finite x_min and x_max")
         if not self.x_max > self.x_min:
             raise PdeError("need x_max > x_min")
-        if self.sigma_max > 0 and self.dt_pde > self.cfl_limit:
-            raise PdeError(
-                f"CFL violated: dt={self.dt_pde:.3e} > {self.cfl_limit:.3e}; "
-                "increase n_t")
 
     @property
     def dx(self):
@@ -54,16 +55,12 @@ class PdeGrid:
         return (self.T - self.t0) / self.n_t
 
     @property
-    def cfl_limit(self):
-        return self.dx ** 2 / (self.sigma_max ** 2 * (1.0 + _CFL_MARGIN))
-
-    @property
     def xs(self):
         return self.x_min + self.dx * np.arange(self.n_x)
 
     @property
     def ts(self):
-        return self.t0 + self.dt_pde * np.arange(self.n_t + 1)
+        return _times(self.t0, self.T, self.n_t)
 
 
 def check_sde(sde):
@@ -75,63 +72,98 @@ def check_sde(sde):
 
 
 def auto_grid(sde, grid, n_x=400, half_width_sigmas=6.0):
-    """Domain x0 +/- 6 sigma sqrt(T - t0), n_t chosen to satisfy the CFL
-    stability bound."""
+    """Domain x0 +/- 6 sigma sqrt(T - t0) and four PDE steps per Monte Carlo
+    step, so PDE row 4i lies on Monte Carlo node i."""
     check_sde(sde)
     smax = sde.sigma_max()
     if smax == 0.0:
         raise PdeError("need nonzero volatility for an automatic domain")
     span = float(np.sqrt(grid.T - grid.t0)) * smax * half_width_sigmas
     x0 = float(sde.x0[0])
-    dx = 2.0 * span / (n_x - 1)
-    limit = dx ** 2 / (smax ** 2 * (1.0 + _CFL_MARGIN))
-    n_t = int(np.ceil((grid.T - grid.t0) / limit)) + 1
-    return PdeGrid(x0 - span, x0 + span, n_x, n_t, grid.t0, grid.T, smax)
+    return PdeGrid(x0 - span, x0 + span, n_x, 4 * grid.n_steps, grid.t0, grid.T)
 
 
 @dataclass
 class ValueSurface:
     u: np.ndarray  # (n_t + 1, n_x), row 0 = t0, last row = T
     grid: PdeGrid
+    u0_discretisation_err: np.ndarray  # (n_x,), |u[0] - u[0] at n_t // 2|
 
     def value_at(self, t_index, x):
         """Linear interpolation in x at a stored time row."""
         return float(np.interp(x, self.grid.xs, self.u[t_index]))
 
 
-def solve_pde(driver, uset, sde, payoff, pgrid):
-    """Backward explicit sweep; returns the value surface on the grid."""
-    check_sde(sde)
-    xs = pgrid.xs
-    ts = pgrid.ts
-    dx, dt = pgrid.dx, pgrid.dt_pde
-    X = xs.reshape(-1, 1)
+def _sweep(driver, uset, sde, payoff, pgrid, n_t):
+    """Backward IMEX Euler sweep of ``n_t`` steps on the x grid of ``pgrid``;
+    returns the ``(n_t + 1, n_x)`` surface."""
+    ts = _times(pgrid.t0, pgrid.T, n_t)
+    dx, dt = pgrid.dx, (pgrid.T - pgrid.t0) / n_t
+    X = pgrid.xs.reshape(-1, 1)
     sig = sde.vol_const[0, 0] if sde.vol_const is not None else 0.0
 
-    u = np.empty((pgrid.n_t + 1, pgrid.n_x))
+    # implicit diffusion: (I - dt L) u[k-1] = explicit update, where L is
+    # the central (1/2) sigma^2 u_xx with zero rows at the boundary
+    # (second derivative zero, i.e. linear extrapolation)
+    a = dt * 0.5 * sig ** 2 / dx ** 2
+    step = np.eye(pgrid.n_x)
+    i = np.arange(1, pgrid.n_x - 1)
+    step[i, i] += 2 * a
+    step[i, i - 1] = step[i, i + 1] = -a
+    step = np.linalg.inv(step)
+
+    u = np.empty((n_t + 1, pgrid.n_x))
     u[-1] = payoff.value(X)
-    for k in range(pgrid.n_t, 0, -1):
+    for k in range(n_t, 0, -1):
         uk = u[k]
         t = ts[k]
         ux = np.empty_like(uk)
         ux[1:-1] = (uk[2:] - uk[:-2]) / (2 * dx)
         ux[0] = (uk[1] - uk[0]) / dx
         ux[-1] = (uk[-1] - uk[-2]) / dx
-        uxx = np.zeros_like(uk)
-        # boundary closure: second derivative zero (linear extrapolation)
-        uxx[1:-1] = (uk[2:] - 2 * uk[1:-1] + uk[:-2]) / dx ** 2
         drift = sde.drift(t, X)[:, 0]
         z = (ux * sig).reshape(-1, 1)
         f, _ = effective_driver(driver, uset, t, X, uk, z)
-        u[k - 1] = uk + dt * (drift * ux + 0.5 * sig ** 2 * uxx + f)
+        u[k - 1] = step @ (uk + dt * (drift * ux + f))
         if not np.all(np.isfinite(u[k - 1])):
             raise PdeError(f"non-finite values in PDE sweep at time step {k - 1}")
-    return ValueSurface(u=u, grid=pgrid)
+    return u
+
+
+def solve_pde(driver, uset, sde, payoff, pgrid):
+    """Value surface on ``pgrid`` by backward IMEX Euler, with its own error
+    estimate.
+
+    The implicit diffusion puts no bound on dt, so n_t is chosen for
+    accuracy. The explicit drift b and driver (z-Lipschitz constant L_z)
+    are stable by von Neumann analysis for dt <= sigma^2 / (|b| + L_z
+    sigma)^2, a bound free of dx; it is not checked here. A second sweep at
+    n_t // 2 steps gives ``u0_discretisation_err``: for a first-order scheme
+    the difference of the two time-zero rows estimates the error of the fine
+    one. It and the per-step non-finite check are the guard.
+    """
+    check_sde(sde)
+    u = _sweep(driver, uset, sde, payoff, pgrid, pgrid.n_t)
+    u_half = _sweep(driver, uset, sde, payoff, pgrid, pgrid.n_t // 2)
+    return ValueSurface(u=u, grid=pgrid,
+                        u0_discretisation_err=np.abs(u[0] - u_half[0]))
+
+
+def _path_rms(surface, grid, states, Y):
+    """Per Monte Carlo node, RMS over paths of |Y_i - u(t_i, X_i)|, with u
+    interpolated in x on the PDE row nearest to t_i."""
+    pgrid = surface.grid
+    rows = np.clip(np.rint((grid.times - pgrid.t0) / pgrid.dt_pde), 0,
+                   pgrid.n_t).astype(int)
+    return np.array([
+        np.sqrt(np.mean((Y[:, i] - np.interp(states[:, i, 0], pgrid.xs,
+                                              surface.u[k])) ** 2))
+        for i, k in enumerate(rows)])
 
 
 def feynman_kac_compare(scenario, pde_grid=None, surface=None):
     """Solve the same problem by Monte Carlo and by the FD oracle and
-    compare the time-zero values.
+    compare the time-zero values and the values along the paths.
 
     ``surface`` is an already solved ``ValueSurface`` of this scenario; the
     PDE is solved here (on ``pde_grid``) only when it is not given.
@@ -143,10 +175,15 @@ def feynman_kac_compare(scenario, pde_grid=None, surface=None):
         surface = solve_pde(sc.driver, sc.uset, sc.sde, sc.terminal, pde_grid)
     ens = simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
     sol = solve_theta_bsde(sc, paths=ens)
-    u0 = surface.value_at(0, float(sc.sde.x0[0]))
+    x0 = float(sc.sde.x0[0])
+    u0 = surface.value_at(0, x0)
+    err = np.interp(x0, surface.grid.xs, surface.u0_discretisation_err)
+    rms = _path_rms(surface, sc.grid, ens.states, sol.Y)
     return {
         "y0_mc": sol.Y0,
         "u0": u0,
         "abs_err": abs(sol.Y0 - u0),
         "stderr": sol.stderr,
+        "u0_discretisation_err": float(err),
+        "fk_path_rms_max": float(np.max(rms)),
     }

@@ -158,7 +158,7 @@ def test_c5_feynman_kac_cross_checks():
     span = 6.0 * np.sqrt(T)
     dx = 2 * span / 399
     n_t = int(np.ceil(T / (dx ** 2 / 1.1))) + 1
-    g = tb.PdeGrid(-span, span, 400, n_t, 0.0, T, 1.0)
+    g = tb.PdeGrid(-span, span, 400, n_t, 0.0, T)
     surf = solve_pde(tb.ZeroDriver(), UNIT_BOX, make_sde(),
                      tb.Payoff([0.0, 0.0, 1.0]), g)
     interior = np.abs(g.xs) <= 0.5 * g.xs[-1]

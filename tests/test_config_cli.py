@@ -280,6 +280,21 @@ def test_cli_validate_rejects_non_integer_fields(tmp_path, capsys, cfg, message)
         assert f"{message} must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bounds, code", [
+    # both passed validate; run then failed with exit 1 on a non-finite sweep
+    ("pde.x_min = -Infinity\npde.x_max = 3.0\n", 2),
+    ("pde.x_min = -3.0\npde.x_max = Infinity\n", 2),
+    ("pde.x_min = -3.0\npde.x_max = 3.0\n", 0),
+], ids=["x_min_inf", "x_max_inf", "finite_ok"])
+def test_cli_validate_rejects_non_finite_pde_bounds(tmp_path, capsys, bounds,
+                                                    code):
+    p = tmp_path / "fk.cfg"
+    p.write_text(FK + bounds + "pde.n_x = 40\npde.n_t = 20\n")
+    assert main(["validate", str(p)]) == code
+    if code:
+        assert "need finite x_min and x_max" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cfg, message", [
     (AXIOM + "axiom.name = A9\n", "unknown axiom"),
     (AXIOM + "axiom.name = A2_translation\nterminal.clamp = [0.0, 1.0]\n",

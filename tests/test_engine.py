@@ -191,6 +191,9 @@ def test_axiom_a3_s_equals_t():
     ("A2_translation", {}, (0.0, 1.0), "clamped"),
     ("A3_tower", {"s_index": 11}, None, "outside the grid"),
     ("A1_monotonicity", {}, None, "terminal2"),
+    # these ran the tower check at node 2 and node 1
+    ("A3_tower", {"s_index": 2.7}, None, "s_index must be an integer"),
+    ("A3_tower", {"s_index": True}, None, "s_index must be an integer"),
 ])
 def test_axiom_preconditions_fail_before_any_simulation(monkeypatch, axiom,
                                                         params, clamp, message):

@@ -16,7 +16,7 @@ def heat_grid(n_x=400, T=0.25):
     span = 6.0 * np.sqrt(T)
     dx = 2 * span / (n_x - 1)
     n_t = int(np.ceil(T / (dx ** 2 / 1.1))) + 1
-    return PdeGrid(-span, span, n_x, n_t, 0.0, T, 1.0)
+    return PdeGrid(-span, span, n_x, n_t, 0.0, T)
 
 
 def test_heat_equation_closed_form():
@@ -54,7 +54,7 @@ def test_grid_refinement_improves_heat_error():
         span = 4.0  # wide domain keeps the boundary closure out of the picture
         dx = 2 * span / (n_x - 1)
         n_t = int(np.ceil(T / (dx ** 2 / 1.1))) + 1
-        g = PdeGrid(-span, span, n_x, n_t, 0.0, T, 1.0)
+        g = PdeGrid(-span, span, n_x, n_t, 0.0, T)
         surf = solve_pde(tb.ZeroDriver(), UNIT_BOX, make_sde(),
                          tb.Payoff([0.0, 0.0, 0.0, 0.0, 1.0]), g)
         xs = g.xs
@@ -74,15 +74,56 @@ def test_discrete_comparison_principle():
     assert np.all(u1.u >= u2.u - 1e-12)
 
 
-def test_cfl_violation_raises():
-    with pytest.raises(PdeError):
-        PdeGrid(-1.0, 1.0, 400, 10, 0.0, 1.0, 1.0)  # dt far above the bound
+def test_heat_step_far_above_the_explicit_bound_is_stable():
+    # n_t = 10 is about 120 times the explicit scheme's dx^2 / sigma^2 step
+    g = heat_grid()
+    g = PdeGrid(g.x_min, g.x_max, g.n_x, 10, 0.0, g.T)
+    assert g.dt_pde >= 100 * g.dx ** 2
+    G = tb.StateFn(c0=np.array([0.0]), C_z=[[1.0]])
+    drv = tb.RegularizedProjectionDriver(h=tb.StateFn(c0=0.0), G=G, eps=0.5)
+    # max(x, 0) >= min(max(x, 0), 0.5): the driver sees different gradients
+    u1 = solve_pde(drv, UNIT_BOX, make_sde(),
+                   tb.Payoff([0.0, 1.0], clamp=(0.0, 1e6)), g)
+    u2 = solve_pde(drv, UNIT_BOX, make_sde(),
+                   tb.Payoff([0.0, 1.0], clamp=(0.0, 0.5)), g)
+    assert np.all(np.isfinite(u1.u)) and np.all(np.isfinite(u2.u))
+    assert np.all(u1.u >= u2.u - 1e-12)
+    # and the heat solution x^2 + (T - t) is still met in the interior
+    heat = solve_pde(tb.ZeroDriver(), UNIT_BOX, make_sde(),
+                     tb.Payoff([0.0, 0.0, 1.0]), g)
+    interior = np.abs(g.xs) <= 0.5 * g.xs[-1]
+    exact = g.xs[interior] ** 2 + g.T
+    assert np.max(np.abs(heat.u[0][interior] - exact)) <= 1e-3
 
 
-def test_auto_grid_satisfies_cfl():
+def test_time_refinement_is_first_order_and_the_estimate_tracks_it():
+    # phi = x^4, closed form u(0, 0) = 3 T^2; a fine x grid leaves the error
+    # to the time step
+    T = 0.25
+
+    def solve(n_t):
+        g = PdeGrid(-4.0, 4.0, 801, n_t, 0.0, T)
+        surf = solve_pde(tb.ZeroDriver(), UNIT_BOX, make_sde(),
+                         tb.Payoff([0.0, 0.0, 0.0, 0.0, 1.0]), g)
+        return (abs(surf.value_at(0, 0.0) - 3 * T ** 2),
+                float(np.interp(0.0, g.xs, surf.u0_discretisation_err)))
+
+    (err, estimate), (err_fine, _) = solve(10), solve(20)
+    assert err / err_fine >= 1.8
+    assert 0.5 * err <= estimate <= 2.0 * err
+
+
+def test_auto_grid_puts_four_pde_steps_on_each_mc_step():
     g = auto_grid(make_sde(), tb.TimeGrid(0.0, 1.0, 10), n_x=200)
-    assert g.dt_pde <= g.cfl_limit
+    assert g.n_t == 40
     assert g.x_min == pytest.approx(-6.0) and g.x_max == pytest.approx(6.0)
+
+
+def test_pde_grid_rejects_non_finite_bounds_and_single_steps():
+    with pytest.raises(PdeError, match="finite"):
+        PdeGrid(-np.inf, 1.0, 100, 10, 0.0, 1.0)
+    with pytest.raises(PdeError, match="n_t >= 2"):
+        PdeGrid(-1.0, 1.0, 100, 1, 0.0, 1.0)
 
 
 def test_feynman_kac_trivial_fixtures():
@@ -100,6 +141,21 @@ def test_feynman_kac_trivial_fixtures():
     rep = tb.feynman_kac_compare(sc, auto_grid(sc.sde, grid, n_x=200))
     assert rep["y0_mc"] == pytest.approx(0.4, abs=1e-6)
     assert rep["u0"] == pytest.approx(0.4, abs=1e-6)
+
+
+def test_fk_path_rms_reads_the_nearest_pde_row():
+    # constant driver, phi = 0: Y_i = u(t_i, x) = 0.4 (T - t_i) on every path
+    grid = tb.TimeGrid(0.0, 1.0, 20)
+    sc = tb.Scenario(sde=make_sde(), driver=tb.AffineDriver(0.4, 0.0, [0.0]),
+                     uset=UNIT_BOX, terminal=tb.Payoff([0.0]), grid=grid,
+                     n_paths=200, seed=3)
+    rep = tb.feynman_kac_compare(sc, auto_grid(sc.sde, grid, n_x=50))
+    assert rep["fk_path_rms_max"] <= 1e-9
+    assert rep["u0_discretisation_err"] <= 1e-9
+    # 30 PDE steps on 20 nodes: the odd nodes lie half a PDE step from the
+    # nearest row, where u is off by 0.4 / 60
+    rep = tb.feynman_kac_compare(sc, PdeGrid(-6.0, 6.0, 50, 30, 0.0, 1.0))
+    assert rep["fk_path_rms_max"] == pytest.approx(0.4 / 60, rel=1e-6)
 
 
 def test_pde_rejects_multidimensional_state():
