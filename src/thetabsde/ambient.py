@@ -7,6 +7,8 @@ Euclidean vectors pass through unchanged, which lets all set geometry run on
 one code path.
 """
 
+import functools
+
 import numpy as np
 
 MAX_DIM = 64
@@ -39,6 +41,16 @@ def sym_vec_dim(d):
     return d * (d + 1) // 2
 
 
+@functools.lru_cache(maxsize=None)
+def off_diagonal(d):
+    """Row and column indices of the strictly upper triangle of a d x d
+    matrix, in the order the flattened vector stores them. Cached (the
+    driver embeds z^T z at every node), hence read-only."""
+    i, j = np.triu_indices(d, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def matrix_dim(n):
     """Inverse of sym_vec_dim; raises if n is not of the form d(d+1)/2."""
     d = int((np.sqrt(8 * n + 1) - 1) / 2)
@@ -59,11 +71,7 @@ def embed(m, atol=0.0):
         raise AmbientError("matrix is not symmetric")
     out = np.empty(sym_vec_dim(d))
     out[:d] = np.diag(m)
-    k = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            out[k] = _SQRT2 * m[i, j]
-            k += 1
+    out[d:] = _SQRT2 * m[off_diagonal(d)]
     return out
 
 
@@ -76,11 +84,8 @@ def extract(p, d=None):
         raise AmbientError(f"vector length {p.size} does not match matrix dim {d}")
     m = np.zeros((d, d))
     np.fill_diagonal(m, p[:d])
-    k = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            m[i, j] = m[j, i] = p[k] / _SQRT2
-            k += 1
+    i, j = off_diagonal(d)
+    m[i, j] = m[j, i] = p[d:] / _SQRT2
     return m
 
 

@@ -90,7 +90,9 @@ def _parse_lines(text):
 
 
 class ScenarioConfig:
-    """Validated config; equality is by parsed content."""
+    """Validated config; equality is by parsed content. Validation builds
+    the ``scenario`` and the kind's ``params`` (see ``kind_params``), and
+    the config keeps both for the run."""
 
     def __init__(self, data):
         if not isinstance(data, dict):
@@ -123,7 +125,9 @@ class ScenarioConfig:
         if not 0 <= _integer(seed, "mc.seed") < 2 ** 64:
             raise ConfigError(
                 f"mc.seed must be an integer in [0, 2**64), got {seed!r}")
-        kind_params(self, build_scenario(self))  # raise naming the field
+        # raise naming the field
+        self.scenario = build_scenario(self)
+        self.params = kind_params(self, self.scenario)
 
 
 def parse_config(text):
@@ -172,37 +176,14 @@ def build_set(spec, where="set"):
     raise ConfigError(f"{where}.type unknown: {typ!r}")
 
 
-def _build_statefn(spec, where, vector=False):
+def _build_statefn(spec, where):
     if isinstance(spec, (int, float)):
-        if vector:
-            return StateFn(c0=np.atleast_1d(float(spec)))
-        return StateFn(c0=float(spec))
+        spec = {"const": spec}
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be a number or mapping")
-    c0 = spec.get("const")
-    if c0 is None and vector:
-        # infer the codomain dimension from the coefficient blocks
-        dim = 1
-        for key in ("t", "y"):  # vector coefficients: one entry per output
-            v = spec.get(key)
-            if v is not None:
-                dim = np.atleast_1d(np.asarray(v, dtype=float)).size
-                break
-        else:
-            for key in ("x", "z"):  # matrix coefficients: one row per output
-                v = spec.get(key)
-                if v is not None:
-                    dim = len(np.atleast_2d(np.asarray(v, dtype=float)))
-                    break
-        c0 = np.zeros(dim)
-    elif c0 is None:
-        c0 = 0.0
-    elif vector:
-        c0 = np.atleast_1d(np.asarray(c0, dtype=float))
     with _field(where):
-        return StateFn(c0=np.asarray(c0, dtype=float),
-                       c_t=spec.get("t"), C_x=spec.get("x"),
-                       c_y=spec.get("y"), C_z=spec.get("z"))
+        return StateFn(c0=spec.get("const"), c_t=spec.get("t"),
+                       C_x=spec.get("x"), c_y=spec.get("y"), C_z=spec.get("z"))
 
 
 def build_driver(spec, where="driver"):
@@ -214,13 +195,13 @@ def build_driver(spec, where="driver"):
             return ZeroDriver()
         if typ == "affine":
             return AffineDriver(spec.get("alpha", 0.0), spec.get("beta", 0.0),
-                                spec.get("gamma", [0.0]))
+                                spec.get("gamma"))
         if typ in ("projection", "regularized_projection"):
             # the plain projection driver is the eps = 0 member
             eps = 0.0 if typ == "projection" else _need(spec, "eps", where)
             return RegularizedProjectionDriver(
                 _build_statefn(spec.get("h", 0.0), f"{where}.h"),
-                _build_statefn(_need(spec, "g", where), f"{where}.g", vector=True),
+                _build_statefn(_need(spec, "g", where), f"{where}.g"),
                 eps)
         if typ == "g_regularized":
             return GRegularizedDriver(_need(spec, "eps", where),
@@ -268,7 +249,7 @@ def build_scenario(cfg):
     grid = build_grid(_need(d, "grid", "config"))
     mc = d.get("mc", {})
     with _field("driver/set/sde dimensions"):
-        driver.check(uset, sde.dim_b)
+        driver.check(uset, sde.dim_x, sde.dim_b)
     y_clip = mc.get("y_clip")
     if y_clip is not None:
         try:

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ambient import as_point, sym_vec_dim
+from .ambient import as_point, off_diagonal, sym_vec_dim
 from .sets import Box, Ball, SetError, grid_cover, plain_result
 
 
@@ -48,79 +48,80 @@ def embed_zz(z):
     n, d = z.shape
     out = np.empty((n, sym_vec_dim(d)))
     out[:, :d] = z * z
-    k = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            out[:, k] = np.sqrt(2.0) * z[:, i] * z[:, j]
-            k += 1
+    # column by column: a strided column product beats gathering columns
+    for k, (i, j) in enumerate(zip(*off_diagonal(d)), start=d):
+        out[:, k] = np.sqrt(2.0) * z[:, i] * z[:, j]
     return out
 
 
 @dataclass
 class StateFn:
-    """Affine map (t, x, y, z) -> c0 + c_t*t + C_x x + c_y*y + C_z z.
+    """Affine map (t, x, y, z) -> c0 + c_t*t + C_x x + c_y*y + C_z z with
+    values in R^m.
 
-    Scalar codomain when ``c0`` is scalar, ambient-vector codomain when
-    ``c0`` is a vector. Coefficient blocks may be None (treated as zero);
-    affinity keeps every Lipschitz constant computable exactly.
+    ``c0``, ``c_t`` and ``c_y`` have shape (m,), ``C_x`` shape (m, dim_x)
+    and ``C_z`` shape (m, dim_b); for m = 1 a number or a flat row will do.
+    m is the length of ``c0``, or else of the first block given. Blocks may
+    be None (treated as zero; ``c0`` as the zero vector); affinity keeps
+    every Lipschitz constant computable exactly.
     """
 
-    c0: np.ndarray
+    c0: Optional[np.ndarray] = None
     c_t: Optional[np.ndarray] = None
     C_x: Optional[np.ndarray] = None
     c_y: Optional[np.ndarray] = None
     C_z: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.c0 = np.asarray(self.c0, dtype=float)
-        self.scalar = self.c0.ndim == 0
-        for name in ("c_t", "C_x", "c_y", "C_z"):
+        m = None
+        for name in ("c0", "c_t", "C_x", "c_y", "C_z"):
             v = getattr(self, name)
-            if v is not None:
-                setattr(self, name, np.asarray(v, dtype=float))
+            if v is None:
+                continue
+            v = np.asarray(v, dtype=float)
+            matrix = name.startswith("C")
+            v = np.atleast_2d(v) if matrix else np.atleast_1d(v)
+            m = len(v) if m is None else m
+            if v.ndim != (2 if matrix else 1) or len(v) != m:
+                raise DriverError(f"{name} has shape {v.shape}, not {m} "
+                                  + ("rows" if matrix else "entries"))
+            setattr(self, name, v)
+        if self.c0 is None:
+            self.c0 = np.zeros(1 if m is None else m)
 
     @property
     def dim_out(self):
-        return 1 if self.scalar else self.c0.size
+        return self.c0.size
+
+    def check(self, dim_x, dim_b):
+        """The x and z blocks must have dim_x and dim_b columns."""
+        for name, dim in (("C_x", dim_x), ("C_z", dim_b)):
+            v = getattr(self, name)
+            if v is not None and v.shape[1] != dim:
+                raise DriverError(
+                    f"{name} has {v.shape[1]} columns, needs {dim}")
 
     def value(self, t, x, y, z):
-        t, x, y, z = _batch_args(t, x, y, z)
-        n = x.shape[0]
-        if self.scalar:
-            out = np.full(n, float(self.c0))
-            if self.c_t is not None:
-                out += float(self.c_t) * t
-            if self.C_x is not None:
-                out += x @ np.atleast_1d(self.C_x)
-            if self.c_y is not None:
-                out += float(self.c_y) * y
-            if self.C_z is not None:
-                out += z @ np.atleast_1d(self.C_z)
-            return out
-        out = np.tile(self.c0, (n, 1))
+        """Values (n, m) at batched (t, x, y, z)."""
+        out = np.tile(self.c0, (x.shape[0], 1))
         if self.c_t is not None:
             out += t * self.c_t
         if self.C_x is not None:
-            out += x @ np.atleast_2d(self.C_x).T
+            out += x @ self.C_x.T
         if self.c_y is not None:
             out += y[:, None] * self.c_y
         if self.C_z is not None:
-            out += z @ np.atleast_2d(self.C_z).T
+            out += z @ self.C_z.T
         return out
 
     def lipschitz_yz(self):
         """Lipschitz constant w.r.t. |dy| + ||dz|| (exact for affine maps)."""
-        ly = 0.0 if self.c_y is None else float(np.linalg.norm(np.atleast_1d(self.c_y)))
-        if self.C_z is None:
-            lz = 0.0
-        elif self.scalar:
-            lz = float(np.linalg.norm(np.atleast_1d(self.C_z)))
-        else:
-            lz = float(np.linalg.norm(np.atleast_2d(self.C_z), ord=2))
+        ly = 0.0 if self.c_y is None else float(np.linalg.norm(self.c_y))
+        lz = 0.0 if self.C_z is None else float(np.linalg.norm(self.C_z, ord=2))
         return max(ly, lz)
 
     def depends_on_y(self):
-        return self.c_y is not None and np.any(np.atleast_1d(self.c_y) != 0)
+        return self.c_y is not None and np.any(self.c_y != 0)
 
 
 def _check_g_type_dim(uset, dim_b):
@@ -151,7 +152,7 @@ class Driver:
     def depends_on_y(self):
         return False
 
-    def check(self, uset, dim_b):
+    def check(self, uset, dim_x, dim_b):
         """Dimension and membership checks before any compute."""
 
     def unsound_for_existence(self, uset):
@@ -167,22 +168,30 @@ class ZeroDriver(Driver):
 
 @dataclass
 class AffineDriver(Driver):
-    """F = alpha + beta*y + <gamma, z>; independent of a."""
+    """F = alpha + beta*y + <gamma, z>; independent of a. ``gamma`` None
+    means no z term."""
 
     alpha: float
     beta: float
-    gamma: np.ndarray
+    gamma: Optional[np.ndarray]
 
     def __post_init__(self):
         self.alpha = float(self.alpha)
         self.beta = float(self.beta)
-        self.gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
+        if self.gamma is not None:
+            self.gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
 
     def value(self, t, x, y, z, a):
-        return self.alpha + self.beta * y + z @ self.gamma
+        val = self.alpha + self.beta * y
+        return val if self.gamma is None else val + z @ self.gamma
 
     def depends_on_y(self):
         return self.beta != 0.0
+
+    def check(self, uset, dim_x, dim_b):
+        if self.gamma is not None and self.gamma.shape != (dim_b,):
+            raise DriverError(
+                f"gamma has shape {self.gamma.shape}, needs ({dim_b},)")
 
 
 @dataclass
@@ -206,27 +215,30 @@ class RegularizedProjectionDriver(Driver):
         """Lipschitz constant of the maximizer map in (y, z)."""
         return self.G.lipschitz_yz() / (1.0 + self.eps)
 
-    def _G(self, t, x, y, z):
-        G = self.G.value(t, x, y, z)
-        return G if G.ndim == 2 else G[:, None]
-
     def value(self, t, x, y, z, a):
-        h = self.h.value(t, x, y, z)
-        G = self._G(t, x, y, z)
+        h = self.h.value(t, x, y, z)[:, 0]
+        G = self.G.value(t, x, y, z)
         val = h - 0.5 * np.sum((a - G) ** 2, axis=1)
         val -= 0.5 * self.eps * np.sum(a * a, axis=1)
         return val
 
     def query(self, t, x, y, z):
-        return self._G(t, x, y, z) / (1.0 + self.eps)
+        return self.G.value(t, x, y, z) / (1.0 + self.eps)
 
     def depends_on_y(self):
         return self.h.depends_on_y() or self.G.depends_on_y()
 
-    def check(self, uset, dim_b):
+    def check(self, uset, dim_x, dim_b):
+        if self.h.dim_out != 1:
+            raise DriverError(f"h must be scalar, has {self.h.dim_out} entries")
         if self.G.dim_out != uset.dim:
             raise DriverError(
                 f"G codomain dim {self.G.dim_out} != set dim {uset.dim}")
+        for name, f in (("h", self.h), ("G", self.G)):
+            try:
+                f.check(dim_x, dim_b)
+            except DriverError as e:
+                raise DriverError(f"{name}: {e}") from None
 
     def unsound_for_existence(self, uset):
         return self.eps == 0 and not is_convex(uset)
@@ -253,7 +265,7 @@ class GRegularizedDriver(Driver):
         # complete the square: argmax_a <a,c> - (eps/2)||a-a0||^2
         return self.a0 + embed_zz(z) / (2.0 * self.eps)
 
-    def check(self, uset, dim_b):
+    def check(self, uset, dim_x, dim_b):
         _check_g_type_dim(uset, dim_b)
         as_point(self.a0, dim=uset.dim)
         if not uset.contains(self.a0, tol=1e-9):
@@ -277,7 +289,7 @@ class GLimitDriver(Driver):
         vals, _ = uset.linear_max_batch(0.5 * embed_zz(z))
         return vals
 
-    def check(self, uset, dim_b):
+    def check(self, uset, dim_x, dim_b):
         _check_g_type_dim(uset, dim_b)
 
 
@@ -308,7 +320,7 @@ def maximizer(driver, uset, t, x, y, z):
         proj = plain_result(np.tile(uset.fixed_element(), (n, 1)), np.zeros(n))
     else:
         proj = uset.project_batch(query)
-    return proj, evaluate(driver, t, x, y, z, proj.point), degenerate
+    return proj, driver.value(t, x, y, z, proj.point), degenerate
 
 
 def effective_driver(driver, uset, t, x, y, z):

@@ -99,15 +99,6 @@ class SdeSpec:
             out += np.einsum("nj,ijk,nk->ni", X, self.vol_lin, dB)
         return out
 
-    def sigma_max(self):
-        """Bound on ||sigma|| for constant-volatility specs; it sizes the
-        PDE oracle's automatic domain."""
-        if self.vol_lin is not None:
-            raise EngineError("sigma_max undefined for state-dependent volatility")
-        if self.vol_const is None:
-            return 0.0
-        return float(np.linalg.norm(self.vol_const, ord=2))
-
 
 @dataclass
 class Payoff:
@@ -323,7 +314,7 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None,
     index and medial gap of every maximizer projection on the solution.
     """
     sc = scenario
-    sc.driver.check(sc.uset, sc.sde.dim_b)
+    sc.driver.check(sc.uset, sc.sde.dim_x, sc.sde.dim_b)
     ens = paths if paths is not None else simulate_forward(
         sc.sde, sc.grid, sc.n_paths, sc.seed)
     grid = ens.grid

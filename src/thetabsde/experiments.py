@@ -12,8 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .config import (ExperimentError, build_scenario, check_eos, check_sweep,
-                     kind_params)
+from .config import ExperimentError, check_eos, check_sweep
 from .drivers import GLimitDriver, GRegularizedDriver
 from .engine import axiom_check, simulate_forward, solve_theta_bsde
 from .pde import feynman_kac_compare, solve_pde
@@ -196,8 +195,7 @@ def run_scenario(cfg, out_dir, paths_dump=False):
     summary = {"kind": kind, "name": cfg.name, "seed": cfg.mc["seed"],
                "versions": {"package": __version__, "numpy": np.__version__}}
     ok = True
-    sc = build_scenario(cfg)
-    params = kind_params(cfg, sc)
+    sc, params = cfg.scenario, cfg.params
 
     if kind == "solve":
         sol = solve_theta_bsde(sc)

@@ -19,6 +19,10 @@ from .drivers import effective_driver
 from .engine import simulate_forward, solve_theta_bsde
 
 
+# half-width of the automatic domain, in standard deviations of X_T
+HALF_WIDTH_SIGMAS = 6.0
+
+
 class PdeError(ValueError):
     pass
 
@@ -71,14 +75,15 @@ def check_sde(sde):
         raise PdeError("PDE oracle requires constant volatility")
 
 
-def auto_grid(sde, grid, n_x=400, half_width_sigmas=6.0):
+def auto_grid(sde, grid, n_x=400):
     """Domain x0 +/- 6 sigma sqrt(T - t0) and four PDE steps per Monte Carlo
     step, so PDE row 4i lies on Monte Carlo node i."""
     check_sde(sde)
-    smax = sde.sigma_max()
+    smax = 0.0 if sde.vol_const is None else float(
+        np.linalg.norm(sde.vol_const, ord=2))
     if smax == 0.0:
         raise PdeError("need nonzero volatility for an automatic domain")
-    span = float(np.sqrt(grid.T - grid.t0)) * smax * half_width_sigmas
+    span = float(np.sqrt(grid.T - grid.t0)) * smax * HALF_WIDTH_SIGMAS
     x0 = float(sde.x0[0])
     return PdeGrid(x0 - span, x0 + span, n_x, 4 * grid.n_steps, grid.t0, grid.T)
 

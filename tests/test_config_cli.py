@@ -1,4 +1,6 @@
 import json
+import string
+from pathlib import Path
 
 import pytest
 
@@ -41,7 +43,7 @@ def test_vector_valued_projection_map_from_config():
         "driver.g.z = [[1.0]]"))
     from thetabsde.config import build_scenario
     sc = build_scenario(cfg)
-    assert sc.driver.G.dim_out == 1 and not sc.driver.G.scalar
+    assert sc.driver.G.dim_out == 1
 
 
 def test_projection_type_is_the_eps_zero_member():
@@ -212,6 +214,47 @@ def test_cli_validate_rejects_what_run_would_fail(tmp_path, capsys, kind_cfg,
     p.write_text(kind_cfg)
     assert main(["validate", str(p)]) == 2
     assert message in capsys.readouterr().err
+
+
+PROJECTION = GOOD.replace("driver.type = zero",
+                          "driver.type = regularized_projection\ndriver.eps = 0.5")
+AFFINE = GOOD.replace("driver.type = zero", "driver.type = affine")
+
+
+@pytest.mark.parametrize("cfg, message", [
+    # each passed validate and then failed in run with a matmul ValueError
+    (PROJECTION + "driver.g.x = [[1.0, 2.0, 3.0]]\n", "G: C_x has 3 columns"),
+    (PROJECTION + "driver.g.z = [[1.0]]\ndriver.h.x = [1.0, 2.0]\n",
+     "h: C_x has 2 columns"),
+    (AFFINE + "driver.gamma = [0.0]\nsde.dim_x = 2\n", "gamma"),
+    (AFFINE + "driver.gamma = [1.0]\nsde.dim_b = 2\n", "gamma"),
+], ids=["g_x_columns", "h_x_columns", "gamma_on_dim_x_2", "gamma_on_dim_b_2"])
+def test_cli_validate_checks_driver_coefficient_shapes(tmp_path, capsys, cfg,
+                                                       message):
+    p = tmp_path / "shape.cfg"
+    p.write_text(cfg)
+    assert main(["validate", str(p)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_affine_default_runs_on_dim_x_2(tmp_path):
+    # the default gamma was [0.0], which failed in run on any dim_b > 1
+    p = tmp_path / "affine.cfg"
+    p.write_text(AFFINE + "sde.dim_x = 2\n")
+    assert main(["run", str(p), "--out", str(tmp_path), "--quiet"]) == 0
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SHIPPED = sorted(ROOT.glob("configs/*.cfg")) + sorted(
+    ROOT.glob("perfbench/workloads/*.cfg"))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_shipped_and_benchmarked_configs_validate(tmp_path, capsys, path):
+    text = string.Template(path.read_text(encoding="utf-8")).substitute(seed=7)
+    p = tmp_path / path.name
+    p.write_text(text, encoding="utf-8")
+    assert main(["validate", str(p)]) == 0, capsys.readouterr().err
 
 
 def test_cli_run_failure_names_the_exception_type(tmp_path, capsys):

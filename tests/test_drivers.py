@@ -26,6 +26,20 @@ def test_statefn_vector_codomain():
     assert np.allclose(v, [[2.0, 5.0]])
 
 
+def test_statefn_blocks_must_agree_on_the_output_dimension():
+    with pytest.raises(DriverError, match="C_x"):
+        StateFn(c_t=[1.0, 2.0], C_x=[[1.0]])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_embed_zz_is_bitwise_the_pairwise_loop(d):
+    z = np.random.default_rng(d).standard_normal((7, d))
+    ref = [z[:, i] * z[:, i] for i in range(d)]
+    ref += [np.sqrt(2.0) * z[:, i] * z[:, j]
+            for i in range(d) for j in range(i + 1, d)]
+    assert np.array_equal(embed_zz(z), np.column_stack(ref))
+
+
 def test_embed_zz_matches_matrix_embedding():
     rng = np.random.default_rng(0)
     z = rng.standard_normal(3)
@@ -104,14 +118,14 @@ def test_glimit_has_no_pointwise_interface():
 def test_driver_check_dimension_checks():
     with pytest.raises(DriverError):
         # dim_b=2 needs ambient dim 3 for the G-type drivers
-        GLimitDriver().check(Box([0.0], [1.0]), 2)
+        GLimitDriver().check(Box([0.0], [1.0]), 1, 2)
     with pytest.raises(DriverError):
         GRegularizedDriver(eps=0.5, a0=[5.0]).check(
-            Box([0.0], [1.0]), 1)  # a0 outside the set
+            Box([0.0], [1.0]), 1, 1)  # a0 outside the set
     G2 = StateFn(c0=np.array([0.0, 0.0]))
     with pytest.raises(DriverError):
         RegularizedProjectionDriver(h=StateFn(c0=0.0), G=G2, eps=0.0).check(
-            Box([0.0], [1.0]), 1)
+            Box([0.0], [1.0]), 1, 1)
 
 
 def test_effective_driver_is_max_over_random_feasible_points():

@@ -414,7 +414,7 @@ def test_keep_projection_records_the_maximizer_projection():
     # the y-free query depends on z only, so re-projecting it node by node
     # must give the solver's own record
     for i in range(sc.grid.n_steps + 1):
-        rec = uset.project_batch(sc.driver.query(0.0, np.zeros((1, 1)),
+        rec = uset.project_batch(sc.driver.query(0.0, np.zeros((sc.n_paths, 1)),
                                                  sol.Y[:, i], sol.Z[:, i]))
         assert np.array_equal(rec.point, sol.A[:, i])
         assert np.array_equal(rec.member_index, sol.member_index[:, i])
