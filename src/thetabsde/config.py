@@ -23,7 +23,7 @@ from .engine import (EngineError, Payoff, Scenario, SdeSpec, TimeGrid,
                      as_integer, check_axiom)
 from .pde import PdeGrid, auto_grid, check_sde
 from .sets import Ball, Box, PointCloud, UnionSet
-from .theta import check_martingale
+from .theta import check_martingale, check_theta_driver
 
 KINDS = ("solve", "fk_check", "epsilon_sweep", "eos_demo", "theta_bm",
          "theta_qv", "axiom_check", "martingale_check")
@@ -321,7 +321,13 @@ def kind_params(cfg, scenario):
                  "c": float(mg.get("c", 1.0))}
             check_martingale(scenario.grid, p["process"], p["t_index"],
                              p["s_index"])
+            check_theta_driver(scenario.driver, scenario.uset, 1)
             return p
+        if kind == "theta_bm":
+            check_theta_driver(scenario.driver, scenario.uset, 1)
+        if kind == "theta_qv":
+            check_theta_driver(scenario.driver, scenario.uset,
+                               scenario.sde.dim_x)
     return {}
 
 

@@ -135,20 +135,36 @@ def _swap(a):
 @dataclass
 class PathEnsemble:
     """Simulated paths. ``simulate_forward`` stores both arrays node-major
-    and hands out their path-major transpose views, so ``states[:, i]`` is
-    one contiguous row; arrays with other strides are read correctly too."""
+    and read-only, and hands out their path-major transpose views, so
+    ``states[:, i]`` is one contiguous row; arrays with other strides are
+    read correctly too.
+
+    The first solve that reaches a node keeps that node's regression basis
+    on the ensemble, and every later solve on it, or on a ``truncated``
+    ensemble, reuses it. So an ensemble's arrays must not change after its
+    first solve."""
 
     grid: TimeGrid
     n_paths: int
     seed: int
     increments: np.ndarray  # (n_paths, n_steps, dim_b)
     states: np.ndarray      # (n_paths, n_steps + 1, dim_x)
+    # (regression_degree, node) -> _Basis, filled by solve_theta_bsde
+    _bases: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def truncated(self, n_steps):
-        return PathEnsemble(self.grid.truncated(n_steps), self.n_paths,
-                            self.seed,
-                            self.increments[:, :n_steps],
-                            self.states[:, :n_steps + 1])
+        """The first ``n_steps`` steps; shares the basis records, since
+        its nodes are this ensemble's nodes 0..n_steps."""
+        if not 1 <= n_steps <= self.grid.n_steps:
+            raise EngineError(f"need 1 <= n_steps <= {self.grid.n_steps}, "
+                              f"got {n_steps}")
+        sub = PathEnsemble(self.grid.truncated(n_steps), self.n_paths,
+                           self.seed,
+                           self.increments[:, :n_steps],
+                           self.states[:, :n_steps + 1])
+        sub._bases = self._bases
+        return sub
 
 
 # paths per Philox draw: a block's transpose into the node-major buffer
@@ -161,8 +177,8 @@ def brownian_increments(grid, n_paths, seed, dim_b):
 
     The stream is drawn path-major, block by block, which continues it
     exactly as one draw would; each block is scaled straight into its
-    columns of the node-major buffer. Returns the (n_paths, n_steps, dim_b)
-    transpose view."""
+    columns of the node-major buffer. Returns the read-only
+    (n_paths, n_steps, dim_b) transpose view."""
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     out = np.empty((grid.n_steps, n_paths, dim_b))
     scale = np.sqrt(grid.dt)
@@ -171,11 +187,13 @@ def brownian_increments(grid, n_paths, seed, dim_b):
                                     grid.n_steps, dim_b))
         for j in range(dim_b):  # 2-d transposes: long inner loops
             np.multiply(draw[:, :, j].T, scale, out=out[:, p:p + len(draw), j])
+    out.flags.writeable = False
     return _swap(out)
 
 
 def simulate_forward(sde, grid, n_paths, seed):
-    """Euler scheme for the forward diffusion on the shared time grid."""
+    """Euler scheme for the forward diffusion on the shared time grid; the
+    ensemble's arrays are read-only, so a kept basis cannot go stale."""
     if n_paths < 1:
         raise EngineError("need n_paths >= 1")
     dB = brownian_increments(grid, n_paths, seed, sde.dim_b)
@@ -187,6 +205,7 @@ def simulate_forward(sde, grid, n_paths, seed):
     for i in range(grid.n_steps):
         Xi = X[i]
         X[i + 1] = Xi + sde.drift(times[i], Xi) * dt + sde.vol_mul(times[i], Xi, steps[i])
+    X.flags.writeable = False
     return PathEnsemble(grid, n_paths, int(seed), dB, _swap(X))
 
 
@@ -232,12 +251,16 @@ class BsdeSolution:
 _MAX_CONDITION = 1e6
 
 
-def _design_matrix(Xi, degree):
+def _design_matrix(Xi, degree, scaling=None):
     """Constant plus standardized monomials; zero-variance columns dropped.
 
     Built feature-major: each monomial is its parent (the same index tuple
     less its last entry) times one coordinate, so every operation runs on a
-    contiguous row of a (k, n) array. Returns the (n, k) transpose view.
+    contiguous row of a (k, n) array. Returns the (n, k) transpose view and
+    its ``scaling``: one (raw row, mean, sd) per kept monomial. Given the
+    scaling of an earlier call on the same ``Xi``, the means and standard
+    deviations are not measured again, and the same subtract and divide
+    give a bitwise equal design.
     """
     n, dim_x = Xi.shape
     coords = np.ascontiguousarray(Xi.T)
@@ -253,16 +276,29 @@ def _design_matrix(Xi, degree):
         else:
             rows[r] = coords[c[-1]]
         row_of[c] = r
-    # standardize in place, compacting the kept rows to the front; every
-    # raw row is read before a later write can reach it
-    k = 1
-    for r in range(1, len(rows)):
-        mu, sd = rows[r].mean(), rows[r].std()
-        if sd > 1e-12:
-            np.subtract(rows[r], mu, out=rows[k])
-            rows[k] /= sd
-            k += 1
-    return rows[:k].T
+    if scaling is None:
+        scaling = []
+        for r in range(1, len(rows)):
+            mu, sd = rows[r].mean(), rows[r].std()
+            if sd > 1e-12:
+                scaling.append((r, mu, sd))
+    # standardize in place, compacting the kept rows to the front; row r
+    # is read before a later write can reach it
+    for k, (r, mu, sd) in enumerate(scaling, start=1):
+        np.subtract(rows[r], mu, out=rows[k])
+        rows[k] /= sd
+    return rows[:len(scaling) + 1].T, scaling
+
+
+@dataclass(frozen=True)
+class _Basis:
+    """One node's regression basis, measured by the first solve that
+    reaches the node: the design's scaling, the Cholesky factor of its Gram
+    matrix (None for an ``lstsq`` node) and its condition number."""
+
+    scaling: list
+    chol: Optional[np.ndarray]
+    condition: float
 
 
 class _Projector:
@@ -271,11 +307,15 @@ class _Projector:
     The Gram matrix is factored once by Cholesky and reused for every
     right-hand side. A design whose condition number passes
     ``_MAX_CONDITION``, or whose Gram matrix is not positive definite, is
-    solved by ``lstsq`` (SVD) instead.
+    solved by ``lstsq`` (SVD) instead. ``basis`` is the record of an earlier
+    projector on a bitwise equal design; its factor is used as it is.
     """
 
-    def __init__(self, design):
+    def __init__(self, design, basis=None):
         self.design = design
+        if basis is not None:
+            self.chol, self.condition = basis.chol, basis.condition
+            return
         gram = design.T @ design
         eig = np.linalg.eigvalsh(gram)
         self.chol = None
@@ -304,14 +344,29 @@ class _Projector:
         return X @ sol
 
 
+def _node_projector(bases, degree, i, Xi):
+    """Projector of node ``i`` with states ``Xi``, built from its record in
+    ``bases`` or measured and recorded there."""
+    basis = bases.get((degree, i))
+    if basis is not None:
+        design, _ = _design_matrix(Xi, degree, basis.scaling)
+        return _Projector(design, basis)
+    design, scaling = _design_matrix(Xi, degree)
+    proj = _Projector(design)
+    bases[degree, i] = _Basis(scaling, proj.chol, proj.condition)
+    return proj
+
+
 def solve_theta_bsde(scenario, paths=None, terminal_values=None,
                      keep_projection=False):
     """Backward regression sweep; returns the solution triplet ensembles.
 
-    ``paths`` reuses a pre-simulated ensemble (common-path experiments);
-    ``terminal_values`` overrides the payoff with per-path terminal data
-    (nested tower-property solves); ``keep_projection`` keeps the member
-    index and medial gap of every maximizer projection on the solution.
+    ``paths`` reuses a pre-simulated ensemble (common-path experiments),
+    and with it the regression basis of every node that an earlier solve
+    on it reached; ``terminal_values`` overrides the payoff with per-path
+    terminal data (nested tower-property solves); ``keep_projection`` keeps
+    the member index and medial gap of every maximizer projection on the
+    solution.
     """
     sc = scenario
     sc.driver.check(sc.uset, sc.sde.dim_x, sc.sde.dim_b)
@@ -363,7 +418,7 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None,
     # per-path total of terminal + accumulated driver, for the Y0 stderr
     accum = Y[n].copy()
     for i in range(n - 1, -1, -1):
-        proj = _Projector(_design_matrix(X[i], sc.regression_degree))
+        proj = _node_projector(ens._bases, sc.regression_degree, i, X[i])
         Ey = proj.fit(Y[i + 1])
         Zi = proj.fit((Y[i + 1] - Ey)[:, None] * dB[i] / dt)
         conds.append(proj.condition)

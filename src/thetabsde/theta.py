@@ -27,8 +27,16 @@ class ThetaEnsemble:
     drift_record: np.ndarray  # (n_paths, n_steps) values of F_max(t, b, 1)
 
 
+def check_theta_driver(driver, uset, dim):
+    """The driver must accept the x and z these processes evaluate it at,
+    both of ``dim`` columns: 1 for the drift-corrected Brownian motion and
+    the martingale check, the dimension of B for the compensator."""
+    driver.check(uset, dim, dim)
+
+
 def simulate_theta_bm(driver, uset, grid, n_paths, seed):
     """Euler scheme for the scalar drift-corrected Brownian motion."""
+    check_theta_driver(driver, uset, 1)
     dB = brownian_increments(grid, n_paths, seed, 1)
     steps = dB[:, :, 0].T
     n = grid.n_steps
@@ -66,6 +74,7 @@ def integrate_theta_qv(driver, uset, grid, B):
     if B.ndim != 3 or B.shape[1] != grid.n_steps + 1:
         raise EngineError(f"B shape {B.shape} does not match the grid")
     d = B.shape[2]
+    check_theta_driver(driver, uset, d)
     dt = grid.dt
     times = grid.times
     nodes = np.swapaxes(B, 0, 1)
@@ -100,6 +109,7 @@ def verify_theta_martingale(scenario_base, process, t_index, s_index, c=1.0):
     """
     sc = scenario_base
     check_martingale(sc.grid, process, t_index, s_index)
+    check_theta_driver(sc.driver, sc.uset, 1)
     if process == "theta_bm":
         ens_th = simulate_theta_bm(sc.driver, sc.uset, sc.grid, sc.n_paths, sc.seed)
         B = ens_th.b_theta

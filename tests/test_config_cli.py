@@ -237,6 +237,31 @@ def test_cli_validate_checks_driver_coefficient_shapes(tmp_path, capsys, cfg,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, lines", [
+    # theta_bm and martingale_check evaluate the driver at one-column x and
+    # z, theta_qv at x = B and z = 2B of dim_x columns; each passed
+    # validate and then failed in run with a matmul ValueError
+    ("theta_bm", "driver.g.x = [[1.0, 1.0]]\nsde.dim_x = 2\n"),
+    ("martingale_check", "driver.g.x = [[1.0, 1.0]]\nsde.dim_x = 2\n"),
+    ("theta_qv", "driver.g.z = [[1.0]]\nsde.dim_x = 2\nsde.dim_b = 1\n"
+                 "sde.vol_const = [[1.0], [1.0]]\nsde.x0 = [0.0, 0.0]\n"),
+], ids=["theta_bm", "martingale_check", "theta_qv"])
+def test_cli_validate_checks_the_driver_at_the_theta_dimensions(
+        tmp_path, capsys, kind, lines):
+    p = tmp_path / "theta.cfg"
+    p.write_text(PROJECTION.replace("kind = solve", f"kind = {kind}") + lines)
+    assert main(["validate", str(p)]) == 2
+    assert "columns, needs" in capsys.readouterr().err
+
+
+def test_theta_qv_runs_with_a_z_block_of_dim_x_columns(tmp_path):
+    p = tmp_path / "qv.cfg"
+    p.write_text(PROJECTION.replace("kind = solve", "kind = theta_qv")
+                 + "driver.g.z = [[1.0, 1.0]]\nsde.dim_x = 2\n")
+    assert main(["validate", str(p)]) == 0
+    assert main(["run", str(p), "--out", str(tmp_path), "--quiet"]) == 0
+
+
 def test_affine_default_runs_on_dim_x_2(tmp_path):
     # the default gamma was [0.0], which failed in run on any dim_b > 1
     p = tmp_path / "affine.cfg"

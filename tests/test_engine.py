@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -241,26 +242,26 @@ def power_design(Xi, degree):
 def test_incremental_design_matches_power_construction(dim_x, degree):
     rng = np.random.default_rng(10 * dim_x + degree)
     Xi = 0.5 + 1.5 * rng.standard_normal((3000, dim_x))
-    got = _design_matrix(Xi, degree)
+    got, _ = _design_matrix(Xi, degree)
     assert got.shape == (3000, math.comb(dim_x + degree, degree))
     assert np.max(np.abs(got - power_design(Xi, degree))) <= 1e-12
     if dim_x > 1:
         # a frozen coordinate: its pure powers have zero variance and drop
         Xi[:, 1] = 2.0
-        got = _design_matrix(Xi, degree)
+        got, _ = _design_matrix(Xi, degree)
         ref = power_design(Xi, degree)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12
 
 
 def test_design_at_a_point_mass_is_the_constant():
-    got = _design_matrix(np.full((50, 2), 0.3), 3)
+    got, _ = _design_matrix(np.full((50, 2), 0.3), 3)
     assert got.shape == (50, 1) and np.all(got == 1.0)
 
 
 def test_projector_matches_lstsq():
     rng = np.random.default_rng(1)
-    design = _design_matrix(rng.standard_normal((5000, 2)), 3)
+    design, _ = _design_matrix(rng.standard_normal((5000, 2)), 3)
     proj = _Projector(design)
     assert not proj.fallback
     sv = np.linalg.svd(design, compute_uv=False)
@@ -273,7 +274,7 @@ def test_projector_matches_lstsq():
 def test_collinear_design_falls_back_to_lstsq():
     # on X in {-1, 1}: x^2 == 1 drops out and x^3 == x duplicates a column
     rng = np.random.default_rng(2)
-    design = _design_matrix(rng.choice([-1.0, 1.0], size=(400, 1)), 3)
+    design, _ = _design_matrix(rng.choice([-1.0, 1.0], size=(400, 1)), 3)
     assert design.shape == (400, 3)
     proj = _Projector(design)
     assert proj.fallback
@@ -508,3 +509,128 @@ def test_non_finite_values_name_the_node(big, node):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             EngineError, match=f"non-finite values at node {node}$"):
         tb.solve_theta_bsde(sc, terminal_values=xi)
+
+
+# one regression basis per ensemble node -------------------------------------
+
+def fresh_copy(ens):
+    """The same arrays on a new ensemble, which holds no basis yet."""
+    return tb.PathEnsemble(ens.grid, ens.n_paths, ens.seed, ens.increments,
+                           ens.states)
+
+
+def count_factorisations(monkeypatch):
+    """Counts Gram factorisations: each measures its Gram's eigenvalues."""
+    calls = [0]
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls[0] += 1
+        return eigvalsh(a)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def collinear_ensemble():
+    # X in {-1, 1} at every node: each node's design falls back to lstsq
+    rng = np.random.default_rng(2)
+    grid = tb.TimeGrid(0.0, 1.0, 8)
+    return tb.PathEnsemble(grid, 400, 0,
+                           rng.standard_normal((400, 8, 1)) * np.sqrt(grid.dt),
+                           rng.choice([-1.0, 1.0], size=(400, 9, 1)))
+
+
+BASIS_VARIANTS = {
+    "y_free": dict(driver=tb.RegularizedProjectionDriver(
+        h=tb.StateFn(c0=0.1), G=tb.StateFn(c0=np.array([0.0]), C_z=[[1.0]]),
+        eps=0.5)),
+    "picard": dict(driver=tb.RegularizedProjectionDriver(
+        h=tb.StateFn(c0=0.0, c_y=0.3),
+        G=tb.StateFn(c0=np.array([0.2]), C_x=[[0.5]], c_y=[0.4], C_z=[[1.0]]),
+        eps=0.25)),
+    "affine_degree_2": dict(driver=tb.AffineDriver(0.1, -0.2, [0.3]),
+                            regression_degree=2),
+}
+
+
+@pytest.mark.parametrize("order", [list(BASIS_VARIANTS),
+                                   list(reversed(BASIS_VARIANTS))],
+                         ids=["forward", "reversed"])
+@pytest.mark.parametrize("make_ens", [
+    lambda: tb.simulate_forward(make_sde(), tb.TimeGrid(0.0, 1.0, 10), 400, 3),
+    collinear_ensemble,
+], ids=["simulated", "collinear"])
+def test_solves_on_a_shared_ensemble_equal_solves_on_fresh_copies(make_ens,
+                                                                    order):
+    ens = make_ens()
+    shared = fresh_copy(ens)
+    for name in order:
+        sc = tb.Scenario(sde=make_sde(), uset=UNIT_BOX,
+                         terminal=tb.Payoff([0.0, 1.0, 0.5]), grid=ens.grid,
+                         n_paths=ens.n_paths, seed=0, **BASIS_VARIANTS[name])
+        got = tb.solve_theta_bsde(sc, paths=shared)
+        ref = tb.solve_theta_bsde(sc, paths=fresh_copy(ens))
+        for a, b in ((got.Y, ref.Y), (got.Z, ref.Z)):
+            assert np.array_equal(a, b)
+        assert (got.A is None) == (ref.A is None)
+        assert got.A is None or np.array_equal(got.A, ref.A)
+        assert (got.Y0, got.stderr) == (ref.Y0, ref.stderr)
+        assert got.diagnostics == ref.diagnostics
+        if make_ens is collinear_ensemble:
+            # degree 3 repeats x as x^3; degree 2 drops x^2 and keeps [1, x]
+            falls = ens.grid.n_steps if sc.regression_degree == 3 else 0
+            assert got.diagnostics["lstsq_fallbacks"] == falls
+
+
+def test_a_second_solve_factorises_no_node(monkeypatch):
+    sc = driver_scenario(tb.AffineDriver(0.3, 0.5, [0.2]))
+    ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
+    calls = count_factorisations(monkeypatch)
+    tb.solve_theta_bsde(sc, paths=ens)
+    assert calls[0] == sc.grid.n_steps
+    tb.solve_theta_bsde(replace(sc, terminal=tb.Payoff([1.0, -1.0])),
+                        paths=ens)
+    assert calls[0] == sc.grid.n_steps
+    # another degree is another basis
+    tb.solve_theta_bsde(replace(sc, regression_degree=2), paths=ens)
+    assert calls[0] == 2 * sc.grid.n_steps
+
+
+def test_a3_nested_solve_factorises_no_new_node(monkeypatch):
+    sc = driver_scenario(tb.AffineDriver(0.3, 0.5, [0.2]))
+    solves = [0]
+    solve = engine.solve_theta_bsde
+
+    def counted(*args, **kwargs):
+        solves[0] += 1
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(engine, "solve_theta_bsde", counted)
+    calls = count_factorisations(monkeypatch)
+    rep = axiom_check(sc, "A3_tower", {"s_index": 4})
+    assert solves[0] == 2 and rep["passed"]
+    assert calls[0] == sc.grid.n_steps
+
+
+def test_simulated_paths_are_read_only():
+    ens = tb.simulate_forward(make_sde(), tb.TimeGrid(0.0, 1.0, 5), 20, 1)
+    sub = ens.truncated(3)
+    for a in (ens.states, ens.increments, ens.states.base,
+              ens.increments.base, sub.states, sub.increments):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("k", [-1, 0, 6])
+def test_truncated_needs_a_step_count_inside_the_grid(k):
+    ens = tb.simulate_forward(make_sde(), tb.TimeGrid(0.0, 1.0, 5), 20, 1)
+    with pytest.raises(EngineError, match=r"1 <= n_steps <= 5"):
+        ens.truncated(k)
+
+
+def test_truncated_keeps_the_leading_nodes():
+    ens = tb.simulate_forward(make_sde(), tb.TimeGrid(0.0, 1.0, 5), 20, 1)
+    for k in (1, 5):
+        sub = ens.truncated(k)
+        assert sub.grid.n_steps == k and sub.grid.dt == pytest.approx(ens.grid.dt)
+        assert np.array_equal(sub.states, ens.states[:, :k + 1])
+        assert np.array_equal(sub.increments, ens.increments[:, :k])

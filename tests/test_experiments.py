@@ -32,6 +32,28 @@ def test_fmt_and_dump_json():
                       "arr": [0.5]}
 
 
+def test_sweep_factorises_each_node_once(monkeypatch):
+    # five solves on one ensemble share each node's Gram factorisation
+    from thetabsde import experiments
+    counts = {"solves": 0, "factorisations": 0}
+
+    def counting(fn, key):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+    monkeypatch.setattr(experiments, "solve_theta_bsde",
+                        counting(experiments.solve_theta_bsde, "solves"))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        counting(np.linalg.eigvalsh, "factorisations"))
+    grid = tb.TimeGrid(0.0, 1.0, 10)
+    epsilon_sweep(scenario(tb.Box([1.0], [2.0]), tb.GLimitDriver(),
+                           tb.Payoff([0.0, 0.0, 1.0], clamp=(0.0, 4.0)),
+                           grid, 500, 3),
+                  [0.5, 0.25, 0.125, 0.0625], [1.0])
+    assert counts == {"solves": 5, "factorisations": grid.n_steps}
+
+
 def test_sweep_singleton_set_is_inert():
     # single-point set: penalty vanishes, every eps-run equals the reference
     uset = tb.Box([1.0], [1.0])

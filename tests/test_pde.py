@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import thetabsde as tb
-from thetabsde.pde import PdeError, PdeGrid, auto_grid, solve_pde
+from thetabsde.pde import (PdeError, PdeGrid, _tridiagonal_inverse, auto_grid,
+                           solve_pde)
 
 
 UNIT_BOX = tb.Box([0.0], [1.0])
@@ -27,6 +28,42 @@ def test_heat_equation_closed_form():
     xs = g.xs
     interior = np.abs(xs) <= 0.5 * xs[-1]
     exact = xs[interior] ** 2 + 0.25
+    assert np.max(np.abs(surf.u[0][interior] - exact)) <= 1e-3
+
+
+def imex_step_matrix(n_x, a):
+    """Dense I - dt L of the IMEX sweep: interior rows (-a, 1 + 2a, -a),
+    identity boundary rows."""
+    m = np.eye(n_x)
+    i = np.arange(1, n_x - 1)
+    m[i, i] += 2 * a
+    m[i, i - 1] = m[i, i + 1] = -a
+    return m
+
+
+def test_tridiagonal_inverse_matches_the_dense_inverse():
+    pgrid = auto_grid(make_sde(), tb.TimeGrid(0.0, 1.0, 50))
+    assert pgrid.n_x == 400
+    a_fk = pgrid.dt_pde * 0.5 / pgrid.dx ** 2
+    for a in (a_fk, 1e-3, 100.0):
+        off = np.full(pgrid.n_x, -a)
+        diag = np.full(pgrid.n_x, 1.0 + 2 * a)
+        off[[0, -1]] = 0.0
+        diag[[0, -1]] = 1.0
+        ref = np.linalg.inv(imex_step_matrix(pgrid.n_x, a))
+        assert np.max(np.abs(_tridiagonal_inverse(off, diag, off) - ref)) <= 1e-14
+
+
+def test_solve_pde_forms_no_dense_inverse(monkeypatch):
+    def no_inverse(*args, **kwargs):
+        raise AssertionError("np.linalg.inv called")
+
+    monkeypatch.setattr(np.linalg, "inv", no_inverse)
+    g = heat_grid()
+    surf = solve_pde(tb.ZeroDriver(), UNIT_BOX, make_sde(),
+                     tb.Payoff([0.0, 0.0, 1.0]), g)
+    interior = np.abs(g.xs) <= 0.5 * g.xs[-1]
+    exact = g.xs[interior] ** 2 + 0.25
     assert np.max(np.abs(surf.u[0][interior] - exact)) <= 1e-3
 
 
