@@ -324,11 +324,11 @@ def maximizer(driver, uset, t, x, y, z):
 
 
 def effective_driver(driver, uset, t, x, y, z):
-    """Value of max_a F; astar is None for a driver without an argmax."""
+    """Value of max_a F: the support value for a driver without an argmax,
+    else the driver at its maximizer (``maximizer`` has the argmax)."""
     if not driver.has_argmax:
-        return driver.support(uset, z), None
-    proj, vals, _ = maximizer(driver, uset, t, x, y, z)
-    return vals, proj.point
+        return driver.support(uset, z)
+    return maximizer(driver, uset, t, x, y, z)[1]
 
 
 def maximizer_oracle(driver, uset, t, x, y, z, grid_step):
@@ -367,8 +367,8 @@ def empirical_lipschitz(driver, uset, sample_box, n_pairs, seed):
     u = rng.uniform(lo, hi, size=(n_pairs, lo.size))
     v = rng.uniform(lo, hi, size=(n_pairs, lo.size))
     x0 = np.zeros((1, 1))
-    f_u, _ = effective_driver(driver, uset, 0.0, x0, u[:, 0], u[:, 1:])
-    f_v, _ = effective_driver(driver, uset, 0.0, x0, v[:, 0], v[:, 1:])
+    f_u = effective_driver(driver, uset, 0.0, x0, u[:, 0], u[:, 1:])
+    f_v = effective_driver(driver, uset, 0.0, x0, v[:, 0], v[:, 1:])
     denom = np.abs(u[:, 0] - v[:, 0]) + np.linalg.norm(u[:, 1:] - v[:, 1:], axis=1)
     ok = denom > 1e-12
     return float(np.max(np.abs(f_u[ok] - f_v[ok]) / denom[ok]))

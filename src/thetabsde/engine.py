@@ -64,6 +64,8 @@ class SdeSpec:
         self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
         if self.x0.size != self.dim_x:
             raise EngineError("x0 size does not match dim_x")
+        if not np.all(np.isfinite(self.x0)):
+            raise EngineError(f"x0 must be finite, got {self.x0}")
         if self.drift_const is not None:
             self.drift_const = np.broadcast_to(
                 np.asarray(self.drift_const, dtype=float), (self.dim_x,)).copy()
@@ -110,6 +112,10 @@ class Payoff:
 
     def __post_init__(self):
         self.coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
+        if (self.coeffs.ndim != 1 or self.coeffs.size == 0
+                or not np.all(np.isfinite(self.coeffs))):
+            raise EngineError("coeffs must be a non-empty list of finite "
+                              f"numbers, got {self.coeffs.tolist()}")
         if self.clamp is not None:
             lo, hi = self.clamp
             if not lo < hi:
@@ -226,6 +232,11 @@ class Scenario:
     # regression tail noise
     y_clip: Optional[tuple] = None
 
+    def __post_init__(self):
+        for name, least in (("picard_iters", 1), ("regression_degree", 0)):
+            if getattr(self, name) < least:
+                raise EngineError(f"{name} must be >= {least}")
+
 
 @dataclass
 class BsdeSolution:
@@ -292,74 +303,58 @@ def _design_matrix(Xi, degree, scaling=None):
 
 @dataclass(frozen=True)
 class _Basis:
-    """One node's regression basis, measured by the first solve that
+    """One node's regression basis, measured once by the first solve that
     reaches the node: the design's scaling, the Cholesky factor of its Gram
-    matrix (None for an ``lstsq`` node) and its condition number."""
+    matrix and its condition number. A design whose condition passes
+    ``_MAX_CONDITION``, or whose Gram matrix is not positive definite, has
+    no factor; it is fitted by ``lstsq``, and its condition is the ratio of
+    its extreme singular values."""
 
     scaling: list
     chol: Optional[np.ndarray]
     condition: float
 
-
-class _Projector:
-    """Least-squares projection onto the columns of one node's design.
-
-    The Gram matrix is factored once by Cholesky and reused for every
-    right-hand side. A design whose condition number passes
-    ``_MAX_CONDITION``, or whose Gram matrix is not positive definite, is
-    solved by ``lstsq`` (SVD) instead. ``basis`` is the record of an earlier
-    projector on a bitwise equal design; its factor is used as it is.
-    """
-
-    def __init__(self, design, basis=None):
-        self.design = design
-        if basis is not None:
-            self.chol, self.condition = basis.chol, basis.condition
-            return
+    @classmethod
+    def measure(cls, design, scaling):
         gram = design.T @ design
         eig = np.linalg.eigvalsh(gram)
-        self.chol = None
-        self.condition = np.inf
         if eig[0] > 0:
-            self.condition = float(np.sqrt(eig[-1] / eig[0]))
-            if self.condition <= _MAX_CONDITION:
+            condition = float(np.sqrt(eig[-1] / eig[0]))
+            if condition <= _MAX_CONDITION:
                 try:
-                    self.chol = np.linalg.cholesky(gram)
+                    return cls(scaling, np.linalg.cholesky(gram), condition)
                 except np.linalg.LinAlgError:
                     pass
+        sv = np.linalg.svd(design, compute_uv=False)
+        return cls(scaling, None, float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf)
 
-    @property
-    def fallback(self):
-        return self.chol is None
-
-    def fit(self, targets):
-        """Fitted values of ``targets`` (n,) or (n, m) on the design."""
-        X = self.design
+    def fit(self, design, targets):
+        """Fitted values of ``targets`` (n,) or (n, m) on the design the
+        record was measured on."""
         if self.chol is None:
-            sol, _, _, sv = np.linalg.lstsq(X, targets, rcond=None)
-            self.condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-        else:
-            L = self.chol
-            sol = np.linalg.solve(L.T, np.linalg.solve(L, X.T @ targets))
-        return X @ sol
+            return design @ np.linalg.lstsq(design, targets, rcond=None)[0]
+        half = np.linalg.solve(self.chol, design.T @ targets)
+        return design @ np.linalg.solve(self.chol.T, half)
 
 
-def _node_projector(bases, degree, i, Xi):
-    """Projector of node ``i`` with states ``Xi``, built from its record in
-    ``bases`` or measured and recorded there."""
+def _node_basis(bases, degree, i, Xi):
+    """Design and basis of node ``i`` with states ``Xi``, rebuilt from the
+    record in ``bases`` or measured and recorded there."""
     basis = bases.get((degree, i))
-    if basis is not None:
-        design, _ = _design_matrix(Xi, degree, basis.scaling)
-        return _Projector(design, basis)
-    design, scaling = _design_matrix(Xi, degree)
-    proj = _Projector(design)
-    bases[degree, i] = _Basis(scaling, proj.chol, proj.condition)
-    return proj
+    design, scaling = _design_matrix(Xi, degree,
+                                     None if basis is None else basis.scaling)
+    if basis is None:
+        basis = bases[degree, i] = _Basis.measure(design, scaling)
+    return design, basis
 
 
 def solve_theta_bsde(scenario, paths=None, terminal_values=None,
                      keep_projection=False):
     """Backward regression sweep; returns the solution triplet ensembles.
+
+    Each node's ``Y`` is the fixed point of ``y -> E[Y_{i+1} | X_i] + dt *
+    max_a F(y, Z_i)``, from at most ``picard_iters`` Picard passes, or one
+    for a y-free driver, whose map is constant in y.
 
     ``paths`` reuses a pre-simulated ensemble (common-path experiments),
     and with it the regression basis of every node that an earlier solve
@@ -382,8 +377,6 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None,
     db = dB.shape[2]
 
     has_argmax = sc.driver.has_argmax
-    # a y-independent driver makes the Picard map constant in y, so its
-    # first evaluation is the fixed point and also yields the maximizer
     y_free = not sc.driver.depends_on_y()
     Y = np.empty((n + 1, n_paths))
     Z = np.zeros((n + 1, n_paths, db))
@@ -398,8 +391,6 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None,
         Y[n] = sc.terminal.value(X[n])
     _require_finite(n, Y[n])
 
-    conds = []
-    fallbacks = 0
     degenerate = False
 
     def argmax_at(i, y, z):
@@ -414,15 +405,16 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None,
         degenerate = degenerate or deg
         return f
 
-    picard = max(1, sc.picard_iters)
+    # one pass is the fixed point of a y-free driver's Picard map; an
+    # argmax driver records its maximizer in that pass
+    picard = 1 if y_free else sc.picard_iters
+    argmax_pass = y_free and has_argmax
     # per-path total of terminal + accumulated driver, for the Y0 stderr
     accum = Y[n].copy()
     for i in range(n - 1, -1, -1):
-        proj = _node_projector(ens._bases, sc.regression_degree, i, X[i])
-        Ey = proj.fit(Y[i + 1])
-        Zi = proj.fit((Y[i + 1] - Ey)[:, None] * dB[i] / dt)
-        conds.append(proj.condition)
-        fallbacks += proj.fallback
+        design, basis = _node_basis(ens._bases, sc.regression_degree, i, X[i])
+        Ey = basis.fit(design, Y[i + 1])
+        Zi = basis.fit(design, (Y[i + 1] - Ey)[:, None] * dB[i] / dt)
         Z[i] = Zi
         if i == n - 1:
             # the terminal Z is the regression of xi * dB / dt on the same
@@ -431,33 +423,27 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None,
             if has_argmax:
                 argmax_at(n, Y[n], Z[n])
 
-        if y_free:
-            if has_argmax:
-                f = argmax_at(i, Ey, Zi)
-            else:
-                f, _ = effective_driver(sc.driver, sc.uset, times[i], X[i], Ey, Zi)
-            Yk = Ey + dt * f
-        else:
-            Yk = Ey
-            for _ in range(picard):
-                f, _ = effective_driver(sc.driver, sc.uset, times[i], X[i], Yk, Zi)
-                Ynew = Ey + dt * f
-                if np.max(np.abs(Ynew - Yk)) <= 1e-12:
-                    Yk = Ynew
-                    break
-                Yk = Ynew
+        Yk = Ey
+        for k in range(1, picard + 1):
+            f = (argmax_at(i, Yk, Zi) if argmax_pass else
+                 effective_driver(sc.driver, sc.uset, times[i], X[i], Yk, Zi))
+            Yk, Yprev = Ey + dt * f, Yk
+            # converged: stop early; the last pass stops anyway
+            if k < picard and np.max(np.abs(Yk - Yprev)) <= 1e-12:
+                break
         if sc.y_clip is not None:
             Yk = np.clip(Yk, sc.y_clip[0], sc.y_clip[1])
         _require_finite(i, Yk, Zi)
         Y[i] = Yk
         accum += dt * f
 
-        if has_argmax and not y_free:
+        if has_argmax and not argmax_pass:
             argmax_at(i, Y[i], Zi)
 
+    bases = [ens._bases[sc.regression_degree, i] for i in range(n)]
     diagnostics = {
-        "max_condition": float(np.max(conds)),
-        "lstsq_fallbacks": fallbacks,
+        "max_condition": max(b.condition for b in bases),
+        "lstsq_fallbacks": sum(b.chol is None for b in bases),
         "degenerate_argmax": bool(degenerate),
         "unsound_for_existence": sc.driver.unsound_for_existence(sc.uset),
     }

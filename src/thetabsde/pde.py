@@ -148,7 +148,7 @@ def _sweep(driver, uset, sde, payoff, pgrid, n_t):
         ux[-1] = (uk[-1] - uk[-2]) / dx
         drift = sde.drift(t, X)[:, 0]
         z = (ux * sig).reshape(-1, 1)
-        f, _ = effective_driver(driver, uset, t, X, uk, z)
+        f = effective_driver(driver, uset, t, X, uk, z)
         u[k - 1] = step @ (uk + dt * (drift * ux + f))
         if not np.all(np.isfinite(u[k - 1])):
             raise PdeError(f"non-finite values in PDE sweep at time step {k - 1}")

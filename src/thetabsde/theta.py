@@ -46,7 +46,7 @@ def simulate_theta_bm(driver, uset, grid, n_paths, seed):
     drift = np.empty((n, n_paths))
     ones = np.ones((n_paths, 1))
     for i in range(n):
-        f, _ = effective_driver(driver, uset, times[i], b[i, :, None], b[i], ones)
+        f = effective_driver(driver, uset, times[i], b[i, :, None], b[i], ones)
         drift[i] = f
         b[i + 1] = b[i] - f * dt + steps[i]
     if not np.all(np.isfinite(b)):
@@ -82,8 +82,8 @@ def integrate_theta_qv(driver, uset, grid, B):
     qv = np.zeros(norms.shape)
     monotone = np.ones(len(B), dtype=bool)
     for i in range(grid.n_steps):
-        f, _ = effective_driver(driver, uset, times[i], nodes[i],
-                                norms[i] - qv[i], 2.0 * nodes[i])
+        f = effective_driver(driver, uset, times[i], nodes[i],
+                             norms[i] - qv[i], 2.0 * nodes[i])
         integrand = d + f
         monotone &= integrand >= 0
         qv[i + 1] = qv[i] + integrand * dt
@@ -144,7 +144,7 @@ def verify_theta_martingale(scenario_base, process, t_index, s_index, c=1.0):
     if process == "linear_bm":
         x = B[:, t_index].reshape(-1, 1)
         z = np.full((sc.n_paths, 1), c, dtype=float)
-        f, _ = effective_driver(sc.driver, sc.uset, sc.grid.times[t_index],
-                                x, c * B[:, t_index], z)
+        f = effective_driver(sc.driver, sc.uset, sc.grid.times[t_index],
+                             x, c * B[:, t_index], z)
         out["driver_value"] = float(np.mean(f))
     return out

@@ -207,7 +207,15 @@ UNION = ('set.type = union\nset.members = [{"type": "box", "lower": [0.0], '
               "driver.eps = 0.5\ndriver.g.z = [[1.0]]"), "union"),
     (GOOD.replace("kind = solve", "kind = martingale_check")
      + "martingale.s_index = 9\n", "s_index"),
-], ids=["sweep_on_union", "fk_in_dim_2", "eos_on_box", "martingale_past_grid"])
+    (GOOD.replace("terminal.coeffs = [0.0, 1.0]", "terminal.coeffs = []"),
+     "terminal"),
+    (GOOD.replace("terminal.coeffs = [0.0, 1.0]", "terminal.coeffs = [[1, 2]]"),
+     "terminal"),
+    (GOOD.replace("terminal.coeffs = [0.0, 1.0]", "terminal.coeffs = [0, NaN]"),
+     "terminal"),
+    (GOOD + "sde.x0 = [NaN]\n", "x0 must be finite"),
+], ids=["sweep_on_union", "fk_in_dim_2", "eos_on_box", "martingale_past_grid",
+        "empty_coeffs", "nested_coeffs", "nan_coeff", "nan_x0"])
 def test_cli_validate_rejects_what_run_would_fail(tmp_path, capsys, kind_cfg,
                                                   message):
     p = tmp_path / "kind.cfg"
@@ -301,7 +309,11 @@ def test_non_numeric_sde_dimension_is_a_config_error():
     ("mc.n_paths = two", "mc"),       # validate died with a ValueError
     ("mc.regression_degree = cubic", "mc"),
     ("mc.picard_iters = [3]", "mc"),
-], ids=["zero_paths", "word_paths", "word_degree", "list_picard"])
+    # validate passed and the engine clamped or ignored the value
+    ("mc.picard_iters = 0", "picard_iters must be >= 1"),
+    ("mc.regression_degree = -2", "regression_degree must be >= 0"),
+], ids=["zero_paths", "word_paths", "word_degree", "list_picard",
+        "zero_picard", "negative_degree"])
 def test_cli_validate_rejects_bad_mc_fields(tmp_path, capsys, line, message):
     p = tmp_path / "mc.cfg"
     p.write_text(GOOD.replace("mc.n_paths = 50", line) if "n_paths" in line

@@ -100,9 +100,8 @@ def test_glimit_effective_driver_vs_enumeration():
     pts = np.array([[1.0], [2.0], [-3.0]])
     uset = PointCloud(pts)
     z = np.array([[1.5]])
-    vals, astar = effective_driver(GLimitDriver(), uset, 0.0,
-                                   np.zeros((1, 1)), [0.0], z)
-    assert astar is None
+    vals = effective_driver(GLimitDriver(), uset, 0.0,
+                            np.zeros((1, 1)), [0.0], z)
     c = 0.5 * 1.5 ** 2
     assert vals[0] == pytest.approx(max(c * p[0] for p in pts))
 
@@ -134,8 +133,8 @@ def test_effective_driver_is_max_over_random_feasible_points():
     G = StateFn(c0=np.array([0.0]), C_z=[[2.0]])
     rp = RegularizedProjectionDriver(h=StateFn(c0=0.0), G=G, eps=0.3)
     z = rng.uniform(-3, 3, size=(50, 1))
-    vals, astar = effective_driver(rp, uset, 0.0, np.zeros((1, 1)),
-                                   np.zeros(50), z)
+    vals = effective_driver(rp, uset, 0.0, np.zeros((1, 1)),
+                            np.zeros(50), z)
     for _ in range(20):
         a = rng.choice([rng.uniform(0, 1), rng.uniform(3, 4)])
         other = evaluate(rp, 0.0, np.zeros((1, 1)), np.zeros(50), z, [a])

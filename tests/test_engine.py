@@ -8,7 +8,7 @@ import pytest
 import thetabsde as tb
 from thetabsde import engine
 from thetabsde.drivers import evaluate
-from thetabsde.engine import EngineError, _design_matrix, _Projector, axiom_check
+from thetabsde.engine import EngineError, _Basis, _design_matrix, axiom_check
 
 
 def make_sde(**kw):
@@ -261,25 +261,28 @@ def test_design_at_a_point_mass_is_the_constant():
 
 def test_projector_matches_lstsq():
     rng = np.random.default_rng(1)
-    design, _ = _design_matrix(rng.standard_normal((5000, 2)), 3)
-    proj = _Projector(design)
-    assert not proj.fallback
+    design, scaling = _design_matrix(rng.standard_normal((5000, 2)), 3)
+    basis = _Basis.measure(design, scaling)
+    assert basis.chol is not None
     sv = np.linalg.svd(design, compute_uv=False)
-    assert proj.condition == pytest.approx(sv[0] / sv[-1], rel=1e-8)
+    assert basis.condition == pytest.approx(sv[0] / sv[-1], rel=1e-8)
     for targets in (rng.standard_normal(5000), rng.standard_normal((5000, 3))):
         ref = design @ np.linalg.lstsq(design, targets, rcond=None)[0]
-        assert np.max(np.abs(proj.fit(targets) - ref)) <= 1e-10
+        assert np.max(np.abs(basis.fit(design, targets) - ref)) <= 1e-10
 
 
 def test_collinear_design_falls_back_to_lstsq():
     # on X in {-1, 1}: x^2 == 1 drops out and x^3 == x duplicates a column
     rng = np.random.default_rng(2)
-    design, _ = _design_matrix(rng.choice([-1.0, 1.0], size=(400, 1)), 3)
+    design, scaling = _design_matrix(rng.choice([-1.0, 1.0], size=(400, 1)), 3)
     assert design.shape == (400, 3)
-    proj = _Projector(design)
-    assert proj.fallback
+    basis = _Basis.measure(design, scaling)
+    assert basis.chol is None
+    # measured once, from the design's singular values
+    sv = np.linalg.svd(design, compute_uv=False)
+    assert basis.condition == sv[0] / sv[-1]
     targets = rng.standard_normal(400)
-    got = proj.fit(targets)
+    got = basis.fit(design, targets)
     ref = design @ np.linalg.lstsq(design, targets, rcond=None)[0]
     assert np.all(np.isfinite(got)) and np.max(np.abs(got - ref)) <= 1e-12
 
