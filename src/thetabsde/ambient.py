@@ -36,6 +36,15 @@ def as_point(x, dim=None):
     return p
 
 
+def require_finite(error, obj, names):
+    """Raise ``error`` naming the first of ``obj``'s fields ``names`` that
+    is set (not None) and holds a non-finite number."""
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None and not np.all(np.isfinite(value)):
+            raise error(f"{name} must be finite, got {value}")
+
+
 def sym_vec_dim(d):
     """Length of the flattened vector for a d x d symmetric matrix."""
     return d * (d + 1) // 2

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ambient import as_point, off_diagonal, sym_vec_dim
+from .ambient import as_point, off_diagonal, require_finite, sym_vec_dim
 from .sets import Box, Ball, SetError, grid_cover, plain_result
 
 
@@ -88,6 +88,7 @@ class StateFn:
             setattr(self, name, v)
         if self.c0 is None:
             self.c0 = np.zeros(1 if m is None else m)
+        require_finite(DriverError, self, ("c0", "c_t", "C_x", "c_y", "C_z"))
 
     @property
     def dim_out(self):
@@ -180,6 +181,7 @@ class AffineDriver(Driver):
         self.beta = float(self.beta)
         if self.gamma is not None:
             self.gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
+        require_finite(DriverError, self, ("alpha", "beta", "gamma"))
 
     def value(self, t, x, y, z, a):
         val = self.alpha + self.beta * y
@@ -253,8 +255,8 @@ class GRegularizedDriver(Driver):
 
     def __post_init__(self):
         self.eps = float(self.eps)
-        if not self.eps > 0:
-            raise DriverError("eps must be positive")
+        if not 0.0 < self.eps < np.inf:
+            raise DriverError("eps must be finite and positive")
         self.a0 = as_point(self.a0)
 
     def value(self, t, x, y, z, a):

@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from .ambient import require_finite
 from .drivers import effective_driver, maximizer
 
 
@@ -28,6 +29,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
+        require_finite(EngineError, self, ("t0", "T"))
         if not self.T > self.t0:
             raise EngineError("need T > t0")
         if self.n_steps < 1:
@@ -64,8 +66,6 @@ class SdeSpec:
         self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
         if self.x0.size != self.dim_x:
             raise EngineError("x0 size does not match dim_x")
-        if not np.all(np.isfinite(self.x0)):
-            raise EngineError(f"x0 must be finite, got {self.x0}")
         if self.drift_const is not None:
             self.drift_const = np.broadcast_to(
                 np.asarray(self.drift_const, dtype=float), (self.dim_x,)).copy()
@@ -81,6 +81,8 @@ class SdeSpec:
         if self.vol_lin is not None:
             self.vol_lin = np.asarray(self.vol_lin, dtype=float).reshape(
                 self.dim_x, self.dim_x, self.dim_b)
+        require_finite(EngineError, self, ("x0", "drift_const", "drift_t",
+                                           "drift_lin", "vol_const", "vol_lin"))
 
     def drift(self, t, X):
         out = np.zeros_like(X)
@@ -241,20 +243,26 @@ class Scenario:
 @dataclass
 class BsdeSolution:
     """Solution ensembles; every per-path array is the path-major transpose
-    view of a node-major buffer, so ``Y[:, i]`` is one contiguous row."""
+    view of a node-major buffer, so ``Y[:, i]`` is one contiguous row.
+    ``Y`` is always kept; the other arrays are None unless the solve was
+    asked to keep them (``A`` and the projection record also need a driver
+    with an argmax)."""
 
     grid: TimeGrid
     Y: np.ndarray                 # (n_paths, n_steps + 1)
-    Z: np.ndarray                 # (n_paths, n_steps + 1, dim_b)
-    A: Optional[np.ndarray]       # (n_paths, n_steps + 1, dim_a) or None
+    Z: Optional[np.ndarray]       # (n_paths, n_steps + 1, dim_b)
+    A: Optional[np.ndarray]       # (n_paths, n_steps + 1, dim_a)
     Y0: float
     stderr: float
     regression_degree: int
     diagnostics: dict = field(default_factory=dict)
-    # the maximizer's projection record per node, (n_paths, n_steps + 1);
-    # kept only when asked for and the driver has an argmax
+    # the maximizer's projection record per node, (n_paths, n_steps + 1)
     member_index: Optional[np.ndarray] = None
     medial_gap: Optional[np.ndarray] = None
+
+
+# per-node records that solve_theta_bsde can keep for every node
+KEEPABLE = ("Z", "A", "projection")
 
 
 # Design condition number (2-norm) above which the normal equations would
@@ -348,9 +356,8 @@ def _node_basis(bases, degree, i, Xi):
     return design, basis
 
 
-def solve_theta_bsde(scenario, paths=None, terminal_values=None,
-                     keep_projection=False):
-    """Backward regression sweep; returns the solution triplet ensembles.
+def solve_theta_bsde(scenario, paths=None, terminal_values=None, keep=()):
+    """Backward regression sweep; returns the solution ensembles.
 
     Each node's ``Y`` is the fixed point of ``y -> E[Y_{i+1} | X_i] + dt *
     max_a F(y, Z_i)``, from at most ``picard_iters`` Picard passes, or one
@@ -359,10 +366,17 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None,
     ``paths`` reuses a pre-simulated ensemble (common-path experiments),
     and with it the regression basis of every node that an earlier solve
     on it reached; ``terminal_values`` overrides the payoff with per-path
-    terminal data (nested tower-property solves); ``keep_projection`` keeps
-    the member index and medial gap of every maximizer projection on the
-    solution.
+    terminal data (nested tower-property solves). The solution holds ``Y``
+    for every node; each node's ``Z`` and maximizer live only for that
+    node's step, unless ``keep`` (a subset of ``KEEPABLE``) names them:
+    "Z", "A" (the maximizer's point) and "projection" (the member index
+    and medial gap of its projection) are then kept for every node.
     """
+    # one name on its own is a name, not a sequence of letters
+    keep = {keep} if isinstance(keep, str) else set(keep)
+    if not keep <= set(KEEPABLE):
+        raise EngineError(f"cannot keep {sorted(keep - set(KEEPABLE))}, "
+                          f"only a subset of {KEEPABLE}")
     sc = scenario
     sc.driver.check(sc.uset, sc.sde.dim_x, sc.sde.dim_b)
     ens = paths if paths is not None else simulate_forward(
@@ -379,11 +393,13 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None,
     has_argmax = sc.driver.has_argmax
     y_free = not sc.driver.depends_on_y()
     Y = np.empty((n + 1, n_paths))
-    Z = np.zeros((n + 1, n_paths, db))
-    A = np.empty((n + 1, n_paths, sc.uset.dim)) if has_argmax else None
-    keep = keep_projection and has_argmax
-    member_index = np.empty((n + 1, n_paths), dtype=np.int64) if keep else None
-    medial_gap = np.empty((n + 1, n_paths)) if keep else None
+    Z = np.empty((n + 1, n_paths, db)) if "Z" in keep else None
+    A = (np.empty((n + 1, n_paths, sc.uset.dim))
+         if has_argmax and "A" in keep else None)
+    projection = has_argmax and "projection" in keep
+    member_index = (np.empty((n + 1, n_paths), dtype=np.int64)
+                    if projection else None)
+    medial_gap = np.empty((n + 1, n_paths)) if projection else None
 
     if terminal_values is not None:
         Y[n] = np.asarray(terminal_values, dtype=float)
@@ -394,12 +410,13 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None,
     degenerate = False
 
     def argmax_at(i, y, z):
-        """Record the maximizer at node i; returns the driver value. The
-        projection record lives only for this call."""
+        """The driver value at the maximizer at node i; writes node i of
+        each kept record, and nothing else outlives the call."""
         nonlocal degenerate
         rec, f, deg = maximizer(sc.driver, sc.uset, times[i], X[i], y, z)
-        A[i] = rec.point
-        if keep:
+        if A is not None:
+            A[i] = rec.point
+        if projection:
             member_index[i] = rec.member_index
             medial_gap[i] = rec.medial_gap
         degenerate = degenerate or deg
@@ -415,13 +432,12 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None,
         design, basis = _node_basis(ens._bases, sc.regression_degree, i, X[i])
         Ey = basis.fit(design, Y[i + 1])
         Zi = basis.fit(design, (Y[i + 1] - Ey)[:, None] * dB[i] / dt)
-        Z[i] = Zi
-        if i == n - 1:
-            # the terminal Z is the regression of xi * dB / dt on the same
-            # design, i.e. exactly this node's Z
-            Z[n] = Zi
-            if has_argmax:
-                argmax_at(n, Y[n], Z[n])
+        if Z is not None:
+            Z[i] = Zi
+        if i == n - 1 and (A is not None or projection):
+            # the terminal maximizer, at Z_n = Z_{n-1} (below), only fills
+            # kept records; every other node's call sets the degenerate flag
+            argmax_at(n, Y[n], Zi)
 
         Yk = Ey
         for k in range(1, picard + 1):
@@ -439,6 +455,11 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None,
 
         if has_argmax and not argmax_pass:
             argmax_at(i, Y[i], Zi)
+
+    if Z is not None:
+        # the terminal Z is the regression of xi * dB / dt on node n - 1's
+        # design, i.e. exactly that node's Z
+        Z[n] = Z[n - 1]
 
     bases = [ens._bases[sc.regression_degree, i] for i in range(n)]
     diagnostics = {

@@ -106,13 +106,15 @@ def epsilon_sweep(scenario, epsilons, a0):
     # super/subsolutions and Y may be clipped to them
     base = replace(scenario, y_clip=scenario.terminal.clamp)
     ens = simulate_forward(base.sde, base.grid, base.n_paths, base.seed)
-    ref = solve_theta_bsde(replace(base, driver=GLimitDriver()), paths=ens)
+    ref = solve_theta_bsde(replace(base, driver=GLimitDriver()), paths=ens,
+                           keep=("Z",))
 
     sup_errs, z_errs, ses = [], [], []
     dt = base.grid.dt
     for e in eps:
         sol = solve_theta_bsde(
-            replace(base, driver=GRegularizedDriver(eps=e, a0=a0)), paths=ens)
+            replace(base, driver=GRegularizedDriver(eps=e, a0=a0)), paths=ens,
+            keep=("Z",))
         dY = sol.Y - ref.Y
         rms = np.sqrt(np.mean(dY ** 2, axis=0))
         j = int(np.argmax(rms))
@@ -147,7 +149,7 @@ def eos_demo(scenario, gap_threshold=None):
     gap_threshold = check_eos(scenario, gap_threshold)
     sc, uset = scenario, scenario.uset
     ens = simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
-    sol = solve_theta_bsde(sc, paths=ens, keep_projection=True)
+    sol = solve_theta_bsde(sc, paths=ens, keep=("Z", "A", "projection"))
     gaps = sol.medial_gap
 
     counts = np.bincount(sol.member_index.ravel(),
@@ -198,7 +200,7 @@ def run_scenario(cfg, out_dir, paths_dump=False):
     sc, params = cfg.scenario, cfg.params
 
     if kind == "solve":
-        sol = solve_theta_bsde(sc)
+        sol = solve_theta_bsde(sc, keep=("Z", "A") if paths_dump else ())
         summary.update(y0=sol.Y0, stderr=sol.stderr,
                        diagnostics=sol.diagnostics)
         if paths_dump:

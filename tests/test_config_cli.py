@@ -214,8 +214,29 @@ UNION = ('set.type = union\nset.members = [{"type": "box", "lower": [0.0], '
     (GOOD.replace("terminal.coeffs = [0.0, 1.0]", "terminal.coeffs = [0, NaN]"),
      "terminal"),
     (GOOD + "sde.x0 = [NaN]\n", "x0 must be finite"),
+    (GOOD + "sde.drift_const = [NaN]\n", "drift_const must be finite"),
+    (GOOD + "sde.drift_t = [Infinity]\n", "drift_t must be finite"),
+    (GOOD + "sde.drift_lin = [[NaN]]\n", "drift_lin must be finite"),
+    (GOOD + "sde.vol_const = [[NaN]]\n", "vol_const must be finite"),
+    (GOOD + "sde.vol_lin = [[[NaN]]]\n", "vol_lin must be finite"),
+    (GOOD.replace("grid.T = 1.0", "grid.T = Infinity"), "T must be finite"),
+    (GOOD + "grid.t0 = -Infinity\n", "t0 must be finite"),
+    (GOOD.replace("driver.type = zero", "driver.type = affine\ndriver.alpha = NaN"),
+     "alpha must be finite"),
+    (GOOD.replace("driver.type = zero", "driver.type = affine\ndriver.beta = NaN"),
+     "beta must be finite"),
+    (GOOD.replace("driver.type = zero",
+                  "driver.type = affine\ndriver.gamma = [Infinity]"),
+     "gamma must be finite"),
+    (GOOD.replace("driver.type = zero", "driver.type = regularized_projection\n"
+                  "driver.eps = 0.5\ndriver.g.x = [[NaN]]"), "C_x must be finite"),
+    (GOOD.replace("driver.type = zero", "driver.type = g_regularized\n"
+                  "driver.eps = Infinity\ndriver.a0 = [0.5]"),
+     "eps must be finite"),
 ], ids=["sweep_on_union", "fk_in_dim_2", "eos_on_box", "martingale_past_grid",
-        "empty_coeffs", "nested_coeffs", "nan_coeff", "nan_x0"])
+        "empty_coeffs", "nested_coeffs", "nan_coeff", "nan_x0", "nan_drift_const",
+        "inf_drift_t", "nan_drift_lin", "nan_vol_const", "nan_vol_lin", "inf_T",
+        "inf_t0", "nan_alpha", "nan_beta", "inf_gamma", "nan_g_x", "inf_g_eps"])
 def test_cli_validate_rejects_what_run_would_fail(tmp_path, capsys, kind_cfg,
                                                   message):
     p = tmp_path / "kind.cfg"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -52,7 +53,7 @@ def test_zero_driver_constant_terminal():
     grid = tb.TimeGrid(0.0, 1.0, 20)
     sc = tb.Scenario(sde=make_sde(), driver=tb.ZeroDriver(), uset=UNIT_BOX,
                      terminal=tb.Payoff([3.0]), grid=grid, n_paths=10_000, seed=3)
-    sol = tb.solve_theta_bsde(sc)
+    sol = tb.solve_theta_bsde(sc, keep=("Z",))
     assert np.allclose(sol.Y, 3.0, atol=1e-10)
     assert np.max(np.abs(sol.Z)) <= 5e-3
 
@@ -106,7 +107,7 @@ def test_recorded_maximizers_are_feasible_and_optimal():
                      terminal=tb.Payoff([0.0, 1.0]), grid=grid,
                      n_paths=500, seed=6)
     ens = tb.simulate_forward(sc.sde, grid, sc.n_paths, sc.seed)
-    sol = tb.solve_theta_bsde(sc, paths=ens)
+    sol = tb.solve_theta_bsde(sc, paths=ens, keep=("Z", "A"))
     assert uset.project_batch(sol.A.reshape(-1, uset.dim)).distance.max() <= 1e-9
     assert sol.diagnostics["unsound_for_existence"] is False  # regularized variant
     rng = np.random.default_rng(0)
@@ -128,8 +129,8 @@ def test_solution_determinism_bit_identical():
     sc = tb.Scenario(sde=make_sde(), driver=tb.AffineDriver(0.1, 0.2, [0.3]),
                      uset=UNIT_BOX, terminal=tb.Payoff([0.0, 0.0, 1.0]),
                      grid=grid, n_paths=2000, seed=11)
-    s1 = tb.solve_theta_bsde(sc)
-    s2 = tb.solve_theta_bsde(sc)
+    s1 = tb.solve_theta_bsde(sc, keep=("Z", "A"))
+    s2 = tb.solve_theta_bsde(sc, keep=("Z", "A"))
     assert np.array_equal(s1.Y, s2.Y)
     assert np.array_equal(s1.Z, s2.Z)
     assert np.array_equal(s1.A, s2.A)
@@ -294,7 +295,7 @@ def test_collinear_design_falls_back_to_lstsq():
     sc = tb.Scenario(sde=make_sde(), driver=tb.AffineDriver(0.1, 0.0, [0.2]),
                      uset=UNIT_BOX, terminal=tb.Payoff([0.0, 1.0]), grid=grid,
                      n_paths=n_paths, seed=0)
-    sol = tb.solve_theta_bsde(sc, paths=ens)
+    sol = tb.solve_theta_bsde(sc, paths=ens, keep=("Z",))
     assert sol.diagnostics["lstsq_fallbacks"] == 8
     assert np.all(np.isfinite(sol.Y)) and np.all(np.isfinite(sol.Z))
 
@@ -322,7 +323,8 @@ def test_y_independent_driver_is_evaluated_once_per_node(monkeypatch):
     calls = count_driver_calls(monkeypatch)
     G = tb.StateFn(c0=np.array([0.0]), C_z=[[1.0]])
     tb.solve_theta_bsde(driver_scenario(
-        tb.RegularizedProjectionDriver(h=tb.StateFn(c0=0.0), G=G, eps=0.5)))
+        tb.RegularizedProjectionDriver(h=tb.StateFn(c0=0.0), G=G, eps=0.5)),
+        keep=("A",))
     # one per node, plus the maximizer at the terminal node
     assert calls == {"maximizer": 11, "effective_driver": 0}
 
@@ -334,7 +336,8 @@ def test_y_independent_driver_is_evaluated_once_per_node(monkeypatch):
 
 def test_y_dependent_driver_runs_picard(monkeypatch):
     calls = count_driver_calls(monkeypatch)
-    tb.solve_theta_bsde(driver_scenario(tb.AffineDriver(0.3, 0.5, [0.2])))
+    tb.solve_theta_bsde(driver_scenario(tb.AffineDriver(0.3, 0.5, [0.2])),
+                        keep=("A",))
     assert calls == {"maximizer": 11, "effective_driver": 30}
 
 
@@ -348,9 +351,9 @@ def test_single_evaluation_equals_picard_bitwise(monkeypatch, driver):
     uset = tb.Box([1.0], [2.0]) if isinstance(driver, tb.GRegularizedDriver) \
         else tb.UnionSet([tb.Box([0.0], [1.0]), tb.Box([3.0], [4.0])])
     sc = driver_scenario(driver, uset=uset, y_clip=(-0.5, 0.8))
-    fast = tb.solve_theta_bsde(sc)
+    fast = tb.solve_theta_bsde(sc, keep=("Z", "A"))
     monkeypatch.setattr(driver, "depends_on_y", lambda: True)
-    slow = tb.solve_theta_bsde(sc)
+    slow = tb.solve_theta_bsde(sc, keep=("Z", "A"))
     for a, b in ((fast.Y, slow.Y), (fast.Z, slow.Z), (fast.A, slow.A)):
         assert np.array_equal(a, b)
     assert (fast.Y0, fast.stderr) == (slow.Y0, slow.stderr)
@@ -398,7 +401,7 @@ def test_recorded_maximizers_lie_in_the_set(uset, G):
                          h=tb.StateFn(c0=0.0), G=G, eps=0.3),
                      uset=uset, terminal=tb.Payoff([0.0, 1.0]),
                      grid=tb.TimeGrid(0.0, 1.0, 10), n_paths=500, seed=12)
-    sol = tb.solve_theta_bsde(sc)
+    sol = tb.solve_theta_bsde(sc, keep=("A",))
     assert uset.project_batch(sol.A.reshape(-1, dim)).distance.max() <= 1e-9
 
 
@@ -408,9 +411,9 @@ def test_keep_projection_records_the_maximizer_projection():
     sc = driver_scenario(
         tb.RegularizedProjectionDriver(h=tb.StateFn(c0=0.0), G=G, eps=0.3),
         uset=uset)
-    plain = tb.solve_theta_bsde(sc)
+    plain = tb.solve_theta_bsde(sc, keep=("Z", "A"))
     assert plain.member_index is None and plain.medial_gap is None
-    sol = tb.solve_theta_bsde(sc, keep_projection=True)
+    sol = tb.solve_theta_bsde(sc, keep=("Z", "A", "projection"))
     for a, b in ((plain.Y, sol.Y), (plain.Z, sol.Z), (plain.A, sol.A)):
         assert np.array_equal(a, b)
     assert sol.member_index.dtype == np.int64
@@ -429,15 +432,108 @@ def test_keep_projection_records_the_maximizer_projection():
 def test_keep_projection_of_degenerate_and_reduced_drivers():
     # AffineDriver ignores a: the argmax degenerates to the fixed element
     sol = tb.solve_theta_bsde(driver_scenario(tb.AffineDriver(0.3, 0.0, [0.2])),
-                              keep_projection=True)
+                              keep=("A", "projection"))
     assert sol.diagnostics["degenerate_argmax"]
     assert np.all(sol.member_index == -1) and np.all(sol.medial_gap == np.inf)
     assert np.all(sol.A == UNIT_BOX.fixed_element())
     # g_limit has no argmax, so there is no record to keep
     sol = tb.solve_theta_bsde(driver_scenario(tb.GLimitDriver(),
                                               uset=tb.Box([1.0], [2.0])),
-                              keep_projection=True)
+                              keep=("A", "projection"))
     assert sol.A is None and sol.member_index is None and sol.medial_gap is None
+
+
+def ball_scenario(dim, n_paths=500, n_steps=10):
+    """y-free regularized projection of G = z onto the unit ball in R^dim."""
+    return tb.Scenario(sde=make_sde(dim_x=dim, dim_b=dim, x0=[0.0] * dim,
+                                    vol_const=np.eye(dim)),
+                       driver=tb.RegularizedProjectionDriver(
+                           h=tb.StateFn(c0=0.0),
+                           G=tb.StateFn(c0=np.zeros(dim), C_z=np.eye(dim)),
+                           eps=0.5),
+                       uset=tb.Ball([0.0] * dim, 1.0),
+                       terminal=tb.Payoff([0.0, 0.0, 1.0]),
+                       grid=tb.TimeGrid(0.0, 1.0, n_steps), n_paths=n_paths,
+                       seed=12)
+
+
+LEAN_VARIANTS = {
+    "ball_y_free": lambda: ball_scenario(2),
+    "picard": lambda: layout_scenario(),
+    "g_limit": lambda: driver_scenario(tb.GLimitDriver(),
+                                       uset=tb.Box([1.0], [2.0])),
+    "degenerate_affine": lambda: driver_scenario(
+        tb.AffineDriver(0.3, 0.0, [0.2])),
+    "y_clip": lambda: driver_scenario(
+        tb.RegularizedProjectionDriver(
+            h=tb.StateFn(c0=0.0), G=tb.StateFn(c0=np.array([0.5]), C_z=[[2.0]]),
+            eps=0.3),
+        uset=box_cloud_union(), y_clip=(-0.5, 0.8)),
+}
+
+
+@pytest.mark.parametrize("data", ["payoff", "terminal_values", "truncated"])
+@pytest.mark.parametrize("variant", list(LEAN_VARIANTS))
+def test_lean_solve_equals_full_solve_bitwise(variant, data):
+    sc = LEAN_VARIANTS[variant]()
+    ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
+    kwargs = {"paths": ens}
+    if data == "terminal_values":
+        kwargs["terminal_values"] = np.cos(ens.states[:, -1]).sum(axis=1)
+    elif data == "truncated":
+        kwargs["paths"] = ens.truncated(6)
+    lean = tb.solve_theta_bsde(sc, **kwargs)
+    full = tb.solve_theta_bsde(sc, keep=engine.KEEPABLE, **kwargs)
+    assert np.array_equal(lean.Y, full.Y)
+    assert (lean.Y0, lean.stderr) == (full.Y0, full.stderr)
+    assert lean.diagnostics == full.diagnostics
+    assert (lean.Z, lean.A, lean.member_index, lean.medial_gap) == (None,) * 4
+    assert full.Z.shape == full.Y.shape + (sc.sde.dim_b,)
+    assert (full.A is None) == (not sc.driver.has_argmax)
+    assert (full.medial_gap is None) == (not sc.driver.has_argmax)
+
+
+def test_keep_rejects_unknown_names():
+    sc = driver_scenario(tb.ZeroDriver())
+    for keep in (("Z", "Y"), ("member_index",), "ZA"):
+        with pytest.raises(EngineError, match="cannot keep"):
+            tb.solve_theta_bsde(sc, keep=keep)
+    assert tb.solve_theta_bsde(sc, keep="Z").Z is not None
+
+
+@pytest.mark.parametrize("driver", [
+    tb.RegularizedProjectionDriver(h=tb.StateFn(c0=0.0),
+                                   G=tb.StateFn(c0=np.array([0.0]), C_z=[[1.0]]),
+                                   eps=0.5),
+    tb.AffineDriver(0.3, 0.5, [0.2]),
+], ids=["y_free", "picard"])
+def test_terminal_maximizer_runs_only_for_kept_records(monkeypatch, driver):
+    calls = count_driver_calls(monkeypatch)
+    for keep, terminal in (((), 0), (("Z",), 0), (("A",), 1),
+                           (("projection",), 1)):
+        calls.update(maximizer=0)
+        tb.solve_theta_bsde(driver_scenario(driver), keep=keep)
+        assert calls["maximizer"] == 10 + terminal
+
+
+def test_lean_solve_holds_no_full_z_or_a():
+    # 20k paths x 21 nodes in dim 3: Z and A are 10 MB each
+    sc = ball_scenario(3, n_paths=20_000, n_steps=20)
+    ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
+    tb.solve_theta_bsde(sc, paths=ens)  # measures the bases outside the trace
+
+    def traced_peak(keep):
+        tracemalloc.start()
+        try:
+            sol = tb.solve_theta_bsde(sc, paths=ens, keep=keep)
+            return tracemalloc.get_traced_memory()[1], sol
+        finally:
+            tracemalloc.stop()
+
+    lean_peak, _ = traced_peak(())
+    full_peak, full = traced_peak(engine.KEEPABLE)
+    kept = full.Z.nbytes + full.A.nbytes
+    assert full_peak - lean_peak >= 0.9 * kept, (lean_peak, full_peak, kept)
 
 
 # storage layout -------------------------------------------------------------
@@ -452,7 +548,7 @@ def layout_scenario():
 def test_per_node_slices_are_contiguous():
     sc = layout_scenario()
     ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
-    sol = tb.solve_theta_bsde(sc, paths=ens, keep_projection=True)
+    sol = tb.solve_theta_bsde(sc, paths=ens, keep=("Z", "A", "projection"))
     n = sc.grid.n_steps
     assert ens.states.shape == (sc.n_paths, n + 1, 1)
     assert ens.increments.shape == (sc.n_paths, n, 1)
@@ -491,8 +587,8 @@ def test_solve_on_path_major_copies_matches_node_major():
                                np.ascontiguousarray(ens.increments),
                                np.ascontiguousarray(ens.states))
     assert not copy.states[:, 0].flags.c_contiguous
-    node = tb.solve_theta_bsde(sc, paths=ens, keep_projection=True)
-    path = tb.solve_theta_bsde(sc, paths=copy, keep_projection=True)
+    node = tb.solve_theta_bsde(sc, paths=ens, keep=("Z", "A", "projection"))
+    path = tb.solve_theta_bsde(sc, paths=copy, keep=("Z", "A", "projection"))
     for a, b in ((node.Y, path.Y), (node.Z, path.Z), (node.A, path.A),
                  (node.medial_gap, path.medial_gap)):
         np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)
@@ -571,8 +667,8 @@ def test_solves_on_a_shared_ensemble_equal_solves_on_fresh_copies(make_ens,
         sc = tb.Scenario(sde=make_sde(), uset=UNIT_BOX,
                          terminal=tb.Payoff([0.0, 1.0, 0.5]), grid=ens.grid,
                          n_paths=ens.n_paths, seed=0, **BASIS_VARIANTS[name])
-        got = tb.solve_theta_bsde(sc, paths=shared)
-        ref = tb.solve_theta_bsde(sc, paths=fresh_copy(ens))
+        got = tb.solve_theta_bsde(sc, paths=shared, keep=("Z", "A"))
+        ref = tb.solve_theta_bsde(sc, paths=fresh_copy(ens), keep=("Z", "A"))
         for a, b in ((got.Y, ref.Y), (got.Z, ref.Z)):
             assert np.array_equal(a, b)
         assert (got.A is None) == (ref.A is None)

@@ -247,7 +247,7 @@ def eos_by_reprojection(sc):
     """The demo's four statistics from projecting ``driver.query`` node by
     node after the solve."""
     ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
-    sol = tb.solve_theta_bsde(sc, paths=ens)
+    sol = tb.solve_theta_bsde(sc, paths=ens, keep=("Z",))
     shape = sol.Y.shape
     K = np.empty(shape + (sc.uset.dim,))
     idx = np.empty(shape, dtype=np.int64)
@@ -295,8 +295,9 @@ def test_eos_honours_y_clip():
                   tb.Payoff([0.0, 0.0, 1.0]), tb.TimeGrid(0.0, 1.0, 10),
                   500, 4, y_clip=(0.0, 0.5))
     res = eos_demo(sc)
-    clipped = tb.solve_theta_bsde(sc).A.mean(axis=0)
-    unclipped = tb.solve_theta_bsde(replace(sc, y_clip=None)).A.mean(axis=0)
+    clipped = tb.solve_theta_bsde(sc, keep=("A",)).A.mean(axis=0)
+    unclipped = tb.solve_theta_bsde(replace(sc, y_clip=None),
+                                    keep=("A",)).A.mean(axis=0)
     assert not np.array_equal(clipped, unclipped)
     assert np.array_equal(res.a_path_mean, clipped)
 
@@ -358,7 +359,8 @@ def test_surface_csv_is_the_pde_solution_row_by_row(tmp_path):
     assert (tmp_path / "demo.surface.csv").read_bytes() == expected.encode()
 
 
-def test_paths_dump_streams(tmp_path):
+def test_paths_dump_streams(tmp_path, monkeypatch):
+    from thetabsde import experiments
     # 336k rows, about 21 MB
     cfg = parse_config(SOLVE_CFG.replace("mc.n_paths = 400", "mc.n_paths = 16000")
                        .replace("grid.n_steps = 10", "grid.n_steps = 20"))
@@ -366,12 +368,15 @@ def test_paths_dump_streams(tmp_path):
     def traced_peak(dump):
         tracemalloc.start()
         try:
-            run_scenario(cfg, str(tmp_path / f"dump{int(dump)}"), paths_dump=dump)
+            run_scenario(cfg, str(tmp_path / f"dump{int(dump)}"), paths_dump=True)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    growth = traced_peak(True) - traced_peak(False)
+    dumped = traced_peak(True)
+    # the same solve, keeping the same Z and A, with the write left out
+    monkeypatch.setattr(experiments, "_write_paths", lambda path, sol: None)
+    growth = dumped - traced_peak(False)
     size = (tmp_path / "dump1" / "demo.paths.csv").stat().st_size
     assert size > 20e6
     assert growth < 0.1 * size, (growth, size)

@@ -2,7 +2,14 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+import pytest
+
+from thetabsde.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
+SHIPPED = sorted(ROOT.glob("configs/*.cfg")) + sorted(
+    ROOT.glob("perfbench/workloads/*.cfg"))
 
 
 def test_every_traced_boundary_is_a_library_function():
@@ -15,3 +22,12 @@ def test_every_traced_boundary_is_a_library_function():
     for layer, name in tracer.FUNCTIONS:
         module = importlib.import_module(f"thetabsde.{layer}")
         assert callable(getattr(module, name, None)), f"{layer}.{name}"
+
+
+@pytest.mark.parametrize("path", SHIPPED,
+                         ids=[f"{p.parent.name}/{p.name}" for p in SHIPPED])
+def test_shipped_configs_validate(tmp_path, capsys, path):
+    # the benchmark fills its workloads' seed placeholder before a run
+    cfg = tmp_path / path.name
+    cfg.write_text(path.read_text().replace("$seed", "7"))
+    assert main(["validate", str(cfg)]) == 0, capsys.readouterr().err
