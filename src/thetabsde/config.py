@@ -118,6 +118,8 @@ class ScenarioConfig:
     def _validate(self):
         if self.kind not in KINDS:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        if not isinstance(self.mc, dict):
+            raise ConfigError(f"mc must be a mapping, got {self.mc!r}")
         if "seed" not in self.mc:
             raise ConfigError("mc.seed required")
         seed = self.mc["seed"]
@@ -277,13 +279,18 @@ def build_pde_grid(cfg, scenario):
     spec = cfg.data.get("pde", {})
     with _field("pde"):
         check_sde(scenario.sde)
-        if {"x_min", "x_max", "n_x", "n_t"} <= set(spec):
-            return PdeGrid(float(spec["x_min"]), float(spec["x_max"]),
-                           _integer(spec["n_x"], "pde.n_x"),
-                           _integer(spec["n_t"], "pde.n_t"),
-                           scenario.grid.t0, scenario.grid.T)
-        return auto_grid(scenario.sde, scenario.grid,
-                         n_x=_integer(spec.get("n_x", 400), "pde.n_x"))
+        n_x = _integer(spec.get("n_x", 400), "pde.n_x")
+        # an explicit grid needs all three keys; none gives the automatic one
+        missing = [f"pde.{k}" for k in ("x_min", "x_max", "n_t")
+                   if k not in spec]
+        if len(missing) == 3:
+            return auto_grid(scenario.sde, scenario.grid, n_x=n_x)
+        if missing:
+            raise ConfigError(f"an explicit PDE grid also needs "
+                              f"{' and '.join(missing)}")
+        return PdeGrid(float(spec["x_min"]), float(spec["x_max"]), n_x,
+                       _integer(spec["n_t"], "pde.n_t"),
+                       scenario.grid.t0, scenario.grid.T)
 
 
 def kind_params(cfg, scenario):

@@ -136,19 +136,18 @@ def _check_g_type_dim(uset, dim_b):
 class Driver:
     """A driver family. Each subclass owns its formulas: the value F, the
     projection query (the point whose projection onto the set is the
-    argmax; None when the argmax degenerates to the set's fixed element),
-    whether F depends on y, and its set and dimension checks. The methods
+    argmax), whether F depends on y, and its set and dimension checks. A
+    family whose F ignores ``a`` has no query method: ``query`` stays None,
+    and its argmax degenerates to the set's fixed element. The methods
     receive (t, x, y, z) already batched by ``_batch_args``, and ``value``
     receives ``a`` as an (n, dim_a) batch."""
 
     # False for a driver given only by its reduced value max_a F
     has_argmax = True
+    query = None
 
     def value(self, t, x, y, z, a):
         raise NotImplementedError
-
-    def query(self, t, x, y, z):
-        return None
 
     def depends_on_y(self):
         return False
@@ -310,19 +309,17 @@ def evaluate(driver, t, x, y, z, a):
 
 
 def maximizer(driver, uset, t, x, y, z):
-    """Closed-form argmax over the set. Returns (proj, value, degenerate):
-    ``proj`` is the ProjectionResult of the query, whose ``point`` is the
-    argmax; a degenerate argmax gets the tiled fixed element at distance 0,
-    member index -1 and an inf medial gap."""
+    """Closed-form argmax over the set. Returns (proj, value): ``proj`` is
+    the ProjectionResult of the query, whose ``point`` is the argmax; a
+    driver without a query (a degenerate argmax) gets the tiled fixed
+    element at distance 0, member index -1 and an inf medial gap."""
     t, x, y, z = _batch_args(t, x, y, z)
-    query = driver.query(t, x, y, z)
-    degenerate = query is None
-    if degenerate:
+    if driver.query is None:
         n = x.shape[0]
         proj = plain_result(np.tile(uset.fixed_element(), (n, 1)), np.zeros(n))
     else:
-        proj = uset.project_batch(query)
-    return proj, driver.value(t, x, y, z, proj.point), degenerate
+        proj = uset.project_batch(driver.query(t, x, y, z))
+    return proj, driver.value(t, x, y, z, proj.point)
 
 
 def effective_driver(driver, uset, t, x, y, z):

@@ -254,7 +254,6 @@ class BsdeSolution:
     A: Optional[np.ndarray]       # (n_paths, n_steps + 1, dim_a)
     Y0: float
     stderr: float
-    regression_degree: int
     diagnostics: dict = field(default_factory=dict)
     # the maximizer's projection record per node, (n_paths, n_steps + 1)
     member_index: Optional[np.ndarray] = None
@@ -361,7 +360,9 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None, keep=()):
 
     Each node's ``Y`` is the fixed point of ``y -> E[Y_{i+1} | X_i] + dt *
     max_a F(y, Z_i)``, from at most ``picard_iters`` Picard passes, or one
-    for a y-free driver, whose map is constant in y.
+    for a y-free driver, whose map is constant in y. Each pass evaluates
+    the driver once, through ``maximizer`` when it has an argmax;
+    ``degenerate_argmax`` means it has an argmax but no query.
 
     ``paths`` reuses a pre-simulated ensemble (common-path experiments),
     and with it the regression basis of every node that an earlier solve
@@ -370,7 +371,8 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None, keep=()):
     for every node; each node's ``Z`` and maximizer live only for that
     node's step, unless ``keep`` (a subset of ``KEEPABLE``) names them:
     "Z", "A" (the maximizer's point) and "projection" (the member index
-    and medial gap of its projection) are then kept for every node.
+    and medial gap of its projection) are then kept for every node, at
+    the final ``Y_i``: a y-dependent driver's maximizer runs once more there.
     """
     # one name on its own is a name, not a sequence of letters
     keep = {keep} if isinstance(keep, str) else set(keep)
@@ -407,25 +409,23 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None, keep=()):
         Y[n] = sc.terminal.value(X[n])
     _require_finite(n, Y[n])
 
-    degenerate = False
-
-    def argmax_at(i, y, z):
-        """The driver value at the maximizer at node i; writes node i of
-        each kept record, and nothing else outlives the call."""
-        nonlocal degenerate
-        rec, f, deg = maximizer(sc.driver, sc.uset, times[i], X[i], y, z)
+    def driver_at(i, y, z):
+        """max_a F at node i; an argmax driver also writes node i of each
+        kept record, and nothing else outlives the call."""
+        if not has_argmax:
+            return effective_driver(sc.driver, sc.uset, times[i], X[i], y, z)
+        rec, f = maximizer(sc.driver, sc.uset, times[i], X[i], y, z)
         if A is not None:
             A[i] = rec.point
         if projection:
             member_index[i] = rec.member_index
             medial_gap[i] = rec.medial_gap
-        degenerate = degenerate or deg
         return f
 
-    # one pass is the fixed point of a y-free driver's Picard map; an
-    # argmax driver records its maximizer in that pass
+    records = A is not None or projection
+    # one pass is the fixed point of a y-free driver's Picard map, and its
+    # maximizer is the one at the final Y_i
     picard = 1 if y_free else sc.picard_iters
-    argmax_pass = y_free and has_argmax
     # per-path total of terminal + accumulated driver, for the Y0 stderr
     accum = Y[n].copy()
     for i in range(n - 1, -1, -1):
@@ -434,15 +434,13 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None, keep=()):
         Zi = basis.fit(design, (Y[i + 1] - Ey)[:, None] * dB[i] / dt)
         if Z is not None:
             Z[i] = Zi
-        if i == n - 1 and (A is not None or projection):
-            # the terminal maximizer, at Z_n = Z_{n-1} (below), only fills
-            # kept records; every other node's call sets the degenerate flag
-            argmax_at(n, Y[n], Zi)
+        if i == n - 1 and records:
+            # the terminal maximizer, at Z_n = Z_{n-1} (below)
+            driver_at(n, Y[n], Zi)
 
         Yk = Ey
         for k in range(1, picard + 1):
-            f = (argmax_at(i, Yk, Zi) if argmax_pass else
-                 effective_driver(sc.driver, sc.uset, times[i], X[i], Yk, Zi))
+            f = driver_at(i, Yk, Zi)
             Yk, Yprev = Ey + dt * f, Yk
             # converged: stop early; the last pass stops anyway
             if k < picard and np.max(np.abs(Yk - Yprev)) <= 1e-12:
@@ -453,8 +451,9 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None, keep=()):
         Y[i] = Yk
         accum += dt * f
 
-        if has_argmax and not argmax_pass:
-            argmax_at(i, Y[i], Zi)
+        if records and not y_free:
+            # the last pass ran at the previous iterate; record at Y_i
+            driver_at(i, Y[i], Zi)
 
     if Z is not None:
         # the terminal Z is the regression of xi * dB / dt on node n - 1's
@@ -465,7 +464,7 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None, keep=()):
     diagnostics = {
         "max_condition": max(b.condition for b in bases),
         "lstsq_fallbacks": sum(b.chol is None for b in bases),
-        "degenerate_argmax": bool(degenerate),
+        "degenerate_argmax": has_argmax and sc.driver.query is None,
         "unsound_for_existence": sc.driver.unsound_for_existence(sc.uset),
     }
 
@@ -473,7 +472,6 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None, keep=()):
     stderr = float(np.std(accum) / np.sqrt(n_paths))
     return BsdeSolution(grid=grid, Y=_swap(Y), Z=_swap(Z), A=_swap(A),
                         Y0=Y0, stderr=stderr,
-                        regression_degree=sc.regression_degree,
                         diagnostics=diagnostics,
                         member_index=_swap(member_index),
                         medial_gap=_swap(medial_gap))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drivers import effective_driver
-from .engine import simulate_forward, solve_theta_bsde
+from .engine import TimeGrid, simulate_forward, solve_theta_bsde
 
 
 # half-width of the automatic domain, in standard deviations of X_T
@@ -25,10 +25,6 @@ HALF_WIDTH_SIGMAS = 6.0
 
 class PdeError(ValueError):
     pass
-
-
-def _times(t0, T, n_t):
-    return t0 + (T - t0) / n_t * np.arange(n_t + 1)
 
 
 @dataclass(frozen=True)
@@ -56,7 +52,7 @@ class PdeGrid:
 
     @property
     def dt_pde(self):
-        return (self.T - self.t0) / self.n_t
+        return TimeGrid(self.t0, self.T, self.n_t).dt
 
     @property
     def xs(self):
@@ -64,7 +60,7 @@ class PdeGrid:
 
     @property
     def ts(self):
-        return _times(self.t0, self.T, self.n_t)
+        return TimeGrid(self.t0, self.T, self.n_t).times
 
 
 def check_sde(sde):
@@ -122,8 +118,8 @@ def _tridiagonal_inverse(lower, diag, upper):
 def _sweep(driver, uset, sde, payoff, pgrid, n_t):
     """Backward IMEX Euler sweep of ``n_t`` steps on the x grid of ``pgrid``;
     returns the ``(n_t + 1, n_x)`` surface."""
-    ts = _times(pgrid.t0, pgrid.T, n_t)
-    dx, dt = pgrid.dx, (pgrid.T - pgrid.t0) / n_t
+    tgrid = TimeGrid(pgrid.t0, pgrid.T, n_t)
+    ts, dx, dt = tgrid.times, pgrid.dx, tgrid.dt
     X = pgrid.xs.reshape(-1, 1)
     sig = sde.vol_const[0, 0] if sde.vol_const is not None else 0.0
 

@@ -396,6 +396,40 @@ def test_cli_validate_rejects_non_finite_pde_bounds(tmp_path, capsys, bounds,
         assert "need finite x_min and x_max" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("keys, missing", [
+    # each validated and then ran on the automatic grid, ignoring the keys
+    ("pde.x_min = 100\npde.n_t = 7\n", "pde.x_max"),
+    ("pde.x_min = -3.0\n", "pde.x_max and pde.n_t"),
+    ("pde.x_max = 3.0\npde.n_x = 40\n", "pde.x_min and pde.n_t"),
+    ("pde.n_t = 20\n", "pde.x_min and pde.x_max"),
+], ids=["x_min_n_t", "x_min", "x_max_n_x", "n_t"])
+def test_cli_validate_rejects_a_partial_pde_grid(tmp_path, capsys, keys,
+                                                 missing):
+    p = tmp_path / "fk.cfg"
+    p.write_text(FK + keys)
+    assert main(["validate", str(p)]) == 2
+    assert f"needs {missing}" in capsys.readouterr().err
+
+
+def test_explicit_pde_grid_takes_the_default_n_x():
+    from thetabsde.pde import PdeGrid
+    cfg = parse_config(FK + "pde.x_min = -3.0\npde.x_max = 3.0\npde.n_t = 20\n")
+    assert cfg.params["pde_grid"] == PdeGrid(-3.0, 3.0, 400, 20, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("mc", ["5", "null", '"seed"', "[1]"],
+                         ids=["number", "null", "string", "list"])
+def test_cli_validate_rejects_a_non_mapping_mc(tmp_path, capsys, mc):
+    # a number, null or string died in validate with a TypeError traceback
+    # and exit 1; a list read as "mc.seed required"
+    text = GOOD.replace("mc.n_paths = 50\nmc.seed = 1\n", f"mc = {mc}\n")
+    assert "mc.seed" not in text
+    p = tmp_path / "mc.cfg"
+    p.write_text(text)
+    assert main(["validate", str(p)]) == 2
+    assert "mc must be a mapping" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cfg, message", [
     (AXIOM + "axiom.name = A9\n", "unknown axiom"),
     (AXIOM + "axiom.name = A2_translation\nterminal.clamp = [0.0, 1.0]\n",

@@ -76,10 +76,10 @@ def test_closed_form_maximizers_match_grid_oracle():
     for _ in range(10):
         y = rng.uniform(-2, 2)
         z = rng.uniform(-2, 2, size=(1, 1))
-        rec, v, deg = maximizer(rp, uset, 0.0, np.zeros((1, 1)), [y], z)
+        rec, v = maximizer(rp, uset, 0.0, np.zeros((1, 1)), [y], z)
         a = rec.point
         ao, vo = maximizer_oracle(rp, uset, 0.0, np.zeros((1, 1)), [y], z, 1e-3)
-        assert abs(a[0, 0] - ao[0]) <= 2e-3 and not deg
+        assert abs(a[0, 0] - ao[0]) <= 2e-3 and rp.query is not None
         a = maximizer(gr, gset, 0.0, np.zeros((1, 1)), [y], z)[0].point
         ao, vo = maximizer_oracle(gr, gset, 0.0, np.zeros((1, 1)), [y], z, 1e-3)
         assert abs(a[0, 0] - ao[0]) <= 2e-3
@@ -87,9 +87,11 @@ def test_closed_form_maximizers_match_grid_oracle():
 
 def test_degenerate_argmax_uses_fixed_element():
     uset = Box([0.2], [0.9])
-    rec, v, deg = maximizer(AffineDriver(1.0, 0.0, [0.0]), uset, 0.0,
-                            np.zeros((3, 1)), [0.0], np.zeros((1, 1)))
-    assert deg and np.all(rec.point == 0.2) and v[0] == pytest.approx(1.0)
+    driver = AffineDriver(1.0, 0.0, [0.0])
+    rec, v = maximizer(driver, uset, 0.0, np.zeros((3, 1)), [0.0],
+                       np.zeros((1, 1)))
+    assert driver.query is None
+    assert np.all(rec.point == 0.2) and v[0] == pytest.approx(1.0)
     assert rec.point.shape == (3, 1)
     assert np.all(rec.distance == 0.0) and np.all(rec.member_index == -1)
     assert np.all(rec.medial_gap == np.inf)

@@ -8,7 +8,7 @@ import pytest
 
 import thetabsde as tb
 from thetabsde import engine
-from thetabsde.drivers import evaluate
+from thetabsde.drivers import evaluate, maximizer
 from thetabsde.engine import EngineError, _Basis, _design_matrix, axiom_check
 
 
@@ -338,7 +338,9 @@ def test_y_dependent_driver_runs_picard(monkeypatch):
     calls = count_driver_calls(monkeypatch)
     tb.solve_theta_bsde(driver_scenario(tb.AffineDriver(0.3, 0.5, [0.2])),
                         keep=("A",))
-    assert calls == {"maximizer": 11, "effective_driver": 30}
+    # three Picard passes per node, then one at the final Y_i and one at
+    # the terminal node for the kept A
+    assert calls == {"maximizer": 41, "effective_driver": 0}
 
 
 @pytest.mark.parametrize("driver", [
@@ -509,11 +511,14 @@ def test_keep_rejects_unknown_names():
 ], ids=["y_free", "picard"])
 def test_terminal_maximizer_runs_only_for_kept_records(monkeypatch, driver):
     calls = count_driver_calls(monkeypatch)
-    for keep, terminal in (((), 0), (("Z",), 0), (("A",), 1),
-                           (("projection",), 1)):
+    # one maximizer per Picard pass; a kept record adds the terminal node
+    # and, for the y-dependent driver, one call per node at the final Y_i
+    expected = ((10, 10, 11, 11) if not driver.depends_on_y()
+                else (30, 30, 41, 41))
+    for keep, count in zip(((), ("Z",), ("A",), ("projection",)), expected):
         calls.update(maximizer=0)
         tb.solve_theta_bsde(driver_scenario(driver), keep=keep)
-        assert calls["maximizer"] == 10 + terminal
+        assert calls["maximizer"] == count
 
 
 def test_lean_solve_holds_no_full_z_or_a():
@@ -543,6 +548,36 @@ def layout_scenario():
     G = tb.StateFn(c0=np.array([0.5]), c_y=[0.4], C_z=[[2.0]])
     return driver_scenario(tb.RegularizedProjectionDriver(
         h=tb.StateFn(c0=0.0, c_y=0.2), G=G, eps=0.3), uset=box_cloud_union())
+
+
+def test_kept_records_are_the_maximizer_at_the_clipped_y():
+    sc = replace(layout_scenario(), y_clip=(-0.8, 0.6))
+    ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
+    sol = tb.solve_theta_bsde(sc, paths=ens, keep=engine.KEEPABLE)
+    # the clip binds, so a record from the last Picard iterate would differ
+    assert np.any(np.isin(sol.Y[:, :-1], sc.y_clip))
+    for i, t in enumerate(sc.grid.times):
+        rec, _ = maximizer(sc.driver, sc.uset, t, ens.states[:, i],
+                           sol.Y[:, i], sol.Z[:, i])
+        assert np.array_equal(rec.point, sol.A[:, i])
+        assert np.array_equal(rec.member_index, sol.member_index[:, i])
+        assert np.array_equal(rec.medial_gap, sol.medial_gap[:, i])
+
+
+@pytest.mark.parametrize("keep", [(), engine.KEEPABLE], ids=["lean", "full"])
+@pytest.mark.parametrize("driver, uset, degenerate", [
+    (tb.ZeroDriver(), UNIT_BOX, True),
+    (tb.AffineDriver(0.3, 0.0, [0.2]), UNIT_BOX, True),
+    (tb.AffineDriver(0.3, 0.5, [0.2]), UNIT_BOX, True),
+    (tb.RegularizedProjectionDriver(
+        h=tb.StateFn(c0=0.0), G=tb.StateFn(c0=np.array([0.5]), C_z=[[2.0]]),
+        eps=0.3), UNIT_BOX, False),
+    (tb.GLimitDriver(), tb.Box([1.0], [2.0]), False),
+], ids=["zero", "affine_y_free", "affine_picard", "rp", "g_limit"])
+def test_degenerate_argmax_is_a_property_of_the_driver(driver, uset,
+                                                        degenerate, keep):
+    sol = tb.solve_theta_bsde(driver_scenario(driver, uset=uset), keep=keep)
+    assert sol.diagnostics["degenerate_argmax"] is degenerate
 
 
 def test_per_node_slices_are_contiguous():
