@@ -5,6 +5,15 @@ the off-diagonal entries stored once, scaled by sqrt(2), so that the
 Euclidean norm of the vector equals the Frobenius norm of the matrix. Plain
 Euclidean vectors pass through unchanged, which lets all set geometry run on
 one code path.
+
+The kernel rule of the per-path hot loop: a reduction over a short trailing
+axis of an (n, dim) array (a query's coordinates, a driver's ambient
+dimension) goes through ``row_sum`` or ``row_sq``. Below
+``_ROW_KERNEL_DIM`` columns they accumulate column by column, left to right,
+into one contiguous (n,) row, which is the order ``np.sum`` uses over such
+an axis, so the result is bitwise that of ``np.sum(x, axis=1)`` without its
+per-row overhead; from there on they call ``np.sum``. They allocate only
+(n,) rows, and their callers keep every temporary at (n,) or (n, dim).
 """
 
 import functools
@@ -14,6 +23,10 @@ import numpy as np
 MAX_DIM = 64
 
 _SQRT2 = np.sqrt(2.0)
+
+# np.sum reduces a trailing axis shorter than 8 left to right; from 8 on it
+# sums pairwise, which the column loop would not reproduce
+_ROW_KERNEL_DIM = 8
 
 
 class AmbientError(ValueError):
@@ -43,6 +56,30 @@ def require_finite(error, obj, names):
         value = getattr(obj, name)
         if value is not None and not np.all(np.isfinite(value)):
             raise error(f"{name} must be finite, got {value}")
+
+
+def row_sum(x):
+    """``np.sum(x, axis=1)`` of an (n, d) array, bitwise."""
+    if x.shape[1] >= _ROW_KERNEL_DIM:
+        return np.sum(x, axis=1)
+    # 0.0 + x turns a -0.0 into 0.0, as np.sum's zero start does
+    out = np.add(x[:, 0], 0.0)
+    for j in range(1, x.shape[1]):
+        out += x[:, j]
+    return out
+
+
+def row_sq(x):
+    """``np.sum(x * x, axis=1)`` of an (n, d) array, bitwise: the squared
+    row norms."""
+    if x.shape[1] >= _ROW_KERNEL_DIM:
+        return np.sum(x * x, axis=1)
+    out = np.multiply(x[:, 0], x[:, 0])
+    sq = np.empty_like(out)
+    for j in range(1, x.shape[1]):
+        np.multiply(x[:, j], x[:, j], out=sq)
+        out += sq
+    return out
 
 
 def sym_vec_dim(d):

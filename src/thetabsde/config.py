@@ -120,6 +120,13 @@ class ScenarioConfig:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if not isinstance(self.mc, dict):
             raise ConfigError(f"mc must be a mapping, got {self.mc!r}")
+        name = self.name
+        # artifacts are written to <out>/<name>.*, so the name must be one
+        # plain path component (an absolute path has a separator)
+        if (not isinstance(name, str) or name in ("", ".", "..")
+                or "/" in name or "\\" in name):
+            raise ConfigError("name must be a non-empty file name without "
+                              f"path separators, got {name!r}")
         if "seed" not in self.mc:
             raise ConfigError("mc.seed required")
         seed = self.mc["seed"]

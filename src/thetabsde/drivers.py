@@ -12,7 +12,8 @@ from typing import Optional
 
 import numpy as np
 
-from .ambient import as_point, off_diagonal, require_finite, sym_vec_dim
+from .ambient import (as_point, off_diagonal, require_finite, row_sq, row_sum,
+                      sym_vec_dim)
 from .sets import Box, Ball, SetError, grid_cover, plain_result
 
 
@@ -104,7 +105,8 @@ class StateFn:
 
     def value(self, t, x, y, z):
         """Values (n, m) at batched (t, x, y, z)."""
-        out = np.tile(self.c0, (x.shape[0], 1))
+        out = np.empty((x.shape[0], self.c0.size))
+        out[:] = self.c0
         if self.c_t is not None:
             out += t * self.c_t
         if self.C_x is not None:
@@ -219,8 +221,8 @@ class RegularizedProjectionDriver(Driver):
     def value(self, t, x, y, z, a):
         h = self.h.value(t, x, y, z)[:, 0]
         G = self.G.value(t, x, y, z)
-        val = h - 0.5 * np.sum((a - G) ** 2, axis=1)
-        val -= 0.5 * self.eps * np.sum(a * a, axis=1)
+        val = h - 0.5 * row_sq(a - G)
+        val -= 0.5 * self.eps * row_sq(a)
         return val
 
     def query(self, t, x, y, z):
@@ -259,8 +261,8 @@ class GRegularizedDriver(Driver):
         self.a0 = as_point(self.a0)
 
     def value(self, t, x, y, z, a):
-        return 0.5 * np.sum(a * embed_zz(z), axis=1) \
-            - 0.5 * self.eps * np.sum((a - self.a0) ** 2, axis=1)
+        return 0.5 * row_sum(a * embed_zz(z)) \
+            - 0.5 * self.eps * row_sq(a - self.a0)
 
     def query(self, t, x, y, z):
         # complete the square: argmax_a <a,c> - (eps/2)||a-a0||^2

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ambient import require_finite
+from .ambient import require_finite, row_sum
 from .drivers import effective_driver, maximizer
 
 
@@ -129,7 +129,7 @@ class Payoff:
         out = np.full(XT.shape[0], self.coeffs[0])
         for k in range(1, self.coeffs.size):
             if self.coeffs[k] != 0.0:
-                out = out + self.coeffs[k] * np.sum(XT ** k, axis=1)
+                out = out + self.coeffs[k] * row_sum(XT ** k)
         if self.clamp is not None:
             out = np.clip(out, self.clamp[0], self.clamp[1])
         return out
@@ -275,10 +275,14 @@ def _design_matrix(Xi, degree, scaling=None):
     Built feature-major: each monomial is its parent (the same index tuple
     less its last entry) times one coordinate, so every operation runs on a
     contiguous row of a (k, n) array. Returns the (n, k) transpose view and
-    its ``scaling``: one (raw row, mean, sd) per kept monomial. Given the
-    scaling of an earlier call on the same ``Xi``, the means and standard
-    deviations are not measured again, and the same subtract and divide
-    give a bitwise equal design.
+    its ``scaling``: one (raw row, mean, sd) per kept monomial. Measuring a
+    row centres it straight into its slot, squares it into one (n,) scratch
+    row and takes ``sqrt(sum / n)``, which is bitwise ``np.std``; nothing
+    larger than (n,) is allocated beside the design, since a (k, n)
+    temporary at every node costs fresh pages. Given the scaling of an
+    earlier call on the same ``Xi``, the means and standard deviations are
+    not measured again, and the same subtract and divide give a bitwise
+    equal design.
     """
     n, dim_x = Xi.shape
     coords = np.ascontiguousarray(Xi.T)
@@ -294,17 +298,24 @@ def _design_matrix(Xi, degree, scaling=None):
         else:
             rows[r] = coords[c[-1]]
         row_of[c] = r
-    if scaling is None:
-        scaling = []
-        for r in range(1, len(rows)):
-            mu, sd = rows[r].mean(), rows[r].std()
-            if sd > 1e-12:
-                scaling.append((r, mu, sd))
     # standardize in place, compacting the kept rows to the front; row r
     # is read before a later write can reach it
-    for k, (r, mu, sd) in enumerate(scaling, start=1):
-        np.subtract(rows[r], mu, out=rows[k])
-        rows[k] /= sd
+    if scaling is None:
+        scaling = []
+        sq = np.empty(n)
+        for r in range(1, len(rows)):
+            k = len(scaling) + 1
+            mu = rows[r].sum() / n  # bitwise rows[r].mean()
+            np.subtract(rows[r], mu, out=rows[k])
+            np.multiply(rows[k], rows[k], out=sq)
+            sd = np.sqrt(sq.sum() / n)
+            if sd > 1e-12:  # else slot k is taken by the next kept row
+                rows[k] /= sd
+                scaling.append((r, mu, sd))
+    else:
+        for k, (r, mu, sd) in enumerate(scaling, start=1):
+            np.subtract(rows[r], mu, out=rows[k])
+            rows[k] /= sd
     return rows[:len(scaling) + 1].T, scaling
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
+from .ambient import row_sq
 from .config import ExperimentError, check_eos, check_sweep
 from .drivers import GLimitDriver, GRegularizedDriver
 from .engine import axiom_check, simulate_forward, solve_theta_bsde
@@ -165,7 +166,7 @@ def eos_demo(scenario, gap_threshold=None):
         for i, t in enumerate(sc.grid.times):
             K = sc.driver.query(t, ens.states[:, i], sol.Y[:, i], sol.Z[:, i])
             if prev is not None:
-                step = max(step, float(np.linalg.norm(K - prev, axis=1).max()))
+                step = max(step, float(np.sqrt(row_sq(K - prev)).max()))
             prev = K
         gap_threshold = 2.0 * step
     hit = float(np.mean(gaps < gap_threshold))

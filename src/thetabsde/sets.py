@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ambient import MAX_DIM, as_point
+from .ambient import MAX_DIM, as_point, row_sq, row_sum
 
 INF_GAP = np.inf
 
@@ -152,13 +152,13 @@ class Box(UncertaintySet):
     def project_batch(self, P):
         P = _check_batch(P, self.dim)
         pts = np.clip(P, self.lower, self.upper)
-        return plain_result(pts, np.linalg.norm(P - pts, axis=1))
+        return plain_result(pts, np.sqrt(row_sq(P - pts)))
 
     def linear_max_batch(self, C):
         C = _check_batch(C, self.dim)
         # per-coordinate sign selection; c == 0 picks the lower bound
         args = np.where(C > 0, self.upper, self.lower)
-        return np.sum(args * C, axis=1), args
+        return row_sum(args * C), args
 
     def bounding_box(self):
         return self.lower.copy(), self.upper.copy()
@@ -183,16 +183,20 @@ class Ball(UncertaintySet):
     def project_batch(self, P):
         P = _check_batch(P, self.dim)
         diff = P - self.center
-        dist = np.sqrt(np.sum(diff * diff, axis=1))
-        pts = P.copy()
+        dist = np.sqrt(row_sq(diff))
         outside = dist > self.radius
-        scale = self.radius / dist[outside]
-        pts[outside] = self.center + diff[outside] * scale[:, None]
-        return plain_result(pts, np.linalg.norm(P - pts, axis=1))
+        # every row is scaled and the inside ones are discarded: cheaper
+        # than gathering and scattering the outside ones
+        scale = np.divide(self.radius, dist, out=np.zeros_like(dist),
+                          where=outside)
+        diff *= scale[:, None]
+        diff += self.center
+        pts = np.where(outside[:, None], diff, P)
+        return plain_result(pts, np.sqrt(row_sq(P - pts)))
 
     def linear_max_batch(self, C):
         C = _check_batch(C, self.dim)
-        nc = np.linalg.norm(C, axis=1)
+        nc = np.sqrt(row_sq(C))
         args = np.tile(self.center, (len(C), 1))
         nz = nc > 0
         args[nz] += self.radius * C[nz] / nc[nz, None]

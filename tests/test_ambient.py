@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from thetabsde.ambient import (AmbientError, as_point, embed, extract,
-                               frobenius_inner, matrix_dim, sym_vec_dim)
+                               frobenius_inner, matrix_dim, row_sq, row_sum,
+                               sym_vec_dim)
+
+
+def same_bits(a, b):
+    """Equal shape and dtype, and bitwise equal values (signed zeros too)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_sym_vec_dim_roundtrip():
@@ -52,3 +59,18 @@ def test_as_point_validation():
         as_point(np.zeros(65))  # above the supported ambient dimension
     with pytest.raises(AmbientError):
         as_point([1.0, 2.0], dim=3)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 10, 64])
+def test_row_kernels_are_bitwise_np_sum(d):
+    rng = np.random.default_rng(d)
+    # magnitudes spread over 16 decades, so any change of order shows
+    x = rng.standard_normal((1001, d)) * 10.0 ** rng.integers(-8, 8, (1001, d))
+    x[0] = -0.0  # np.sum starts from +0.0: an all -0.0 row sums to +0.0
+    assert same_bits(row_sum(x), np.sum(x, axis=1))
+    assert same_bits(row_sq(x), np.sum(x * x, axis=1))
+    assert same_bits(np.sqrt(row_sq(x)), np.linalg.norm(x, axis=1))
+    # a strided view (every other column of a wider array) reads the same
+    wide = np.repeat(x, 2, axis=1)[:, ::2]
+    assert same_bits(row_sum(wide), np.sum(x, axis=1))
+    assert same_bits(row_sq(wide), np.sum(x * x, axis=1))

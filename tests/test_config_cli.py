@@ -233,10 +233,22 @@ UNION = ('set.type = union\nset.members = [{"type": "box", "lower": [0.0], '
     (GOOD.replace("driver.type = zero", "driver.type = g_regularized\n"
                   "driver.eps = Infinity\ndriver.a0 = [0.5]"),
      "eps must be finite"),
+    # run joins the name to --out: a number raised a TypeError there, and a
+    # path wrote artifacts outside the output directory
+    (GOOD + "name = 5\n", "name"),
+    (GOOD + 'name = "../escape"\n', "name"),
+    (GOOD + "name = a/b\n", "name"),
+    (GOOD + "name = /tmp/x\n", "name"),
+    (GOOD + 'name = "a\\\\b"\n', "name"),
+    (GOOD + "name = ..\n", "name"),
+    (GOOD + "name = .\n", "name"),
+    (GOOD + 'name = ""\n', "name"),
 ], ids=["sweep_on_union", "fk_in_dim_2", "eos_on_box", "martingale_past_grid",
         "empty_coeffs", "nested_coeffs", "nan_coeff", "nan_x0", "nan_drift_const",
         "inf_drift_t", "nan_drift_lin", "nan_vol_const", "nan_vol_lin", "inf_T",
-        "inf_t0", "nan_alpha", "nan_beta", "inf_gamma", "nan_g_x", "inf_g_eps"])
+        "inf_t0", "nan_alpha", "nan_beta", "inf_gamma", "nan_g_x", "inf_g_eps",
+        "int_name", "parent_name", "nested_name", "absolute_name",
+        "backslash_name", "dotdot_name", "dot_name", "empty_name"])
 def test_cli_validate_rejects_what_run_would_fail(tmp_path, capsys, kind_cfg,
                                                   message):
     p = tmp_path / "kind.cfg"

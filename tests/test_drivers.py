@@ -66,6 +66,44 @@ def test_evaluate_formulas():
         4.0 - 0.25)
 
 
+@pytest.mark.parametrize("dim", [1, 3, 7, 8, 10])
+def test_projection_driver_value_is_bitwise_the_np_sum_formula(dim):
+    rng = np.random.default_rng(dim)
+    n = 400
+    h = StateFn(c0=0.3, c_t=-0.2, C_x=rng.standard_normal((1, 2)), c_y=0.4,
+                C_z=rng.standard_normal((1, 2)))
+    G = StateFn(c0=rng.standard_normal(dim), c_t=rng.standard_normal(dim),
+                C_x=rng.standard_normal((dim, 2)), c_y=rng.standard_normal(dim),
+                C_z=rng.standard_normal((dim, 2)))
+    x, y, z = (rng.standard_normal((n, 2)), rng.standard_normal(n),
+               rng.standard_normal((n, 2)))
+    a = rng.standard_normal((n, dim))
+    # StateFn.value as it was built, from a tiled constant
+    Gv = np.tile(G.c0, (n, 1)) + 0.7 * G.c_t + x @ G.C_x.T \
+        + y[:, None] * G.c_y + z @ G.C_z.T
+    assert np.array_equal(G.value(0.7, x, y, z), Gv)
+    for eps in (0.0, 0.5):
+        d = RegularizedProjectionDriver(h=h, G=G, eps=eps)
+        ref = h.value(0.7, x, y, z)[:, 0] - 0.5 * np.sum((a - Gv) ** 2, axis=1)
+        ref -= 0.5 * eps * np.sum(a * a, axis=1)
+        assert np.array_equal(d.value(0.7, x, y, z, a), ref)
+
+
+@pytest.mark.parametrize("dim_b", [1, 2, 3, 4])
+def test_g_regularized_value_is_bitwise_the_np_sum_formula(dim_b):
+    # ambient dims 1, 3, 6 and 10: the last one takes np.sum's own path
+    rng = np.random.default_rng(dim_b)
+    n = 400
+    z = rng.standard_normal((n, dim_b))
+    a0 = rng.standard_normal(dim_b * (dim_b + 1) // 2)
+    a = rng.standard_normal((n, a0.size))
+    d = GRegularizedDriver(eps=0.3, a0=a0)
+    ref = 0.5 * np.sum(a * embed_zz(z), axis=1) \
+        - 0.5 * 0.3 * np.sum((a - a0) ** 2, axis=1)
+    x, y = np.zeros((n, 1)), np.zeros(n)
+    assert np.array_equal(d.value(0.0, x, y, z, a), ref)
+
+
 def test_closed_form_maximizers_match_grid_oracle():
     rng = np.random.default_rng(1)
     uset = Box([0.0], [1.0])

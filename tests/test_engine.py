@@ -260,6 +260,23 @@ def test_design_at_a_point_mass_is_the_constant():
     assert got.shape == (50, 1) and np.all(got == 1.0)
 
 
+def test_measuring_the_design_allocates_no_block_beside_it():
+    # a (k, n) temporary per node (say rows[1:].std(axis=1)) is a fresh
+    # mapping in every node of a solve, paid for in page faults
+    n = 20_000
+    Xi = np.random.default_rng(3).standard_normal((n, 3))
+    tracemalloc.start()
+    try:
+        design, scaling = _design_matrix(Xi, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert design.shape == (n, 20) and len(scaling) == 19
+    row = n * Xi.itemsize
+    # the design, the (dim, n) coordinate copy and two scratch rows
+    assert peak <= design.nbytes + 5 * row, (peak, design.nbytes)
+
+
 def test_projector_matches_lstsq():
     rng = np.random.default_rng(1)
     design, scaling = _design_matrix(rng.standard_normal((5000, 2)), 3)

@@ -44,6 +44,96 @@ def test_ball_projection():
     assert np.allclose(pts[inside], P[inside])
 
 
+def reference_ball_projection(ball, P):
+    """Ball.project_batch before the row kernels: gather the outside rows,
+    scale them, scatter them back; numpy reductions over the rows."""
+    diff = P - ball.center
+    dist = np.sqrt(np.sum(diff * diff, axis=1))
+    pts = P.copy()
+    outside = dist > ball.radius
+    scale = ball.radius / dist[outside]
+    pts[outside] = ball.center + diff[outside] * scale[:, None]
+    return pts, np.linalg.norm(P - pts, axis=1)
+
+
+def reference_box_projection(box, P):
+    pts = np.clip(P, box.lower, box.upper)
+    return pts, np.linalg.norm(P - pts, axis=1)
+
+
+def ball_queries(ball, rng):
+    """Batches that cover every branch of the ball projection: random
+    rows, the centre (distance 0), rows exactly on the sphere (the axis
+    points and a 3-4-5 triangle scaled to the radius, kept where the
+    arithmetic is exact), all inside and all outside."""
+    dim, c, r = ball.dim, ball.center, ball.radius
+    on = np.zeros((2 * dim, dim))
+    for j in range(dim):
+        on[2 * j, j] = r
+        on[2 * j + 1, j] = -r
+    on += c
+    if dim >= 2:
+        tri = np.zeros((1, dim))
+        tri[0, :2] = 0.6 * r, 0.8 * r
+        on = np.vstack([on, c + tri])
+    diff = on - c
+    on = on[np.sqrt(np.sum(diff * diff, axis=1)) == r]
+    assert len(on) >= 2 * dim  # the axis points are exact for dyadic data
+    u = rng.standard_normal((500, dim))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    return {
+        "mixed": np.vstack([c + 2.0 * r * rng.standard_normal((500, dim)),
+                            c[None], on]),
+        "centre": c[None].copy(),
+        "on_sphere": on,
+        "inside": c + 0.99 * r * rng.uniform(0, 1, (500, 1)) * u,
+        "outside": c + r * (1.01 + rng.uniform(0, 3, (500, 1))) * u,
+    }
+
+
+@pytest.mark.parametrize("center, radius", [
+    ([0.5], 2.0), ([1.0, -2.0], 5.0), ([0.125, 0.25, -0.375], 1.0),
+    (np.arange(10) / 8 - 0.5, 3.0)], ids=["dim1", "dim2", "dim3", "dim10"])
+def test_ball_projection_is_bitwise_the_gather_scatter_formula(center, radius):
+    ball = Ball(center, radius)
+    rng = np.random.default_rng(ball.dim)
+    for name, P in ball_queries(ball, rng).items():
+        r = ball.project_batch(P)
+        pts, dist = reference_ball_projection(ball, P)
+        assert np.array_equal(r.point, pts), name
+        assert np.array_equal(r.distance, dist), name
+        if name in ("inside", "on_sphere", "centre"):
+            assert np.all(r.distance == 0.0) and np.array_equal(r.point, P)
+        if name == "outside":
+            assert np.all(r.distance > 0.0)
+        for i in range(0, len(P), 97):  # the scalar call is a batch of one
+            one = ball.project(P[i])
+            assert np.array_equal(one.point, pts[i]) and one.distance == dist[i]
+
+
+@pytest.mark.parametrize("dim", [1, 3, 10])
+def test_box_projection_is_bitwise_the_norm_formula(dim):
+    rng = np.random.default_rng(dim)
+    lower = rng.uniform(-1, 0, dim)
+    box = Box(lower, lower + rng.uniform(0.5, 2, dim))
+    batches = {"mixed": rng.uniform(-3, 3, (500, dim)),
+               "inside": rng.uniform(box.lower, box.upper, (500, dim)),
+               "outside": box.upper + rng.uniform(0.1, 2, (500, dim)),
+               "corners": np.vstack([box.lower, box.upper])}
+    for name, P in batches.items():
+        r = box.project_batch(P)
+        pts, dist = reference_box_projection(box, P)
+        assert np.array_equal(r.point, pts), name
+        assert np.array_equal(r.distance, dist), name
+        for i in range(0, len(P), 97):
+            one = box.project(P[i])
+            assert np.array_equal(one.point, pts[i]) and one.distance == dist[i]
+    C = rng.standard_normal((500, dim))
+    vals, args = box.linear_max_batch(C)
+    ref = np.sum(np.where(C > 0, box.upper, box.lower) * C, axis=1)
+    assert np.array_equal(vals, ref)
+
+
 def test_cloud_projection_and_medial_gap():
     cloud = PointCloud([[0.0], [1.0]])
     r = cloud.project(0.3)
