@@ -50,9 +50,6 @@ def main(argv=None):
     start = time.perf_counter()
     try:
         summary, ok = run_scenario(cfg, args.out, paths_dump=args.paths_dump)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
     except Exception as e:
         print(f"run failed: {type(e).__name__}: {e}", file=sys.stderr)
         return 1

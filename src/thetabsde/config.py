@@ -259,27 +259,16 @@ def build_scenario(cfg):
     mc = d.get("mc", {})
     with _field("driver/set/sde dimensions"):
         driver.check(uset, sde.dim_x, sde.dim_b)
-    y_clip = mc.get("y_clip")
-    if y_clip is not None:
-        try:
-            lo, hi = (float(v) for v in y_clip)
-        except (TypeError, ValueError):
-            raise ConfigError("mc.y_clip must be a [lo, hi] pair") from None
-        if not lo < hi:
-            raise ConfigError("mc.y_clip must satisfy lo < hi")
-        y_clip = (lo, hi)
     with _field("mc"):
-        n_paths = _integer(mc.get("n_paths", 1000), "mc.n_paths")
-        if n_paths < 1:
-            raise ConfigError(f"mc.n_paths must be >= 1, got {n_paths}")
         return Scenario(sde=sde, driver=driver, uset=uset, terminal=terminal,
-                        grid=grid, n_paths=n_paths,
+                        grid=grid,
+                        n_paths=_integer(mc.get("n_paths", 1000), "mc.n_paths"),
                         seed=_integer(_need(mc, "seed", "mc"), "mc.seed"),
                         regression_degree=_integer(
                             mc.get("regression_degree", 3), "mc.regression_degree"),
                         picard_iters=_integer(mc.get("picard_iters", 3),
                                               "mc.picard_iters"),
-                        y_clip=y_clip)
+                        y_clip=mc.get("y_clip"))
 
 
 def build_pde_grid(cfg, scenario):
@@ -310,8 +299,8 @@ def kind_params(cfg, scenario):
         if kind == "epsilon_sweep":
             sw = d.get("sweep", {})
             eps = sw.get("epsilons", [0.5, 0.25, 0.125, 0.0625])
-            return {"epsilons": check_sweep(scenario, eps),
-                    "a0": sw.get("a0", scenario.uset.fixed_element())}
+            a0 = sw.get("a0", scenario.uset.fixed_element())
+            return {"epsilons": check_sweep(scenario, eps, a0), "a0": a0}
         if kind == "eos_demo":
             threshold = d.get("eos", {}).get("gap_threshold")
             return {"gap_threshold": check_eos(scenario, threshold)}
@@ -334,7 +323,7 @@ def kind_params(cfg, scenario):
                                      "martingale.s_index"),
                  "c": float(mg.get("c", 1.0))}
             check_martingale(scenario.grid, p["process"], p["t_index"],
-                             p["s_index"])
+                             p["s_index"], p["c"])
             check_theta_driver(scenario.driver, scenario.uset, 1)
             return p
         if kind == "theta_bm":
@@ -346,7 +335,7 @@ def kind_params(cfg, scenario):
 
 
 # preconditions of the experiment kinds, shared with experiments.py
-def check_sweep(scenario, epsilons):
+def check_sweep(scenario, epsilons, a0):
     """Preconditions of ``epsilon_sweep``; returns the epsilons as floats."""
     if not is_convex(scenario.uset):
         raise ExperimentError("epsilon sweep requires a convex set (box/ball)")
@@ -355,6 +344,9 @@ def check_sweep(scenario, epsilons):
         raise ExperimentError("epsilons must be strictly decreasing and positive")
     if scenario.terminal.clamp is None:
         raise ExperimentError("sweep requires a bounded (clamped) terminal")
+    # the check of every driver the sweep builds
+    GRegularizedDriver(eps[0], a0).check(scenario.uset, scenario.sde.dim_x,
+                                         scenario.sde.dim_b)
     return eps
 
 

@@ -235,9 +235,18 @@ class Scenario:
     y_clip: Optional[tuple] = None
 
     def __post_init__(self):
-        for name, least in (("picard_iters", 1), ("regression_degree", 0)):
+        for name, least in (("n_paths", 1), ("picard_iters", 1),
+                            ("regression_degree", 0)):
             if getattr(self, name) < least:
                 raise EngineError(f"{name} must be >= {least}")
+        if self.y_clip is not None:
+            try:
+                lo, hi = (float(v) for v in self.y_clip)
+            except (TypeError, ValueError):
+                raise EngineError("y_clip must be a [lo, hi] pair") from None
+            if not lo < hi:
+                raise EngineError("y_clip must satisfy lo < hi")
+            self.y_clip = (lo, hi)
 
 
 @dataclass
@@ -269,21 +278,11 @@ KEEPABLE = ("Z", "A", "projection")
 _MAX_CONDITION = 1e6
 
 
-def _design_matrix(Xi, degree, scaling=None):
-    """Constant plus standardized monomials; zero-variance columns dropped.
-
-    Built feature-major: each monomial is its parent (the same index tuple
-    less its last entry) times one coordinate, so every operation runs on a
-    contiguous row of a (k, n) array. Returns the (n, k) transpose view and
-    its ``scaling``: one (raw row, mean, sd) per kept monomial. Measuring a
-    row centres it straight into its slot, squares it into one (n,) scratch
-    row and takes ``sqrt(sum / n)``, which is bitwise ``np.std``; nothing
-    larger than (n,) is allocated beside the design, since a (k, n)
-    temporary at every node costs fresh pages. Given the scaling of an
-    earlier call on the same ``Xi``, the means and standard deviations are
-    not measured again, and the same subtract and divide give a bitwise
-    equal design.
-    """
+def _monomial_rows(Xi, degree):
+    """The constant and every monomial of ``Xi`` up to ``degree``, raw, as
+    the rows of one (k, n) array. Built feature-major: each monomial is its
+    parent (the same index tuple less its last entry) times one coordinate,
+    so every operation runs on a contiguous row."""
     n, dim_x = Xi.shape
     coords = np.ascontiguousarray(Xi.T)
     monomials = [c for total in range(1, degree + 1)
@@ -292,78 +291,81 @@ def _design_matrix(Xi, degree, scaling=None):
     rows[0] = 1.0
     row_of = {(): 0}
     for r, c in enumerate(monomials, start=1):
-        parent = row_of[c[:-1]]
-        if parent:
-            np.multiply(rows[parent], coords[c[-1]], out=rows[r])
-        else:
-            rows[r] = coords[c[-1]]
+        # a degree-1 parent is the constant row, and 1.0 * x is x bitwise
+        np.multiply(rows[row_of[c[:-1]]], coords[c[-1]], out=rows[r])
         row_of[c] = r
-    # standardize in place, compacting the kept rows to the front; row r
-    # is read before a later write can reach it
-    if scaling is None:
-        scaling = []
-        sq = np.empty(n)
-        for r in range(1, len(rows)):
-            k = len(scaling) + 1
-            mu = rows[r].sum() / n  # bitwise rows[r].mean()
-            np.subtract(rows[r], mu, out=rows[k])
-            np.multiply(rows[k], rows[k], out=sq)
-            sd = np.sqrt(sq.sum() / n)
-            if sd > 1e-12:  # else slot k is taken by the next kept row
-                rows[k] /= sd
-                scaling.append((r, mu, sd))
-    else:
-        for k, (r, mu, sd) in enumerate(scaling, start=1):
-            np.subtract(rows[r], mu, out=rows[k])
-            rows[k] /= sd
-    return rows[:len(scaling) + 1].T, scaling
+    return rows
+
+
+def _standardized(rows, scaling):
+    """The (n, k) design view of the raw ``rows``, each kept monomial centred
+    and scaled into its slot behind the constant: the one place a design
+    row is standardized, so a rebuilt design is bitwise the measured one."""
+    # row r is read before a later write can reach it
+    for k, (r, mu, sd) in enumerate(scaling, start=1):
+        np.subtract(rows[r], mu, out=rows[k])
+        rows[k] /= sd
+    return rows[:len(scaling) + 1].T
 
 
 @dataclass(frozen=True)
 class _Basis:
-    """One node's regression basis, measured once by the first solve that
-    reaches the node: the design's scaling, the Cholesky factor of its Gram
-    matrix and its condition number. A design whose condition passes
-    ``_MAX_CONDITION``, or whose Gram matrix is not positive definite, has
-    no factor; it is fitted by ``lstsq``, and its condition is the ratio of
-    its extreme singular values."""
+    """One node's regression, measured once by the first solve that reaches
+    the node: the constant plus the monomials up to ``degree`` that vary,
+    each kept as (raw row, mean, sd); the Cholesky factor of the design's
+    Gram matrix; and the design's condition number. A design whose
+    condition passes ``_MAX_CONDITION``, or whose Gram matrix is not
+    positive definite, has no factor; it is fitted by ``lstsq``, and its
+    condition is the ratio of its extreme singular values."""
 
+    degree: int
     scaling: list
     chol: Optional[np.ndarray]
     condition: float
 
     @classmethod
-    def measure(cls, design, scaling):
+    def measure(cls, Xi, degree):
+        """The record of states ``Xi`` and its design. Each monomial's mean
+        and sd are measured on one (n,) scratch row, bitwise ``np.mean`` and
+        ``np.std``, and the raw rows become the design in place: a (k, n)
+        temporary at every node would cost fresh pages."""
+        rows = _monomial_rows(Xi, degree)
+        n = len(Xi)
+        sq = np.empty(n)
+        scaling = []
+        for r in range(1, len(rows)):
+            mu = rows[r].sum() / n
+            np.subtract(rows[r], mu, out=sq)
+            np.multiply(sq, sq, out=sq)
+            sd = np.sqrt(sq.sum() / n)
+            if sd > 1e-12:
+                scaling.append((r, mu, sd))
+        design = _standardized(rows, scaling)
         gram = design.T @ design
         eig = np.linalg.eigvalsh(gram)
         if eig[0] > 0:
             condition = float(np.sqrt(eig[-1] / eig[0]))
             if condition <= _MAX_CONDITION:
                 try:
-                    return cls(scaling, np.linalg.cholesky(gram), condition)
+                    return cls(degree, scaling, np.linalg.cholesky(gram),
+                               condition), design
                 except np.linalg.LinAlgError:
                     pass
         sv = np.linalg.svd(design, compute_uv=False)
-        return cls(scaling, None, float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf)
+        return cls(degree, scaling, None, float(sv[0] / sv[-1])
+                   if sv[-1] > 0 else np.inf), design
+
+    def design(self, Xi):
+        """The (n, k) design of states ``Xi``, bitwise ``measure``'s."""
+        return _standardized(_monomial_rows(Xi, self.degree), self.scaling)
 
     def fit(self, design, targets):
-        """Fitted values of ``targets`` (n,) or (n, m) on the design the
-        record was measured on."""
+        """Least-squares coefficients of ``targets`` (n,) or (n, m) on a
+        design of this record."""
         if self.chol is None:
-            return design @ np.linalg.lstsq(design, targets, rcond=None)[0]
+            return np.linalg.lstsq(design, targets, rcond=None)[0]
         half = np.linalg.solve(self.chol, design.T @ targets)
-        return design @ np.linalg.solve(self.chol.T, half)
-
-
-def _node_basis(bases, degree, i, Xi):
-    """Design and basis of node ``i`` with states ``Xi``, rebuilt from the
-    record in ``bases`` or measured and recorded there."""
-    basis = bases.get((degree, i))
-    design, scaling = _design_matrix(Xi, degree,
-                                     None if basis is None else basis.scaling)
-    if basis is None:
-        basis = bases[degree, i] = _Basis.measure(design, scaling)
-    return design, basis
+        return np.linalg.solve(self.chol.T, half)
 
 
 def solve_theta_bsde(scenario, paths=None, terminal_values=None, keep=()):
@@ -440,9 +442,14 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None, keep=()):
     # per-path total of terminal + accumulated driver, for the Y0 stderr
     accum = Y[n].copy()
     for i in range(n - 1, -1, -1):
-        design, basis = _node_basis(ens._bases, sc.regression_degree, i, X[i])
-        Ey = basis.fit(design, Y[i + 1])
-        Zi = basis.fit(design, (Y[i + 1] - Ey)[:, None] * dB[i] / dt)
+        basis = ens._bases.get((sc.regression_degree, i))
+        if basis is None:
+            basis, design = _Basis.measure(X[i], sc.regression_degree)
+            ens._bases[sc.regression_degree, i] = basis
+        else:
+            design = basis.design(X[i])
+        Ey = design @ basis.fit(design, Y[i + 1])
+        Zi = design @ basis.fit(design, (Y[i + 1] - Ey)[:, None] * dB[i] / dt)
         if Z is not None:
             Z[i] = Zi
         if i == n - 1 and records:

@@ -102,7 +102,7 @@ class EpsilonSweepResult:
 def epsilon_sweep(scenario, epsilons, a0):
     """Convergence of the regularized runs toward the support-function
     reference on common paths; ``scenario.driver`` is not used."""
-    eps = check_sweep(scenario, epsilons)
+    eps = check_sweep(scenario, epsilons, a0)
     # both driver variants vanish at z = 0, so the clamp bounds are
     # super/subsolutions and Y may be clipped to them
     base = replace(scenario, y_clip=scenario.terminal.clamp)

@@ -90,12 +90,14 @@ def integrate_theta_qv(driver, uset, grid, B):
     return QvPath(grid=grid, qv=qv.T, m_path=(norms - qv).T, monotone=monotone)
 
 
-def check_martingale(grid, process, t_index, s_index):
+def check_martingale(grid, process, t_index, s_index, c):
     """Preconditions of ``verify_theta_martingale`` on ``grid``."""
     if process not in ("theta_bm", "m_qv", "linear_bm"):
         raise EngineError(f"unknown process {process!r}")
     if not 0 <= t_index < s_index <= grid.n_steps:
         raise EngineError("need 0 <= t_index < s_index <= n_steps")
+    if not np.isfinite(c):
+        raise EngineError(f"c must be finite, got {c!r}")
 
 
 def verify_theta_martingale(scenario_base, process, t_index, s_index, c=1.0):
@@ -108,7 +110,7 @@ def verify_theta_martingale(scenario_base, process, t_index, s_index, c=1.0):
     per-path terminal M_s; at t_index 0 the conditioning is exact.
     """
     sc = scenario_base
-    check_martingale(sc.grid, process, t_index, s_index)
+    check_martingale(sc.grid, process, t_index, s_index, c)
     check_theta_driver(sc.driver, sc.uset, 1)
     if process == "theta_bm":
         ens_th = simulate_theta_bm(sc.driver, sc.uset, sc.grid, sc.n_paths, sc.seed)

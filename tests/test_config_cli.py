@@ -187,6 +187,11 @@ def test_cli_paths_dump_flag(tmp_path):
     assert (tmp_path / "dumped.paths.csv").exists()
 
 
+SWEEP = (GOOD.replace("kind = solve", "kind = epsilon_sweep")
+         .replace("driver.type = zero", "driver.type = g_limit")
+         .replace("set.lower = [0.0]", "set.lower = [1.0]")
+         .replace("set.upper = [1.0]", "set.upper = [2.0]")
+         + "terminal.clamp = [0.0, 4.0]\n")
 UNION = ('set.type = union\nset.members = [{"type": "box", "lower": [0.0], '
          '"upper": [1.0]}, {"type": "box", "lower": [2.0], "upper": [3.0]}]')
 
@@ -243,12 +248,20 @@ UNION = ('set.type = union\nset.members = [{"type": "box", "lower": [0.0], '
     (GOOD + "name = ..\n", "name"),
     (GOOD + "name = .\n", "name"),
     (GOOD + 'name = ""\n', "name"),
+    # the sweep's drivers raised DriverError and AmbientError in run
+    (SWEEP + "sweep.a0 = [5.0]\n", "a0 must lie in the uncertainty set"),
+    (SWEEP + "sweep.a0 = [1.0, 1.0]\n", "dimension mismatch"),
+    # the solve raised "non-finite values at node 5" in run
+    (GOOD.replace("kind = solve", "kind = martingale_check")
+     + "martingale.process = linear_bm\nmartingale.c = NaN\n",
+     "c must be finite"),
 ], ids=["sweep_on_union", "fk_in_dim_2", "eos_on_box", "martingale_past_grid",
         "empty_coeffs", "nested_coeffs", "nan_coeff", "nan_x0", "nan_drift_const",
         "inf_drift_t", "nan_drift_lin", "nan_vol_const", "nan_vol_lin", "inf_T",
         "inf_t0", "nan_alpha", "nan_beta", "inf_gamma", "nan_g_x", "inf_g_eps",
         "int_name", "parent_name", "nested_name", "absolute_name",
-        "backslash_name", "dotdot_name", "dot_name", "empty_name"])
+        "backslash_name", "dotdot_name", "dot_name", "empty_name",
+        "sweep_a0_outside_set", "sweep_a0_wrong_dim", "martingale_nan_c"])
 def test_cli_validate_rejects_what_run_would_fail(tmp_path, capsys, kind_cfg,
                                                   message):
     p = tmp_path / "kind.cfg"
@@ -303,6 +316,21 @@ def test_theta_qv_runs_with_a_z_block_of_dim_x_columns(tmp_path):
     assert main(["run", str(p), "--out", str(tmp_path), "--quiet"]) == 0
 
 
+def test_theta_bm_run_is_finite_and_reruns_bitwise(tmp_path):
+    p = tmp_path / "bm.cfg"
+    p.write_text(PROJECTION.replace("kind = solve", "kind = theta_bm")
+                 + "driver.g.z = [[1.0]]\nname = bm\n")
+    texts = []
+    for out in ("a", "b"):
+        assert main(["run", str(p), "--out", str(tmp_path / out),
+                     "--quiet"]) == 0
+        texts.append((tmp_path / out / "bm.summary.json").read_text())
+    assert texts[0] == texts[1]
+    summary = json.loads(texts[0])
+    for key in ("final_mean", "final_var", "realized_qv_mean"):
+        assert isinstance(summary[key], float), (key, summary[key])
+
+
 def test_affine_default_runs_on_dim_x_2(tmp_path):
     # the default gamma was [0.0], which failed in run on any dim_b > 1
     p = tmp_path / "affine.cfg"
@@ -345,8 +373,12 @@ def test_non_numeric_sde_dimension_is_a_config_error():
     # validate passed and the engine clamped or ignored the value
     ("mc.picard_iters = 0", "picard_iters must be >= 1"),
     ("mc.regression_degree = -2", "regression_degree must be >= 0"),
+    ("mc.y_clip = [1.0, -1.0]", "y_clip must satisfy lo < hi"),
+    ("mc.y_clip = [1.0]", "y_clip must be a [lo, hi] pair"),
+    ("mc.y_clip = 1.0", "y_clip must be a [lo, hi] pair"),
 ], ids=["zero_paths", "word_paths", "word_degree", "list_picard",
-        "zero_picard", "negative_degree"])
+        "zero_picard", "negative_degree", "reversed_clip", "short_clip",
+        "scalar_clip"])
 def test_cli_validate_rejects_bad_mc_fields(tmp_path, capsys, line, message):
     p = tmp_path / "mc.cfg"
     p.write_text(GOOD.replace("mc.n_paths = 50", line) if "n_paths" in line

@@ -9,7 +9,7 @@ import pytest
 import thetabsde as tb
 from thetabsde import engine
 from thetabsde.drivers import evaluate, maximizer
-from thetabsde.engine import EngineError, _Basis, _design_matrix, axiom_check
+from thetabsde.engine import EngineError, _Basis, axiom_check
 
 
 def make_sde(**kw):
@@ -243,20 +243,20 @@ def power_design(Xi, degree):
 def test_incremental_design_matches_power_construction(dim_x, degree):
     rng = np.random.default_rng(10 * dim_x + degree)
     Xi = 0.5 + 1.5 * rng.standard_normal((3000, dim_x))
-    got, _ = _design_matrix(Xi, degree)
+    got = _Basis.measure(Xi, degree)[1]
     assert got.shape == (3000, math.comb(dim_x + degree, degree))
     assert np.max(np.abs(got - power_design(Xi, degree))) <= 1e-12
     if dim_x > 1:
         # a frozen coordinate: its pure powers have zero variance and drop
         Xi[:, 1] = 2.0
-        got, _ = _design_matrix(Xi, degree)
+        got = _Basis.measure(Xi, degree)[1]
         ref = power_design(Xi, degree)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12
 
 
 def test_design_at_a_point_mass_is_the_constant():
-    got, _ = _design_matrix(np.full((50, 2), 0.3), 3)
+    got = _Basis.measure(np.full((50, 2), 0.3), 3)[1]
     assert got.shape == (50, 1) and np.all(got == 1.0)
 
 
@@ -267,11 +267,11 @@ def test_measuring_the_design_allocates_no_block_beside_it():
     Xi = np.random.default_rng(3).standard_normal((n, 3))
     tracemalloc.start()
     try:
-        design, scaling = _design_matrix(Xi, 3)
+        basis, design = _Basis.measure(Xi, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert design.shape == (n, 20) and len(scaling) == 19
+    assert design.shape == (n, 20) and len(basis.scaling) == 19
     row = n * Xi.itemsize
     # the design, the (dim, n) coordinate copy and two scratch rows
     assert peak <= design.nbytes + 5 * row, (peak, design.nbytes)
@@ -279,28 +279,41 @@ def test_measuring_the_design_allocates_no_block_beside_it():
 
 def test_projector_matches_lstsq():
     rng = np.random.default_rng(1)
-    design, scaling = _design_matrix(rng.standard_normal((5000, 2)), 3)
-    basis = _Basis.measure(design, scaling)
+    basis, design = _Basis.measure(rng.standard_normal((5000, 2)), 3)
     assert basis.chol is not None
     sv = np.linalg.svd(design, compute_uv=False)
     assert basis.condition == pytest.approx(sv[0] / sv[-1], rel=1e-8)
     for targets in (rng.standard_normal(5000), rng.standard_normal((5000, 3))):
-        ref = design @ np.linalg.lstsq(design, targets, rcond=None)[0]
-        assert np.max(np.abs(basis.fit(design, targets) - ref)) <= 1e-10
+        coef = np.linalg.lstsq(design, targets, rcond=None)[0]
+        got = basis.fit(design, targets)
+        assert got.shape == coef.shape
+        assert np.max(np.abs(got - coef)) <= 1e-10
+        assert np.max(np.abs(design @ got - design @ coef)) <= 1e-10
+
+
+@pytest.mark.parametrize("Xi", [
+    np.random.default_rng(4).standard_normal((2000, 3)),
+    # a frozen coordinate: the kept monomials are not a prefix of the rows
+    np.column_stack([np.random.default_rng(5).standard_normal(2000),
+                     np.full(2000, 2.0)]),
+    np.random.default_rng(6).choice([-1.0, 1.0], size=(400, 1)),
+], ids=["dim_3", "frozen_coordinate", "collinear"])
+def test_rebuilt_design_is_bitwise_the_measured_one(Xi):
+    basis, design = _Basis.measure(Xi, 3)
+    assert np.array_equal(basis.design(Xi), design)
 
 
 def test_collinear_design_falls_back_to_lstsq():
     # on X in {-1, 1}: x^2 == 1 drops out and x^3 == x duplicates a column
     rng = np.random.default_rng(2)
-    design, scaling = _design_matrix(rng.choice([-1.0, 1.0], size=(400, 1)), 3)
+    basis, design = _Basis.measure(rng.choice([-1.0, 1.0], size=(400, 1)), 3)
     assert design.shape == (400, 3)
-    basis = _Basis.measure(design, scaling)
     assert basis.chol is None
     # measured once, from the design's singular values
     sv = np.linalg.svd(design, compute_uv=False)
     assert basis.condition == sv[0] / sv[-1]
     targets = rng.standard_normal(400)
-    got = basis.fit(design, targets)
+    got = design @ basis.fit(design, targets)
     ref = design @ np.linalg.lstsq(design, targets, rcond=None)[0]
     assert np.all(np.isfinite(got)) and np.max(np.abs(got - ref)) <= 1e-12
 
@@ -334,6 +347,24 @@ def driver_scenario(driver, uset=UNIT_BOX, n_steps=10, y_clip=None):
                        terminal=tb.Payoff([0.0, 1.0]),
                        grid=tb.TimeGrid(0.0, 1.0, n_steps), n_paths=500,
                        seed=12, picard_iters=3, y_clip=y_clip)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    # a reversed clip solved a zero driver on x to Y0 = -1.0, not 0
+    ("y_clip", (1.0, -1.0), "lo < hi"),
+    ("y_clip", (0.5, 0.5), "lo < hi"),
+    ("y_clip", (0.0, np.nan), "lo < hi"),
+    ("y_clip", (1.0,), "pair"),
+    ("y_clip", 1.0, "pair"),
+    ("y_clip", ("low", "high"), "pair"),
+    ("n_paths", 0, "n_paths must be >= 1"),
+], ids=["reversed_clip", "empty_clip", "nan_clip", "short_clip",
+        "scalar_clip", "word_clip", "zero_paths"])
+def test_scenario_rejects_bad_mc_fields(field, value, message):
+    sc = driver_scenario(tb.ZeroDriver())
+    with pytest.raises(EngineError, match=message):
+        replace(sc, **{field: value})
+    assert replace(sc, y_clip=[-1, 2]).y_clip == (-1.0, 2.0)
 
 
 def test_y_independent_driver_is_evaluated_once_per_node(monkeypatch):
