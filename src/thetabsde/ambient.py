@@ -58,6 +58,47 @@ def require_finite(error, obj, names):
             raise error(f"{name} must be finite, got {value}")
 
 
+# value rules: each raises the caller's error type, naming the field
+
+def as_integer(error, value, name, least=None):
+    """``value`` as an int, at least ``least`` when given: an int or an
+    integral float passes, anything else (2.7, "2", True) is rejected
+    rather than truncated."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise error(f"{name} must be >= {least}, got {value!r}")
+    return int(value)
+
+
+def as_number(error, value, name, least=None, above=None):
+    """``value`` as a finite float, >= ``least`` and > ``above`` if given."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = np.nan
+    if not (np.isfinite(number) and (least is None or number >= least)
+            and (above is None or number > above)):
+        bound = "" if least is None else f" and >= {least}"
+        bound += "" if above is None else f" and > {above}"
+        raise error(f"{name} must be finite{bound}, got {value!r}")
+    return number
+
+
+def as_pair(error, value, name):
+    """``value`` as floats ``(lo, hi)``, lo < hi; either may be infinite."""
+    try:
+        lo, hi = np.asarray(value, dtype=float)
+        ordered = bool(lo < hi)
+    except (TypeError, ValueError):
+        raise error(f"{name} must be a [lo, hi] pair, got {value!r}") from None
+    if not ordered:
+        raise error(f"{name} must satisfy lo < hi, got {value!r}")
+    return float(lo), float(hi)
+
+
 def row_sum(x):
     """``np.sum(x, axis=1)`` of an (n, d) array, bitwise."""
     if x.shape[1] >= _ROW_KERNEL_DIM:

@@ -16,11 +16,11 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from .ambient import as_integer
 from .drivers import (AffineDriver, GLimitDriver, GRegularizedDriver,
-                      RegularizedProjectionDriver, StateFn, ZeroDriver,
-                      is_convex)
-from .engine import (EngineError, Payoff, Scenario, SdeSpec, TimeGrid,
-                     as_integer, check_axiom)
+                      RegularizedProjectionDriver, StateFn, ZeroDriver)
+from .engine import Payoff, Scenario, SdeSpec, TimeGrid, check_axiom
+from .experiments import check_eos, check_sweep
 from .pde import PdeGrid, auto_grid, check_sde
 from .sets import Ball, Box, PointCloud, UnionSet
 from .theta import check_martingale, check_theta_driver
@@ -30,10 +30,6 @@ KINDS = ("solve", "fk_check", "epsilon_sweep", "eos_demo", "theta_bm",
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class ExperimentError(ValueError):
     pass
 
 
@@ -127,14 +123,6 @@ class ScenarioConfig:
                 or "/" in name or "\\" in name):
             raise ConfigError("name must be a non-empty file name without "
                               f"path separators, got {name!r}")
-        if "seed" not in self.mc:
-            raise ConfigError("mc.seed required")
-        seed = self.mc["seed"]
-        # the seed keys a Philox generator, which takes an unsigned 64-bit key
-        if not 0 <= _integer(seed, "mc.seed") < 2 ** 64:
-            raise ConfigError(
-                f"mc.seed must be an integer in [0, 2**64), got {seed!r}")
-        # raise naming the field
         self.scenario = build_scenario(self)
         self.params = kind_params(self, self.scenario)
 
@@ -159,14 +147,6 @@ def _need(section, key, where):
     return section[key]
 
 
-def _integer(value, where):
-    """``value`` as an int by the library's rule (``engine.as_integer``)."""
-    try:
-        return as_integer(value, where)
-    except EngineError as e:
-        raise ConfigError(str(e)) from None
-
-
 def build_set(spec, where="set"):
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be a mapping")
@@ -177,7 +157,7 @@ def build_set(spec, where="set"):
         if typ == "ball":
             return Ball(_need(spec, "center", where), _need(spec, "radius", where))
         if typ == "cloud":
-            return PointCloud(np.asarray(_need(spec, "points", where), dtype=float))
+            return PointCloud(_need(spec, "points", where))
         if typ == "union":
             members = _need(spec, "members", where)
             return UnionSet([build_set(m, f"{where}.members[{i}]")
@@ -223,8 +203,10 @@ def build_driver(spec, where="driver"):
 def build_sde(spec, where="sde"):
     spec = spec or {}
     with _field(where):
-        dim_x = _integer(spec.get("dim_x", 1), f"{where}.dim_x")
-        dim_b = _integer(spec.get("dim_b", dim_x), f"{where}.dim_b")
+        # config computes with the dimensions before SdeSpec holds them
+        dim_x = as_integer(ConfigError, spec.get("dim_x", 1), f"{where}.dim_x")
+        dim_b = as_integer(ConfigError, spec.get("dim_b", dim_x),
+                           f"{where}.dim_b")
         vol = spec.get("vol_const")
         if vol is None and "vol_lin" not in spec:
             vol = np.eye(dim_x, dim_b)  # default: driving noise passes through
@@ -245,8 +227,8 @@ def build_terminal(spec, where="terminal"):
 def build_grid(spec, where="grid"):
     spec = spec or {}
     with _field(where):
-        return TimeGrid(float(spec.get("t0", 0.0)), float(_need(spec, "T", where)),
-                        _integer(_need(spec, "n_steps", where), f"{where}.n_steps"))
+        return TimeGrid(spec.get("t0", 0.0), _need(spec, "T", where),
+                        _need(spec, "n_steps", where))
 
 
 def build_scenario(cfg):
@@ -261,13 +243,10 @@ def build_scenario(cfg):
         driver.check(uset, sde.dim_x, sde.dim_b)
     with _field("mc"):
         return Scenario(sde=sde, driver=driver, uset=uset, terminal=terminal,
-                        grid=grid,
-                        n_paths=_integer(mc.get("n_paths", 1000), "mc.n_paths"),
-                        seed=_integer(_need(mc, "seed", "mc"), "mc.seed"),
-                        regression_degree=_integer(
-                            mc.get("regression_degree", 3), "mc.regression_degree"),
-                        picard_iters=_integer(mc.get("picard_iters", 3),
-                                              "mc.picard_iters"),
+                        grid=grid, n_paths=mc.get("n_paths", 1000),
+                        seed=_need(mc, "seed", "mc"),
+                        regression_degree=mc.get("regression_degree", 3),
+                        picard_iters=mc.get("picard_iters", 3),
                         y_clip=mc.get("y_clip"))
 
 
@@ -275,7 +254,7 @@ def build_pde_grid(cfg, scenario):
     spec = cfg.data.get("pde", {})
     with _field("pde"):
         check_sde(scenario.sde)
-        n_x = _integer(spec.get("n_x", 400), "pde.n_x")
+        n_x = spec.get("n_x", 400)
         # an explicit grid needs all three keys; none gives the automatic one
         missing = [f"pde.{k}" for k in ("x_min", "x_max", "n_t")
                    if k not in spec]
@@ -284,87 +263,50 @@ def build_pde_grid(cfg, scenario):
         if missing:
             raise ConfigError(f"an explicit PDE grid also needs "
                               f"{' and '.join(missing)}")
-        return PdeGrid(float(spec["x_min"]), float(spec["x_max"]), n_x,
-                       _integer(spec["n_t"], "pde.n_t"),
+        return PdeGrid(spec["x_min"], spec["x_max"], n_x, spec["n_t"],
                        scenario.grid.t0, scenario.grid.T)
+
+
+# the config section of each kind's parameters, which names its failures
+SECTIONS = {"epsilon_sweep": "sweep", "eos_demo": "eos",
+            "axiom_check": "axiom", "martingale_check": "martingale"}
 
 
 def kind_params(cfg, scenario):
     """Arguments of the kind's library call after the scenario, from the
-    kind's config section, passed through the library's own checks."""
-    kind, d = cfg.kind, cfg.data
-    with _field(kind):
-        if kind == "fk_check":
-            return {"pde_grid": build_pde_grid(cfg, scenario)}
+    kind's config section, parsed by the library's own checks."""
+    kind = cfg.kind
+    if kind == "fk_check":
+        return {"pde_grid": build_pde_grid(cfg, scenario)}
+    where = SECTIONS.get(kind, kind)
+    with _field(where):
+        spec = dict(cfg.data.get(where, {}))
         if kind == "epsilon_sweep":
-            sw = d.get("sweep", {})
-            eps = sw.get("epsilons", [0.5, 0.25, 0.125, 0.0625])
-            a0 = sw.get("a0", scenario.uset.fixed_element())
+            eps = spec.get("epsilons", [0.5, 0.25, 0.125, 0.0625])
+            a0 = spec.get("a0", scenario.uset.fixed_element())
             return {"epsilons": check_sweep(scenario, eps, a0), "a0": a0}
         if kind == "eos_demo":
-            threshold = d.get("eos", {}).get("gap_threshold")
-            return {"gap_threshold": check_eos(scenario, threshold)}
+            return {"gap_threshold": check_eos(scenario,
+                                               spec.get("gap_threshold"))}
         if kind == "axiom_check":
-            ax = dict(d.get("axiom", {}))
-            axiom = _need(ax, "name", "axiom")
-            del ax["name"]
-            if "s_index" in ax:
-                ax["s_index"] = _integer(ax["s_index"], "axiom.s_index")
-            if "terminal2_coeffs" in ax:
-                ax["terminal2"] = Payoff(ax.pop("terminal2_coeffs"),
-                                         clamp=ax.pop("terminal2_clamp", None))
-            check_axiom(scenario, axiom, ax)
-            return {"axiom": axiom, "params": ax}
+            axiom = _need(spec, "name", "axiom")
+            del spec["name"]
+            if "terminal2_coeffs" in spec:
+                spec["terminal2"] = Payoff(
+                    spec.pop("terminal2_coeffs"),
+                    clamp=spec.pop("terminal2_clamp", None))
+            return {"axiom": axiom,
+                    "params": check_axiom(scenario, axiom, spec)}
         if kind == "martingale_check":
-            mg = d.get("martingale", {})
-            p = {"process": mg.get("process", "theta_bm"),
-                 "t_index": _integer(mg.get("t_index", 0), "martingale.t_index"),
-                 "s_index": _integer(mg.get("s_index", scenario.grid.n_steps),
-                                     "martingale.s_index"),
-                 "c": float(mg.get("c", 1.0))}
-            check_martingale(scenario.grid, p["process"], p["t_index"],
-                             p["s_index"], p["c"])
-            check_theta_driver(scenario.driver, scenario.uset, 1)
-            return p
+            process = spec.get("process", "theta_bm")
+            t_index, s_index, c = check_martingale(
+                scenario, process, spec.get("t_index", 0),
+                spec.get("s_index", scenario.grid.n_steps), spec.get("c", 1.0))
+            return {"process": process, "t_index": t_index,
+                    "s_index": s_index, "c": c}
         if kind == "theta_bm":
             check_theta_driver(scenario.driver, scenario.uset, 1)
         if kind == "theta_qv":
             check_theta_driver(scenario.driver, scenario.uset,
                                scenario.sde.dim_x)
     return {}
-
-
-# preconditions of the experiment kinds, shared with experiments.py
-def check_sweep(scenario, epsilons, a0):
-    """Preconditions of ``epsilon_sweep``; returns the epsilons as floats."""
-    if not is_convex(scenario.uset):
-        raise ExperimentError("epsilon sweep requires a convex set (box/ball)")
-    eps = [float(e) for e in epsilons]
-    if len(eps) < 2 or not all(eps[i] > eps[i + 1] > 0 for i in range(len(eps) - 1)):
-        raise ExperimentError("epsilons must be strictly decreasing and positive")
-    if scenario.terminal.clamp is None:
-        raise ExperimentError("sweep requires a bounded (clamped) terminal")
-    # the check of every driver the sweep builds
-    GRegularizedDriver(eps[0], a0).check(scenario.uset, scenario.sde.dim_x,
-                                         scenario.sde.dim_b)
-    return eps
-
-
-def check_eos(scenario, gap_threshold=None):
-    """Preconditions of ``eos_demo``; returns the gap threshold as a float,
-    or None for the default."""
-    uset, driver = scenario.uset, scenario.driver
-    if not isinstance(uset, UnionSet) or len(uset.members) < 2:
-        raise ExperimentError("demo requires a union of at least two members")
-    if not isinstance(driver, RegularizedProjectionDriver) or driver.eps == 0:
-        raise ExperimentError("demo requires the regularized projection driver")
-    if gap_threshold is None:
-        return None
-    try:
-        threshold = float(gap_threshold)
-    except (TypeError, ValueError):
-        threshold = np.nan
-    if not 0.0 <= threshold < np.inf:
-        raise ExperimentError("gap_threshold must be a finite number >= 0, "
-                              f"got {gap_threshold!r}")
-    return threshold

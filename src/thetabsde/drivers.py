@@ -12,8 +12,8 @@ from typing import Optional
 
 import numpy as np
 
-from .ambient import (as_point, off_diagonal, require_finite, row_sq, row_sum,
-                      sym_vec_dim)
+from .ambient import (as_number, as_point, off_diagonal, require_finite,
+                      row_sq, row_sum, sym_vec_dim)
 from .sets import Box, Ball, SetError, grid_cover, plain_result
 
 
@@ -178,11 +178,11 @@ class AffineDriver(Driver):
     gamma: Optional[np.ndarray]
 
     def __post_init__(self):
-        self.alpha = float(self.alpha)
-        self.beta = float(self.beta)
+        self.alpha = as_number(DriverError, self.alpha, "alpha")
+        self.beta = as_number(DriverError, self.beta, "beta")
         if self.gamma is not None:
             self.gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
-        require_finite(DriverError, self, ("alpha", "beta", "gamma"))
+        require_finite(DriverError, self, ("gamma",))
 
     def value(self, t, x, y, z, a):
         val = self.alpha + self.beta * y
@@ -201,8 +201,9 @@ class AffineDriver(Driver):
 class RegularizedProjectionDriver(Driver):
     """F = h(t,x,y,z) - 0.5*||a - G(t,x,y,z)||^2 - (eps/2)*||a||^2.
 
-    ``eps = 0`` is the plain projection driver, whose argmax (the metric
-    projection of G) can jump between the members of a non-convex set.
+    ``eps = 0`` is the plain projection driver. At every eps the argmax is
+    the metric projection of G / (1 + eps), which can jump between the
+    members of a non-convex set.
     """
 
     h: StateFn
@@ -210,12 +211,13 @@ class RegularizedProjectionDriver(Driver):
     eps: float
 
     def __post_init__(self):
-        self.eps = float(self.eps)
-        if not 0.0 <= self.eps < np.inf:
-            raise DriverError("eps must be finite and non-negative")
+        self.eps = as_number(DriverError, self.eps, "eps", least=0.0)
 
-    def maximizer_lipschitz(self):
-        """Lipschitz constant of the maximizer map in (y, z)."""
+    def maximizer_lipschitz(self, uset):
+        """Lipschitz constant of the maximizer map in (y, z) on ``uset``;
+        inf where the map may jump (``unsound_for_existence``)."""
+        if self.unsound_for_existence(uset):
+            return np.inf
         return self.G.lipschitz_yz() / (1.0 + self.eps)
 
     def value(self, t, x, y, z, a):
@@ -244,7 +246,8 @@ class RegularizedProjectionDriver(Driver):
                 raise DriverError(f"{name}: {e}") from None
 
     def unsound_for_existence(self, uset):
-        return self.eps == 0 and not is_convex(uset)
+        # eps shrinks the query G / (1 + eps) without convexifying the set
+        return not is_convex(uset) and self.G.lipschitz_yz() > 0
 
 
 @dataclass
@@ -255,9 +258,7 @@ class GRegularizedDriver(Driver):
     a0: np.ndarray
 
     def __post_init__(self):
-        self.eps = float(self.eps)
-        if not 0.0 < self.eps < np.inf:
-            raise DriverError("eps must be finite and positive")
+        self.eps = as_number(DriverError, self.eps, "eps", above=0.0)
         self.a0 = as_point(self.a0)
 
     def value(self, t, x, y, z, a):
@@ -273,6 +274,10 @@ class GRegularizedDriver(Driver):
         as_point(self.a0, dim=uset.dim)
         if not uset.contains(self.a0, tol=1e-9):
             raise DriverError("a0 must lie in the uncertainty set")
+
+    def unsound_for_existence(self, uset):
+        # the query a0 + embed(z^T z) / (2 eps) always moves with z
+        return not is_convex(uset)
 
 
 @dataclass

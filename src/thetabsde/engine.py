@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ambient import require_finite, row_sum
+from .ambient import as_integer, as_number, as_pair, require_finite, row_sum
 from .drivers import effective_driver, maximizer
 
 
@@ -29,11 +29,11 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        require_finite(EngineError, self, ("t0", "T"))
-        if not self.T > self.t0:
-            raise EngineError("need T > t0")
-        if self.n_steps < 1:
-            raise EngineError("need n_steps >= 1")
+        t0 = as_number(EngineError, self.t0, "t0")
+        for name, value in (
+                ("t0", t0), ("T", as_number(EngineError, self.T, "T", above=t0)),
+                ("n_steps", as_integer(EngineError, self.n_steps, "n_steps", 1))):
+            object.__setattr__(self, name, value)
 
     @property
     def dt(self):
@@ -119,10 +119,7 @@ class Payoff:
             raise EngineError("coeffs must be a non-empty list of finite "
                               f"numbers, got {self.coeffs.tolist()}")
         if self.clamp is not None:
-            lo, hi = self.clamp
-            if not lo < hi:
-                raise EngineError("clamp bounds must satisfy lo < hi")
-            self.clamp = (float(lo), float(hi))
+            self.clamp = as_pair(EngineError, self.clamp, "clamp")
 
     def value(self, XT):
         XT = np.atleast_2d(np.asarray(XT, dtype=float))
@@ -202,8 +199,7 @@ def brownian_increments(grid, n_paths, seed, dim_b):
 def simulate_forward(sde, grid, n_paths, seed):
     """Euler scheme for the forward diffusion on the shared time grid; the
     ensemble's arrays are read-only, so a kept basis cannot go stale."""
-    if n_paths < 1:
-        raise EngineError("need n_paths >= 1")
+    n_paths = as_integer(EngineError, n_paths, "n_paths", 1)
     dB = brownian_increments(grid, n_paths, seed, sde.dim_b)
     steps = _swap(dB)
     X = np.empty((grid.n_steps + 1, n_paths, sde.dim_x))
@@ -236,17 +232,14 @@ class Scenario:
 
     def __post_init__(self):
         for name, least in (("n_paths", 1), ("picard_iters", 1),
-                            ("regression_degree", 0)):
-            if getattr(self, name) < least:
-                raise EngineError(f"{name} must be >= {least}")
+                            ("regression_degree", 0), ("seed", 0)):
+            setattr(self, name, as_integer(EngineError, getattr(self, name),
+                                           name, least))
+        # the seed keys a Philox generator, which takes an unsigned 64-bit key
+        if self.seed >= 2 ** 64:
+            raise EngineError(f"seed must be < 2**64, got {self.seed}")
         if self.y_clip is not None:
-            try:
-                lo, hi = (float(v) for v in self.y_clip)
-            except (TypeError, ValueError):
-                raise EngineError("y_clip must be a [lo, hi] pair") from None
-            if not lo < hi:
-                raise EngineError("y_clip must satisfy lo < hi")
-            self.y_clip = (lo, hi)
+            self.y_clip = as_pair(EngineError, self.y_clip, "y_clip")
 
 
 @dataclass
@@ -512,34 +505,15 @@ def theta_expectation(solution, t_index):
 AXIOMS = ("normalization", "A1_monotonicity", "A2_translation", "A3_tower")
 
 
-def as_integer(value, where):
-    """``value`` as an int: an int or an integral float passes, anything
-    else (2.7, "2", True) is rejected rather than truncated."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise EngineError(f"{where} must be an integer, got {value!r}")
-
-
-def _axiom_number(params, key, default):
-    """``params[key]``, or ``default`` when absent, as a finite float."""
-    try:
-        value = float(params.get(key, default))
-    except (TypeError, ValueError):
-        value = np.nan
-    if not np.isfinite(value):
-        raise EngineError(f"{key} must be a finite number, got {params[key]!r}")
-    return value
-
-
 def check_axiom(scenario, axiom, params):
-    """Preconditions of ``axiom_check`` that need no sample."""
+    """Preconditions of ``axiom_check`` that need no sample; returns a copy
+    of ``params`` with the numbers the axiom reads parsed, defaults filled."""
     if axiom not in AXIOMS:
         raise EngineError(f"unknown axiom {axiom!r}, expected one of {AXIOMS}")
+    params = dict(params)
     if axiom in ("normalization", "A2_translation"):
-        _axiom_number(params, "m", 1.0)
-        _axiom_number(params, "tol", 1e-12)
+        params["m"] = as_number(EngineError, params.get("m", 1.0), "m")
+        params["tol"] = as_number(EngineError, params.get("tol", 1e-12), "tol")
     if axiom == "A1_monotonicity" and "terminal2" not in params:
         raise EngineError("A1 check needs a second terminal 'terminal2'")
     if axiom == "A2_translation":
@@ -550,21 +524,21 @@ def check_axiom(scenario, axiom, params):
     if axiom == "A3_tower":
         if "s_index" not in params:
             raise EngineError("A3 check needs 's_index'")
-        s_index = as_integer(params["s_index"], "s_index")
-        if not 0 <= s_index <= scenario.grid.n_steps:
+        params["s_index"] = as_integer(EngineError, params["s_index"],
+                                       "s_index")
+        if not 0 <= params["s_index"] <= scenario.grid.n_steps:
             raise EngineError("s_index outside the grid")
+    return params
 
 
 def axiom_check(scenario, axiom, params=None):
     """Numeric check of one valuation axiom; returns a report dict."""
-    params = dict(params or {})
-    check_axiom(scenario, axiom, params)
+    params = check_axiom(scenario, axiom, params or {})
     if axiom == "normalization":
-        m = _axiom_number(params, "m", 1.0)
+        m, tol = params["m"], params["tol"]
         sc = replace(scenario, terminal=Payoff([m]))
         sol = solve_theta_bsde(sc)
         disc = float(np.max(np.abs(sol.Y - m)))
-        tol = _axiom_number(params, "tol", 1e-12)
         return {"axiom": axiom, "passed": disc <= tol, "discrepancy": disc,
                 "tol": tol}
 
@@ -590,19 +564,18 @@ def axiom_check(scenario, axiom, params=None):
                 "violation_fraction": frac, "stderr": stderr}
 
     if axiom == "A2_translation":
-        m = _axiom_number(params, "m", 1.0)
+        m, tol = params["m"], params["tol"]
         sol1 = solve_theta_bsde(scenario, paths=ens)
         shifted = Payoff(np.concatenate(([scenario.terminal.coeffs[0] + m],
                                          scenario.terminal.coeffs[1:])))
         sc2 = replace(scenario, terminal=shifted)
         sol2 = solve_theta_bsde(sc2, paths=ens)
         disc = float(np.max(np.abs(sol2.Y - sol1.Y - m)))
-        tol = _axiom_number(params, "tol", 1e-12)
         return {"axiom": axiom, "passed": disc <= tol, "discrepancy": disc,
                 "tol": tol}
 
     # A3_tower, the last name check_axiom lets through
-    s_index = as_integer(params["s_index"], "s_index")
+    s_index = params["s_index"]
     sol = solve_theta_bsde(scenario, paths=ens)
     if s_index == 0:
         return {"axiom": axiom, "passed": True, "discrepancy": 0.0,

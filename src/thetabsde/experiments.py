@@ -12,12 +12,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .ambient import row_sq
-from .config import ExperimentError, check_eos, check_sweep
-from .drivers import GLimitDriver, GRegularizedDriver
+from .ambient import as_number, row_sq
+from .drivers import (GLimitDriver, GRegularizedDriver,
+                      RegularizedProjectionDriver, is_convex)
 from .engine import axiom_check, simulate_forward, solve_theta_bsde
 from .pde import feynman_kac_compare, solve_pde
+from .sets import UnionSet
 from .theta import integrate_theta_qv, simulate_theta_bm, verify_theta_martingale
+
+
+class ExperimentError(ValueError):
+    pass
 
 
 # serialization -------------------------------------------------------------
@@ -99,6 +104,21 @@ class EpsilonSweepResult:
     y0: float  # of the g_limit reference
 
 
+def check_sweep(scenario, epsilons, a0):
+    """Preconditions of ``epsilon_sweep``; returns the epsilons as floats."""
+    if not is_convex(scenario.uset):
+        raise ExperimentError("epsilon sweep requires a convex set (box/ball)")
+    eps = [as_number(ExperimentError, e, "epsilons") for e in epsilons]
+    if len(eps) < 2 or not all(eps[i] > eps[i + 1] > 0 for i in range(len(eps) - 1)):
+        raise ExperimentError("epsilons must be strictly decreasing and positive")
+    if scenario.terminal.clamp is None:
+        raise ExperimentError("sweep requires a bounded (clamped) terminal")
+    # the check of every driver the sweep builds
+    GRegularizedDriver(eps[0], a0).check(scenario.uset, scenario.sde.dim_x,
+                                         scenario.sde.dim_b)
+    return eps
+
+
 def epsilon_sweep(scenario, epsilons, a0):
     """Convergence of the regularized runs toward the support-function
     reference on common paths; ``scenario.driver`` is not used."""
@@ -141,6 +161,20 @@ class EosDemoResult:
     gap_threshold: float
     a_path_mean: np.ndarray   # (n_steps + 1, dim_a)
     a_path_std: np.ndarray
+
+
+def check_eos(scenario, gap_threshold=None):
+    """Preconditions of ``eos_demo``; returns the gap threshold as a float,
+    or None for the default."""
+    uset, driver = scenario.uset, scenario.driver
+    if not isinstance(uset, UnionSet) or len(uset.members) < 2:
+        raise ExperimentError("demo requires a union of at least two members")
+    if not isinstance(driver, RegularizedProjectionDriver) or driver.eps == 0:
+        raise ExperimentError("demo requires the regularized projection driver")
+    if gap_threshold is not None:
+        gap_threshold = as_number(ExperimentError, gap_threshold,
+                                  "gap_threshold", least=0.0)
+    return gap_threshold
 
 
 def eos_demo(scenario, gap_threshold=None):

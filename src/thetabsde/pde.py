@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ambient import as_integer, as_number
 from .drivers import effective_driver
 from .engine import TimeGrid, simulate_forward, solve_theta_bsde
 
@@ -37,14 +38,13 @@ class PdeGrid:
     T: float
 
     def __post_init__(self):
-        if self.n_x < 8:
-            raise PdeError("need n_x >= 8")
-        if self.n_t < 2:
-            raise PdeError("need n_t >= 2")
-        if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)):
-            raise PdeError("need finite x_min and x_max")
-        if not self.x_max > self.x_min:
-            raise PdeError("need x_max > x_min")
+        x_min = as_number(PdeError, self.x_min, "x_min")
+        for name, value in (
+                ("x_min", x_min),
+                ("x_max", as_number(PdeError, self.x_max, "x_max", above=x_min)),
+                ("n_x", as_integer(PdeError, self.n_x, "n_x", 8)),
+                ("n_t", as_integer(PdeError, self.n_t, "n_t", 2))):
+            object.__setattr__(self, name, value)
 
     @property
     def dx(self):

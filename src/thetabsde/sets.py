@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ambient import MAX_DIM, as_point, row_sq, row_sum
+from .ambient import MAX_DIM, as_number, as_point, row_sq, row_sum
 
 INF_GAP = np.inf
 
@@ -175,9 +175,8 @@ class Ball(UncertaintySet):
 
     def __post_init__(self):
         self.center = as_point(self.center)
-        self.radius = float(self.radius)
-        if not self.radius > 0:
-            raise SetError("ball radius must be positive")
+        # a finite radius keeps the ball compact
+        self.radius = as_number(SetError, self.radius, "radius", above=0.0)
         self.dim = self.center.size
 
     def project_batch(self, P):

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ambient import as_integer, as_number
 from .drivers import effective_driver
 from .engine import (EngineError, PathEnsemble, TimeGrid, brownian_increments,
                      solve_theta_bsde)
@@ -90,14 +91,17 @@ def integrate_theta_qv(driver, uset, grid, B):
     return QvPath(grid=grid, qv=qv.T, m_path=(norms - qv).T, monotone=monotone)
 
 
-def check_martingale(grid, process, t_index, s_index, c):
-    """Preconditions of ``verify_theta_martingale`` on ``grid``."""
+def check_martingale(scenario, process, t_index, s_index, c):
+    """Preconditions of ``verify_theta_martingale``; returns ``(t_index,
+    s_index, c)`` parsed."""
     if process not in ("theta_bm", "m_qv", "linear_bm"):
         raise EngineError(f"unknown process {process!r}")
-    if not 0 <= t_index < s_index <= grid.n_steps:
+    t_index = as_integer(EngineError, t_index, "t_index")
+    s_index = as_integer(EngineError, s_index, "s_index")
+    if not 0 <= t_index < s_index <= scenario.grid.n_steps:
         raise EngineError("need 0 <= t_index < s_index <= n_steps")
-    if not np.isfinite(c):
-        raise EngineError(f"c must be finite, got {c!r}")
+    check_theta_driver(scenario.driver, scenario.uset, 1)
+    return t_index, s_index, as_number(EngineError, c, "c")
 
 
 def verify_theta_martingale(scenario_base, process, t_index, s_index, c=1.0):
@@ -110,8 +114,7 @@ def verify_theta_martingale(scenario_base, process, t_index, s_index, c=1.0):
     per-path terminal M_s; at t_index 0 the conditioning is exact.
     """
     sc = scenario_base
-    check_martingale(sc.grid, process, t_index, s_index, c)
-    check_theta_driver(sc.driver, sc.uset, 1)
+    t_index, s_index, c = check_martingale(sc, process, t_index, s_index, c)
     if process == "theta_bm":
         ens_th = simulate_theta_bm(sc.driver, sc.uset, sc.grid, sc.n_paths, sc.seed)
         B = ens_th.b_theta

@@ -115,7 +115,7 @@ def test_c4_effective_driver_lipschitz_bound():
                               5000, 0)
     # constants from the fixture coefficients:
     l_g = rp.G.lipschitz_yz()                      # = 1
-    l_a = rp.maximizer_lipschitz()                 # = l_g / (1 + eps)
+    l_a = rp.maximizer_lipschitz(UNIT_BOX)         # = l_g / (1 + eps)
     a_lo, a_hi = 0.0, 1.0
     # L_{F,yz} = sup |a - G| * L_G over the sample box and the set
     l_fyz = max(abs(a - z) for a in (a_lo, a_hi) for z in (z_lo, z_hi)) * l_g

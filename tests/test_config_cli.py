@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from thetabsde.cli import main
-from thetabsde.config import ConfigError, parse_config
+from thetabsde.config import ConfigError, ScenarioConfig, parse_config
 
 GOOD = """
 # minimal solve scenario
@@ -33,6 +33,13 @@ def test_json_alternate_encoding():
     cfg1 = parse_config(GOOD)
     cfg2 = parse_config(json.dumps(cfg1.data))
     assert cfg1 == cfg2
+
+
+def test_config_root_must_be_a_mapping():
+    # parse_config always hands over a mapping; only a caller that decodes
+    # the data itself can reach this check
+    with pytest.raises(ConfigError, match="config root must be a mapping"):
+        ScenarioConfig([1])
 
 
 def test_vector_valued_projection_map_from_config():
@@ -95,7 +102,7 @@ def test_negative_ball_radius_names_field():
 @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "1.5", "true",
                                   '"abc"'])
 def test_seed_outside_philox_key_range_rejected(seed):
-    with pytest.raises(ConfigError, match="mc.seed"):
+    with pytest.raises(ConfigError, match="mc: seed"):
         parse_config(GOOD.replace("mc.seed = 1", f"mc.seed = {seed}"))
 
 
@@ -156,7 +163,7 @@ def test_cli_validate_negative_seed_exits_2(tmp_path, capsys):
     p = tmp_path / "neg.cfg"
     p.write_text(GOOD.replace("mc.seed = 1", "mc.seed = -3"))
     assert main(["validate", str(p)]) == 2
-    assert "mc.seed" in capsys.readouterr().err
+    assert "mc: seed" in capsys.readouterr().err
 
 
 def test_cli_run_quoted_hash_in_name(tmp_path):
@@ -255,13 +262,36 @@ UNION = ('set.type = union\nset.members = [{"type": "box", "lower": [0.0], '
     (GOOD.replace("kind = solve", "kind = martingale_check")
      + "martingale.process = linear_bm\nmartingale.c = NaN\n",
      "c must be finite"),
+    # an unbounded ball is not compact; it passed validate and ran
+    (GOOD.replace("set.type = box", "set.type = ball")
+     .replace("set.lower = [0.0]", "set.center = [0.0]")
+     .replace("set.upper = [1.0]", "set.radius = Infinity"),
+     "set: radius must be finite"),
+    # format errors
+    (GOOD + " = 5\n", "empty key"),
+    (GOOD + "grid.T.x = 2\n", "grid.T.x conflicts with a scalar key"),
+    ("{" + GOOD, "JSON config"),
+    (GOOD.replace("set.type = box", "set = 5").replace("set.lower = [0.0]", "")
+     .replace("set.upper = [1.0]", ""), "set must be a mapping"),
+    (GOOD.replace("driver.type = zero", "driver = 5"),
+     "driver must be a mapping"),
+    (GOOD.replace("set.type = box", "set.type = blob"),
+     "set.type unknown: 'blob'"),
+    (GOOD.replace("driver.type = zero", "driver.type = blob"),
+     "driver.type unknown: 'blob'"),
+    (GOOD.replace("driver.type = zero", "driver.type = regularized_projection"
+                  "\ndriver.eps = 0.5\ndriver.g = [1.0]"),
+     "driver.g must be a number or mapping"),
 ], ids=["sweep_on_union", "fk_in_dim_2", "eos_on_box", "martingale_past_grid",
         "empty_coeffs", "nested_coeffs", "nan_coeff", "nan_x0", "nan_drift_const",
         "inf_drift_t", "nan_drift_lin", "nan_vol_const", "nan_vol_lin", "inf_T",
         "inf_t0", "nan_alpha", "nan_beta", "inf_gamma", "nan_g_x", "inf_g_eps",
         "int_name", "parent_name", "nested_name", "absolute_name",
         "backslash_name", "dotdot_name", "dot_name", "empty_name",
-        "sweep_a0_outside_set", "sweep_a0_wrong_dim", "martingale_nan_c"])
+        "sweep_a0_outside_set", "sweep_a0_wrong_dim", "martingale_nan_c",
+        "inf_ball_radius", "empty_key", "key_under_scalar", "malformed_json",
+        "scalar_set", "scalar_driver", "unknown_set_type",
+        "unknown_driver_type", "list_driver_g"])
 def test_cli_validate_rejects_what_run_would_fail(tmp_path, capsys, kind_cfg,
                                                   message):
     p = tmp_path / "kind.cfg"
@@ -394,20 +424,20 @@ MARTINGALE = GOOD.replace("kind = solve", "kind = martingale_check")
 
 @pytest.mark.parametrize("cfg, message", [
     # each of these passed validate and ran with the value truncated by int()
-    (GOOD.replace("mc.n_paths = 50", "mc.n_paths = 50.9"), "mc.n_paths"),
-    (GOOD.replace("mc.n_paths = 50", 'mc.n_paths = "50"'), "mc.n_paths"),
-    (GOOD.replace("mc.n_paths = 50", "mc.n_paths = true"), "mc.n_paths"),
-    (GOOD.replace("grid.n_steps = 5", "grid.n_steps = 5.5"), "grid.n_steps"),
+    (GOOD.replace("mc.n_paths = 50", "mc.n_paths = 50.9"), "mc: n_paths"),
+    (GOOD.replace("mc.n_paths = 50", 'mc.n_paths = "50"'), "mc: n_paths"),
+    (GOOD.replace("mc.n_paths = 50", "mc.n_paths = true"), "mc: n_paths"),
+    (GOOD.replace("grid.n_steps = 5", "grid.n_steps = 5.5"), "grid: n_steps"),
     (GOOD + "sde.dim_x = 1.5\n", "sde.dim_x"),
     (GOOD + "sde.dim_b = 1.5\n", "sde.dim_b"),
-    (GOOD + "mc.regression_degree = 2.5\n", "mc.regression_degree"),
-    (GOOD + "mc.picard_iters = 1.5\n", "mc.picard_iters"),
-    (AXIOM + "axiom.name = A3_tower\naxiom.s_index = 2.7\n", "axiom.s_index"),
-    (MARTINGALE + "martingale.t_index = 0.5\n", "martingale.t_index"),
-    (MARTINGALE + "martingale.s_index = 4.5\n", "martingale.s_index"),
-    (FK + "pde.n_x = 16.5\n", "pde.n_x"),
+    (GOOD + "mc.regression_degree = 2.5\n", "mc: regression_degree"),
+    (GOOD + "mc.picard_iters = 1.5\n", "mc: picard_iters"),
+    (AXIOM + "axiom.name = A3_tower\naxiom.s_index = 2.7\n", "axiom: s_index"),
+    (MARTINGALE + "martingale.t_index = 0.5\n", "martingale: t_index"),
+    (MARTINGALE + "martingale.s_index = 4.5\n", "martingale: s_index"),
+    (FK + "pde.n_x = 16.5\n", "pde: n_x"),
     (FK + "pde.x_min = -3.0\npde.x_max = 3.0\npde.n_x = 40\npde.n_t = 100.5\n",
-     "pde.n_t"),
+     "pde: n_t"),
     # integral floats are integers
     (GOOD.replace("mc.n_paths = 50", "mc.n_paths = 50.0"), None),
     (AXIOM + "axiom.name = A3_tower\naxiom.s_index = 2.0\n", None),
@@ -425,19 +455,19 @@ def test_cli_validate_rejects_non_integer_fields(tmp_path, capsys, cfg, message)
         assert f"{message} must be an integer" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bounds, code", [
+@pytest.mark.parametrize("bounds, message", [
     # both passed validate; run then failed with exit 1 on a non-finite sweep
-    ("pde.x_min = -Infinity\npde.x_max = 3.0\n", 2),
-    ("pde.x_min = -3.0\npde.x_max = Infinity\n", 2),
-    ("pde.x_min = -3.0\npde.x_max = 3.0\n", 0),
+    ("pde.x_min = -Infinity\npde.x_max = 3.0\n", "pde: x_min must be finite"),
+    ("pde.x_min = -3.0\npde.x_max = Infinity\n", "pde: x_max must be finite"),
+    ("pde.x_min = -3.0\npde.x_max = 3.0\n", None),
 ], ids=["x_min_inf", "x_max_inf", "finite_ok"])
 def test_cli_validate_rejects_non_finite_pde_bounds(tmp_path, capsys, bounds,
-                                                    code):
+                                                    message):
     p = tmp_path / "fk.cfg"
     p.write_text(FK + bounds + "pde.n_x = 40\npde.n_t = 20\n")
-    assert main(["validate", str(p)]) == code
-    if code:
-        assert "need finite x_min and x_max" in capsys.readouterr().err
+    assert main(["validate", str(p)]) == (0 if message is None else 2)
+    if message is not None:
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("keys, missing", [
@@ -526,3 +556,19 @@ def test_cli_validate_checks_eos_gap_threshold(tmp_path, capsys, line, message):
     assert main(["validate", str(p)]) == (0 if message is None else 2)
     if message is not None:
         assert message in capsys.readouterr().err
+
+
+def test_eos_demo_runs_end_to_end_and_reruns_bitwise(tmp_path):
+    p = tmp_path / "eos.cfg"
+    p.write_text(EOS.replace("mc.n_paths = 50", "mc.n_paths = 300")
+                 .replace("grid.n_steps = 5", "grid.n_steps = 10")
+                 + "name = eos\n")
+    texts = []
+    for out in ("a", "b"):
+        assert main(["run", str(p), "--out", str(tmp_path / out),
+                     "--quiet"]) == 0
+        texts.append((tmp_path / out / "eos.summary.json").read_bytes())
+    assert texts[0] == texts[1]
+    occupancy = json.loads(texts[0])["member_occupancy"]
+    assert len(occupancy) == 2
+    assert sum(occupancy) == pytest.approx(1.0, abs=1e-12)

@@ -198,15 +198,17 @@ def test_driver_depends_on_y():
     assert RegularizedProjectionDriver(h=StateFn(c0=0.0), G=G, eps=0.0).depends_on_y()
 
 
-@pytest.mark.parametrize("eps", [-0.1, np.nan, np.inf])
+@pytest.mark.parametrize("eps", [-0.1, np.nan, np.inf, "x"])
 def test_projection_eps_must_be_finite_and_non_negative(eps):
     G = StateFn(c0=np.array([0.0]))
-    with pytest.raises(DriverError):
+    with pytest.raises(DriverError, match="eps must be finite"):
         RegularizedProjectionDriver(h=StateFn(c0=0.0), G=G, eps=eps)
 
 
 @pytest.mark.parametrize("eps, uset, unsound", [
-    (0.0, UnionSet([Box([0.0], [1.0]), Box([3.0], [4.0])]), True),
+    # a constant G: the query does not move with (y, z), so the argmax
+    # cannot jump, even at eps = 0 on a union
+    (0.0, UnionSet([Box([0.0], [1.0]), Box([3.0], [4.0])]), False),
     (0.0, Ball([0.0], 1.0), False),
     (0.5, UnionSet([Box([0.0], [1.0]), Box([3.0], [4.0])]), False),
     (0.5, PointCloud([[0.0], [1.0]]), False),
@@ -216,4 +218,25 @@ def test_unsound_for_existence_exactly_at_eps_zero_on_nonconvex_sets(
     G = StateFn(c0=np.array([0.0]))
     rp = RegularizedProjectionDriver(h=StateFn(c0=0.0), G=G, eps=eps)
     assert rp.unsound_for_existence(uset) is unsound
-    assert not GRegularizedDriver(eps=0.5, a0=[0.0]).unsound_for_existence(uset)
+    # the g_regularized query a0 + embed(z^T z) / (2 eps) always moves, so
+    # only the convex ball is sound
+    g_unsound = GRegularizedDriver(eps=0.5, a0=[0.0]).unsound_for_existence(uset)
+    assert g_unsound is (not isinstance(uset, Ball))
+
+
+def test_regularization_does_not_make_the_union_maximizer_lipschitz():
+    # the argmax is the projection of G / (1 + eps) at every eps: eps
+    # shrinks the query but leaves the set a union, so the maximizer jumps
+    # across the gap as z crosses 0, and no Lipschitz constant holds
+    union = UnionSet([Box([-1.0], [-0.5]), Box([0.5], [1.0])])
+    G = StateFn(c0=np.array([0.0]), C_z=[[1.0]])
+    rp = RegularizedProjectionDriver(h=StateFn(c0=0.0), G=G, eps=0.5)
+    below, _ = maximizer(rp, union, 0.0, [[0.0]], [0.0], [[-1e-6]])
+    above, _ = maximizer(rp, union, 0.0, [[0.0]], [0.0], [[1e-6]])
+    assert below.point[0, 0] == -0.5 and above.point[0, 0] == 0.5
+    assert rp.unsound_for_existence(union) is True
+    assert rp.maximizer_lipschitz(union) == np.inf
+    # on the convex hull the map is Lipschitz with constant 1 / (1 + eps)
+    hull = Box([-1.0], [1.0])
+    assert rp.unsound_for_existence(hull) is False
+    assert rp.maximizer_lipschitz(hull) == pytest.approx(1.0 / 1.5)

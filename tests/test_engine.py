@@ -109,7 +109,8 @@ def test_recorded_maximizers_are_feasible_and_optimal():
     ens = tb.simulate_forward(sc.sde, grid, sc.n_paths, sc.seed)
     sol = tb.solve_theta_bsde(sc, paths=ens, keep=("Z", "A"))
     assert uset.project_batch(sol.A.reshape(-1, uset.dim)).distance.max() <= 1e-9
-    assert sol.diagnostics["unsound_for_existence"] is False  # regularized variant
+    # G = 2z moves the query on a union: the argmax may jump at any eps
+    assert sol.diagnostics["unsound_for_existence"] is True
     rng = np.random.default_rng(0)
     for _ in range(100):
         p = rng.integers(0, sc.n_paths)
@@ -219,6 +220,14 @@ def test_engine_validation_errors():
         tb.SdeSpec(dim_x=2, dim_b=1, x0=[0.0])
     with pytest.raises(EngineError):
         tb.Payoff([0.0, 1.0], clamp=(2.0, 1.0))
+    # a fractional step count was kept and failed later in np.empty
+    with pytest.raises(EngineError, match="n_steps must be an integer"):
+        tb.TimeGrid(0, 1, 2.5)
+    # a bare TypeError, a bare ValueError, and a string pair that passed
+    # lo < hi before float() failed
+    for clamp in (5, (1,), ("a", "b")):
+        with pytest.raises(EngineError, match=r"clamp must be a \[lo, hi\] pair"):
+            tb.Payoff([0, 1], clamp=clamp)
 
 
 # backward regression --------------------------------------------------------
@@ -358,8 +367,17 @@ def driver_scenario(driver, uset=UNIT_BOX, n_steps=10, y_clip=None):
     ("y_clip", 1.0, "pair"),
     ("y_clip", ("low", "high"), "pair"),
     ("n_paths", 0, "n_paths must be >= 1"),
+    # the library itself truncated these, or failed at solve time with a
+    # bare OverflowError from the Philox key
+    ("seed", 1.5, "seed must be an integer"),
+    ("seed", -1, "seed must be >= 0"),
+    ("seed", 2 ** 64, r"seed must be < 2\*\*64"),
+    ("n_paths", 10.5, "n_paths must be an integer"),
+    ("picard_iters", 2.5, "picard_iters must be an integer"),
 ], ids=["reversed_clip", "empty_clip", "nan_clip", "short_clip",
-        "scalar_clip", "word_clip", "zero_paths"])
+        "scalar_clip", "word_clip", "zero_paths", "fractional_seed",
+        "negative_seed", "seed_past_philox_key", "fractional_paths",
+        "fractional_picard"])
 def test_scenario_rejects_bad_mc_fields(field, value, message):
     sc = driver_scenario(tb.ZeroDriver())
     with pytest.raises(EngineError, match=message):

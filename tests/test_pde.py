@@ -159,8 +159,11 @@ def test_auto_grid_puts_four_pde_steps_on_each_mc_step():
 def test_pde_grid_rejects_non_finite_bounds_and_single_steps():
     with pytest.raises(PdeError, match="finite"):
         PdeGrid(-np.inf, 1.0, 100, 10, 0.0, 1.0)
-    with pytest.raises(PdeError, match="n_t >= 2"):
+    with pytest.raises(PdeError, match="n_t must be >= 2"):
         PdeGrid(-1.0, 1.0, 100, 1, 0.0, 1.0)
+    # built a 17-point grid that ran past x_max
+    with pytest.raises(PdeError, match="n_x must be an integer"):
+        PdeGrid(-1.0, 1.0, 16.5, 10, 0.0, 1.0)
 
 
 def test_feynman_kac_trivial_fixtures():

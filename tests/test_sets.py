@@ -167,6 +167,12 @@ def test_union_projection_and_member_index():
     r = u.project(3.0)
     assert r.medial_gap == pytest.approx(0.0)
     assert r.member_index == 0  # tie broken to the lowest member index
+    # a one-member union is its member, at index 0, with no second candidate
+    box = Box([0.0], [1.0])
+    P = np.array([[-1.0], [0.5], [2.0]])
+    r = UnionSet([box]).project_batch(P)
+    assert np.array_equal(r.point, box.project_batch(P).point)
+    assert np.all(r.member_index == 0) and np.all(np.isinf(r.medial_gap))
 
 
 def test_union_medial_gap_values():
@@ -218,6 +224,8 @@ def test_set_validation_errors():
         Box([1.0], [0.0])
     with pytest.raises(SetError):
         Ball([0.0], -1.0)
+    with pytest.raises(SetError, match="radius must be finite"):
+        Ball([0.0], np.inf)  # not compact
     with pytest.raises(SetError):
         UnionSet([])
     with pytest.raises(SetError):

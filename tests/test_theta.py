@@ -152,6 +152,9 @@ def test_martingale_index_validation():
         verify_theta_martingale(sc, "theta_bm", 5, 5)
     with pytest.raises(EngineError):
         verify_theta_martingale(sc, "bogus", 0, 5)
+    # indexed the paths with 0.5 and raised a bare IndexError
+    with pytest.raises(EngineError, match="t_index must be an integer"):
+        verify_theta_martingale(sc, "linear_bm", 0.5, 3)
 
 
 def test_martingale_window_is_solved_on_its_own_times():

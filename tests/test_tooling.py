@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -31,3 +32,22 @@ def test_shipped_configs_validate(tmp_path, capsys, path):
     cfg = tmp_path / path.name
     cfg.write_text(path.read_text().replace("$seed", "7"))
     assert main(["validate", str(cfg)]) == 0, capsys.readouterr().err
+
+
+def test_only_the_cli_imports_the_config_parser():
+    # the library's checks live with the values they check; config maps
+    # a file onto them, so no library module may depend on it
+    importers = []
+    for path in sorted((ROOT / "src" / "thetabsde").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                module = ".".join(filter(None, (
+                    "thetabsde" if node.level else "", node.module)))
+                names = {module} | {f"{module}.{a.name}" for a in node.names}
+            elif isinstance(node, ast.Import):
+                names = {a.name for a in node.names}
+            else:
+                continue
+            if "thetabsde.config" in names:
+                importers.append(path.name)
+    assert importers == ["cli.py"]
