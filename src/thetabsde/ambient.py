@@ -73,6 +73,14 @@ def as_integer(error, value, name, least=None):
     return int(value)
 
 
+def as_seed(error, value):
+    """``value`` as a Philox key: an integer in ``[0, 2**64)``."""
+    seed = as_integer(error, value, "seed", least=0)
+    if seed >= 2 ** 64:
+        raise error(f"seed must be < 2**64, got {seed}")
+    return seed
+
+
 def as_number(error, value, name, least=None, above=None):
     """``value`` as a finite float, >= ``least`` and > ``above`` if given."""
     try:

@@ -8,11 +8,11 @@ Two input encodings parse to the same nested dict:
 
 Validation builds every referenced object up front (cheap, no paths are
 simulated) so dimension mismatches surface before any compute, naming the
-first offending field.
+first offending field. Every value is read through one ``_Section``, so a
+key that nothing reads is a config error too.
 """
 
 import json
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -33,15 +33,37 @@ class ConfigError(ValueError):
     pass
 
 
-@contextmanager
-def _field(where):
-    """Re-raise any failure inside the block as a ConfigError naming ``where``."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except Exception as e:
-        raise ConfigError(f"{where}: {e}") from None
+class _Section:
+    """One mapping of the config at dotted path ``where`` ("" for the root),
+    read through ``get`` and ``need``. Its block prefixes ``where`` to any
+    library error, and its clean exit rejects the first key nothing read."""
+
+    def __init__(self, spec, where, what="a mapping"):
+        if not isinstance(spec, dict):
+            raise ConfigError(f"{where or 'config root'} must be {what}")
+        self.spec, self.where = spec, where
+        self.unread = dict.fromkeys(spec)  # ordered, so the first is named
+
+    def get(self, key, default=None):
+        self.unread.pop(key, None)
+        return self.spec.get(key, default)
+
+    def need(self, key):
+        if key not in self.spec:
+            raise ConfigError(f"{self.where or 'config'}.{key} required")
+        return self.get(key)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, error_type, error, traceback):
+        if error_type is None:
+            for key in self.unread:
+                path = f"{self.where}.{key}" if self.where else key
+                raise ConfigError(f"unknown key {path}")
+        elif (issubclass(error_type, Exception)
+              and not issubclass(error_type, ConfigError)):
+            raise ConfigError(f"{self.where or 'config'}: {error}") from None
 
 
 def _strip_comment(line):
@@ -86,45 +108,31 @@ def _parse_lines(text):
 
 
 class ScenarioConfig:
-    """Validated config; equality is by parsed content. Validation builds
-    the ``scenario`` and the kind's ``params`` (see ``kind_params``), and
-    the config keeps both for the run."""
+    """Validated config; equality is by parsed content. Reading the root
+    section sets the ``kind``, ``name``, ``scenario`` and the kind's
+    ``params`` (see ``kind_params``), which the config keeps for the run."""
 
     def __init__(self, data):
-        if not isinstance(data, dict):
-            raise ConfigError("config root must be a mapping")
-        self.data = data
-        self._validate()
+        self.data, self._root = data, _Section(data, "")
+        with self._root as root:
+            self.kind = root.get("kind")
+            if self.kind not in KINDS:
+                raise ConfigError(
+                    f"kind must be one of {KINDS}, got {self.kind!r}")
+            name = self.name = root.get("name", self.kind)
+            # artifacts are written to <out>/<name>.*, so the name must be one
+            # plain path component (an absolute path has a separator)
+            if (not isinstance(name, str) or name in ("", ".", "..")
+                    or "/" in name or "\\" in name):
+                raise ConfigError("name must be a non-empty file name without "
+                                  f"path separators, got {name!r}")
+            self.scenario = build_scenario(self)
+            self.params = kind_params(self, self.scenario)
+            for other in SECTIONS.values():  # another kind's, left unread
+                root.get(other)
 
     def __eq__(self, other):
         return isinstance(other, ScenarioConfig) and self.data == other.data
-
-    @property
-    def kind(self):
-        return self.data.get("kind")
-
-    @property
-    def name(self):
-        return self.data.get("name", self.kind)
-
-    @property
-    def mc(self):
-        return self.data.get("mc", {})
-
-    def _validate(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not isinstance(self.mc, dict):
-            raise ConfigError(f"mc must be a mapping, got {self.mc!r}")
-        name = self.name
-        # artifacts are written to <out>/<name>.*, so the name must be one
-        # plain path component (an absolute path has a separator)
-        if (not isinstance(name, str) or name in ("", ".", "..")
-                or "/" in name or "\\" in name):
-            raise ConfigError("name must be a non-empty file name without "
-                              f"path separators, got {name!r}")
-        self.scenario = build_scenario(self)
-        self.params = kind_params(self, self.scenario)
 
 
 def parse_config(text):
@@ -141,45 +149,32 @@ def parse_config(text):
 
 # builders ------------------------------------------------------------------
 
-def _need(section, key, where):
-    if key not in section:
-        raise ConfigError(f"{where}.{key} required")
-    return section[key]
-
-
 def build_set(spec, where="set"):
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{where} must be a mapping")
-    typ = _need(spec, "type", where)
-    with _field(where):
+    with _Section(spec, where) as spec:
+        typ = spec.need("type")
         if typ == "box":
-            return Box(_need(spec, "lower", where), _need(spec, "upper", where))
+            return Box(spec.need("lower"), spec.need("upper"))
         if typ == "ball":
-            return Ball(_need(spec, "center", where), _need(spec, "radius", where))
+            return Ball(spec.need("center"), spec.need("radius"))
         if typ == "cloud":
-            return PointCloud(_need(spec, "points", where))
+            return PointCloud(spec.need("points"))
         if typ == "union":
-            members = _need(spec, "members", where)
             return UnionSet([build_set(m, f"{where}.members[{i}]")
-                             for i, m in enumerate(members)])
-    raise ConfigError(f"{where}.type unknown: {typ!r}")
+                             for i, m in enumerate(spec.need("members"))])
+        raise ConfigError(f"{where}.type unknown: {typ!r}")
 
 
 def _build_statefn(spec, where):
     if isinstance(spec, (int, float)):
         spec = {"const": spec}
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{where} must be a number or mapping")
-    with _field(where):
+    with _Section(spec, where, "a number or mapping") as spec:
         return StateFn(c0=spec.get("const"), c_t=spec.get("t"),
                        C_x=spec.get("x"), c_y=spec.get("y"), C_z=spec.get("z"))
 
 
 def build_driver(spec, where="driver"):
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{where} must be a mapping")
-    typ = _need(spec, "type", where)
-    with _field(where):
+    with _Section(spec, where) as spec:
+        typ = spec.need("type")
         if typ == "zero":
             return ZeroDriver()
         if typ == "affine":
@@ -187,28 +182,26 @@ def build_driver(spec, where="driver"):
                                 spec.get("gamma"))
         if typ in ("projection", "regularized_projection"):
             # the plain projection driver is the eps = 0 member
-            eps = 0.0 if typ == "projection" else _need(spec, "eps", where)
+            eps = 0.0 if typ == "projection" else spec.need("eps")
             return RegularizedProjectionDriver(
                 _build_statefn(spec.get("h", 0.0), f"{where}.h"),
-                _build_statefn(_need(spec, "g", where), f"{where}.g"),
+                _build_statefn(spec.need("g"), f"{where}.g"),
                 eps)
         if typ == "g_regularized":
-            return GRegularizedDriver(_need(spec, "eps", where),
-                                      _need(spec, "a0", where))
+            return GRegularizedDriver(spec.need("eps"), spec.need("a0"))
         if typ == "g_limit":
             return GLimitDriver()
-    raise ConfigError(f"{where}.type unknown: {typ!r}")
+        raise ConfigError(f"{where}.type unknown: {typ!r}")
 
 
 def build_sde(spec, where="sde"):
-    spec = spec or {}
-    with _field(where):
+    with _Section(spec, where) as spec:
         # config computes with the dimensions before SdeSpec holds them
         dim_x = as_integer(ConfigError, spec.get("dim_x", 1), f"{where}.dim_x")
         dim_b = as_integer(ConfigError, spec.get("dim_b", dim_x),
                            f"{where}.dim_b")
         vol = spec.get("vol_const")
-        if vol is None and "vol_lin" not in spec:
+        if vol is None and "vol_lin" not in spec.spec:
             vol = np.eye(dim_x, dim_b)  # default: driving noise passes through
         return SdeSpec(dim_x=dim_x, dim_b=dim_b,
                        x0=spec.get("x0", np.zeros(dim_x)),
@@ -218,57 +211,46 @@ def build_sde(spec, where="sde"):
                        vol_const=vol, vol_lin=spec.get("vol_lin"))
 
 
-def build_terminal(spec, where="terminal"):
-    spec = spec or {}
-    with _field(where):
-        return Payoff(spec.get("coeffs", [0.0, 1.0]), clamp=spec.get("clamp"))
-
-
-def build_grid(spec, where="grid"):
-    spec = spec or {}
-    with _field(where):
-        return TimeGrid(spec.get("t0", 0.0), _need(spec, "T", where),
-                        _need(spec, "n_steps", where))
-
-
 def build_scenario(cfg):
-    d = cfg.data
-    uset = build_set(_need(d, "set", "config"))
-    driver = build_driver(_need(d, "driver", "config"))
-    sde = build_sde(d.get("sde"))
-    terminal = build_terminal(d.get("terminal"))
-    grid = build_grid(_need(d, "grid", "config"))
-    mc = d.get("mc", {})
-    with _field("driver/set/sde dimensions"):
+    root = cfg._root
+    uset = build_set(root.need("set"))
+    driver = build_driver(root.need("driver"))
+    sde = build_sde(root.get("sde", {}))
+    with _Section(root.get("terminal", {}), "terminal") as spec:
+        terminal = Payoff(spec.get("coeffs", [0.0, 1.0]),
+                          clamp=spec.get("clamp"))
+    with _Section(root.need("grid"), "grid") as spec:
+        grid = TimeGrid(spec.get("t0", 0.0), spec.need("T"),
+                        spec.need("n_steps"))
+    with _Section({}, "driver/set/sde dimensions"):
         driver.check(uset, sde.dim_x, sde.dim_b)
-    with _field("mc"):
+    with _Section(root.get("mc", {}), "mc") as mc:
         return Scenario(sde=sde, driver=driver, uset=uset, terminal=terminal,
                         grid=grid, n_paths=mc.get("n_paths", 1000),
-                        seed=_need(mc, "seed", "mc"),
+                        seed=mc.need("seed"),
                         regression_degree=mc.get("regression_degree", 3),
                         picard_iters=mc.get("picard_iters", 3),
                         y_clip=mc.get("y_clip"))
 
 
 def build_pde_grid(cfg, scenario):
-    spec = cfg.data.get("pde", {})
-    with _field("pde"):
+    with _Section(cfg._root.get("pde", {}), "pde") as spec:
         check_sde(scenario.sde)
         n_x = spec.get("n_x", 400)
         # an explicit grid needs all three keys; none gives the automatic one
         missing = [f"pde.{k}" for k in ("x_min", "x_max", "n_t")
-                   if k not in spec]
+                   if k not in spec.spec]
         if len(missing) == 3:
             return auto_grid(scenario.sde, scenario.grid, n_x=n_x)
         if missing:
             raise ConfigError(f"an explicit PDE grid also needs "
                               f"{' and '.join(missing)}")
-        return PdeGrid(spec["x_min"], spec["x_max"], n_x, spec["n_t"],
-                       scenario.grid.t0, scenario.grid.T)
+        return PdeGrid(spec.get("x_min"), spec.get("x_max"), n_x,
+                       spec.get("n_t"), scenario.grid.t0, scenario.grid.T)
 
 
 # the config section of each kind's parameters, which names its failures
-SECTIONS = {"epsilon_sweep": "sweep", "eos_demo": "eos",
+SECTIONS = {"fk_check": "pde", "epsilon_sweep": "sweep", "eos_demo": "eos",
             "axiom_check": "axiom", "martingale_check": "martingale"}
 
 
@@ -279,8 +261,7 @@ def kind_params(cfg, scenario):
     if kind == "fk_check":
         return {"pde_grid": build_pde_grid(cfg, scenario)}
     where = SECTIONS.get(kind, kind)
-    with _field(where):
-        spec = dict(cfg.data.get(where, {}))
+    with _Section(cfg._root.get(where, {}), where) as spec:
         if kind == "epsilon_sweep":
             eps = spec.get("epsilons", [0.5, 0.25, 0.125, 0.0625])
             a0 = spec.get("a0", scenario.uset.fixed_element())
@@ -289,14 +270,15 @@ def kind_params(cfg, scenario):
             return {"gap_threshold": check_eos(scenario,
                                                spec.get("gap_threshold"))}
         if kind == "axiom_check":
-            axiom = _need(spec, "name", "axiom")
-            del spec["name"]
-            if "terminal2_coeffs" in spec:
-                spec["terminal2"] = Payoff(
-                    spec.pop("terminal2_coeffs"),
-                    clamp=spec.pop("terminal2_clamp", None))
+            axiom = spec.need("name")
+            # the axiom rejects any other key that it does not read
+            params = {k: spec.get(k) for k in list(spec.unread)}
+            if "terminal2_coeffs" in params:
+                params["terminal2"] = Payoff(
+                    params.pop("terminal2_coeffs"),
+                    clamp=params.pop("terminal2_clamp", None))
             return {"axiom": axiom,
-                    "params": check_axiom(scenario, axiom, spec)}
+                    "params": check_axiom(scenario, axiom, params)}
         if kind == "martingale_check":
             process = spec.get("process", "theta_bm")
             t_index, s_index, c = check_martingale(
@@ -304,9 +286,7 @@ def kind_params(cfg, scenario):
                 spec.get("s_index", scenario.grid.n_steps), spec.get("c", 1.0))
             return {"process": process, "t_index": t_index,
                     "s_index": s_index, "c": c}
-        if kind == "theta_bm":
-            check_theta_driver(scenario.driver, scenario.uset, 1)
-        if kind == "theta_qv":
+        if kind in ("theta_bm", "theta_qv"):
             check_theta_driver(scenario.driver, scenario.uset,
-                               scenario.sde.dim_x)
+                               1 if kind == "theta_bm" else scenario.sde.dim_x)
     return {}

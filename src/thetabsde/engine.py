@@ -14,7 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .ambient import as_integer, as_number, as_pair, require_finite, row_sum
+from .ambient import (as_integer, as_number, as_pair, as_seed, require_finite,
+                      row_sum)
 from .drivers import effective_driver, maximizer
 
 
@@ -184,6 +185,8 @@ def brownian_increments(grid, n_paths, seed, dim_b):
     exactly as one draw would; each block is scaled straight into its
     columns of the node-major buffer. Returns the read-only
     (n_paths, n_steps, dim_b) transpose view."""
+    n_paths = as_integer(EngineError, n_paths, "n_paths", 1)
+    seed = as_seed(EngineError, seed)
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     out = np.empty((grid.n_steps, n_paths, dim_b))
     scale = np.sqrt(grid.dt)
@@ -199,8 +202,8 @@ def brownian_increments(grid, n_paths, seed, dim_b):
 def simulate_forward(sde, grid, n_paths, seed):
     """Euler scheme for the forward diffusion on the shared time grid; the
     ensemble's arrays are read-only, so a kept basis cannot go stale."""
-    n_paths = as_integer(EngineError, n_paths, "n_paths", 1)
     dB = brownian_increments(grid, n_paths, seed, sde.dim_b)
+    n_paths = len(dB)
     steps = _swap(dB)
     X = np.empty((grid.n_steps + 1, n_paths, sde.dim_x))
     X[0] = sde.x0
@@ -232,12 +235,10 @@ class Scenario:
 
     def __post_init__(self):
         for name, least in (("n_paths", 1), ("picard_iters", 1),
-                            ("regression_degree", 0), ("seed", 0)):
+                            ("regression_degree", 0)):
             setattr(self, name, as_integer(EngineError, getattr(self, name),
                                            name, least))
-        # the seed keys a Philox generator, which takes an unsigned 64-bit key
-        if self.seed >= 2 ** 64:
-            raise EngineError(f"seed must be < 2**64, got {self.seed}")
+        self.seed = as_seed(EngineError, self.seed)
         if self.y_clip is not None:
             self.y_clip = as_pair(EngineError, self.y_clip, "y_clip")
 
@@ -497,12 +498,16 @@ def _require_finite(i, *values):
 def theta_expectation(solution, t_index):
     """Cross-path summary of Y at a node; per-path values live on the
     solution object."""
+    t_index = as_integer(EngineError, t_index, "t_index")
     if not 0 <= t_index <= solution.grid.n_steps:
         raise EngineError("t_index outside the grid")
     return float(np.mean(solution.Y[:, t_index]))
 
 
-AXIOMS = ("normalization", "A1_monotonicity", "A2_translation", "A3_tower")
+AXIOM_PARAMS = {"normalization": ("m", "tol"),
+                "A1_monotonicity": ("terminal2",),
+                "A2_translation": ("m", "tol"), "A3_tower": ("s_index",)}
+AXIOMS = tuple(AXIOM_PARAMS)
 
 
 def check_axiom(scenario, axiom, params):
@@ -510,6 +515,10 @@ def check_axiom(scenario, axiom, params):
     of ``params`` with the numbers the axiom reads parsed, defaults filled."""
     if axiom not in AXIOMS:
         raise EngineError(f"unknown axiom {axiom!r}, expected one of {AXIOMS}")
+    for name in params:
+        if name not in AXIOM_PARAMS[axiom]:
+            raise EngineError(f"{axiom} reads only {AXIOM_PARAMS[axiom]}, "
+                              f"not {name!r}")
     params = dict(params)
     if axiom in ("normalization", "A2_translation"):
         params["m"] = as_number(EngineError, params.get("m", 1.0), "m")

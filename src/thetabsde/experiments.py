@@ -229,7 +229,7 @@ def run_scenario(cfg, out_dir, paths_dump=False):
     os.makedirs(out_dir, exist_ok=True)
     kind = cfg.kind
     out = os.path.join(out_dir, cfg.name)  # artifact path without suffix
-    summary = {"kind": kind, "name": cfg.name, "seed": cfg.mc["seed"],
+    summary = {"kind": kind, "name": cfg.name, "seed": cfg.scenario.seed,
                "versions": {"package": __version__, "numpy": np.__version__}}
     ok = True
     sc, params = cfg.scenario, cfg.params

@@ -39,6 +39,7 @@ def simulate_theta_bm(driver, uset, grid, n_paths, seed):
     """Euler scheme for the scalar drift-corrected Brownian motion."""
     check_theta_driver(driver, uset, 1)
     dB = brownian_increments(grid, n_paths, seed, 1)
+    n_paths = len(dB)
     steps = dB[:, :, 0].T
     n = grid.n_steps
     dt = grid.dt

@@ -49,6 +49,15 @@ def test_embed_rejects_nonsymmetric():
         embed(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_embed_and_extract_reject_bad_shapes():
+    with pytest.raises(AmbientError, match="expected square matrix"):
+        embed(np.zeros((2, 3)))
+    with pytest.raises(AmbientError, match="exceeds supported size"):
+        embed(np.eye(11))  # 66 ambient coordinates
+    with pytest.raises(AmbientError, match="does not match matrix dim 3"):
+        extract(np.zeros(3), d=3)
+
+
 def test_as_point_validation():
     assert as_point(1.5).shape == (1,)
     with pytest.raises(AmbientError):

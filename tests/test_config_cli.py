@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from thetabsde.cli import main
-from thetabsde.config import ConfigError, ScenarioConfig, parse_config
+from thetabsde.config import (ConfigError, ScenarioConfig, _parse_lines,
+                              parse_config)
 
 GOOD = """
 # minimal solve scenario
@@ -26,7 +27,7 @@ def test_parse_minimal_config():
     cfg = parse_config(GOOD)
     assert cfg.kind == "solve"
     assert cfg.name == "solve"  # defaults to the kind
-    assert cfg.mc["seed"] == 1
+    assert cfg.scenario.seed == 1
 
 
 def test_json_alternate_encoding():
@@ -112,10 +113,10 @@ def test_largest_seed_accepted():
 
 
 def test_hash_inside_quoted_value_is_kept():
-    cfg = parse_config(GOOD + 'name = "run#1"   # a trailing comment\n'
-                       + 'set.label = "say \\"#\\" twice" # comment\n')
+    cfg = parse_config(GOOD + 'name = "run#1"   # a trailing comment\n')
     assert cfg.name == "run#1"
-    assert cfg.data["set"]["label"] == 'say "#" twice'
+    data = _parse_lines('set.label = "say \\"#\\" twice" # comment\n')
+    assert data["set"]["label"] == 'say "#" twice'
 
 
 def test_unknown_kind():
@@ -381,6 +382,46 @@ def test_shipped_and_benchmarked_configs_validate(tmp_path, capsys, path):
     assert main(["validate", str(p)]) == 0, capsys.readouterr().err
 
 
+SOLVE_DEMO = (ROOT / "configs" / "solve_demo.cfg").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("encoding", ["lines", "json"])
+@pytest.mark.parametrize("text, key", [
+    # each validated and ran as if the key were absent (mc.n_path: 1,000
+    # paths; driver.g.Z: G = 0, which moves solve_demo's Y0 at 2,000 paths
+    # from 0.6406 to 1.0089)
+    (GOOD.replace("mc.n_paths = 50", "mc.n_path = 50"), "mc.n_path"),
+    (SOLVE_DEMO.replace("driver.g.z", "driver.g.Z"), "driver.g.Z"),
+    (PROJECTION + "driver.g.z = [[1.0]]\ndriver.h.const = 0.0\n"
+     "driver.h.zz = [1.0]\n", "driver.h.zz"),
+    (GOOD.replace("set.type = box", UNION.replace(
+        '"upper": [1.0]}', '"upper": [1.0], "colour": "red"}'))
+     .replace("set.lower = [0.0]", "").replace("set.upper = [1.0]", ""),
+     "set.members[0].colour"),
+    (GOOD.replace("driver.type = zero", "driver.type = projection\n"
+                  "driver.eps = 0.5\ndriver.g.z = [[1.0]]"), "driver.eps"),
+    (GOOD + "nmae = demo\n", "nmae"),
+], ids=["mc_n_path", "driver_g_Z", "driver_h_zz", "union_member_colour",
+        "projection_eps", "top_level_nmae"])
+def test_cli_validate_rejects_a_key_that_nothing_reads(tmp_path, capsys, text,
+                                                       key, encoding):
+    if encoding == "json":
+        text = json.dumps(_parse_lines(text))
+    p = tmp_path / "typo.cfg"
+    p.write_text(text)
+    assert main(["validate", str(p)]) == 2
+    assert capsys.readouterr().err == f"config error: unknown key {key}\n"
+
+
+@pytest.mark.parametrize("section", [
+    "pde.n_x = 40", "sweep.a0 = [1.0]", "eos.gap_threshold = 0.1",
+    "axiom.name = A9", "martingale.c = 2.0"])
+def test_another_kinds_section_is_accepted_unread(tmp_path, section):
+    p = tmp_path / "solve.cfg"
+    p.write_text(GOOD + section + "\n")
+    assert main(["validate", str(p)]) == 0
+
+
 def test_cli_run_failure_names_the_exception_type(tmp_path, capsys):
     p = tmp_path / "bad_axiom.cfg"
     p.write_text(GOOD.replace("kind = solve", "kind = axiom_check")
@@ -522,9 +563,15 @@ def test_cli_validate_rejects_a_non_mapping_mc(tmp_path, capsys, mc):
     (AXIOM + "axiom.name = normalization\naxiom.tol = loose\n", "tol must be"),
     (AXIOM + "axiom.name = A2_translation\naxiom.m = 2\naxiom.tol = 1e-9\n",
      None),
+    # these validated and ran without reading the parameter
+    (AXIOM + "axiom.name = A3_tower\naxiom.s_index = 2\naxiom.m = 5\n",
+     "axiom: A3_tower reads only ('s_index',), not 'm'"),
+    (AXIOM + "axiom.name = A1_monotonicity\naxiom.terminal2_coeffs = [0.0]\n"
+     "axiom.tol = 0.1\n", "axiom: A1_monotonicity reads only"),
 ], ids=["unknown", "a2_clamped", "a2_ok", "a2_y_dependent", "a3_past_grid",
         "a3_ok", "a3_missing", "a1_missing", "a2_word_m", "a2_list_tol",
-        "norm_word_m", "norm_word_tol", "a2_numbers_ok"])
+        "norm_word_m", "norm_word_tol", "a2_numbers_ok", "a3_reads_no_m",
+        "a1_reads_no_tol"])
 def test_cli_validate_checks_axiom_preconditions(tmp_path, capsys, cfg, message):
     p = tmp_path / "axiom.cfg"
     p.write_text(cfg)

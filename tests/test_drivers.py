@@ -165,6 +165,13 @@ def test_driver_check_dimension_checks():
     with pytest.raises(DriverError):
         RegularizedProjectionDriver(h=StateFn(c0=0.0), G=G2, eps=0.0).check(
             Box([0.0], [1.0]), 1, 1)
+    with pytest.raises(DriverError, match="h must be scalar, has 2 entries"):
+        RegularizedProjectionDriver(h=StateFn(c0=[0.0, 0.0]),
+                                    G=StateFn(c0=[0.0]), eps=0.0).check(
+            Box([0.0], [1.0]), 1, 1)
+    with pytest.raises(DriverError, match="inconsistent batch sizes"):
+        evaluate(ZeroDriver(), 0.0, np.zeros((3, 1)), np.zeros(2),
+                 np.zeros((3, 1)), None)
 
 
 def test_effective_driver_is_max_over_random_feasible_points():

@@ -197,6 +197,9 @@ def test_axiom_a3_s_equals_t():
     # these ran the tower check at node 2 and node 1
     ("A3_tower", {"s_index": 2.7}, None, "s_index must be an integer"),
     ("A3_tower", {"s_index": True}, None, "s_index must be an integer"),
+    # these ran and ignored the parameter the axiom does not read
+    ("A3_tower", {"s_index": 2, "m": 5}, None, "A3_tower reads only"),
+    ("normalization", {"s_index": 2}, None, "normalization reads only"),
 ])
 def test_axiom_preconditions_fail_before_any_simulation(monkeypatch, axiom,
                                                         params, clamp, message):
@@ -383,6 +386,39 @@ def test_scenario_rejects_bad_mc_fields(field, value, message):
     with pytest.raises(EngineError, match=message):
         replace(sc, **{field: value})
     assert replace(sc, y_clip=[-1, 2]).y_clip == (-1.0, 2.0)
+
+
+SEED_GRID = tb.TimeGrid(0.0, 1.0, 5)
+
+
+@pytest.mark.parametrize("draw, message", [
+    # ran as seed 1
+    (lambda: tb.simulate_forward(make_sde(), SEED_GRID, 10, 1.5),
+     "seed must be an integer"),
+    # these raised a bare OverflowError from the Philox key
+    (lambda: tb.simulate_forward(make_sde(), SEED_GRID, 10, -1),
+     "seed must be >= 0"),
+    (lambda: tb.simulate_theta_bm(tb.ZeroDriver(), UNIT_BOX, SEED_GRID, 10,
+                                  -1), "seed must be >= 0"),
+    (lambda: engine.brownian_increments(SEED_GRID, 10, 2 ** 64, 1),
+     r"seed must be < 2\*\*64"),
+    # a bare TypeError from np.empty
+    (lambda: engine.brownian_increments(SEED_GRID, 10.5, 1, 1),
+     "n_paths must be an integer"),
+], ids=["fractional_seed", "negative_seed", "negative_theta_bm_seed",
+        "seed_past_philox_key", "fractional_paths"])
+def test_raw_seeds_follow_the_scenario_rules(draw, message):
+    with pytest.raises(EngineError, match=message):
+        draw()
+
+
+@pytest.mark.parametrize("t_index", [0.5, True])
+def test_theta_expectation_takes_an_integer_node(t_index):
+    # 0.5 raised a bare IndexError, True returned node 1's mean
+    sol = tb.solve_theta_bsde(driver_scenario(tb.ZeroDriver()))
+    with pytest.raises(EngineError, match="t_index must be an integer"):
+        tb.theta_expectation(sol, t_index)
+    assert tb.theta_expectation(sol, 1.0) == tb.theta_expectation(sol, 1)
 
 
 def test_y_independent_driver_is_evaluated_once_per_node(monkeypatch):

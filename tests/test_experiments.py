@@ -30,6 +30,8 @@ def test_fmt_and_dump_json():
     parsed = json.loads(text)
     assert parsed == {"a": 1.5, "b": [1, 2.0], "c": None, "inf": None,
                       "arr": [0.5]}
+    assert dump_json({}) == "{}" and dump_json([]) == "[]"
+    assert dump_json({"e": [], "f": {}}) == '{\n  "e": [],\n  "f": {}\n}'
 
 
 def test_sweep_factorises_each_node_once(monkeypatch):

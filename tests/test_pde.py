@@ -203,3 +203,12 @@ def test_pde_rejects_multidimensional_state():
                       vol_const=np.eye(2))
     with pytest.raises(PdeError):
         auto_grid(sde2, tb.TimeGrid(0.0, 1.0, 10))
+
+
+def test_pde_rejects_state_dependent_or_zero_volatility():
+    grid = tb.TimeGrid(0.0, 1.0, 10)
+    with pytest.raises(PdeError, match="constant volatility"):
+        auto_grid(tb.SdeSpec(dim_x=1, dim_b=1, x0=[0.0], vol_lin=[[[1.0]]]),
+                  grid)
+    with pytest.raises(PdeError, match="nonzero volatility"):
+        auto_grid(tb.SdeSpec(dim_x=1, dim_b=1, x0=[0.0]), grid)

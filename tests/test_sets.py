@@ -230,6 +230,14 @@ def test_set_validation_errors():
         UnionSet([])
     with pytest.raises(SetError):
         UnionSet([Box([0.0], [1.0]), Box([0.0, 0.0], [1.0, 1.0])])
+    with pytest.raises(SetError, match=r"expected \(n, 1\)"):
+        Box([0.0], [1.0]).project_batch(np.zeros((3, 2)))
+    with pytest.raises(SetError, match="nonempty"):
+        PointCloud(np.zeros((0, 2)))
+    with pytest.raises(SetError, match="point dim exceeds 64"):
+        PointCloud(np.zeros((2, 65)))
+    with pytest.raises(SetError, match="non-finite"):
+        PointCloud([[0.0, np.nan]])
 
 
 def test_union_linear_max_tie_keeps_lowest_member_index():

@@ -157,6 +157,13 @@ def test_martingale_index_validation():
         verify_theta_martingale(sc, "linear_bm", 0.5, 3)
 
 
+def test_qv_rejects_paths_off_the_grid():
+    grid = tb.TimeGrid(0.0, 1.0, 5)
+    with pytest.raises(EngineError, match="does not match the grid"):
+        integrate_theta_qv(tb.ZeroDriver(), UNIT_BOX, grid,
+                           np.zeros((4, 5, 1)))
+
+
 def test_martingale_window_is_solved_on_its_own_times():
     # F = t exactly (G = 0.5 lies inside the box); with M = 0 the window
     # value is the left-point sum dt * sum_{t <= t_i < s} t_i

@@ -51,3 +51,13 @@ def test_only_the_cli_imports_the_config_parser():
             if "thetabsde.config" in names:
                 importers.append(path.name)
     assert importers == ["cli.py"]
+
+
+def test_readme_config_example_validates(tmp_path, capsys):
+    # a key that nothing reads is a config error, so the example may only
+    # show keys that some builder reads
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(example)
+    assert main(["validate", str(cfg)]) == 0, capsys.readouterr().err
