@@ -362,6 +362,142 @@ class _Basis:
         return np.linalg.solve(self.chol.T, half)
 
 
+@dataclass(eq=False)
+class BackwardTrack:
+    """One scenario's state in ``backward_sweep``: ``y`` and ``z`` are its
+    ``Y`` and ``Z`` rows at the node last yielded (``z`` is None at the
+    terminal node), and ``accum`` is its per-path terminal plus accumulated
+    driver, for the Y0 stderr. ``Z``, ``A``, ``member_index`` and
+    ``medial_gap`` are the node-major records it keeps for every node, or
+    None."""
+
+    scenario: Scenario
+    y: np.ndarray                 # (n_paths,)
+    accum: np.ndarray             # (n_paths,)
+    z: Optional[np.ndarray] = None    # (n_paths, dim_b)
+    Z: Optional[np.ndarray] = None    # (n_steps + 1, n_paths, dim_b)
+    A: Optional[np.ndarray] = None    # (n_steps + 1, n_paths, dim_a)
+    member_index: Optional[np.ndarray] = None  # (n_steps + 1, n_paths)
+    medial_gap: Optional[np.ndarray] = None    # (n_steps + 1, n_paths)
+
+
+def backward_sweep(scenarios, paths, terminal_values=None, keep=()):
+    """The backward regression loop, run once over ``scenarios`` on their
+    common ensemble ``paths``. A generator: it yields ``(i, tracks)`` for
+    i = n, n - 1, ..., 0, once every scenario's ``BackwardTrack`` in
+    ``tracks`` holds its rows at node i; a track keeps no other node's
+    ``Y`` or ``Z`` unless ``keep`` names "Z".
+
+    Each node's design is built once, or measured by the first sweep on
+    ``paths`` that reaches it, and every scenario fits its own ``E[Y_{i+1}
+    | X_i]`` and ``Z_i`` on it, so the scenarios must share
+    ``regression_degree``. Each keeps its own driver, set, terminal,
+    Picard count and ``y_clip``. ``terminal_values`` and ``keep`` apply to
+    every scenario, as in ``solve_theta_bsde``.
+    """
+    # one name on its own is a name, not a sequence of letters
+    keep = {keep} if isinstance(keep, str) else set(keep)
+    if not keep <= set(KEEPABLE):
+        raise EngineError(f"cannot keep {sorted(keep - set(KEEPABLE))}, "
+                          f"only a subset of {KEEPABLE}")
+    degrees = {sc.regression_degree for sc in scenarios}
+    if len(degrees) != 1:
+        raise EngineError("one sweep needs one regression_degree, got "
+                          f"{sorted(degrees)}")
+    (degree,) = degrees
+    grid = paths.grid
+    n = grid.n_steps
+    dt = grid.dt
+    times = grid.times
+    # node-major reads, contiguous for an ensemble from simulate_forward
+    X, dB = _swap(paths.states), _swap(paths.increments)
+    n_paths = paths.n_paths
+    db = dB.shape[2]
+
+    def driver_at(t, i, y, z):
+        """max_a F of track ``t`` at node i; an argmax driver also writes
+        node i of each kept record, and nothing else outlives the call."""
+        sc = t.scenario
+        if not sc.driver.has_argmax:
+            return effective_driver(sc.driver, sc.uset, times[i], X[i], y, z)
+        rec, f = maximizer(sc.driver, sc.uset, times[i], X[i], y, z)
+        if t.A is not None:
+            t.A[i] = rec.point
+        if t.member_index is not None:
+            t.member_index[i] = rec.member_index
+            t.medial_gap[i] = rec.medial_gap
+        return f
+
+    tracks = []
+    for sc in scenarios:
+        sc.driver.check(sc.uset, sc.sde.dim_x, sc.sde.dim_b)
+        y = np.empty(n_paths)
+        y[:] = (sc.terminal.value(X[n]) if terminal_values is None
+                else np.asarray(terminal_values, dtype=float))
+        _require_finite(n, y)
+        has_argmax = sc.driver.has_argmax
+        projection = has_argmax and "projection" in keep
+        tracks.append(BackwardTrack(
+            sc, y, y.copy(),
+            Z=np.empty((n + 1, n_paths, db)) if "Z" in keep else None,
+            A=(np.empty((n + 1, n_paths, sc.uset.dim))
+               if has_argmax and "A" in keep else None),
+            member_index=(np.empty((n + 1, n_paths), dtype=np.int64)
+                          if projection else None),
+            medial_gap=np.empty((n + 1, n_paths)) if projection else None))
+    y_free = [not sc.driver.depends_on_y() for sc in scenarios]
+    yield n, tracks
+
+    for i in range(n - 1, -1, -1):
+        basis = paths._bases.get((degree, i))
+        if basis is None:
+            basis, design = _Basis.measure(X[i], degree)
+            paths._bases[degree, i] = basis
+        else:
+            design = basis.design(X[i])
+        for t, free in zip(tracks, y_free):
+            sc = t.scenario
+            records = t.A is not None or t.member_index is not None
+            # the previous node's rows are freed once read, as a single
+            # solve frees them; held through the Picard loop, they fragment
+            # the heap and raise peak RSS
+            t.z = None
+            Ey = design @ basis.fit(design, t.y)
+            Zi = design @ basis.fit(design, (t.y - Ey)[:, None] * dB[i] / dt)
+            if t.Z is not None:
+                t.Z[i] = Zi
+            if i == n - 1:
+                # Z_n, the regression of xi * dB / dt on node n - 1's
+                # design, is exactly Z_{n-1}; the terminal maximizer runs
+                # at it
+                if t.Z is not None:
+                    t.Z[n] = Zi
+                if records:
+                    driver_at(t, n, t.y, Zi)
+            t.y = None
+
+            # one pass is the fixed point of a y-free driver's Picard map,
+            # and its maximizer is the one at the final Y_i
+            picard = 1 if free else sc.picard_iters
+            Yk = Ey
+            for k in range(1, picard + 1):
+                f = driver_at(t, i, Yk, Zi)
+                Yk, Yprev = Ey + dt * f, Yk
+                # converged: stop early; the last pass stops anyway
+                if k < picard and np.max(np.abs(Yk - Yprev)) <= 1e-12:
+                    break
+            if sc.y_clip is not None:
+                Yk = np.clip(Yk, sc.y_clip[0], sc.y_clip[1])
+            _require_finite(i, Yk, Zi)
+            t.y, t.z = Yk, Zi
+            t.accum += dt * f
+
+            if records and not free:
+                # the last pass ran at the previous iterate; record at Y_i
+                driver_at(t, i, Yk, Zi)
+        yield i, tracks
+
+
 def solve_theta_bsde(scenario, paths=None, terminal_values=None, keep=()):
     """Backward regression sweep; returns the solution ensembles.
 
@@ -380,113 +516,31 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None, keep=()):
     "Z", "A" (the maximizer's point) and "projection" (the member index
     and medial gap of its projection) are then kept for every node, at
     the final ``Y_i``: a y-dependent driver's maximizer runs once more there.
+    This is ``backward_sweep`` over the one scenario.
     """
-    # one name on its own is a name, not a sequence of letters
-    keep = {keep} if isinstance(keep, str) else set(keep)
-    if not keep <= set(KEEPABLE):
-        raise EngineError(f"cannot keep {sorted(keep - set(KEEPABLE))}, "
-                          f"only a subset of {KEEPABLE}")
     sc = scenario
-    sc.driver.check(sc.uset, sc.sde.dim_x, sc.sde.dim_b)
     ens = paths if paths is not None else simulate_forward(
         sc.sde, sc.grid, sc.n_paths, sc.seed)
-    grid = ens.grid
-    n = grid.n_steps
-    dt = grid.dt
-    times = grid.times
-    # node-major reads, contiguous for an ensemble from simulate_forward
-    X, dB = _swap(ens.states), _swap(ens.increments)
-    n_paths = ens.n_paths
-    db = dB.shape[2]
-
-    has_argmax = sc.driver.has_argmax
-    y_free = not sc.driver.depends_on_y()
-    Y = np.empty((n + 1, n_paths))
-    Z = np.empty((n + 1, n_paths, db)) if "Z" in keep else None
-    A = (np.empty((n + 1, n_paths, sc.uset.dim))
-         if has_argmax and "A" in keep else None)
-    projection = has_argmax and "projection" in keep
-    member_index = (np.empty((n + 1, n_paths), dtype=np.int64)
-                    if projection else None)
-    medial_gap = np.empty((n + 1, n_paths)) if projection else None
-
-    if terminal_values is not None:
-        Y[n] = np.asarray(terminal_values, dtype=float)
-    else:
-        Y[n] = sc.terminal.value(X[n])
-    _require_finite(n, Y[n])
-
-    def driver_at(i, y, z):
-        """max_a F at node i; an argmax driver also writes node i of each
-        kept record, and nothing else outlives the call."""
-        if not has_argmax:
-            return effective_driver(sc.driver, sc.uset, times[i], X[i], y, z)
-        rec, f = maximizer(sc.driver, sc.uset, times[i], X[i], y, z)
-        if A is not None:
-            A[i] = rec.point
-        if projection:
-            member_index[i] = rec.member_index
-            medial_gap[i] = rec.medial_gap
-        return f
-
-    records = A is not None or projection
-    # one pass is the fixed point of a y-free driver's Picard map, and its
-    # maximizer is the one at the final Y_i
-    picard = 1 if y_free else sc.picard_iters
-    # per-path total of terminal + accumulated driver, for the Y0 stderr
-    accum = Y[n].copy()
-    for i in range(n - 1, -1, -1):
-        basis = ens._bases.get((sc.regression_degree, i))
-        if basis is None:
-            basis, design = _Basis.measure(X[i], sc.regression_degree)
-            ens._bases[sc.regression_degree, i] = basis
-        else:
-            design = basis.design(X[i])
-        Ey = design @ basis.fit(design, Y[i + 1])
-        Zi = design @ basis.fit(design, (Y[i + 1] - Ey)[:, None] * dB[i] / dt)
-        if Z is not None:
-            Z[i] = Zi
-        if i == n - 1 and records:
-            # the terminal maximizer, at Z_n = Z_{n-1} (below)
-            driver_at(n, Y[n], Zi)
-
-        Yk = Ey
-        for k in range(1, picard + 1):
-            f = driver_at(i, Yk, Zi)
-            Yk, Yprev = Ey + dt * f, Yk
-            # converged: stop early; the last pass stops anyway
-            if k < picard and np.max(np.abs(Yk - Yprev)) <= 1e-12:
-                break
-        if sc.y_clip is not None:
-            Yk = np.clip(Yk, sc.y_clip[0], sc.y_clip[1])
-        _require_finite(i, Yk, Zi)
-        Y[i] = Yk
-        accum += dt * f
-
-        if records and not y_free:
-            # the last pass ran at the previous iterate; record at Y_i
-            driver_at(i, Y[i], Zi)
-
-    if Z is not None:
-        # the terminal Z is the regression of xi * dB / dt on node n - 1's
-        # design, i.e. exactly that node's Z
-        Z[n] = Z[n - 1]
+    n = ens.grid.n_steps
+    Y = np.empty((n + 1, ens.n_paths))
+    for i, (track,) in backward_sweep([sc], ens, terminal_values, keep):
+        Y[i] = track.y
 
     bases = [ens._bases[sc.regression_degree, i] for i in range(n)]
     diagnostics = {
         "max_condition": max(b.condition for b in bases),
         "lstsq_fallbacks": sum(b.chol is None for b in bases),
-        "degenerate_argmax": has_argmax and sc.driver.query is None,
+        "degenerate_argmax": sc.driver.has_argmax and sc.driver.query is None,
         "unsound_for_existence": sc.driver.unsound_for_existence(sc.uset),
     }
 
     Y0 = float(np.mean(Y[0]))
-    stderr = float(np.std(accum) / np.sqrt(n_paths))
-    return BsdeSolution(grid=grid, Y=_swap(Y), Z=_swap(Z), A=_swap(A),
-                        Y0=Y0, stderr=stderr,
+    stderr = float(np.std(track.accum) / np.sqrt(ens.n_paths))
+    return BsdeSolution(grid=ens.grid, Y=_swap(Y), Z=_swap(track.Z),
+                        A=_swap(track.A), Y0=Y0, stderr=stderr,
                         diagnostics=diagnostics,
-                        member_index=_swap(member_index),
-                        medial_gap=_swap(medial_gap))
+                        member_index=_swap(track.member_index),
+                        medial_gap=_swap(track.medial_gap))
 
 
 def _require_finite(i, *values):

@@ -41,7 +41,11 @@ def _cloud_nearest(P, pts):
     Squared distances accumulate coordinate by coordinate on (rows, k)
     buffers, left to right, which is the order ``np.sum`` uses over a
     trailing axis shorter than 8: up to dim 7 the result is bitwise that
-    of summing the (rows, k, dim) squared differences.
+    of summing the (rows, k, dim) squared differences. The nearest point
+    is the first argmin of the squared distances, and the second-smallest
+    is the row minimum once that entry is set to inf; only these two take
+    a square root, which is monotone, so they are bitwise the two smallest
+    rooted distances.
     """
     n = len(P)
     cols = np.ascontiguousarray(pts.T)  # (dim, k): coordinate j of each point
@@ -59,13 +63,18 @@ def _cloud_nearest(P, pts):
             np.subtract(Q[:, j:j + 1], cols[j], out=sq)
             np.multiply(sq, sq, out=sq)
             D += sq
-        np.sqrt(D, out=D)
         # pts are stored lexicographically sorted, so the first argmin among
-        # exact ties is the lexicographically smallest candidate.
-        idx[rows] = np.argmin(D, axis=1)
-        d1[rows] = D[np.arange(len(D)), idx[rows]]
-        if pts.shape[0] >= 2:
-            d2[rows] = np.partition(D, 1, axis=1)[:, 1]
+        # points at exactly the same squared distance is the
+        # lexicographically smallest candidate.
+        best = np.argmin(D, axis=1)
+        at = np.arange(len(D))
+        idx[rows] = best
+        d1[rows] = D[at, best]
+        if len(pts) >= 2:
+            D[at, best] = np.inf
+            d2[rows] = D.min(axis=1)
+    np.sqrt(d1, out=d1)
+    np.sqrt(d2, out=d2)
     return idx, d1, d2
 
 
@@ -224,8 +233,13 @@ class PointCloud(UncertaintySet):
         if not np.all(np.isfinite(pts)):
             raise SetError("point cloud has non-finite entries")
         # dedupe, and keep lexicographic storage order so first-argmin ties
-        # resolve to the lex-smallest candidate
-        self.points = np.unique(pts, axis=0)
+        # resolve to the lex-smallest candidate: a stable sort, first
+        # column first, then drop each row equal to its predecessor. This
+        # is np.unique(pts, axis=0), which would import numpy.ma.
+        pts = pts[np.lexsort(pts.T[::-1])]
+        fresh = np.ones(len(pts), dtype=bool)
+        fresh[1:] = np.any(pts[1:] != pts[:-1], axis=1)
+        self.points = pts[fresh]
         self.dim = pts.shape[1]
 
     def project_batch(self, P):

@@ -34,26 +34,98 @@ def test_fmt_and_dump_json():
     assert dump_json({"e": [], "f": {}}) == '{\n  "e": [],\n  "f": {}\n}'
 
 
-def test_sweep_factorises_each_node_once(monkeypatch):
-    # five solves on one ensemble share each node's Gram factorisation
-    from thetabsde import experiments
-    counts = {"solves": 0, "factorisations": 0}
+def sweep_scenario(n_paths, seed, n_steps=10):
+    return scenario(tb.Box([1.0], [2.0]), tb.GLimitDriver(),
+                    tb.Payoff([0.0, 0.0, 1.0], clamp=(0.0, 4.0)),
+                    tb.TimeGrid(0.0, 1.0, n_steps), n_paths, seed)
+
+
+EPS = [0.5, 0.25, 0.125, 0.0625]
+
+
+def test_sweep_builds_each_node_design_once(monkeypatch):
+    # the reference and the four runs share one design per node
+    from thetabsde import engine
+    counts = {"designs": 0, "factorisations": 0}
 
     def counting(fn, key):
         def counted(*args, **kwargs):
             counts[key] += 1
             return fn(*args, **kwargs)
         return counted
-    monkeypatch.setattr(experiments, "solve_theta_bsde",
-                        counting(experiments.solve_theta_bsde, "solves"))
+    monkeypatch.setattr(engine, "_monomial_rows",
+                        counting(engine._monomial_rows, "designs"))
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         counting(np.linalg.eigvalsh, "factorisations"))
-    grid = tb.TimeGrid(0.0, 1.0, 10)
-    epsilon_sweep(scenario(tb.Box([1.0], [2.0]), tb.GLimitDriver(),
-                           tb.Payoff([0.0, 0.0, 1.0], clamp=(0.0, 4.0)),
-                           grid, 500, 3),
-                  [0.5, 0.25, 0.125, 0.0625], [1.0])
-    assert counts == {"solves": 5, "factorisations": grid.n_steps}
+    sc = sweep_scenario(500, 3)
+    epsilon_sweep(sc, EPS, [1.0])
+    assert counts == {"designs": sc.grid.n_steps,
+                      "factorisations": sc.grid.n_steps}
+
+
+def five_solve_sweep(sc, epsilons, a0):
+    """The sweep's definition: one full solve per driver on common paths,
+    errors reduced over whole (n_paths, n_steps + 1) arrays."""
+    base = replace(sc, y_clip=sc.terminal.clamp)
+    ens = tb.simulate_forward(base.sde, base.grid, base.n_paths, base.seed)
+    ref = tb.solve_theta_bsde(replace(base, driver=tb.GLimitDriver()),
+                              paths=ens, keep=("Z",))
+    sup_errs, z_errs, ses = [], [], []
+    for e in epsilons:
+        sol = tb.solve_theta_bsde(
+            replace(base, driver=tb.GRegularizedDriver(eps=e, a0=a0)),
+            paths=ens, keep=("Z",))
+        dY = sol.Y - ref.Y
+        rms = np.sqrt(np.mean(dY ** 2, axis=0))
+        j = int(np.argmax(rms))
+        sup_errs.append(float(rms[j]))
+        ses.append(float(np.std(np.abs(dY[:, j])) / np.sqrt(base.n_paths)))
+        dZ = sol.Z - ref.Z
+        z_errs.append(float(np.sqrt(np.sum(
+            base.grid.dt * np.mean(np.sum(dZ ** 2, axis=2), axis=0)))))
+    slope = float(np.polyfit(np.log(epsilons),
+                             np.log(np.maximum(sup_errs, 1e-300)), 1)[0])
+    return {"epsilons": list(epsilons), "sup_y_err": sup_errs,
+            "z_err_l2": z_errs, "stderrs": ses, "fitted_slope": slope,
+            "y0": ref.Y0}
+
+
+@pytest.mark.parametrize("seed, dim_b", [(7, 1), (2027, 1), (7, 2)])
+def test_sweep_equals_five_separate_solves(seed, dim_b):
+    # a narrow clamp makes y_clip bind on some paths and nodes; with two
+    # Brownian columns, |dZ|^2 sums over a row
+    sc = replace(sweep_scenario(800, seed, n_steps=12),
+                 terminal=tb.Payoff([0.0, 0.0, 1.0], clamp=(0.0, 0.6)))
+    a0 = [1.0]
+    if dim_b == 2:
+        sc = replace(sc, sde=tb.SdeSpec(dim_x=1, dim_b=2, x0=[0.0],
+                                        vol_const=[[1.0, 0.5]]),
+                     uset=tb.Box([1.0, -0.2, 0.5], [2.0, 0.2, 1.5]))
+        a0 = [1.0, 0.0, 1.0]
+    expected = five_solve_sweep(sc, EPS, a0)
+    base = replace(sc, y_clip=sc.terminal.clamp)
+    ens = tb.simulate_forward(base.sde, base.grid, base.n_paths, base.seed)
+    ref = tb.solve_theta_bsde(replace(base, driver=tb.GLimitDriver()),
+                              paths=ens)
+    assert np.any(ref.Y[:, :-1] == 0.6)  # the clip binds
+    assert vars(epsilon_sweep(sc, EPS, a0)) == expected
+
+
+def test_sweep_holds_no_full_solution():
+    # the sweep's traced peak is the ensemble plus less than two
+    # (n_paths, n_steps + 1) arrays; five full solves need far more
+    sc = sweep_scenario(4000, 5, n_steps=40)
+    ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
+    bound = (ens.states.nbytes + ens.increments.nbytes
+             + 2 * (sc.grid.n_steps + 1) * sc.n_paths * 8)
+    del ens
+    tracemalloc.start()
+    try:
+        epsilon_sweep(sc, EPS, [1.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak, bound)
 
 
 def test_sweep_singleton_set_is_inert():

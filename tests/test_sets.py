@@ -282,13 +282,47 @@ def test_cloud_search_spanning_blocks_matches_one_shot_brute_force():
 
 
 def broadcast_cloud_nearest(P, pts):
-    """The (rows, k, dim) broadcast search, summed by ``np.sum``."""
+    """The (rows, k, dim) broadcast search, summed by ``np.sum``: the first
+    argmin of the squared distances, and the two smallest distances."""
     diff = P[:, None, :] - pts[None, :, :]
-    D = np.sqrt(np.sum(diff * diff, axis=2))
-    idx = np.argmin(D, axis=1)
-    d2 = np.partition(D, 1, axis=1)[:, 1] if len(pts) >= 2 \
+    S = np.sum(diff * diff, axis=2)
+    idx = np.argmin(S, axis=1)
+    D = np.sqrt(S)
+    d2 = np.sort(D, axis=1)[:, 1] if len(pts) >= 2 \
         else np.full(len(P), np.inf)
     return idx, D[np.arange(len(P)), idx], d2
+
+
+@pytest.mark.parametrize("case", ["equidistant", "one_point"])
+def test_cloud_search_edge_cases_match_broadcast_search(case):
+    if case == "equidistant":
+        pts = np.array([[0.0, 0.0], [2.0, 0.0], [5.0, 5.0]])
+        # each query is exactly as far from the first point as the second
+        P = np.array([[1.0, 0.0], [1.0, 3.0], [1.0, -0.5]])
+    else:
+        pts = np.array([[0.5, -1.0]])
+        P = np.random.default_rng(3).normal(size=(50, 2))
+    got = sets._cloud_nearest(P, pts)
+    for a, b in zip(got, broadcast_cloud_nearest(P, pts)):
+        assert np.array_equal(a, b)
+    idx, d1, d2 = got
+    if case == "equidistant":
+        assert np.array_equal(idx, [0, 0, 0]) and np.array_equal(d1, d2)
+    else:
+        assert np.all(idx == 0) and np.all(np.isinf(d2))
+
+
+def test_cloud_dedupe_is_np_unique_bitwise():
+    # duplicate rows, rows equal but for the sign of a zero (either sign
+    # first), and rows sharing their leading coordinates
+    pts = np.array([[1.0, 2.0], [0.0, 3.0], [1.0, 2.0], [-0.0, 3.0],
+                    [1.0, -1.0], [-0.0, -0.0], [0.0, 0.0], [1.0, 2.0],
+                    [0.5, 7.0], [1.0, -1.0], [0.5, -7.0]])
+    expected = np.unique(pts, axis=0)
+    got = PointCloud(pts).points
+    assert got.shape == expected.shape == (6, 2)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert np.signbit(got[0, 0]) and not np.signbit(got[1, 0])
 
 
 @pytest.mark.parametrize("dim", range(1, 11))

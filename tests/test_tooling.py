@@ -1,6 +1,9 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,6 +35,25 @@ def test_shipped_configs_validate(tmp_path, capsys, path):
     cfg = tmp_path / path.name
     cfg.write_text(path.read_text().replace("$seed", "7"))
     assert main(["validate", str(cfg)]) == 0, capsys.readouterr().err
+
+
+def test_validating_shipped_configs_leaves_numpy_ma_unloaded(tmp_path):
+    # numpy.ma costs about 20 ms on first import; building a config's
+    # objects, point clouds included, must not need it
+    paths = []
+    for path in SHIPPED:
+        cfg = tmp_path / f"{path.parent.name}_{path.name}"
+        cfg.write_text(path.read_text().replace("$seed", "7"))
+        paths.append(str(cfg))
+    script = ("import sys\n"
+              "from thetabsde.cli import main\n"
+              "assert all(main(['validate', p]) == 0 for p in sys.argv[1:])\n"
+              "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script, *paths], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_only_the_cli_imports_the_config_parser():
