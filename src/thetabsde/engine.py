@@ -143,34 +143,22 @@ class PathEnsemble:
     """Simulated paths. ``simulate_forward`` stores both arrays node-major
     and read-only, and hands out their path-major transpose views, so
     ``states[:, i]`` is one contiguous row; arrays with other strides are
-    read correctly too.
-
-    The first solve that reaches a node keeps that node's regression basis
-    on the ensemble, and every later solve on it, or on a ``truncated``
-    ensemble, reuses it. So an ensemble's arrays must not change after its
-    first solve."""
+    read correctly too."""
 
     grid: TimeGrid
     n_paths: int
     seed: int
     increments: np.ndarray  # (n_paths, n_steps, dim_b)
     states: np.ndarray      # (n_paths, n_steps + 1, dim_x)
-    # (regression_degree, node) -> _Basis, filled by solve_theta_bsde
-    _bases: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     def truncated(self, n_steps):
-        """The first ``n_steps`` steps; shares the basis records, since
-        its nodes are this ensemble's nodes 0..n_steps."""
+        """The first ``n_steps`` steps, as views of this ensemble's arrays."""
         if not 1 <= n_steps <= self.grid.n_steps:
             raise EngineError(f"need 1 <= n_steps <= {self.grid.n_steps}, "
                               f"got {n_steps}")
-        sub = PathEnsemble(self.grid.truncated(n_steps), self.n_paths,
-                           self.seed,
-                           self.increments[:, :n_steps],
-                           self.states[:, :n_steps + 1])
-        sub._bases = self._bases
-        return sub
+        return PathEnsemble(self.grid.truncated(n_steps), self.n_paths,
+                            self.seed, self.increments[:, :n_steps],
+                            self.states[:, :n_steps + 1])
 
 
 # paths per Philox draw: a block's transpose into the node-major buffer
@@ -201,7 +189,7 @@ def brownian_increments(grid, n_paths, seed, dim_b):
 
 def simulate_forward(sde, grid, n_paths, seed):
     """Euler scheme for the forward diffusion on the shared time grid; the
-    ensemble's arrays are read-only, so a kept basis cannot go stale."""
+    ensemble's arrays are read-only."""
     dB = brownian_increments(grid, n_paths, seed, sde.dim_b)
     n_paths = len(dB)
     steps = _swap(dB)
@@ -291,29 +279,15 @@ def _monomial_rows(Xi, degree):
     return rows
 
 
-def _standardized(rows, scaling):
-    """The (n, k) design view of the raw ``rows``, each kept monomial centred
-    and scaled into its slot behind the constant: the one place a design
-    row is standardized, so a rebuilt design is bitwise the measured one."""
-    # row r is read before a later write can reach it
-    for k, (r, mu, sd) in enumerate(scaling, start=1):
-        np.subtract(rows[r], mu, out=rows[k])
-        rows[k] /= sd
-    return rows[:len(scaling) + 1].T
-
-
 @dataclass(frozen=True)
 class _Basis:
-    """One node's regression, measured once by the first solve that reaches
-    the node: the constant plus the monomials up to ``degree`` that vary,
-    each kept as (raw row, mean, sd); the Cholesky factor of the design's
-    Gram matrix; and the design's condition number. A design whose
-    condition passes ``_MAX_CONDITION``, or whose Gram matrix is not
+    """One node's regression: the Cholesky factor of its design's Gram
+    matrix, and the design's condition number. The design is the constant
+    plus the standardized monomials up to the degree that vary. A design
+    whose condition passes ``_MAX_CONDITION``, or whose Gram matrix is not
     positive definite, has no factor; it is fitted by ``lstsq``, and its
     condition is the ratio of its extreme singular values."""
 
-    degree: int
-    scaling: list
     chol: Optional[np.ndarray]
     condition: float
 
@@ -326,32 +300,31 @@ class _Basis:
         rows = _monomial_rows(Xi, degree)
         n = len(Xi)
         sq = np.empty(n)
-        scaling = []
+        k = 0
         for r in range(1, len(rows)):
             mu = rows[r].sum() / n
             np.subtract(rows[r], mu, out=sq)
             np.multiply(sq, sq, out=sq)
             sd = np.sqrt(sq.sum() / n)
             if sd > 1e-12:
-                scaling.append((r, mu, sd))
-        design = _standardized(rows, scaling)
+                # the kept row moves into its slot behind the constant; the
+                # target k is at most r, so no unread row is overwritten
+                k += 1
+                np.subtract(rows[r], mu, out=rows[k])
+                rows[k] /= sd
+        design = rows[:k + 1].T
         gram = design.T @ design
         eig = np.linalg.eigvalsh(gram)
         if eig[0] > 0:
             condition = float(np.sqrt(eig[-1] / eig[0]))
             if condition <= _MAX_CONDITION:
                 try:
-                    return cls(degree, scaling, np.linalg.cholesky(gram),
-                               condition), design
+                    return cls(np.linalg.cholesky(gram), condition), design
                 except np.linalg.LinAlgError:
                     pass
         sv = np.linalg.svd(design, compute_uv=False)
-        return cls(degree, scaling, None, float(sv[0] / sv[-1])
+        return cls(None, float(sv[0] / sv[-1])
                    if sv[-1] > 0 else np.inf), design
-
-    def design(self, Xi):
-        """The (n, k) design of states ``Xi``, bitwise ``measure``'s."""
-        return _standardized(_monomial_rows(Xi, self.degree), self.scaling)
 
     def fit(self, design, targets):
         """Least-squares coefficients of ``targets`` (n,) or (n, m) on a
@@ -383,14 +356,14 @@ class BackwardTrack:
 
 def backward_sweep(scenarios, paths, terminal_values=None, keep=()):
     """The backward regression loop, run once over ``scenarios`` on their
-    common ensemble ``paths``. A generator: it yields ``(i, tracks)`` for
-    i = n, n - 1, ..., 0, once every scenario's ``BackwardTrack`` in
-    ``tracks`` holds its rows at node i; a track keeps no other node's
-    ``Y`` or ``Z`` unless ``keep`` names "Z".
+    common ensemble ``paths``. A generator: it yields ``(i, basis, tracks)``
+    for i = n, n - 1, ..., 0, once every scenario's ``BackwardTrack`` in
+    ``tracks`` holds its rows at node i; ``basis`` is node i's ``_Basis``,
+    None at node n. A track keeps no other node's ``Y`` or ``Z`` unless
+    ``keep`` names "Z".
 
-    Each node's design is built once, or measured by the first sweep on
-    ``paths`` that reaches it, and every scenario fits its own ``E[Y_{i+1}
-    | X_i]`` and ``Z_i`` on it, so the scenarios must share
+    Each node's design is built once, and every scenario fits its own
+    ``E[Y_{i+1} | X_i]`` and ``Z_i`` on it, so the scenarios must share
     ``regression_degree``. Each keeps its own driver, set, terminal,
     Picard count and ``y_clip``. ``terminal_values`` and ``keep`` apply to
     every scenario, as in ``solve_theta_bsde``.
@@ -446,15 +419,10 @@ def backward_sweep(scenarios, paths, terminal_values=None, keep=()):
                           if projection else None),
             medial_gap=np.empty((n + 1, n_paths)) if projection else None))
     y_free = [not sc.driver.depends_on_y() for sc in scenarios]
-    yield n, tracks
+    yield n, None, tracks
 
     for i in range(n - 1, -1, -1):
-        basis = paths._bases.get((degree, i))
-        if basis is None:
-            basis, design = _Basis.measure(X[i], degree)
-            paths._bases[degree, i] = basis
-        else:
-            design = basis.design(X[i])
+        basis, design = _Basis.measure(X[i], degree)
         for t, free in zip(tracks, y_free):
             sc = t.scenario
             records = t.A is not None or t.member_index is not None
@@ -495,7 +463,7 @@ def backward_sweep(scenarios, paths, terminal_values=None, keep=()):
             if records and not free:
                 # the last pass ran at the previous iterate; record at Y_i
                 driver_at(t, i, Yk, Zi)
-        yield i, tracks
+        yield i, basis, tracks
 
 
 def solve_theta_bsde(scenario, paths=None, terminal_values=None, keep=()):
@@ -507,12 +475,11 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None, keep=()):
     the driver once, through ``maximizer`` when it has an argmax;
     ``degenerate_argmax`` means it has an argmax but no query.
 
-    ``paths`` reuses a pre-simulated ensemble (common-path experiments),
-    and with it the regression basis of every node that an earlier solve
-    on it reached; ``terminal_values`` overrides the payoff with per-path
-    terminal data (nested tower-property solves). The solution holds ``Y``
-    for every node; each node's ``Z`` and maximizer live only for that
-    node's step, unless ``keep`` (a subset of ``KEEPABLE``) names them:
+    ``paths`` reuses a pre-simulated ensemble (common-path experiments);
+    ``terminal_values`` overrides the payoff with per-path terminal data
+    (nested tower-property solves). The solution holds ``Y`` for every
+    node; each node's ``Z`` and maximizer live only for that node's step,
+    unless ``keep`` (a subset of ``KEEPABLE``) names them:
     "Z", "A" (the maximizer's point) and "projection" (the member index
     and medial gap of its projection) are then kept for every node, at
     the final ``Y_i``: a y-dependent driver's maximizer runs once more there.
@@ -523,10 +490,13 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None, keep=()):
         sc.sde, sc.grid, sc.n_paths, sc.seed)
     n = ens.grid.n_steps
     Y = np.empty((n + 1, ens.n_paths))
-    for i, (track,) in backward_sweep([sc], ens, terminal_values, keep):
+    bases = []
+    for i, basis, (track,) in backward_sweep([sc], ens, terminal_values,
+                                             keep):
         Y[i] = track.y
+        if basis is not None:
+            bases.append(basis)
 
-    bases = [ens._bases[sc.regression_degree, i] for i in range(n)]
     diagnostics = {
         "max_condition": max(b.condition for b in bases),
         "lstsq_fallbacks": sum(b.chol is None for b in bases),
@@ -614,26 +584,30 @@ def axiom_check(scenario, axiom, params=None):
         xi2 = terminal2.value(ens.states[:, -1])
         if np.any(xi1 < xi2):
             raise EngineError("A1 requires terminal1 >= terminal2 on the sample")
-        sol1 = solve_theta_bsde(scenario, paths=ens)
-        sc2 = replace(scenario, terminal=terminal2)
-        sol2 = solve_theta_bsde(sc2, paths=ens)
-        diff = sol1.Y - sol2.Y
-        viol = diff < -1e-12
-        frac = float(np.mean(viol))
-        worst = float(max(0.0, -diff.min()))
-        stderr = float(np.max(np.std(diff, axis=0)) / np.sqrt(ens.n_paths))
+        # both valuations run in one sweep, and their difference is folded
+        # node by node: the violations, its minimum and its largest sd
+        violations, lowest, sd = 0, np.inf, 0.0
+        for _, _, (t1, t2) in backward_sweep(
+                [scenario, replace(scenario, terminal=terminal2)], ens):
+            diff = t1.y - t2.y
+            violations += int(np.count_nonzero(diff < -1e-12))
+            lowest = min(lowest, diff.min())
+            sd = max(sd, np.std(diff))
+        frac = violations / (ens.n_paths * (ens.grid.n_steps + 1))
+        worst = float(max(0.0, -lowest))
+        stderr = float(sd / np.sqrt(ens.n_paths))
         passed = frac <= 0.005 and worst <= 3.0 * stderr + 1e-12
         return {"axiom": axiom, "passed": passed, "discrepancy": worst,
                 "violation_fraction": frac, "stderr": stderr}
 
     if axiom == "A2_translation":
         m, tol = params["m"], params["tol"]
-        sol1 = solve_theta_bsde(scenario, paths=ens)
         shifted = Payoff(np.concatenate(([scenario.terminal.coeffs[0] + m],
                                          scenario.terminal.coeffs[1:])))
-        sc2 = replace(scenario, terminal=shifted)
-        sol2 = solve_theta_bsde(sc2, paths=ens)
-        disc = float(np.max(np.abs(sol2.Y - sol1.Y - m)))
+        disc = 0.0
+        for _, _, (t1, t2) in backward_sweep(
+                [scenario, replace(scenario, terminal=shifted)], ens):
+            disc = max(disc, float(np.max(np.abs(t2.y - t1.y - m))))
         return {"axiom": axiom, "passed": disc <= tol, "discrepancy": disc,
                 "tol": tol}
 

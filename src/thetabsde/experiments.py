@@ -139,7 +139,7 @@ def epsilon_sweep(scenario, epsilons, a0):
     # z is None at node n: Z_n = Z_{n-1} is the regression of the shared
     # terminal, the same in every run, so node n's |dZ|^2 stays 0
     rms, sd, z_sq = (np.zeros((len(eps), n + 1)) for _ in range(3))
-    for i, (ref, *runs) in backward_sweep(
+    for i, _, (ref, *runs) in backward_sweep(
             [replace(base, driver=d) for d in drivers], ens):
         for k, run in enumerate(runs):
             dY = run.y - ref.y
