@@ -197,9 +197,10 @@ def build_driver(spec, where="driver"):
 def build_sde(spec, where="sde"):
     with _Section(spec, where) as spec:
         # config computes with the dimensions before SdeSpec holds them
-        dim_x = as_integer(ConfigError, spec.get("dim_x", 1), f"{where}.dim_x")
+        dim_x = as_integer(ConfigError, spec.get("dim_x", 1), f"{where}.dim_x",
+                           1)
         dim_b = as_integer(ConfigError, spec.get("dim_b", dim_x),
-                           f"{where}.dim_b")
+                           f"{where}.dim_b", 1)
         vol = spec.get("vol_const")
         if vol is None and "vol_lin" not in spec.spec:
             vol = np.eye(dim_x, dim_b)  # default: driving noise passes through

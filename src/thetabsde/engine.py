@@ -64,6 +64,9 @@ class SdeSpec:
     vol_lin: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        for name in ("dim_x", "dim_b"):
+            setattr(self, name, as_integer(EngineError, getattr(self, name),
+                                           name, 1))
         self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
         if self.x0.size != self.dim_x:
             raise EngineError("x0 size does not match dim_x")
@@ -337,42 +340,33 @@ class _Basis:
 
 @dataclass(eq=False)
 class BackwardTrack:
-    """One scenario's state in ``backward_sweep``: ``y`` and ``z`` are its
-    ``Y`` and ``Z`` rows at the node last yielded (``z`` is None at the
-    terminal node), and ``accum`` is its per-path terminal plus accumulated
-    driver, for the Y0 stderr. ``Z``, ``A``, ``member_index`` and
-    ``medial_gap`` are the node-major records it keeps for every node, or
-    None."""
+    """One scenario's rows in ``backward_sweep`` at the node last yielded:
+    ``y`` and ``z`` are its ``Y`` and ``Z`` (``z`` is None at node n),
+    ``accum`` its per-path terminal plus accumulated driver, for the Y0
+    stderr, and ``rec`` the maximizer's ``ProjectionResult`` at the final
+    ``(Y_i, Z_i)`` when ``records`` asks for it and the sweep has it."""
 
     scenario: Scenario
     y: np.ndarray                 # (n_paths,)
     accum: np.ndarray             # (n_paths,)
     z: Optional[np.ndarray] = None    # (n_paths, dim_b)
-    Z: Optional[np.ndarray] = None    # (n_steps + 1, n_paths, dim_b)
-    A: Optional[np.ndarray] = None    # (n_steps + 1, n_paths, dim_a)
-    member_index: Optional[np.ndarray] = None  # (n_steps + 1, n_paths)
-    medial_gap: Optional[np.ndarray] = None    # (n_steps + 1, n_paths)
+    rec: Optional[object] = None
 
 
-def backward_sweep(scenarios, paths, terminal_values=None, keep=()):
+def backward_sweep(scenarios, paths, terminal_values=None, records=False):
     """The backward regression loop, run once over ``scenarios`` on their
     common ensemble ``paths``. A generator: it yields ``(i, basis, tracks)``
     for i = n, n - 1, ..., 0, once every scenario's ``BackwardTrack`` in
     ``tracks`` holds its rows at node i; ``basis`` is node i's ``_Basis``,
-    None at node n. A track keeps no other node's ``Y`` or ``Z`` unless
-    ``keep`` names "Z".
+    None at node n. No track keeps another node's rows, and a track's
+    ``rec`` is set only with ``records``.
 
     Each node's design is built once, and every scenario fits its own
     ``E[Y_{i+1} | X_i]`` and ``Z_i`` on it, so the scenarios must share
     ``regression_degree``. Each keeps its own driver, set, terminal,
-    Picard count and ``y_clip``. ``terminal_values`` and ``keep`` apply to
-    every scenario, as in ``solve_theta_bsde``.
+    Picard count and ``y_clip``. ``terminal_values`` applies to every
+    scenario, as in ``solve_theta_bsde``.
     """
-    # one name on its own is a name, not a sequence of letters
-    keep = {keep} if isinstance(keep, str) else set(keep)
-    if not keep <= set(KEEPABLE):
-        raise EngineError(f"cannot keep {sorted(keep - set(KEEPABLE))}, "
-                          f"only a subset of {KEEPABLE}")
     degrees = {sc.regression_degree for sc in scenarios}
     if len(degrees) != 1:
         raise EngineError("one sweep needs one regression_degree, got "
@@ -385,39 +379,38 @@ def backward_sweep(scenarios, paths, terminal_values=None, keep=()):
     # node-major reads, contiguous for an ensemble from simulate_forward
     X, dB = _swap(paths.states), _swap(paths.increments)
     n_paths = paths.n_paths
-    db = dB.shape[2]
+    if terminal_values is not None:
+        try:
+            terminal_values = np.broadcast_to(
+                np.asarray(terminal_values, dtype=float), (n_paths,))
+        except ValueError:
+            raise EngineError("terminal_values of shape "
+                              f"{np.shape(terminal_values)} do not broadcast "
+                              f"to {n_paths} paths") from None
 
-    def driver_at(t, i, y, z):
-        """max_a F of track ``t`` at node i; an argmax driver also writes
-        node i of each kept record, and nothing else outlives the call."""
+    def driver_at(t, i, y, z, keep_rec):
+        """max_a F of track ``t`` at node i; with ``keep_rec``, an argmax
+        driver's record goes on the track, and nothing else outlives it."""
         sc = t.scenario
         if not sc.driver.has_argmax:
             return effective_driver(sc.driver, sc.uset, times[i], X[i], y, z)
         rec, f = maximizer(sc.driver, sc.uset, times[i], X[i], y, z)
-        if t.A is not None:
-            t.A[i] = rec.point
-        if t.member_index is not None:
-            t.member_index[i] = rec.member_index
-            t.medial_gap[i] = rec.medial_gap
+        if keep_rec:
+            t.rec = rec
         return f
 
     tracks = []
     for sc in scenarios:
+        for name, have in (("dim_x", X.shape[2]), ("dim_b", dB.shape[2])):
+            if getattr(sc.sde, name) != have:
+                raise EngineError(f"sde.{name} is {getattr(sc.sde, name)}, "
+                                  f"but the paths have {name} {have}")
         sc.driver.check(sc.uset, sc.sde.dim_x, sc.sde.dim_b)
         y = np.empty(n_paths)
         y[:] = (sc.terminal.value(X[n]) if terminal_values is None
-                else np.asarray(terminal_values, dtype=float))
+                else terminal_values)
         _require_finite(n, y)
-        has_argmax = sc.driver.has_argmax
-        projection = has_argmax and "projection" in keep
-        tracks.append(BackwardTrack(
-            sc, y, y.copy(),
-            Z=np.empty((n + 1, n_paths, db)) if "Z" in keep else None,
-            A=(np.empty((n + 1, n_paths, sc.uset.dim))
-               if has_argmax and "A" in keep else None),
-            member_index=(np.empty((n + 1, n_paths), dtype=np.int64)
-                          if projection else None),
-            medial_gap=np.empty((n + 1, n_paths)) if projection else None))
+        tracks.append(BackwardTrack(sc, y, y.copy()))
     y_free = [not sc.driver.depends_on_y() for sc in scenarios]
     yield n, None, tracks
 
@@ -425,23 +418,12 @@ def backward_sweep(scenarios, paths, terminal_values=None, keep=()):
         basis, design = _Basis.measure(X[i], degree)
         for t, free in zip(tracks, y_free):
             sc = t.scenario
-            records = t.A is not None or t.member_index is not None
             # the previous node's rows are freed once read, as a single
             # solve frees them; held through the Picard loop, they fragment
             # the heap and raise peak RSS
-            t.z = None
+            t.z = t.rec = None
             Ey = design @ basis.fit(design, t.y)
             Zi = design @ basis.fit(design, (t.y - Ey)[:, None] * dB[i] / dt)
-            if t.Z is not None:
-                t.Z[i] = Zi
-            if i == n - 1:
-                # Z_n, the regression of xi * dB / dt on node n - 1's
-                # design, is exactly Z_{n-1}; the terminal maximizer runs
-                # at it
-                if t.Z is not None:
-                    t.Z[n] = Zi
-                if records:
-                    driver_at(t, n, t.y, Zi)
             t.y = None
 
             # one pass is the fixed point of a y-free driver's Picard map,
@@ -449,7 +431,7 @@ def backward_sweep(scenarios, paths, terminal_values=None, keep=()):
             picard = 1 if free else sc.picard_iters
             Yk = Ey
             for k in range(1, picard + 1):
-                f = driver_at(t, i, Yk, Zi)
+                f = driver_at(t, i, Yk, Zi, records and free)
                 Yk, Yprev = Ey + dt * f, Yk
                 # converged: stop early; the last pass stops anyway
                 if k < picard and np.max(np.abs(Yk - Yprev)) <= 1e-12:
@@ -459,10 +441,6 @@ def backward_sweep(scenarios, paths, terminal_values=None, keep=()):
             _require_finite(i, Yk, Zi)
             t.y, t.z = Yk, Zi
             t.accum += dt * f
-
-            if records and not free:
-                # the last pass ran at the previous iterate; record at Y_i
-                driver_at(t, i, Yk, Zi)
         yield i, basis, tracks
 
 
@@ -482,20 +460,52 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None, keep=()):
     unless ``keep`` (a subset of ``KEEPABLE``) names them:
     "Z", "A" (the maximizer's point) and "projection" (the member index
     and medial gap of its projection) are then kept for every node, at
-    the final ``Y_i``: a y-dependent driver's maximizer runs once more there.
-    This is ``backward_sweep`` over the one scenario.
+    the final ``Y_i``. This is ``backward_sweep`` over the one scenario,
+    storing what ``keep`` names; the maximizer runs once more where the
+    sweep has no record: node n, and each node of a y-dependent driver.
     """
+    # one name on its own is a name, not a sequence of letters
+    keep = {keep} if isinstance(keep, str) else set(keep)
+    if not keep <= set(KEEPABLE):
+        raise EngineError(f"cannot keep {sorted(keep - set(KEEPABLE))}, "
+                          f"only a subset of {KEEPABLE}")
     sc = scenario
     ens = paths if paths is not None else simulate_forward(
         sc.sde, sc.grid, sc.n_paths, sc.seed)
-    n = ens.grid.n_steps
-    Y = np.empty((n + 1, ens.n_paths))
+    n, n_paths = ens.grid.n_steps, ens.n_paths
+    Y = np.empty((n + 1, n_paths))
+    Z = np.empty((n + 1, n_paths, sc.sde.dim_b)) if "Z" in keep else None
+    # the kept fields of the maximizer's ProjectionResult, node-major
+    kept = {}
+    if sc.driver.has_argmax and "A" in keep:
+        kept["point"] = np.empty((n + 1, n_paths, sc.uset.dim))
+    if sc.driver.has_argmax and "projection" in keep:
+        kept["member_index"] = np.empty((n + 1, n_paths), dtype=np.int64)
+        kept["medial_gap"] = np.empty((n + 1, n_paths))
+    X, times = _swap(ens.states), ens.grid.times
+
+    def record(i, rec, z):
+        """Node i's kept fields of the sweep's ``rec``, or where it has
+        none, of one maximizer call at ``(Y_i, z)``."""
+        if rec is None:
+            rec = maximizer(sc.driver, sc.uset, times[i], X[i], Y[i], z)[0]
+        for name, rows in kept.items():
+            rows[i] = getattr(rec, name)
+
     bases = []
     for i, basis, (track,) in backward_sweep([sc], ens, terminal_values,
-                                             keep):
+                                             bool(kept)):
         Y[i] = track.y
-        if basis is not None:
-            bases.append(basis)
+        if basis is None:
+            continue  # node n waits for Z_{n-1}
+        bases.append(basis)
+        # Z_n, the regression of xi * dB / dt on node n - 1's design, is
+        # exactly Z_{n-1}; node n's maximizer runs at it
+        for j in (i, n) if i == n - 1 else (i,):
+            if Z is not None:
+                Z[j] = track.z
+            if kept:
+                record(j, track.rec if j == i else None, track.z)
 
     diagnostics = {
         "max_condition": max(b.condition for b in bases),
@@ -505,12 +515,12 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None, keep=()):
     }
 
     Y0 = float(np.mean(Y[0]))
-    stderr = float(np.std(track.accum) / np.sqrt(ens.n_paths))
-    return BsdeSolution(grid=ens.grid, Y=_swap(Y), Z=_swap(track.Z),
-                        A=_swap(track.A), Y0=Y0, stderr=stderr,
+    stderr = float(np.std(track.accum) / np.sqrt(n_paths))
+    return BsdeSolution(grid=ens.grid, Y=_swap(Y), Z=_swap(Z),
+                        A=_swap(kept.get("point")), Y0=Y0, stderr=stderr,
                         diagnostics=diagnostics,
-                        member_index=_swap(track.member_index),
-                        medial_gap=_swap(track.medial_gap))
+                        member_index=_swap(kept.get("member_index")),
+                        medial_gap=_swap(kept.get("medial_gap")))
 
 
 def _require_finite(i, *values):

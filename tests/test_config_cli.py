@@ -437,6 +437,23 @@ def test_non_numeric_sde_dimension_is_a_config_error():
 
 
 @pytest.mark.parametrize("line, message", [
+    # validate passed, then run failed with "IndexError: index 0 is out of
+    # bounds"
+    ("sde.dim_x = 0", "sde.dim_x must be >= 1, got 0"),
+    # numpy's "negative dimensions are not allowed" named no field
+    ("sde.dim_x = -1", "sde.dim_x must be >= 1, got -1"),
+    # validate passed and the solve ran without noise
+    ("sde.dim_b = 0", "sde.dim_b must be >= 1, got 0"),
+], ids=["zero_dim_x", "negative_dim_x", "zero_dim_b"])
+def test_cli_validate_rejects_sde_dimensions_below_one(tmp_path, capsys, line,
+                                                        message):
+    p = tmp_path / "sde.cfg"
+    p.write_text(GOOD + line + "\n")
+    assert main(["validate", str(p)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
     ("mc.n_paths = 0", "n_paths"),    # validate passed, run exited 1
     ("mc.n_paths = two", "mc"),       # validate died with a ValueError
     ("mc.regression_degree = cubic", "mc"),

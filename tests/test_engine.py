@@ -2,7 +2,7 @@ import itertools
 import math
 import pickle
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -233,6 +233,17 @@ def test_engine_validation_errors():
     for clamp in (5, (1,), ("a", "b")):
         with pytest.raises(EngineError, match=r"clamp must be a \[lo, hi\] pair"):
             tb.Payoff([0, 1], clamp=clamp)
+
+
+@pytest.mark.parametrize("dims, message", [
+    ((0, 1), "dim_x must be >= 1, got 0"),    # failed in the forward pass
+    ((-1, 1), "dim_x must be >= 1, got -1"),  # numpy's negative dimensions
+    ((1, 0), "dim_b must be >= 1, got 0"),    # ran without noise
+    ((1.5, 1), "dim_x must be an integer"),
+], ids=["zero_dim_x", "negative_dim_x", "zero_dim_b", "fractional_dim_x"])
+def test_sde_dimensions_are_positive_integers(dims, message):
+    with pytest.raises(EngineError, match=message):
+        tb.SdeSpec(*dims, x0=[0.0])
 
 
 # backward regression --------------------------------------------------------
@@ -631,6 +642,102 @@ def test_lean_solve_holds_no_full_z_or_a():
     full_peak, full = traced_peak(engine.KEEPABLE)
     kept = full.Z.nbytes + full.A.nbytes
     assert full_peak - lean_peak >= 0.9 * kept, (lean_peak, full_peak, kept)
+
+
+# the backward sweep's rows --------------------------------------------------
+
+def union_projection_scenario(c_y=0.0):
+    """Regularized projection onto a box-and-cloud union; y-free unless
+    ``c_y`` moves the query with y."""
+    G = tb.StateFn(c0=np.array([0.5]), c_y=[c_y], C_z=[[2.0]])
+    return driver_scenario(tb.RegularizedProjectionDriver(
+        h=tb.StateFn(c0=0.0), G=G, eps=0.3), uset=box_cloud_union())
+
+
+def sweep_rows(sc, records):
+    """Every node's yielded (i, y, z, rec), copied out of the one track."""
+    ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
+    rows = [(i, t.y.copy(), None if t.z is None else t.z.copy(), t.rec)
+            for i, _, (t,) in engine.backward_sweep([sc], ens, records=records)]
+    assert [r[0] for r in rows] == list(range(sc.grid.n_steps, -1, -1))
+    return ens, rows
+
+
+@pytest.mark.parametrize("records", [False, True])
+def test_sweep_rows_are_one_node_each(records):
+    sc = union_projection_scenario()
+    n = sc.grid.n_steps
+    _, rows = sweep_rows(sc, records)
+    for i, y, z, rec in rows:
+        assert y.shape == (sc.n_paths,)
+        assert (z is None) == (i == n)
+        assert z is None or z.shape == (sc.n_paths, sc.sde.dim_b)
+        # a record exists only where asked for, and never at node n
+        assert (rec is not None) == (records and i < n)
+    assert [f.name for f in fields(engine.BackwardTrack)] == [
+        "scenario", "y", "accum", "z", "rec"]
+
+
+def test_sweep_peak_does_not_grow_with_the_steps():
+    # the sweep stores no node beyond the one it yields, records included
+    row = 20_000 * 8
+    peaks = []
+    for n_steps in (10, 40):
+        sc = replace(union_projection_scenario(), n_paths=20_000,
+                     grid=tb.TimeGrid(0.0, 1.0, n_steps))
+        ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
+        tracemalloc.start()
+        try:
+            for _ in engine.backward_sweep([sc], ens, records=True):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # 30 more nodes: a record kept per node would add at least 30 rows
+    assert peaks[1] - peaks[0] < 10 * row, peaks
+
+
+def test_sweep_record_is_the_maximizer_at_the_final_rows():
+    sc = union_projection_scenario()
+    ens, rows = sweep_rows(sc, records=True)
+    members = set()
+    for i, y, z, rec in rows[1:]:
+        ref, _ = maximizer(sc.driver, sc.uset, sc.grid.times[i],
+                           ens.states[:, i], y, z)
+        for name in ("point", "distance", "member_index", "medial_gap"):
+            assert np.array_equal(getattr(rec, name), getattr(ref, name))
+        members.update(np.unique(rec.member_index))
+    assert members == {0, 1}  # both union members win somewhere
+
+
+@pytest.mark.parametrize("sc", [
+    union_projection_scenario(c_y=0.4),
+    driver_scenario(tb.AffineDriver(0.3, 0.5, [0.2])),
+], ids=["y_dependent_query", "affine_picard"])
+def test_y_dependent_sweep_has_no_record(sc):
+    # its last Picard pass ran at the previous iterate, not at the final Y_i
+    assert sc.driver.depends_on_y()
+    _, rows = sweep_rows(sc, records=True)
+    assert all(rec is None for _, _, _, rec in rows)
+
+
+def test_sweep_rejects_paths_and_terminals_that_do_not_fit():
+    sc = driver_scenario(tb.ZeroDriver())
+    wide = tb.SdeSpec(dim_x=3, dim_b=3, x0=[0.0] * 3, vol_const=np.eye(3))
+    noisy = make_sde(dim_b=2, vol_const=[[1.0, 0.5]])
+    # the dim-3 paths were solved as if the scenario were dim 3: Y0 2.96
+    for sde, name in ((wide, "dim_x"), (noisy, "dim_b")):
+        ens = tb.simulate_forward(sde, sc.grid, sc.n_paths, sc.seed)
+        with pytest.raises(EngineError, match=f"sde.{name} is 1, but the "
+                                              f"paths have {name} "):
+            tb.solve_theta_bsde(sc, paths=ens)
+    # numpy's own "could not broadcast" ValueError
+    with pytest.raises(EngineError, match=r"terminal_values of shape \(7,\) "
+                                          "do not broadcast to 500 paths"):
+        tb.solve_theta_bsde(sc, terminal_values=np.ones(7))
+    for fits in (2.0, np.full(sc.n_paths, 2.0)):
+        Y0 = tb.solve_theta_bsde(sc, terminal_values=fits).Y0
+        assert Y0 == pytest.approx(2.0, abs=1e-12)
 
 
 # storage layout -------------------------------------------------------------

@@ -1,7 +1,9 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -83,3 +85,93 @@ def test_readme_config_example_validates(tmp_path, capsys):
     cfg = tmp_path / "readme.cfg"
     cfg.write_text(example)
     assert main(["validate", str(cfg)]) == 0, capsys.readouterr().err
+
+
+LIBRARY = [importlib.import_module(f"thetabsde.{p.stem}")
+           for p in sorted((ROOT / "src" / "thetabsde").glob("[!_]*.py"))]
+# `name(params)` in inline code, the name optionally dotted
+QUOTED_CALL = re.compile(r"`((?:[A-Za-z_]\w*\.)*[A-Za-z_]\w*)\(([^`]*)\)`")
+
+
+def library_signature(dotted):
+    """The signature of the thetabsde function or method that ``dotted``
+    names (``engine.backward_sweep``, ``_Basis.measure``, ``eos_demo``),
+    without ``self``; None when it names nothing of the library."""
+    head, *rest = dotted.split(".")
+    for module in LIBRARY:
+        if module.__name__ == f"thetabsde.{head}":
+            obj, owner = module, None
+        elif hasattr(module, head):
+            obj, owner = getattr(module, head), module
+        else:
+            continue
+        for name in rest:
+            if not hasattr(obj, name):
+                return None
+            owner, obj = obj, getattr(obj, name)
+        if not (inspect.isroutine(obj)
+                and getattr(obj, "__module__", "").startswith("thetabsde")):
+            return None
+        sig = inspect.signature(obj)
+        if inspect.isclass(owner) and inspect.isfunction(
+                inspect.getattr_static(owner, rest[-1])):
+            sig = sig.replace(parameters=list(sig.parameters.values())[1:])
+        return sig
+    return None
+
+
+def signature_problems(text):
+    """The library calls quoted in ``text``, and how each quote differs
+    from the real signature. A quote names every parameter in order, a
+    defaulted one as ``name=default``; ``...`` stands for parameters left
+    out, or for a default not shown."""
+    text = re.sub(r"```.*?```", "", text, flags=re.S)  # fenced blocks
+    checked, problems = [], []
+    for dotted, params in QUOTED_CALL.findall(text):
+        sig = library_signature(dotted)
+        if sig is None:
+            continue
+        quote = f"{dotted}({params})"
+        checked.append(dotted)
+        call = ast.parse(f"f({params})", mode="eval").body
+        elided = any(isinstance(a, ast.Constant) and a.value is Ellipsis
+                     for a in call.args)
+        named = [(a.id, None) for a in call.args if isinstance(a, ast.Name)]
+        named += [(k.arg, k.value) for k in call.keywords]
+        real = sig.parameters
+        names = [name for name, _ in named]
+        if names != ([p for p in real if p in names] if elided else list(real)):
+            problems.append(f"{quote}: the real parameters are {sig}")
+            continue
+        for name, value in named:
+            if isinstance(value, ast.Constant) and value.value is Ellipsis:
+                continue  # a default not shown
+            shown = (inspect.Parameter.empty if value is None
+                     else ast.literal_eval(value))
+            if shown != real[name].default:
+                problems.append(
+                    f"{quote}: {name} defaults to {real[name].default!r}")
+    return checked, problems
+
+
+def test_readme_signatures_are_the_library_ones():
+    checked, problems = signature_problems(
+        (ROOT / "README.md").read_text(encoding="utf-8"))
+    assert not problems, problems
+    assert "engine.backward_sweep" in checked and len(checked) >= 5, checked
+
+
+@pytest.mark.parametrize("quote", [
+    "engine.backward_sweep(scenarios, paths, terminal_values=None, keep=())",
+    "engine.backward_sweep(scenarios, paths, terminal_values, records)",
+    "engine.backward_sweep(scenarios, paths, records=True, "
+    "terminal_values=None)",
+    "_Basis.measure(X_i, degree)",
+    "solve_theta_bsde(..., records=...)",
+    "eos_demo(scenario, gap_threshold=0.1)",
+], ids=["stale_name", "defaults_not_shown", "out_of_order", "renamed",
+        "elided_unknown", "wrong_default"])
+def test_a_stale_signature_is_named(quote):
+    checked, problems = signature_problems(f"see `{quote}` here")
+    assert len(checked) == 1 and problems, problems
+    assert all(p.startswith(quote) for p in problems)
