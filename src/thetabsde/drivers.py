@@ -142,7 +142,10 @@ class Driver:
     family whose F ignores ``a`` has no query method: ``query`` stays None,
     and its argmax degenerates to the set's fixed element. The methods
     receive (t, x, y, z) already batched by ``_batch_args``, and ``value``
-    receives ``a`` as an (n, dim_a) batch."""
+    receives ``a`` as an (n, dim_a) batch. A family whose ``query`` and
+    ``value`` read a common term computes it in ``shared``: ``maximizer``
+    evaluates it once and passes it to both, which compute it themselves
+    when called without it."""
 
     # False for a driver given only by its reduced value max_a F
     has_argmax = True
@@ -150,6 +153,9 @@ class Driver:
 
     def value(self, t, x, y, z, a):
         raise NotImplementedError
+
+    def shared(self, t, x, y, z):
+        return None
 
     def depends_on_y(self):
         return False
@@ -220,15 +226,21 @@ class RegularizedProjectionDriver(Driver):
             return np.inf
         return self.G.lipschitz_yz() / (1.0 + self.eps)
 
-    def value(self, t, x, y, z, a):
+    def shared(self, t, x, y, z):
+        return self.G.value(t, x, y, z)
+
+    def value(self, t, x, y, z, a, G=None):
+        if G is None:
+            G = self.shared(t, x, y, z)
         h = self.h.value(t, x, y, z)[:, 0]
-        G = self.G.value(t, x, y, z)
         val = h - 0.5 * row_sq(a - G)
         val -= 0.5 * self.eps * row_sq(a)
         return val
 
-    def query(self, t, x, y, z):
-        return self.G.value(t, x, y, z) / (1.0 + self.eps)
+    def query(self, t, x, y, z, G=None):
+        if G is None:
+            G = self.shared(t, x, y, z)
+        return G / (1.0 + self.eps)
 
     def depends_on_y(self):
         return self.h.depends_on_y() or self.G.depends_on_y()
@@ -261,13 +273,19 @@ class GRegularizedDriver(Driver):
         self.eps = as_number(DriverError, self.eps, "eps", above=0.0)
         self.a0 = as_point(self.a0)
 
-    def value(self, t, x, y, z, a):
-        return 0.5 * row_sum(a * embed_zz(z)) \
-            - 0.5 * self.eps * row_sq(a - self.a0)
+    def shared(self, t, x, y, z):
+        return embed_zz(z)
 
-    def query(self, t, x, y, z):
+    def value(self, t, x, y, z, a, zz=None):
+        if zz is None:
+            zz = embed_zz(z)
+        return 0.5 * row_sum(a * zz) - 0.5 * self.eps * row_sq(a - self.a0)
+
+    def query(self, t, x, y, z, zz=None):
         # complete the square: argmax_a <a,c> - (eps/2)||a-a0||^2
-        return self.a0 + embed_zz(z) / (2.0 * self.eps)
+        if zz is None:
+            zz = embed_zz(z)
+        return self.a0 + zz / (2.0 * self.eps)
 
     def check(self, uset, dim_x, dim_b):
         _check_g_type_dim(uset, dim_b)
@@ -290,7 +308,7 @@ class GLimitDriver(Driver):
     def value(self, t, x, y, z, a):
         raise DriverError("g_limit driver has no a argument; use effective_driver")
 
-    def query(self, t, x, y, z):
+    def query(self, t, x, y, z, shared=None):
         raise DriverError("g_limit driver has no maximizer; use effective_driver")
 
     def support(self, uset, z):
@@ -319,14 +337,16 @@ def maximizer(driver, uset, t, x, y, z):
     """Closed-form argmax over the set. Returns (proj, value): ``proj`` is
     the ProjectionResult of the query, whose ``point`` is the argmax; a
     driver without a query (a degenerate argmax) gets the tiled fixed
-    element at distance 0, member index -1 and an inf medial gap."""
+    element at distance 0, member index -1 and an inf medial gap. The
+    driver's ``shared`` term is computed once, for its query and value."""
     t, x, y, z = _batch_args(t, x, y, z)
     if driver.query is None:
         n = x.shape[0]
         proj = plain_result(np.tile(uset.fixed_element(), (n, 1)), np.zeros(n))
-    else:
-        proj = uset.project_batch(driver.query(t, x, y, z))
-    return proj, driver.value(t, x, y, z, proj.point)
+        return proj, driver.value(t, x, y, z, proj.point)
+    shared = driver.shared(t, x, y, z)
+    proj = uset.project_batch(driver.query(t, x, y, z, shared))
+    return proj, driver.value(t, x, y, z, proj.point, shared)
 
 
 def effective_driver(driver, uset, t, x, y, z):

@@ -8,7 +8,9 @@ at its pointwise maximum over the uncertainty set, and the adversarial
 parameter path is read off from the maximizer map.
 """
 
+import bisect
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -141,27 +143,129 @@ def _swap(a):
     return None if a is None else np.swapaxes(a, 0, 1)
 
 
+def euler_step(sde, t, dt, X, dB):
+    """One Euler step of the forward diffusion from states ``X`` at time
+    ``t`` over the increments ``dB``. The forward pass and every rebuild
+    of its states take this step, and the same operations on the same
+    inputs give the same bits."""
+    return X + sde.drift(t, X) * dt + sde.vol_mul(t, X, dB)
+
+
+def _checkpoints(n_steps, k):
+    """Nodes 0, k, 2k, ... below ``n_steps``, and ``n_steps``."""
+    return list(range(0, n_steps, k)) + [n_steps]
+
+
+@dataclass(frozen=True)
+class EulerScheme:
+    """The SDE and the grid that ``simulate_forward`` stepped an ensemble
+    on. A rebuild steps with this grid's times and dt, not with those of a
+    truncated ensemble's own grid, so every rebuilt state is bitwise the
+    simulated one."""
+
+    sde: SdeSpec
+    grid: TimeGrid
+
+    @property
+    def stride(self):
+        """The checkpoint spacing k = ceil(sqrt(n_steps)) of this grid."""
+        return math.isqrt(self.grid.n_steps - 1) + 1
+
+
 @dataclass
 class PathEnsemble:
-    """Simulated paths. ``simulate_forward`` stores both arrays node-major
-    and read-only, and hands out their path-major transpose views, so
-    ``states[:, i]`` is one contiguous row; arrays with other strides are
-    read correctly too."""
+    """Simulated paths: the Brownian increments at every step, and the
+    states X at the ``checkpoints`` only, nodes 0, k, 2k, ... and n_steps.
+    ``simulate_forward`` sets ``scheme``, and k is its stride; an ensemble
+    without a scheme holds every node (k = 1). ``replay`` hands out every
+    node's states, stepping each one between two checkpoints from the one
+    below it, bitwise as the forward pass did.
+
+    ``simulate_forward`` stores both arrays node-major and read-only, and
+    hands out their path-major transpose views, so ``states[:, j]`` is one
+    contiguous row; arrays with other strides are read correctly too."""
 
     grid: TimeGrid
     n_paths: int
     seed: int
     increments: np.ndarray  # (n_paths, n_steps, dim_b)
-    states: np.ndarray      # (n_paths, n_steps + 1, dim_x)
+    states: np.ndarray      # (n_paths, len(checkpoints), dim_x)
+    scheme: Optional[EulerScheme] = None
+
+    def __post_init__(self):
+        self.n_paths = as_integer(EngineError, self.n_paths, "n_paths", 1)
+        n = self.grid.n_steps
+        for name, nodes in (("increments", n),
+                            ("states", len(self.checkpoints))):
+            shape = np.shape(getattr(self, name))
+            if len(shape) != 3 or shape[:2] != (self.n_paths, nodes):
+                raise EngineError(
+                    f"{name} has shape {shape}, but {self.n_paths} paths on "
+                    f"{n} steps need ({self.n_paths}, {nodes}, dim)")
+
+    @property
+    def checkpoints(self):
+        """The nodes whose states ``states`` holds, in order."""
+        return _checkpoints(self.grid.n_steps,
+                            1 if self.scheme is None else self.scheme.stride)
+
+    def _walk(self, j, stop):
+        """The states at the nodes after checkpoint ``j`` and before node
+        ``stop``, each stepped from the one before."""
+        s, dB = self.scheme, _swap(self.increments)
+        x = _swap(self.states)[j]
+        for i in range(self.checkpoints[j], stop - 1):
+            x = euler_step(s.sde, s.grid.times[i], s.grid.dt, x, dB[i])
+            yield x
+
+    def replay(self, backward=False):
+        """Every node's states, X_0 to X_n, or X_n to X_0 with
+        ``backward``: checkpoint rows are read, and the rows between two
+        checkpoints are stepped from the lower one once per replay. A
+        backward replay holds one such segment, at most k - 1 rows, at a
+        time."""
+        X, nodes = _swap(self.states), self.checkpoints
+        last = len(nodes) - 1
+        if backward:
+            yield X[last]
+            for j in range(last - 1, -1, -1):
+                yield from reversed(list(self._walk(j, nodes[j + 1])))
+                yield X[j]
+            return
+        for j in range(last):
+            yield X[j]
+            yield from self._walk(j, nodes[j + 1])
+        yield X[last]
+
+    def all_states(self):
+        """Every node's states as one (n_paths, n_steps + 1, dim_x)
+        transpose view of a node-major buffer, filled by one replay."""
+        X = np.empty((self.grid.n_steps + 1,) + _swap(self.states).shape[1:])
+        for i, x in enumerate(self.replay()):
+            X[i] = x
+        return _swap(X)
 
     def truncated(self, n_steps):
-        """The first ``n_steps`` steps, as views of this ensemble's arrays."""
+        """The first ``n_steps`` steps: views of the increments and of the
+        checkpoint rows up to node ``n_steps``; the state at that node is
+        stepped from the checkpoint below it when it is not one."""
         if not 1 <= n_steps <= self.grid.n_steps:
             raise EngineError(f"need 1 <= n_steps <= {self.grid.n_steps}, "
                               f"got {n_steps}")
+        nodes = self.checkpoints
+        j = bisect.bisect_right(nodes, n_steps) - 1
+        states = self.states[:, :j + 1]
+        if nodes[j] < n_steps:
+            X = np.empty((j + 2,) + _swap(states).shape[1:])
+            X[:j + 1] = _swap(states)
+            for x in self._walk(j, n_steps + 1):
+                pass
+            X[j + 1] = x
+            X.flags.writeable = False
+            states = _swap(X)
         return PathEnsemble(self.grid.truncated(n_steps), self.n_paths,
-                            self.seed, self.increments[:, :n_steps],
-                            self.states[:, :n_steps + 1])
+                            self.seed, self.increments[:, :n_steps], states,
+                            self.scheme)
 
 
 # paths per Philox draw: a block's transpose into the node-major buffer
@@ -177,6 +281,7 @@ def brownian_increments(grid, n_paths, seed, dim_b):
     columns of the node-major buffer. Returns the read-only
     (n_paths, n_steps, dim_b) transpose view."""
     n_paths = as_integer(EngineError, n_paths, "n_paths", 1)
+    dim_b = as_integer(EngineError, dim_b, "dim_b", 1)
     seed = as_seed(EngineError, seed)
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     out = np.empty((grid.n_steps, n_paths, dim_b))
@@ -191,20 +296,26 @@ def brownian_increments(grid, n_paths, seed, dim_b):
 
 
 def simulate_forward(sde, grid, n_paths, seed):
-    """Euler scheme for the forward diffusion on the shared time grid; the
-    ensemble's arrays are read-only."""
+    """Euler scheme for the forward diffusion on the shared time grid. The
+    ensemble keeps every increment, and the states only at its checkpoint
+    nodes 0, k, 2k, ... and n_steps, k = ceil(sqrt(n_steps)); both arrays
+    are read-only. The random stream is that of ``brownian_increments``."""
     dB = brownian_increments(grid, n_paths, seed, sde.dim_b)
-    n_paths = len(dB)
+    scheme = EulerScheme(sde, grid)
+    slot = {c: j for j, c in enumerate(_checkpoints(grid.n_steps,
+                                                    scheme.stride))}
     steps = _swap(dB)
-    X = np.empty((grid.n_steps + 1, n_paths, sde.dim_x))
+    X = np.empty((len(slot), len(dB), sde.dim_x))
     X[0] = sde.x0
+    x = X[0]
     times = grid.times
     dt = grid.dt
     for i in range(grid.n_steps):
-        Xi = X[i]
-        X[i + 1] = Xi + sde.drift(times[i], Xi) * dt + sde.vol_mul(times[i], Xi, steps[i])
+        x = euler_step(sde, times[i], dt, x, steps[i])
+        if i + 1 in slot:
+            X[slot[i + 1]] = x
     X.flags.writeable = False
-    return PathEnsemble(grid, n_paths, int(seed), dB, _swap(X))
+    return PathEnsemble(grid, len(dB), int(seed), dB, _swap(X), scheme)
 
 
 @dataclass
@@ -355,11 +466,12 @@ class BackwardTrack:
 
 def backward_sweep(scenarios, paths, terminal_values=None, records=False):
     """The backward regression loop, run once over ``scenarios`` on their
-    common ensemble ``paths``. A generator: it yields ``(i, basis, tracks)``
-    for i = n, n - 1, ..., 0, once every scenario's ``BackwardTrack`` in
-    ``tracks`` holds its rows at node i; ``basis`` is node i's ``_Basis``,
-    None at node n. No track keeps another node's rows, and a track's
-    ``rec`` is set only with ``records``.
+    common ensemble ``paths``. A generator: it yields ``(i, x, basis,
+    tracks)`` for i = n, n - 1, ..., 0, once every scenario's
+    ``BackwardTrack`` in ``tracks`` holds its rows at node i; ``x`` is
+    node i's states, from one backward ``paths.replay``, and ``basis`` is
+    node i's ``_Basis``, None at node n. No track keeps another node's
+    rows, and a track's ``rec`` is set only with ``records``.
 
     Each node's design is built once, and every scenario fits its own
     ``E[Y_{i+1} | X_i]`` and ``Z_i`` on it, so the scenarios must share
@@ -377,7 +489,7 @@ def backward_sweep(scenarios, paths, terminal_values=None, records=False):
     dt = grid.dt
     times = grid.times
     # node-major reads, contiguous for an ensemble from simulate_forward
-    X, dB = _swap(paths.states), _swap(paths.increments)
+    dB = _swap(paths.increments)
     n_paths = paths.n_paths
     if terminal_values is not None:
         try:
@@ -388,34 +500,37 @@ def backward_sweep(scenarios, paths, terminal_values=None, records=False):
                               f"{np.shape(terminal_values)} do not broadcast "
                               f"to {n_paths} paths") from None
 
-    def driver_at(t, i, y, z, keep_rec):
+    def driver_at(t, i, x, y, z, keep_rec):
         """max_a F of track ``t`` at node i; with ``keep_rec``, an argmax
         driver's record goes on the track, and nothing else outlives it."""
         sc = t.scenario
         if not sc.driver.has_argmax:
-            return effective_driver(sc.driver, sc.uset, times[i], X[i], y, z)
-        rec, f = maximizer(sc.driver, sc.uset, times[i], X[i], y, z)
+            return effective_driver(sc.driver, sc.uset, times[i], x, y, z)
+        rec, f = maximizer(sc.driver, sc.uset, times[i], x, y, z)
         if keep_rec:
             t.rec = rec
         return f
 
     tracks = []
+    states = paths.replay(backward=True)
+    x = next(states)
     for sc in scenarios:
-        for name, have in (("dim_x", X.shape[2]), ("dim_b", dB.shape[2])):
+        for name, have in (("dim_x", paths.states.shape[2]),
+                           ("dim_b", dB.shape[2])):
             if getattr(sc.sde, name) != have:
                 raise EngineError(f"sde.{name} is {getattr(sc.sde, name)}, "
                                   f"but the paths have {name} {have}")
         sc.driver.check(sc.uset, sc.sde.dim_x, sc.sde.dim_b)
         y = np.empty(n_paths)
-        y[:] = (sc.terminal.value(X[n]) if terminal_values is None
+        y[:] = (sc.terminal.value(x) if terminal_values is None
                 else terminal_values)
         _require_finite(n, y)
         tracks.append(BackwardTrack(sc, y, y.copy()))
     y_free = [not sc.driver.depends_on_y() for sc in scenarios]
-    yield n, None, tracks
+    yield n, x, None, tracks
 
-    for i in range(n - 1, -1, -1):
-        basis, design = _Basis.measure(X[i], degree)
+    for i, x in zip(range(n - 1, -1, -1), states):
+        basis, design = _Basis.measure(x, degree)
         for t, free in zip(tracks, y_free):
             sc = t.scenario
             # the previous node's rows are freed once read, as a single
@@ -431,7 +546,7 @@ def backward_sweep(scenarios, paths, terminal_values=None, records=False):
             picard = 1 if free else sc.picard_iters
             Yk = Ey
             for k in range(1, picard + 1):
-                f = driver_at(t, i, Yk, Zi, records and free)
+                f = driver_at(t, i, x, Yk, Zi, records and free)
                 Yk, Yprev = Ey + dt * f, Yk
                 # converged: stop early; the last pass stops anyway
                 if k < picard and np.max(np.abs(Yk - Yprev)) <= 1e-12:
@@ -441,7 +556,7 @@ def backward_sweep(scenarios, paths, terminal_values=None, records=False):
             _require_finite(i, Yk, Zi)
             t.y, t.z = Yk, Zi
             t.accum += dt * f
-        yield i, basis, tracks
+        yield i, x, basis, tracks
 
 
 def solve_theta_bsde(scenario, paths=None, terminal_values=None, keep=()):
@@ -482,30 +597,31 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None, keep=()):
     if sc.driver.has_argmax and "projection" in keep:
         kept["member_index"] = np.empty((n + 1, n_paths), dtype=np.int64)
         kept["medial_gap"] = np.empty((n + 1, n_paths))
-    X, times = _swap(ens.states), ens.grid.times
+    times = ens.grid.times
 
-    def record(i, rec, z):
+    def record(i, x, rec, z):
         """Node i's kept fields of the sweep's ``rec``, or where it has
-        none, of one maximizer call at ``(Y_i, z)``."""
+        none, of one maximizer call at ``(x, Y_i, z)``."""
         if rec is None:
-            rec = maximizer(sc.driver, sc.uset, times[i], X[i], Y[i], z)[0]
+            rec = maximizer(sc.driver, sc.uset, times[i], x, Y[i], z)[0]
         for name, rows in kept.items():
             rows[i] = getattr(rec, name)
 
     bases = []
-    for i, basis, (track,) in backward_sweep([sc], ens, terminal_values,
-                                             bool(kept)):
+    for i, x, basis, (track,) in backward_sweep([sc], ens, terminal_values,
+                                                bool(kept)):
         Y[i] = track.y
         if basis is None:
-            continue  # node n waits for Z_{n-1}
+            x_n = x  # node n waits for Z_{n-1}
+            continue
         bases.append(basis)
         # Z_n, the regression of xi * dB / dt on node n - 1's design, is
         # exactly Z_{n-1}; node n's maximizer runs at it
-        for j in (i, n) if i == n - 1 else (i,):
+        for j, xj in ((i, x), (n, x_n)) if i == n - 1 else ((i, x),):
             if Z is not None:
                 Z[j] = track.z
             if kept:
-                record(j, track.rec if j == i else None, track.z)
+                record(j, xj, track.rec if j == i else None, track.z)
 
     diagnostics = {
         "max_condition": max(b.condition for b in bases),
@@ -597,7 +713,7 @@ def axiom_check(scenario, axiom, params=None):
         # both valuations run in one sweep, and their difference is folded
         # node by node: the violations, its minimum and its largest sd
         violations, lowest, sd = 0, np.inf, 0.0
-        for _, _, (t1, t2) in backward_sweep(
+        for _, _, _, (t1, t2) in backward_sweep(
                 [scenario, replace(scenario, terminal=terminal2)], ens):
             diff = t1.y - t2.y
             violations += int(np.count_nonzero(diff < -1e-12))
@@ -615,7 +731,7 @@ def axiom_check(scenario, axiom, params=None):
         shifted = Payoff(np.concatenate(([scenario.terminal.coeffs[0] + m],
                                          scenario.terminal.coeffs[1:])))
         disc = 0.0
-        for _, _, (t1, t2) in backward_sweep(
+        for _, _, _, (t1, t2) in backward_sweep(
                 [scenario, replace(scenario, terminal=shifted)], ens):
             disc = max(disc, float(np.max(np.abs(t2.y - t1.y - m))))
         return {"axiom": axiom, "passed": disc <= tol, "discrepancy": disc,

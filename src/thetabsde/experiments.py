@@ -139,7 +139,7 @@ def epsilon_sweep(scenario, epsilons, a0):
     # z is None at node n: Z_n = Z_{n-1} is the regression of the shared
     # terminal, the same in every run, so node n's |dZ|^2 stays 0
     rms, sd, z_sq = (np.zeros((len(eps), n + 1)) for _ in range(3))
-    for i, _, (ref, *runs) in backward_sweep(
+    for i, _, _, (ref, *runs) in backward_sweep(
             [replace(base, driver=d) for d in drivers], ens):
         for k, run in enumerate(runs):
             dY = run.y - ref.y
@@ -208,8 +208,8 @@ def eos_demo(scenario, gap_threshold=None):
         # largest one-step move of the query: the solver's last query at
         # node i is driver.query(t_i, X_i, Y_i, Z_i), Y_i after any clip
         step, prev = 0.0, None
-        for i, t in enumerate(sc.grid.times):
-            K = sc.driver.query(t, ens.states[:, i], sol.Y[:, i], sol.Z[:, i])
+        for i, (t, x) in enumerate(zip(sc.grid.times, ens.replay())):
+            K = sc.driver.query(t, x, sol.Y[:, i], sol.Z[:, i])
             if prev is not None:
                 step = max(step, float(np.sqrt(row_sq(K - prev)).max()))
             prev = K
@@ -284,7 +284,8 @@ def run_scenario(cfg, out_dir, paths_dump=False):
 
     elif kind == "theta_qv":
         ens = simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
-        qv = integrate_theta_qv(sc.driver, sc.uset, sc.grid, ens.states)
+        qv = integrate_theta_qv(sc.driver, sc.uset, sc.grid,
+                                ens.all_states())
         summary.update(qv_final_mean=float(np.mean(qv.qv[:, -1])),
                        monotone=bool(np.all(qv.monotone)))
 

@@ -172,14 +172,15 @@ def solve_pde(driver, uset, sde, payoff, pgrid):
 
 def _path_rms(surface, grid, states, Y):
     """Per Monte Carlo node, RMS over paths of |Y_i - u(t_i, X_i)|, with u
-    interpolated in x on the PDE row nearest to t_i."""
+    interpolated in x on the PDE row nearest to t_i; ``states`` yields
+    X_0, ..., X_n, one (n_paths, 1) row each."""
     pgrid = surface.grid
     rows = np.clip(np.rint((grid.times - pgrid.t0) / pgrid.dt_pde), 0,
                    pgrid.n_t).astype(int)
     return np.array([
-        np.sqrt(np.mean((Y[:, i] - np.interp(states[:, i, 0], pgrid.xs,
+        np.sqrt(np.mean((Y[:, i] - np.interp(x[:, 0], pgrid.xs,
                                               surface.u[k])) ** 2))
-        for i, k in enumerate(rows)])
+        for i, (k, x) in enumerate(zip(rows, states))])
 
 
 def feynman_kac_compare(scenario, pde_grid=None, surface=None):
@@ -199,7 +200,7 @@ def feynman_kac_compare(scenario, pde_grid=None, surface=None):
     x0 = float(sc.sde.x0[0])
     u0 = surface.value_at(0, x0)
     err = np.interp(x0, surface.grid.xs, surface.u0_discretisation_err)
-    rms = _path_rms(surface, sc.grid, ens.states, sol.Y)
+    rms = _path_rms(surface, sc.grid, ens.replay(), sol.Y)
     return {
         "y0_mc": sol.Y0,
         "u0": u0,

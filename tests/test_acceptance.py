@@ -77,7 +77,7 @@ def test_c2_analytic_bsde_fixtures():
                      n_paths=100_000, seed=2)
     ens = tb.simulate_forward(sc.sde, grid, sc.n_paths, sc.seed)
     sol = tb.solve_theta_bsde(sc, paths=ens)
-    slope = np.polyfit(ens.states[:, 25, 0], sol.Y[:, 25], 1)[0]
+    slope = np.polyfit(ens.all_states()[:, 25, 0], sol.Y[:, 25], 1)[0]
     slope_ok = abs(slope / np.exp(r * 0.5) - 1.0) <= 0.02
     y0_ok = abs(sol.Y0) <= 3 * sol.stderr
     wall = time.perf_counter() - start

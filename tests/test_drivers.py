@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from thetabsde import drivers
 from thetabsde.drivers import (AffineDriver, DriverError, GLimitDriver,
                                GRegularizedDriver,
                                RegularizedProjectionDriver, StateFn,
@@ -152,6 +153,38 @@ def test_glimit_has_no_pointwise_interface():
         evaluate(GLimitDriver(), 0.0, [[0.0]], [0.0], [[1.0]], [0.5])
     with pytest.raises(DriverError):
         maximizer(GLimitDriver(), uset, 0.0, [[0.0]], [0.0], [[1.0]])
+
+
+@pytest.mark.parametrize("driver, uset, counted, once", [
+    (RegularizedProjectionDriver(
+        h=StateFn(c0=0.1, C_x=[[0.5]]),
+        G=StateFn(c0=np.array([0.2]), C_x=[[1.0]], C_z=[[2.0]]), eps=0.5),
+     UnionSet([Box([-1.0], [0.0]), PointCloud([[0.5], [1.25], [2.0]])]),
+     "StateFn.value", 2),
+    (GRegularizedDriver(eps=0.5, a0=[1.5]), Box([1.0], [2.0]), "embed_zz", 1),
+], ids=["projection", "g_regularized"])
+def test_maximizer_evaluates_the_shared_term_once(monkeypatch, driver, uset,
+                                                 counted, once):
+    # G (h and G per call) and embed_zz ran once in query and again in value
+    rng = np.random.default_rng(4)
+    x, y, z = (rng.standard_normal((200, 1)), rng.standard_normal(200),
+               rng.standard_normal((200, 1)))
+    proj_ref = uset.project_batch(driver.query(0.3, x, y, z))
+    value_ref = driver.value(0.3, x, y, z, proj_ref.point)
+    calls = [0]
+    owner, name = ((StateFn, "value") if counted == "StateFn.value"
+                   else (drivers, "embed_zz"))
+    original = getattr(owner, name)
+
+    def tally(*args):
+        calls[0] += 1
+        return original(*args)
+    monkeypatch.setattr(owner, name, tally)
+    proj, value = maximizer(driver, uset, 0.3, x, y, z)
+    assert calls[0] == once
+    assert np.array_equal(value, value_ref)
+    for field in ("point", "distance", "member_index", "medial_gap"):
+        assert np.array_equal(getattr(proj, field), getattr(proj_ref, field))
 
 
 def test_driver_check_dimension_checks():

@@ -1,16 +1,17 @@
 import itertools
 import math
 import pickle
-import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
 import thetabsde as tb
-from thetabsde import engine
+from thetabsde import engine, experiments, pde
 from thetabsde.drivers import evaluate, maximizer
 from thetabsde.engine import EngineError, _Basis, axiom_check
+from thetabsde.experiments import eos_demo, epsilon_sweep
+from thetabsde.pde import feynman_kac_compare
 
 
 def make_sde(**kw):
@@ -81,7 +82,7 @@ def test_linear_y_driver_closed_form():
     sol = tb.solve_theta_bsde(sc, paths=ens)
     assert abs(sol.Y0) <= 3 * sol.stderr
     i = 25  # mid-grid
-    b = ens.states[:, i, 0]
+    b = ens.all_states()[:, i, 0]
     slope = np.polyfit(b, sol.Y[:, i], 1)[0]
     assert slope == pytest.approx(np.exp(r * 0.5), rel=0.02)
 
@@ -113,15 +114,16 @@ def test_recorded_maximizers_are_feasible_and_optimal():
     # G = 2z moves the query on a union: the argmax may jump at any eps
     assert sol.diagnostics["unsound_for_existence"] is True
     rng = np.random.default_rng(0)
+    X = ens.all_states()
     for _ in range(100):
         p = rng.integers(0, sc.n_paths)
         i = rng.integers(0, grid.n_steps + 1)
-        val = evaluate(drv, grid.times[i], ens.states[p, i][None],
+        val = evaluate(drv, grid.times[i], X[p, i][None],
                        [sol.Y[p, i]], sol.Z[p, i][None], sol.A[p, i])[0]
         for _ in range(20):
             # random feasible competitor from one of the members
             a = rng.uniform(0, 1) if rng.random() < 0.5 else rng.uniform(3, 4)
-            other = evaluate(drv, grid.times[i], ens.states[p, i][None],
+            other = evaluate(drv, grid.times[i], X[p, i][None],
                              [sol.Y[p, i]], sol.Z[p, i][None], [a])[0]
             assert val >= other - 1e-9
 
@@ -285,17 +287,12 @@ def test_design_at_a_point_mass_is_the_constant():
     assert got.shape == (50, 1) and np.all(got == 1.0)
 
 
-def test_measuring_the_design_allocates_no_block_beside_it():
+def test_measuring_the_design_allocates_no_block_beside_it(traced_peak):
     # a (k, n) temporary per node (say rows[1:].std(axis=1)) is a fresh
     # mapping in every node of a solve, paid for in page faults
     n = 20_000
     Xi = np.random.default_rng(3).standard_normal((n, 3))
-    tracemalloc.start()
-    try:
-        basis, design = _Basis.measure(Xi, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, (basis, design) = traced_peak(_Basis.measure, Xi, 3)
     assert design.shape == (n, 20)
     row = n * Xi.itemsize
     # the design, the (dim, n) coordinate copy and two scratch rows
@@ -406,8 +403,17 @@ SEED_GRID = tb.TimeGrid(0.0, 1.0, 5)
     # a bare TypeError from np.empty
     (lambda: engine.brownian_increments(SEED_GRID, 10.5, 1, 1),
      "n_paths must be an integer"),
+    # an empty (10, 5, 0) array, numpy's "negative dimensions are not
+    # allowed" and a bare TypeError
+    (lambda: engine.brownian_increments(SEED_GRID, 10, 1, 0),
+     "dim_b must be >= 1"),
+    (lambda: engine.brownian_increments(SEED_GRID, 10, 1, -1),
+     "dim_b must be >= 1"),
+    (lambda: engine.brownian_increments(SEED_GRID, 10, 1, 1.5),
+     "dim_b must be an integer"),
 ], ids=["fractional_seed", "negative_seed", "negative_theta_bm_seed",
-        "seed_past_philox_key", "fractional_paths"])
+        "seed_past_philox_key", "fractional_paths", "zero_dim_b",
+        "negative_dim_b", "fractional_dim_b"])
 def test_raw_seeds_follow_the_scenario_rules(draw, message):
     with pytest.raises(EngineError, match=message):
         draw()
@@ -624,22 +630,14 @@ def test_terminal_maximizer_runs_only_for_kept_records(monkeypatch, driver):
         assert calls["maximizer"] == count
 
 
-def test_lean_solve_holds_no_full_z_or_a():
+def test_lean_solve_holds_no_full_z_or_a(traced_peak):
     # 20k paths x 21 nodes in dim 3: Z and A are 10 MB each
     sc = ball_scenario(3, n_paths=20_000, n_steps=20)
     ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
     tb.solve_theta_bsde(sc, paths=ens)  # measures the bases outside the trace
-
-    def traced_peak(keep):
-        tracemalloc.start()
-        try:
-            sol = tb.solve_theta_bsde(sc, paths=ens, keep=keep)
-            return tracemalloc.get_traced_memory()[1], sol
-        finally:
-            tracemalloc.stop()
-
-    lean_peak, _ = traced_peak(())
-    full_peak, full = traced_peak(engine.KEEPABLE)
+    lean_peak, _ = traced_peak(tb.solve_theta_bsde, sc, paths=ens)
+    full_peak, full = traced_peak(tb.solve_theta_bsde, sc, paths=ens,
+                                  keep=engine.KEEPABLE)
     kept = full.Z.nbytes + full.A.nbytes
     assert full_peak - lean_peak >= 0.9 * kept, (lean_peak, full_peak, kept)
 
@@ -658,7 +656,8 @@ def sweep_rows(sc, records):
     """Every node's yielded (i, y, z, rec), copied out of the one track."""
     ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
     rows = [(i, t.y.copy(), None if t.z is None else t.z.copy(), t.rec)
-            for i, _, (t,) in engine.backward_sweep([sc], ens, records=records)]
+            for i, _, _, (t,) in engine.backward_sweep([sc], ens,
+                                                       records=records)]
     assert [r[0] for r in rows] == list(range(sc.grid.n_steps, -1, -1))
     return ens, rows
 
@@ -678,21 +677,20 @@ def test_sweep_rows_are_one_node_each(records):
         "scenario", "y", "accum", "z", "rec"]
 
 
-def test_sweep_peak_does_not_grow_with_the_steps():
-    # the sweep stores no node beyond the one it yields, records included
+def test_sweep_peak_does_not_grow_with_the_steps(traced_peak):
+    # the sweep stores no node beyond the one it yields, records included,
+    # and one segment of rebuilt states: 3 rows at 10 steps, 6 at 40
     row = 20_000 * 8
     peaks = []
     for n_steps in (10, 40):
         sc = replace(union_projection_scenario(), n_paths=20_000,
                      grid=tb.TimeGrid(0.0, 1.0, n_steps))
         ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
-        tracemalloc.start()
-        try:
+
+        def sweep():
             for _ in engine.backward_sweep([sc], ens, records=True):
                 pass
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(sweep)[0])
     # 30 more nodes: a record kept per node would add at least 30 rows
     assert peaks[1] - peaks[0] < 10 * row, peaks
 
@@ -700,10 +698,11 @@ def test_sweep_peak_does_not_grow_with_the_steps():
 def test_sweep_record_is_the_maximizer_at_the_final_rows():
     sc = union_projection_scenario()
     ens, rows = sweep_rows(sc, records=True)
+    X = ens.all_states()
     members = set()
     for i, y, z, rec in rows[1:]:
         ref, _ = maximizer(sc.driver, sc.uset, sc.grid.times[i],
-                           ens.states[:, i], y, z)
+                           X[:, i], y, z)
         for name in ("point", "distance", "member_index", "medial_gap"):
             assert np.array_equal(getattr(rec, name), getattr(ref, name))
         members.update(np.unique(rec.member_index))
@@ -755,8 +754,8 @@ def test_kept_records_are_the_maximizer_at_the_clipped_y():
     sol = tb.solve_theta_bsde(sc, paths=ens, keep=engine.KEEPABLE)
     # the clip binds, so a record from the last Picard iterate would differ
     assert np.any(np.isin(sol.Y[:, :-1], sc.y_clip))
-    for i, t in enumerate(sc.grid.times):
-        rec, _ = maximizer(sc.driver, sc.uset, t, ens.states[:, i],
+    for i, (t, x) in enumerate(zip(sc.grid.times, ens.replay())):
+        rec, _ = maximizer(sc.driver, sc.uset, t, x,
                            sol.Y[:, i], sol.Z[:, i])
         assert np.array_equal(rec.point, sol.A[:, i])
         assert np.array_equal(rec.member_index, sol.member_index[:, i])
@@ -784,14 +783,17 @@ def test_per_node_slices_are_contiguous():
     ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
     sol = tb.solve_theta_bsde(sc, paths=ens, keep=("Z", "A", "projection"))
     n = sc.grid.n_steps
-    assert ens.states.shape == (sc.n_paths, n + 1, 1)
+    assert ens.states.shape == (sc.n_paths, len(ens.checkpoints), 1)
     assert ens.increments.shape == (sc.n_paths, n, 1)
     assert sol.Y.shape == sol.member_index.shape == (sc.n_paths, n + 1)
     for i in range(n + 1):
-        rows = [ens.states, sol.Y, sol.Z, sol.A, sol.member_index, sol.medial_gap]
+        rows = [sol.Y, sol.Z, sol.A, sol.member_index, sol.medial_gap]
         if i < n:
             rows.append(ens.increments)
+        if i < len(ens.checkpoints):
+            rows.append(ens.states)
         assert all(a[:, i].flags.c_contiguous for a in rows)
+    assert all(x.flags.c_contiguous for x in ens.replay())
 
 
 def test_forward_matches_path_major_reference_bitwise():
@@ -810,7 +812,8 @@ def test_forward_matches_path_major_reference_bitwise():
         X[:, i + 1] = Xi + sde.drift(t, Xi) * grid.dt + sde.vol_mul(t, Xi, dB[:, i])
     ens = tb.simulate_forward(sde, grid, n_paths, seed)
     assert np.array_equal(ens.increments, dB)
-    assert np.array_equal(ens.states, X)
+    assert np.array_equal(ens.states, X[:, ens.checkpoints])
+    assert np.array_equal(ens.all_states(), X)
     assert np.array_equal(engine.brownian_increments(grid, n_paths, seed, 3), dB)
 
 
@@ -819,7 +822,7 @@ def test_solve_on_path_major_copies_matches_node_major():
     ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
     copy = engine.PathEnsemble(ens.grid, ens.n_paths, ens.seed,
                                np.ascontiguousarray(ens.increments),
-                               np.ascontiguousarray(ens.states))
+                               np.ascontiguousarray(ens.all_states()))
     assert not copy.states[:, 0].flags.c_contiguous
     node = tb.solve_theta_bsde(sc, paths=ens, keep=("Z", "A", "projection"))
     path = tb.solve_theta_bsde(sc, paths=copy, keep=("Z", "A", "projection"))
@@ -849,7 +852,7 @@ def test_non_finite_values_name_the_node(big, node):
 def fresh_copy(ens):
     """The same arrays on a new ensemble."""
     return tb.PathEnsemble(ens.grid, ens.n_paths, ens.seed, ens.increments,
-                           ens.states)
+                           ens.states, ens.scheme)
 
 
 def count_factorisations(monkeypatch):
@@ -1022,9 +1025,11 @@ def test_a1_a2_reports_equal_their_definition(seed, axiom, variant, y_clip,
 
 def test_simulated_paths_are_read_only():
     ens = tb.simulate_forward(make_sde(), tb.TimeGrid(0.0, 1.0, 5), 20, 1)
-    sub = ens.truncated(3)
+    # checkpoints 0, 3 and 5: node 4 is stepped from node 3
+    sub, between = ens.truncated(3), ens.truncated(4)
     for a in (ens.states, ens.increments, ens.states.base,
-              ens.increments.base, sub.states, sub.increments):
+              ens.increments.base, sub.states, sub.increments,
+              between.states, between.states.base, between.increments):
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0, 0] = 1.0
 
@@ -1041,5 +1046,232 @@ def test_truncated_keeps_the_leading_nodes():
     for k in (1, 5):
         sub = ens.truncated(k)
         assert sub.grid.n_steps == k and sub.grid.dt == pytest.approx(ens.grid.dt)
-        assert np.array_equal(sub.states, ens.states[:, :k + 1])
+        assert np.array_equal(sub.all_states(), ens.all_states()[:, :k + 1])
         assert np.array_equal(sub.increments, ens.increments[:, :k])
+
+
+# checkpointed paths ---------------------------------------------------------
+
+# affine drift in t and x and state-dependent volatility: every Euler step
+# reads all of its inputs
+CHECKPOINT_SDE = make_sde(x0=[0.3], drift_const=[0.1], drift_t=[0.2],
+                          drift_lin=[[-0.5]], vol_const=[[0.8]],
+                          vol_lin=[[[0.1]]])
+# k = 1, 2, 3 and 4: one node per checkpoint, a single segment, a multiple
+# of k and a remainder (checkpoints 0, 4, 8, 10)
+CHECKPOINT_STEPS = [1, 2, 9, 10]
+
+
+def full_paths(ens, sde):
+    """The ensemble's paths with X at every node (k = 1), stepped
+    node-major from its increments by the forward loop that stored every
+    node."""
+    grid, dB = ens.grid, np.swapaxes(ens.increments, 0, 1)
+    X = np.empty((grid.n_steps + 1, ens.n_paths, sde.dim_x))
+    X[0] = sde.x0
+    for i, t in enumerate(grid.times[:-1]):
+        X[i + 1] = X[i] + sde.drift(t, X[i]) * grid.dt + sde.vol_mul(
+            t, X[i], dB[i])
+    X.flags.writeable = False
+    return tb.PathEnsemble(grid, ens.n_paths, ens.seed, ens.increments,
+                           np.swapaxes(X, 0, 1))
+
+
+def checkpoint_scenario(n_steps, seed, driver, uset=UNIT_BOX,
+                        sde=CHECKPOINT_SDE, terminal=tb.Payoff([0.0, 1.0])):
+    return tb.Scenario(sde=sde, driver=driver, uset=uset, terminal=terminal,
+                       grid=tb.TimeGrid(0.0, 1.0, n_steps), n_paths=300,
+                       seed=seed)
+
+
+def union_driver(c_y=0.0):
+    return tb.RegularizedProjectionDriver(
+        h=tb.StateFn(c0=0.0, c_y=0.5 * c_y),
+        G=tb.StateFn(c0=np.array([0.5]), C_x=[[0.5]], c_y=[c_y],
+                     C_z=[[2.0]]), eps=0.3)
+
+
+def a3_nodes(n_steps):
+    """A3's ``s_index`` at the last checkpoint strictly inside the grid
+    and at the last node that is no checkpoint; n_steps where none is."""
+    nodes = tb.simulate_forward(CHECKPOINT_SDE, tb.TimeGrid(0.0, 1.0, n_steps),
+                                1, 0).checkpoints
+    return {"checkpoint": max(nodes[1:-1] or [n_steps]),
+            "between": max(set(range(n_steps)) - set(nodes) or {n_steps})}
+
+
+# name -> (scenario of (n_steps, seed), the run on it)
+CHECKPOINT_RUNS = {
+    "solve_y_free": (
+        lambda n, s: checkpoint_scenario(n, s, union_driver(),
+                                         box_cloud_union()),
+        lambda sc: tb.solve_theta_bsde(sc, keep=("Z", "A", "projection"))),
+    "solve_y_dependent": (
+        lambda n, s: checkpoint_scenario(n, s, union_driver(c_y=0.4),
+                                         box_cloud_union()),
+        lambda sc: tb.solve_theta_bsde(sc, keep=("Z", "A", "projection"))),
+    "epsilon_sweep": (
+        lambda n, s: checkpoint_scenario(
+            n, s, tb.GLimitDriver(), tb.Box([1.0], [2.0]),
+            terminal=tb.Payoff([0.0, 0.0, 1.0], clamp=(0.0, 1.0))),
+        lambda sc: epsilon_sweep(sc, [0.5, 0.25, 0.125], [1.0])),
+    "eos_demo": (
+        lambda n, s: checkpoint_scenario(n, s, union_driver(),
+                                         box_cloud_union()),
+        eos_demo),
+    "feynman_kac": (
+        lambda n, s: checkpoint_scenario(n, s, union_driver(),
+                                         sde=replace(CHECKPOINT_SDE,
+                                                     vol_lin=None)),
+        feynman_kac_compare),
+    "A1": (
+        lambda n, s: checkpoint_scenario(n, s, union_driver(c_y=0.4)),
+        lambda sc: axiom_check(sc, "A1_monotonicity",
+                               {"terminal2": tb.Payoff([-0.5, 1.0])})),
+    "A2": (
+        lambda n, s: checkpoint_scenario(n, s, union_driver()),
+        lambda sc: axiom_check(sc, "A2_translation", {"m": 1.0})),
+    "A3_checkpoint": (
+        lambda n, s: checkpoint_scenario(n, s, union_driver(c_y=0.4)),
+        lambda sc: axiom_check(sc, "A3_tower", {
+            "s_index": a3_nodes(sc.grid.n_steps)["checkpoint"]})),
+    "A3_between": (
+        lambda n, s: checkpoint_scenario(n, s, union_driver(c_y=0.4)),
+        lambda sc: axiom_check(sc, "A3_tower", {
+            "s_index": a3_nodes(sc.grid.n_steps)["between"]})),
+}
+
+
+def assert_same(a, b):
+    """``a == b`` bitwise, through dataclasses, dicts and arrays."""
+    if is_dataclass(a):
+        assert type(a) is type(b)
+        a, b = vars(a), vars(b)
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            assert_same(a[key], b[key])
+    else:
+        assert np.array_equal(a, b), (a, b)
+
+
+@pytest.mark.parametrize("seed", [7, 2027])
+@pytest.mark.parametrize("n_steps", CHECKPOINT_STEPS)
+@pytest.mark.parametrize("run", list(CHECKPOINT_RUNS))
+def test_checkpointed_paths_give_the_full_paths_results_bitwise(
+        monkeypatch, run, n_steps, seed):
+    make, call = CHECKPOINT_RUNS[run]
+    sc = make(n_steps, seed)
+    checkpointed = call(sc)
+    simulate = engine.simulate_forward
+
+    def full(sde, grid, n_paths, seed):
+        return full_paths(simulate(sde, grid, n_paths, seed), sde)
+    for module in (engine, experiments, pde):
+        monkeypatch.setattr(module, "simulate_forward", full)
+    assert_same(checkpointed, call(sc))
+
+
+@pytest.mark.parametrize("n_steps", CHECKPOINT_STEPS)
+def test_replays_and_truncations_rebuild_the_full_rows(n_steps):
+    grid = tb.TimeGrid(0.0, 1.0, n_steps)
+    ens = tb.simulate_forward(CHECKPOINT_SDE, grid, 50, 7)
+    k = math.ceil(math.sqrt(n_steps))
+    assert ens.checkpoints == sorted(set(range(0, n_steps, k)) | {n_steps})
+    full = full_paths(ens, CHECKPOINT_SDE).states
+    assert np.array_equal(ens.states, full[:, ens.checkpoints])
+    assert np.array_equal(ens.all_states(), full)
+    backward = list(ens.replay(backward=True))
+    assert np.array_equal(np.stack(backward[::-1], axis=1), full)
+    for s in range(1, n_steps + 1):
+        sub = ens.truncated(s)
+        assert sub.checkpoints == [c for c in ens.checkpoints if c < s] + [s]
+        assert np.array_equal(sub.all_states(), full[:, :s + 1])
+        assert np.array_equal(sub.increments, ens.increments[:, :s])
+
+
+def count_euler_steps(monkeypatch):
+    steps = [0]
+    step = engine.euler_step
+
+    def counted(*args):
+        steps[0] += 1
+        return step(*args)
+    monkeypatch.setattr(engine, "euler_step", counted)
+    return steps
+
+
+def test_euler_step_budget(monkeypatch):
+    # 10 steps, checkpoints 0, 4, 8, 10: a replay steps the 7 other nodes
+    n, rebuilt = 10, 7
+    steps = count_euler_steps(monkeypatch)
+    sc = checkpoint_scenario(n, 7, union_driver(), box_cloud_union())
+    ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
+    assert steps[0] == n
+    for walk, count in (
+            (lambda: tb.solve_theta_bsde(sc, paths=ens, keep=engine.KEEPABLE),
+             rebuilt),
+            (lambda: list(ens.replay()), rebuilt),
+            (lambda: list(ens.replay(backward=True)), rebuilt),
+            (ens.all_states, rebuilt),
+            # the forward pass, the backward sweep and one replay
+            (lambda: eos_demo(sc), n + 2 * rebuilt),
+            (lambda: feynman_kac_compare(replace(
+                sc, sde=replace(sc.sde, vol_lin=None))), n + 2 * rebuilt),
+            (lambda: axiom_check(sc, "A2_translation", {"m": 1.0}),
+             n + rebuilt),
+            # node 5 from node 4, then the nested sweep over 0, 4, 5
+            (lambda: axiom_check(sc, "A3_tower", {"s_index": 5}),
+             n + rebuilt + 1 + 3),
+            (lambda: epsilon_sweep(replace(
+                sc, driver=tb.GLimitDriver(), uset=tb.Box([1.0], [2.0]),
+                terminal=tb.Payoff([0.0, 1.0], clamp=(0.0, 1.0))),
+                [0.5, 0.25], [1.0]), n + rebuilt)):
+        steps[0] = 0
+        walk()
+        assert steps[0] == count
+
+
+def test_a_solve_peaks_below_full_states_increments_and_y(traced_peak):
+    # a fresh dim-3 solve once held X at every node, dB and Y together
+    sc = ball_scenario(3, n_paths=4000, n_steps=50)
+    n, row = sc.grid.n_steps, sc.n_paths * 8
+    held = ((n + 1) * 3 + n * 3 + (n + 1)) * row
+    peak, sol = traced_peak(tb.solve_theta_bsde, sc)
+    assert np.isfinite(sol.Y0)
+    assert peak < held, (peak, held)
+
+
+GRID_8 = tb.TimeGrid(0.0, 1.0, 8)
+
+
+@pytest.mark.parametrize("arrays, field", [
+    # solved with node 8 as the terminal
+    (dict(states=np.zeros((50, 12, 1))), "states"),
+    # a bare IndexError at node 8
+    (dict(states=np.zeros((50, 5, 1))), "states"),
+    # a bare IndexError at node 7
+    (dict(increments=np.zeros((50, 3, 1))), "increments"),
+    # numpy's "could not broadcast"
+    (dict(increments=np.zeros((40, 8, 1)), states=np.zeros((40, 9, 1))),
+     "increments"),
+    (dict(states=np.zeros((40, 9, 1))), "states"),
+    (dict(states=np.zeros((50, 9))), "states"),
+], ids=["long_states", "short_states", "short_increments", "fewer_paths",
+        "fewer_state_paths", "flat_states"])
+def test_path_ensemble_rejects_arrays_off_its_grid(arrays, field):
+    given = dict(increments=np.zeros((50, 8, 1)), states=np.zeros((50, 9, 1)))
+    given.update(arrays)
+    with pytest.raises(EngineError, match=f"^{field} has shape "
+                                          r".*50 paths on 8 steps need"):
+        tb.PathEnsemble(GRID_8, 50, 0, **given)
+
+
+def test_simulated_states_are_kept_only_at_checkpoints():
+    ens = tb.simulate_forward(make_sde(), GRID_8, 50, 0)
+    assert ens.checkpoints == [0, 3, 6, 8]
+    # every node given, with the scheme that keeps four of them
+    with pytest.raises(EngineError, match=r"^states has shape \(50, 9, 1\), "
+                                          r"but .* need \(50, 4, dim\)"):
+        tb.PathEnsemble(GRID_8, 50, 0, ens.increments, ens.all_states(),
+                        ens.scheme)

@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -111,20 +110,16 @@ def test_sweep_equals_five_separate_solves(seed, dim_b):
     assert vars(epsilon_sweep(sc, EPS, a0)) == expected
 
 
-def test_sweep_holds_no_full_solution():
-    # the sweep's traced peak is the ensemble plus less than two
-    # (n_paths, n_steps + 1) arrays; five full solves need far more
+def test_sweep_holds_no_full_solution(traced_peak):
+    # the sweep's traced peak is the ensemble with X at every node plus
+    # less than two (n_paths, n_steps + 1) arrays; five full solves need
+    # far more
     sc = sweep_scenario(4000, 5, n_steps=40)
-    ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
-    bound = (ens.states.nbytes + ens.increments.nbytes
-             + 2 * (sc.grid.n_steps + 1) * sc.n_paths * 8)
-    del ens
-    tracemalloc.start()
-    try:
-        epsilon_sweep(sc, EPS, [1.0])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    row = sc.n_paths * 8
+    bound = ((sc.grid.n_steps + 1) * sc.sde.dim_x * row
+             + sc.grid.n_steps * sc.sde.dim_b * row
+             + 2 * (sc.grid.n_steps + 1) * row)
+    peak, _ = traced_peak(epsilon_sweep, sc, EPS, [1.0])
     assert peak <= bound, (peak, bound)
 
 
@@ -326,8 +321,9 @@ def eos_by_reprojection(sc):
     K = np.empty(shape + (sc.uset.dim,))
     idx = np.empty(shape, dtype=np.int64)
     gaps = np.empty(shape)
+    X = ens.all_states()
     for i, t in enumerate(sc.grid.times):
-        K[:, i] = sc.driver.query(t, ens.states[:, i], sol.Y[:, i], sol.Z[:, i])
+        K[:, i] = sc.driver.query(t, X[:, i], sol.Y[:, i], sol.Z[:, i])
         r = sc.uset.project_batch(K[:, i])
         idx[:, i] = r.member_index
         gaps[:, i] = r.medial_gap
@@ -433,24 +429,20 @@ def test_surface_csv_is_the_pde_solution_row_by_row(tmp_path):
     assert (tmp_path / "demo.surface.csv").read_bytes() == expected.encode()
 
 
-def test_paths_dump_streams(tmp_path, monkeypatch):
+def test_paths_dump_streams(tmp_path, monkeypatch, traced_peak):
     from thetabsde import experiments
     # 336k rows, about 21 MB
     cfg = parse_config(SOLVE_CFG.replace("mc.n_paths = 400", "mc.n_paths = 16000")
                        .replace("grid.n_steps = 10", "grid.n_steps = 20"))
 
-    def traced_peak(dump):
-        tracemalloc.start()
-        try:
-            run_scenario(cfg, str(tmp_path / f"dump{int(dump)}"), paths_dump=True)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def dump_peak(dump):
+        return traced_peak(run_scenario, cfg, str(tmp_path / f"dump{int(dump)}"),
+                           paths_dump=True)[0]
 
-    dumped = traced_peak(True)
+    dumped = dump_peak(True)
     # the same solve, keeping the same Z and A, with the write left out
     monkeypatch.setattr(experiments, "_write_paths", lambda path, sol: None)
-    growth = dumped - traced_peak(False)
+    growth = dumped - dump_peak(False)
     size = (tmp_path / "dump1" / "demo.paths.csv").stat().st_size
     assert size > 20e6
     assert growth < 0.1 * size, (growth, size)

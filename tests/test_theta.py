@@ -97,10 +97,11 @@ def test_qv_paths_batch_equals_one_path_at_a_time(driver, uset):
     grid = tb.TimeGrid(0.0, 1.0, 25)
     ens = tb.simulate_forward(tb.SdeSpec(dim_x=1, dim_b=1, x0=[0.2]),
                               grid, 300, 11)
-    qv = integrate_theta_qv(driver, uset, grid, ens.states)
+    X = ens.all_states()
+    qv = integrate_theta_qv(driver, uset, grid, X)
     assert qv.qv.shape == qv.m_path.shape == (300, 26)
     for p in range(300):
-        one = integrate_theta_qv(driver, uset, grid, ens.states[p:p + 1])
+        one = integrate_theta_qv(driver, uset, grid, X[p:p + 1])
         assert np.array_equal(one.qv[0], qv.qv[p])
         assert np.array_equal(one.m_path[0], qv.m_path[p])
         assert one.monotone[0] == qv.monotone[p]
