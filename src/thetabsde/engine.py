@@ -463,6 +463,12 @@ class BackwardTrack:
     z: Optional[np.ndarray] = None    # (n_paths, dim_b)
     rec: Optional[object] = None
 
+    def estimate(self):
+        """``(Y0, stderr)`` at node 0: the path mean of ``y``, and the
+        standard error of the mean of ``accum``."""
+        return (float(np.mean(self.y)),
+                float(np.std(self.accum) / np.sqrt(len(self.accum))))
+
 
 def backward_sweep(scenarios, paths, terminal_values=None, records=False):
     """The backward regression loop, run once over ``scenarios`` on their
@@ -630,8 +636,7 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None, keep=()):
         "unsound_for_existence": sc.driver.unsound_for_existence(sc.uset),
     }
 
-    Y0 = float(np.mean(Y[0]))
-    stderr = float(np.std(track.accum) / np.sqrt(n_paths))
+    Y0, stderr = track.estimate()
     return BsdeSolution(grid=ens.grid, Y=_swap(Y), Z=_swap(Z),
                         A=_swap(kept.get("point")), Y0=Y0, stderr=stderr,
                         diagnostics=diagnostics,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .ambient import as_integer, as_number
 from .drivers import effective_driver
-from .engine import TimeGrid, simulate_forward, solve_theta_bsde
+from .engine import TimeGrid, backward_sweep, simulate_forward
 
 
 # half-width of the automatic domain, in standard deviations of X_T
@@ -170,42 +170,39 @@ def solve_pde(driver, uset, sde, payoff, pgrid):
                         u0_discretisation_err=np.abs(u[0] - u_half[0]))
 
 
-def _path_rms(surface, grid, states, Y):
-    """Per Monte Carlo node, RMS over paths of |Y_i - u(t_i, X_i)|, with u
-    interpolated in x on the PDE row nearest to t_i; ``states`` yields
-    X_0, ..., X_n, one (n_paths, 1) row each."""
-    pgrid = surface.grid
-    rows = np.clip(np.rint((grid.times - pgrid.t0) / pgrid.dt_pde), 0,
-                   pgrid.n_t).astype(int)
-    return np.array([
-        np.sqrt(np.mean((Y[:, i] - np.interp(x[:, 0], pgrid.xs,
-                                              surface.u[k])) ** 2))
-        for i, (k, x) in enumerate(zip(rows, states))])
-
-
 def feynman_kac_compare(scenario, pde_grid=None, surface=None):
     """Solve the same problem by Monte Carlo and by the FD oracle and
     compare the time-zero values and the values along the paths.
 
     ``surface`` is an already solved ``ValueSurface`` of this scenario; the
-    PDE is solved here (on ``pde_grid``) only when it is not given.
+    PDE is solved here (on ``pde_grid``) only when it is not given. The
+    Monte Carlo side is one ``backward_sweep``, and like ``epsilon_sweep``
+    it keeps no full solution: at each node it keeps only the RMS over
+    paths of |Y_i - u(t_i, X_i)|, with u interpolated in x on the PDE row
+    nearest to t_i, and it reads Y0 and its stderr off node 0.
     """
     sc = scenario
     if surface is None:
         if pde_grid is None:
             pde_grid = auto_grid(sc.sde, sc.grid)
         surface = solve_pde(sc.driver, sc.uset, sc.sde, sc.terminal, pde_grid)
+    pgrid = surface.grid
+    rows = np.clip(np.rint((sc.grid.times - pgrid.t0) / pgrid.dt_pde), 0,
+                   pgrid.n_t).astype(int)
+    rms = []
     ens = simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
-    sol = solve_theta_bsde(sc, paths=ens)
+    for i, x, _, (track,) in backward_sweep([sc], ens):
+        u = np.interp(x[:, 0], pgrid.xs, surface.u[rows[i]])
+        rms.append(np.sqrt(np.mean((track.y - u) ** 2)))
+    y0, stderr = track.estimate()
     x0 = float(sc.sde.x0[0])
     u0 = surface.value_at(0, x0)
-    err = np.interp(x0, surface.grid.xs, surface.u0_discretisation_err)
-    rms = _path_rms(surface, sc.grid, ens.replay(), sol.Y)
     return {
-        "y0_mc": sol.Y0,
+        "y0_mc": y0,
         "u0": u0,
-        "abs_err": abs(sol.Y0 - u0),
-        "stderr": sol.stderr,
-        "u0_discretisation_err": float(err),
+        "abs_err": abs(y0 - u0),
+        "stderr": stderr,
+        "u0_discretisation_err": float(
+            np.interp(x0, pgrid.xs, surface.u0_discretisation_err)),
         "fk_path_rms_max": float(np.max(rms)),
     }

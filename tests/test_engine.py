@@ -1216,8 +1216,9 @@ def test_euler_step_budget(monkeypatch):
             (ens.all_states, rebuilt),
             # the forward pass, the backward sweep and one replay
             (lambda: eos_demo(sc), n + 2 * rebuilt),
+            # the forward pass and the backward sweep, which it folds
             (lambda: feynman_kac_compare(replace(
-                sc, sde=replace(sc.sde, vol_lin=None))), n + 2 * rebuilt),
+                sc, sde=replace(sc.sde, vol_lin=None))), n + rebuilt),
             (lambda: axiom_check(sc, "A2_translation", {"m": 1.0}),
              n + rebuilt),
             # node 5 from node 4, then the nested sweep over 0, 4, 5

@@ -198,6 +198,72 @@ def test_fk_path_rms_reads_the_nearest_pde_row():
     assert rep["fk_path_rms_max"] == pytest.approx(0.4 / 60, rel=1e-6)
 
 
+def fk_scenario(seed, c_y=0.0, y_clip=None, n_paths=2000, n_steps=20):
+    """``fk_1d``'s problem: the projection onto the unit box with eps 0.5
+    and G = z (+ c_y y), and phi = max(x, 0) through the clamp."""
+    G = tb.StateFn(c_y=[c_y], C_z=[[1.0]])
+    return tb.Scenario(
+        sde=make_sde(), driver=tb.RegularizedProjectionDriver(
+            h=tb.StateFn(c0=0.0), G=G, eps=0.5), uset=UNIT_BOX,
+        terminal=tb.Payoff([0.0, 1.0], clamp=(0.0, 1e6)),
+        grid=tb.TimeGrid(0.0, 1.0, n_steps), n_paths=n_paths, seed=seed,
+        y_clip=y_clip)
+
+
+def fk_surface(sc, n_x=100):
+    return solve_pde(sc.driver, sc.uset, sc.sde, sc.terminal,
+                     auto_grid(sc.sde, sc.grid, n_x=n_x))
+
+
+def two_pass_compare(sc, surface):
+    """The comparison by its definition: one full solve's Y, a forward
+    replay of the paths, and np.interp on the PDE row nearest each node."""
+    ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
+    sol = tb.solve_theta_bsde(sc, paths=ens)
+    g = surface.grid
+    rows = np.clip(np.rint((sc.grid.times - g.t0) / g.dt_pde), 0,
+                   g.n_t).astype(int)
+    rms = [np.sqrt(np.mean((sol.Y[:, i]
+                            - np.interp(x[:, 0], g.xs, surface.u[k])) ** 2))
+           for i, (k, x) in enumerate(zip(rows, ens.replay()))]
+    x0 = float(sc.sde.x0[0])
+    u0 = float(np.interp(x0, g.xs, surface.u[0]))
+    return {"y0_mc": sol.Y0, "u0": u0, "abs_err": abs(sol.Y0 - u0),
+            "stderr": sol.stderr,
+            "u0_discretisation_err": float(
+                np.interp(x0, g.xs, surface.u0_discretisation_err)),
+            "fk_path_rms_max": float(np.max(rms))}
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("seed", [7, 2027])
+@pytest.mark.parametrize("c_y", [0.0, 0.5])
+@pytest.mark.parametrize("y_clip", [None, (0.0, 1.0)])
+def test_fk_compare_is_bitwise_its_two_pass_definition(seed, c_y, y_clip):
+    sc = fk_scenario(seed, c_y, y_clip)
+    surface = fk_surface(sc)
+    got = tb.feynman_kac_compare(sc, surface=surface)
+    want = two_pass_compare(sc, surface)
+    assert got.keys() == want.keys()
+    assert {k: bits(v) for k, v in got.items()} == \
+        {k: bits(v) for k, v in want.items()}
+
+
+def test_fk_compare_holds_no_full_y(traced_peak):
+    # the comparison once held the increments (8.0 MB) and a full Y
+    # (8.2 MB) together
+    sc = fk_scenario(7, n_paths=20_000, n_steps=50)
+    surface = fk_surface(sc)
+    n, row = sc.grid.n_steps, sc.n_paths * 8
+    held = (n + (n + 1)) * row
+    peak, rep = traced_peak(tb.feynman_kac_compare, sc, surface=surface)
+    assert np.isfinite(rep["fk_path_rms_max"])
+    assert peak < held, (peak, held)
+
+
 def test_pde_rejects_multidimensional_state():
     sde2 = tb.SdeSpec(dim_x=2, dim_b=2, x0=[0.0, 0.0],
                       vol_const=np.eye(2))
