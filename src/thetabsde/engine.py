@@ -212,36 +212,34 @@ class PathEnsemble:
     def _walk(self, j, stop):
         """The states at the nodes after checkpoint ``j`` and before node
         ``stop``, each stepped from the one before."""
+        steps = range(self.checkpoints[j], stop - 1)
+        if not steps:  # as for every segment of an ensemble without a scheme
+            return
         s, dB = self.scheme, _swap(self.increments)
+        times, dt = s.grid.times, s.grid.dt
         x = _swap(self.states)[j]
-        for i in range(self.checkpoints[j], stop - 1):
-            x = euler_step(s.sde, s.grid.times[i], s.grid.dt, x, dB[i])
+        for i in steps:
+            x = euler_step(s.sde, times[i], dt, x, dB[i])
             yield x
 
-    def replay(self, backward=False):
-        """Every node's states, X_0 to X_n, or X_n to X_0 with
-        ``backward``: checkpoint rows are read, and the rows between two
-        checkpoints are stepped from the lower one once per replay. A
-        backward replay holds one such segment, at most k - 1 rows, at a
-        time."""
+    def replay(self):
+        """Every node's states, X_n to X_0: checkpoint rows are read, and
+        the rows between two checkpoints are stepped from the lower one
+        once per replay. A replay holds one such segment, at most k - 1
+        rows, at a time."""
         X, nodes = _swap(self.states), self.checkpoints
         last = len(nodes) - 1
-        if backward:
-            yield X[last]
-            for j in range(last - 1, -1, -1):
-                yield from reversed(list(self._walk(j, nodes[j + 1])))
-                yield X[j]
-            return
-        for j in range(last):
-            yield X[j]
-            yield from self._walk(j, nodes[j + 1])
         yield X[last]
+        for j in range(last - 1, -1, -1):
+            yield from reversed(list(self._walk(j, nodes[j + 1])))
+            yield X[j]
 
     def all_states(self):
         """Every node's states as one (n_paths, n_steps + 1, dim_x)
         transpose view of a node-major buffer, filled by one replay."""
-        X = np.empty((self.grid.n_steps + 1,) + _swap(self.states).shape[1:])
-        for i, x in enumerate(self.replay()):
+        n = self.grid.n_steps
+        X = np.empty((n + 1,) + _swap(self.states).shape[1:])
+        for i, x in zip(range(n, -1, -1), self.replay()):
             X[i] = x
         return _swap(X)
 
@@ -350,8 +348,7 @@ class BsdeSolution:
     """Solution ensembles; every per-path array is the path-major transpose
     view of a node-major buffer, so ``Y[:, i]`` is one contiguous row.
     ``Y`` is always kept; the other arrays are None unless the solve was
-    asked to keep them (``A`` and the projection record also need a driver
-    with an argmax)."""
+    asked to keep them (``A`` also needs a driver with an argmax)."""
 
     grid: TimeGrid
     Y: np.ndarray                 # (n_paths, n_steps + 1)
@@ -360,13 +357,10 @@ class BsdeSolution:
     Y0: float
     stderr: float
     diagnostics: dict = field(default_factory=dict)
-    # the maximizer's projection record per node, (n_paths, n_steps + 1)
-    member_index: Optional[np.ndarray] = None
-    medial_gap: Optional[np.ndarray] = None
 
 
 # per-node records that solve_theta_bsde can keep for every node
-KEEPABLE = ("Z", "A", "projection")
+KEEPABLE = ("Z", "A")
 
 
 # Design condition number (2-norm) above which the normal equations would
@@ -452,10 +446,10 @@ class _Basis:
 @dataclass(eq=False)
 class BackwardTrack:
     """One scenario's rows in ``backward_sweep`` at the node last yielded:
-    ``y`` and ``z`` are its ``Y`` and ``Z`` (``z`` is None at node n),
-    ``accum`` its per-path terminal plus accumulated driver, for the Y0
-    stderr, and ``rec`` the maximizer's ``ProjectionResult`` at the final
-    ``(Y_i, Z_i)`` when ``records`` asks for it and the sweep has it."""
+    ``y`` and ``z`` are its ``Y`` and ``Z``, ``accum`` its per-path
+    terminal plus accumulated driver, for the Y0 stderr, and ``rec`` the
+    maximizer's ``ProjectionResult`` at the final ``(Y_i, Z_i)`` when
+    ``records`` asks for it and the driver has an argmax."""
 
     scenario: Scenario
     y: np.ndarray                 # (n_paths,)
@@ -475,9 +469,15 @@ def backward_sweep(scenarios, paths, terminal_values=None, records=False):
     common ensemble ``paths``. A generator: it yields ``(i, x, basis,
     tracks)`` for i = n, n - 1, ..., 0, once every scenario's
     ``BackwardTrack`` in ``tracks`` holds its rows at node i; ``x`` is
-    node i's states, from one backward ``paths.replay``, and ``basis`` is
-    node i's ``_Basis``, None at node n. No track keeps another node's
-    rows, and a track's ``rec`` is set only with ``records``.
+    node i's states, from one ``paths.replay``, and ``basis`` is node i's
+    ``_Basis``, None at node n. No track keeps another node's rows.
+
+    Node n is yielded once node n - 1's regression has run: ``Z_n``, the
+    regression of the terminal values times ``dB / dt`` on node n - 1's
+    design, is exactly ``Z_{n-1}``. With ``records``, every node's ``rec``
+    is the maximizer's record at that node's final ``(Y_i, Z_i)``: a
+    y-free driver's one Picard pass computes it, and node n and each node
+    of a y-dependent driver take one more maximizer call.
 
     Each node's design is built once, and every scenario fits its own
     ``E[Y_{i+1} | X_i]`` and ``Z_i`` on it, so the scenarios must share
@@ -517,9 +517,15 @@ def backward_sweep(scenarios, paths, terminal_values=None, records=False):
             t.rec = rec
         return f
 
+    def fit(t, basis, design, i):
+        """``E[Y_{i+1} | X_i]`` and ``Z_i`` of track ``t`` on node i's
+        design."""
+        Ey = design @ basis.fit(design, t.y)
+        return Ey, design @ basis.fit(design, (t.y - Ey)[:, None] * dB[i] / dt)
+
     tracks = []
-    states = paths.replay(backward=True)
-    x = next(states)
+    states = paths.replay()
+    x_n = next(states)
     for sc in scenarios:
         for name, have in (("dim_x", paths.states.shape[2]),
                            ("dim_b", dB.shape[2])):
@@ -528,23 +534,32 @@ def backward_sweep(scenarios, paths, terminal_values=None, records=False):
                                   f"but the paths have {name} {have}")
         sc.driver.check(sc.uset, sc.sde.dim_x, sc.sde.dim_b)
         y = np.empty(n_paths)
-        y[:] = (sc.terminal.value(x) if terminal_values is None
+        y[:] = (sc.terminal.value(x_n) if terminal_values is None
                 else terminal_values)
         _require_finite(n, y)
         tracks.append(BackwardTrack(sc, y, y.copy()))
     y_free = [not sc.driver.depends_on_y() for sc in scenarios]
-    yield n, x, None, tracks
+    wants_rec = [records and sc.driver.has_argmax for sc in scenarios]
 
     for i, x in zip(range(n - 1, -1, -1), states):
         basis, design = _Basis.measure(x, degree)
-        for t, free in zip(tracks, y_free):
-            sc = t.scenario
-            # the previous node's rows are freed once read, as a single
-            # solve frees them; held through the Picard loop, they fragment
-            # the heap and raise peak RSS
+        # the previous node's rows are freed once read, as a single solve
+        # frees them; held through the fits, they fragment the heap and
+        # raise peak RSS
+        for t in tracks:
             t.z = t.rec = None
-            Ey = design @ basis.fit(design, t.y)
-            Zi = design @ basis.fit(design, (t.y - Ey)[:, None] * dB[i] / dt)
+        pending = []
+        if i == n - 1:
+            # node n waits for every scenario's Z_{n-1}, which is its Z_n
+            pending = [fit(t, basis, design, i) for t in tracks]
+            for t, (_, Zi), want in zip(tracks, pending, wants_rec):
+                t.z = Zi
+                if want:
+                    driver_at(t, n, x_n, t.y, Zi, True)
+            yield n, x_n, None, tracks
+        for t, free, want in zip(tracks, y_free, wants_rec):
+            sc = t.scenario
+            Ey, Zi = pending.pop(0) if pending else fit(t, basis, design, i)
             t.y = None
 
             # one pass is the fixed point of a y-free driver's Picard map,
@@ -552,7 +567,7 @@ def backward_sweep(scenarios, paths, terminal_values=None, records=False):
             picard = 1 if free else sc.picard_iters
             Yk = Ey
             for k in range(1, picard + 1):
-                f = driver_at(t, i, x, Yk, Zi, records and free)
+                f = driver_at(t, i, x, Yk, Zi, want and free)
                 Yk, Yprev = Ey + dt * f, Yk
                 # converged: stop early; the last pass stops anyway
                 if k < picard and np.max(np.abs(Yk - Yprev)) <= 1e-12:
@@ -560,6 +575,8 @@ def backward_sweep(scenarios, paths, terminal_values=None, records=False):
             if sc.y_clip is not None:
                 Yk = np.clip(Yk, sc.y_clip[0], sc.y_clip[1])
             _require_finite(i, Yk, Zi)
+            if want and not free:
+                driver_at(t, i, x, Yk, Zi, True)
             t.y, t.z = Yk, Zi
             t.accum += dt * f
         yield i, x, basis, tracks
@@ -578,12 +595,10 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None, keep=()):
     ``terminal_values`` overrides the payoff with per-path terminal data
     (nested tower-property solves). The solution holds ``Y`` for every
     node; each node's ``Z`` and maximizer live only for that node's step,
-    unless ``keep`` (a subset of ``KEEPABLE``) names them:
-    "Z", "A" (the maximizer's point) and "projection" (the member index
-    and medial gap of its projection) are then kept for every node, at
-    the final ``Y_i``. This is ``backward_sweep`` over the one scenario,
-    storing what ``keep`` names; the maximizer runs once more where the
-    sweep has no record: node n, and each node of a y-dependent driver.
+    unless ``keep`` (a subset of ``KEEPABLE``) names them: "Z" and "A"
+    (the maximizer's point at the final ``Y_i``) are then kept for every
+    node. This is ``backward_sweep`` over the one scenario, copying each
+    yielded node's rows into what ``keep`` names.
     """
     # one name on its own is a name, not a sequence of letters
     keep = {keep} if isinstance(keep, str) else set(keep)
@@ -596,38 +611,19 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None, keep=()):
     n, n_paths = ens.grid.n_steps, ens.n_paths
     Y = np.empty((n + 1, n_paths))
     Z = np.empty((n + 1, n_paths, sc.sde.dim_b)) if "Z" in keep else None
-    # the kept fields of the maximizer's ProjectionResult, node-major
-    kept = {}
-    if sc.driver.has_argmax and "A" in keep:
-        kept["point"] = np.empty((n + 1, n_paths, sc.uset.dim))
-    if sc.driver.has_argmax and "projection" in keep:
-        kept["member_index"] = np.empty((n + 1, n_paths), dtype=np.int64)
-        kept["medial_gap"] = np.empty((n + 1, n_paths))
-    times = ens.grid.times
-
-    def record(i, x, rec, z):
-        """Node i's kept fields of the sweep's ``rec``, or where it has
-        none, of one maximizer call at ``(x, Y_i, z)``."""
-        if rec is None:
-            rec = maximizer(sc.driver, sc.uset, times[i], x, Y[i], z)[0]
-        for name, rows in kept.items():
-            rows[i] = getattr(rec, name)
+    A = (np.empty((n + 1, n_paths, sc.uset.dim))
+         if sc.driver.has_argmax and "A" in keep else None)
 
     bases = []
-    for i, x, basis, (track,) in backward_sweep([sc], ens, terminal_values,
-                                                bool(kept)):
+    for i, _, basis, (track,) in backward_sweep([sc], ens, terminal_values,
+                                                A is not None):
         Y[i] = track.y
-        if basis is None:
-            x_n = x  # node n waits for Z_{n-1}
-            continue
-        bases.append(basis)
-        # Z_n, the regression of xi * dB / dt on node n - 1's design, is
-        # exactly Z_{n-1}; node n's maximizer runs at it
-        for j, xj in ((i, x), (n, x_n)) if i == n - 1 else ((i, x),):
-            if Z is not None:
-                Z[j] = track.z
-            if kept:
-                record(j, xj, track.rec if j == i else None, track.z)
+        if Z is not None:
+            Z[i] = track.z
+        if A is not None:
+            A[i] = track.rec.point
+        if basis is not None:
+            bases.append(basis)
 
     diagnostics = {
         "max_condition": max(b.condition for b in bases),
@@ -637,11 +633,8 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None, keep=()):
     }
 
     Y0, stderr = track.estimate()
-    return BsdeSolution(grid=ens.grid, Y=_swap(Y), Z=_swap(Z),
-                        A=_swap(kept.get("point")), Y0=Y0, stderr=stderr,
-                        diagnostics=diagnostics,
-                        member_index=_swap(kept.get("member_index")),
-                        medial_gap=_swap(kept.get("medial_gap")))
+    return BsdeSolution(grid=ens.grid, Y=_swap(Y), Z=_swap(Z), A=_swap(A),
+                        Y0=Y0, stderr=stderr, diagnostics=diagnostics)
 
 
 def _require_finite(i, *values):

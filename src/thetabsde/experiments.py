@@ -136,8 +136,6 @@ def epsilon_sweep(scenario, epsilons, a0):
     ens = simulate_forward(base.sde, base.grid, base.n_paths, base.seed)
     drivers = [GLimitDriver()] + [GRegularizedDriver(eps=e, a0=a0) for e in eps]
     n = base.grid.n_steps
-    # z is None at node n: Z_n = Z_{n-1} is the regression of the shared
-    # terminal, the same in every run, so node n's |dZ|^2 stays 0
     rms, sd, z_sq = (np.zeros((len(eps), n + 1)) for _ in range(3))
     for i, _, _, (ref, *runs) in backward_sweep(
             [replace(base, driver=d) for d in drivers], ens):
@@ -145,8 +143,7 @@ def epsilon_sweep(scenario, epsilons, a0):
             dY = run.y - ref.y
             rms[k, i] = np.sqrt(np.mean(dY ** 2))
             sd[k, i] = np.std(np.abs(dY))
-            if ref.z is not None:
-                z_sq[k, i] = np.mean(row_sq(run.z - ref.z))
+            z_sq[k, i] = np.mean(row_sq(run.z - ref.z))
 
     sup_errs, z_errs, ses = [], [], []
     dt = base.grid.dt
@@ -190,37 +187,43 @@ def check_eos(scenario, gap_threshold=None):
 
 def eos_demo(scenario, gap_threshold=None):
     """Pathwise uniqueness empirics: how often the projection query point
-    lands near the medial region between union members. Reads the member
-    index and medial gap of the solver's own maximizer projections."""
+    lands near the medial region between union members. A fold over one
+    backward sweep with records: each node's member index, medial gap and
+    argmax are those of the solver's own maximizer projection, and only
+    the gaps are held for every node."""
     gap_threshold = check_eos(scenario, gap_threshold)
     sc, uset = scenario, scenario.uset
     ens = simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
-    sol = solve_theta_bsde(sc, paths=ens, keep=("Z", "A", "projection"))
-    gaps = sol.medial_gap
-
-    counts = np.bincount(sol.member_index.ravel(),
-                         minlength=len(uset.members)).astype(float)
-    occupancy = counts / counts.sum()
-    finite = gaps[np.isfinite(gaps)]
-    min_gap = float(finite.min()) if finite.size else np.inf
-
-    if gap_threshold is None:
-        # largest one-step move of the query: the solver's last query at
-        # node i is driver.query(t_i, X_i, Y_i, Z_i), Y_i after any clip
-        step, prev = 0.0, None
-        for i, (t, x) in enumerate(zip(sc.grid.times, ens.replay())):
-            K = sc.driver.query(t, x, sol.Y[:, i], sol.Z[:, i])
+    n, times = sc.grid.n_steps, sc.grid.times
+    counts = np.zeros(len(uset.members), dtype=np.int64)
+    gaps = np.empty((n + 1, sc.n_paths))
+    a_mean, a_std = np.empty((2, n + 1, uset.dim))
+    # largest one-step move of the query, driver.query(t_i, X_i, Y_i, Z_i)
+    # at Y_i after any clip
+    step, prev = 0.0, None
+    for i, x, _, (t,) in backward_sweep([sc], ens, records=True):
+        rec = t.rec
+        counts += np.bincount(rec.member_index, minlength=len(counts))
+        gaps[i] = rec.medial_gap
+        a_mean[i] = rec.point.mean(axis=0)
+        a_std[i] = rec.point.std(axis=0)
+        if gap_threshold is None:
+            K = sc.driver.query(times[i], x, t.y, t.z)
             if prev is not None:
                 step = max(step, float(np.sqrt(row_sq(K - prev)).max()))
             prev = K
+
+    occupancy = counts / counts.sum()
+    # the smallest finite gap, without a copy of the finite ones
+    min_gap = float(np.min(gaps, where=np.isfinite(gaps), initial=np.inf))
+    if gap_threshold is None:
         gap_threshold = 2.0 * step
     hit = float(np.mean(gaps < gap_threshold))
     return EosDemoResult(member_occupancy=[float(o) for o in occupancy],
                          min_medial_gap=min_gap,
                          medial_hit_fraction=hit,
                          gap_threshold=gap_threshold,
-                         a_path_mean=sol.A.mean(axis=0),
-                         a_path_std=sol.A.std(axis=0))
+                         a_path_mean=a_mean, a_path_std=a_std)
 
 
 # dispatch ------------------------------------------------------------------

@@ -170,12 +170,12 @@ def solve_pde(driver, uset, sde, payoff, pgrid):
                         u0_discretisation_err=np.abs(u[0] - u_half[0]))
 
 
-def feynman_kac_compare(scenario, pde_grid=None, surface=None):
+def feynman_kac_compare(scenario, surface=None):
     """Solve the same problem by Monte Carlo and by the FD oracle and
     compare the time-zero values and the values along the paths.
 
     ``surface`` is an already solved ``ValueSurface`` of this scenario; the
-    PDE is solved here (on ``pde_grid``) only when it is not given. The
+    PDE is solved here, on ``auto_grid``, only when it is not given. The
     Monte Carlo side is one ``backward_sweep``, and like ``epsilon_sweep``
     it keeps no full solution: at each node it keeps only the RMS over
     paths of |Y_i - u(t_i, X_i)|, with u interpolated in x on the PDE row
@@ -183,9 +183,8 @@ def feynman_kac_compare(scenario, pde_grid=None, surface=None):
     """
     sc = scenario
     if surface is None:
-        if pde_grid is None:
-            pde_grid = auto_grid(sc.sde, sc.grid)
-        surface = solve_pde(sc.driver, sc.uset, sc.sde, sc.terminal, pde_grid)
+        surface = solve_pde(sc.driver, sc.uset, sc.sde, sc.terminal,
+                            auto_grid(sc.sde, sc.grid))
     pgrid = surface.grid
     rows = np.clip(np.rint((sc.grid.times - pgrid.t0) / pgrid.dt_pde), 0,
                    pgrid.n_t).astype(int)

@@ -516,42 +516,44 @@ def test_recorded_maximizers_lie_in_the_set(uset, G):
     assert uset.project_batch(sol.A.reshape(-1, dim)).distance.max() <= 1e-9
 
 
-def test_keep_projection_records_the_maximizer_projection():
+def test_sweep_records_the_maximizer_projection():
     uset = box_cloud_union()
     G = tb.StateFn(c0=np.array([0.5]), C_z=[[2.0]])
     sc = driver_scenario(
         tb.RegularizedProjectionDriver(h=tb.StateFn(c0=0.0), G=G, eps=0.3),
         uset=uset)
-    plain = tb.solve_theta_bsde(sc, keep=("Z", "A"))
-    assert plain.member_index is None and plain.medial_gap is None
-    sol = tb.solve_theta_bsde(sc, keep=("Z", "A", "projection"))
-    for a, b in ((plain.Y, sol.Y), (plain.Z, sol.Z), (plain.A, sol.A)):
-        assert np.array_equal(a, b)
-    assert sol.member_index.dtype == np.int64
-    assert sol.member_index.shape == sol.medial_gap.shape == sol.Y.shape
+    sol = tb.solve_theta_bsde(sc, keep=("Z", "A"))
+    _, rows = sweep_rows(sc, records=True)
+    members = set()
     # the y-free query depends on z only, so re-projecting it node by node
-    # must give the solver's own record
-    for i in range(sc.grid.n_steps + 1):
-        rec = uset.project_batch(sc.driver.query(0.0, np.zeros((sc.n_paths, 1)),
-                                                 sol.Y[:, i], sol.Z[:, i]))
+    # must give the sweep's own record, and the solve keeps its point
+    for i, y, z, rec in rows:
+        assert np.array_equal(y, sol.Y[:, i]) and np.array_equal(z, sol.Z[:, i])
+        ref = uset.project_batch(sc.driver.query(0.0, np.zeros((sc.n_paths, 1)),
+                                                 y, z))
+        for name in PROJECTION_FIELDS:
+            assert np.array_equal(getattr(rec, name), getattr(ref, name))
         assert np.array_equal(rec.point, sol.A[:, i])
-        assert np.array_equal(rec.member_index, sol.member_index[:, i])
-        assert np.array_equal(rec.medial_gap, sol.medial_gap[:, i])
-    assert set(np.unique(sol.member_index)) == {0, 1}
+        assert rec.member_index.dtype == np.int64
+        members.update(np.unique(rec.member_index))
+    assert members == {0, 1}
 
 
-def test_keep_projection_of_degenerate_and_reduced_drivers():
+def test_sweep_records_of_degenerate_and_reduced_drivers():
     # AffineDriver ignores a: the argmax degenerates to the fixed element
-    sol = tb.solve_theta_bsde(driver_scenario(tb.AffineDriver(0.3, 0.0, [0.2])),
-                              keep=("A", "projection"))
+    sc = driver_scenario(tb.AffineDriver(0.3, 0.0, [0.2]))
+    _, rows = sweep_rows(sc, records=True)
+    for _, _, _, rec in rows:
+        assert np.all(rec.member_index == -1) and np.all(rec.medial_gap == np.inf)
+        assert np.all(rec.point == UNIT_BOX.fixed_element())
+    sol = tb.solve_theta_bsde(sc, keep=("A",))
     assert sol.diagnostics["degenerate_argmax"]
-    assert np.all(sol.member_index == -1) and np.all(sol.medial_gap == np.inf)
     assert np.all(sol.A == UNIT_BOX.fixed_element())
     # g_limit has no argmax, so there is no record to keep
-    sol = tb.solve_theta_bsde(driver_scenario(tb.GLimitDriver(),
-                                              uset=tb.Box([1.0], [2.0])),
-                              keep=("A", "projection"))
-    assert sol.A is None and sol.member_index is None and sol.medial_gap is None
+    sc = driver_scenario(tb.GLimitDriver(), uset=tb.Box([1.0], [2.0]))
+    _, rows = sweep_rows(sc, records=True)
+    assert all(rec is None for _, _, _, rec in rows)
+    assert tb.solve_theta_bsde(sc, keep=("A",)).A is None
 
 
 def ball_scenario(dim, n_paths=500, n_steps=10):
@@ -598,15 +600,14 @@ def test_lean_solve_equals_full_solve_bitwise(variant, data):
     assert np.array_equal(lean.Y, full.Y)
     assert (lean.Y0, lean.stderr) == (full.Y0, full.stderr)
     assert lean.diagnostics == full.diagnostics
-    assert (lean.Z, lean.A, lean.member_index, lean.medial_gap) == (None,) * 4
+    assert (lean.Z, lean.A) == (None, None)
     assert full.Z.shape == full.Y.shape + (sc.sde.dim_b,)
     assert (full.A is None) == (not sc.driver.has_argmax)
-    assert (full.medial_gap is None) == (not sc.driver.has_argmax)
 
 
 def test_keep_rejects_unknown_names():
     sc = driver_scenario(tb.ZeroDriver())
-    for keep in (("Z", "Y"), ("member_index",), "ZA"):
+    for keep in (("Z", "Y"), ("member_index",), ("projection",), "ZA"):
         with pytest.raises(EngineError, match="cannot keep"):
             tb.solve_theta_bsde(sc, keep=keep)
     assert tb.solve_theta_bsde(sc, keep="Z").Z is not None
@@ -624,7 +625,7 @@ def test_terminal_maximizer_runs_only_for_kept_records(monkeypatch, driver):
     # and, for the y-dependent driver, one call per node at the final Y_i
     expected = ((10, 10, 11, 11) if not driver.depends_on_y()
                 else (30, 30, 41, 41))
-    for keep, count in zip(((), ("Z",), ("A",), ("projection",)), expected):
+    for keep, count in zip(((), ("Z",), ("A",), engine.KEEPABLE), expected):
         calls.update(maximizer=0)
         tb.solve_theta_bsde(driver_scenario(driver), keep=keep)
         assert calls["maximizer"] == count
@@ -652,10 +653,14 @@ def union_projection_scenario(c_y=0.0):
         h=tb.StateFn(c0=0.0), G=G, eps=0.3), uset=box_cloud_union())
 
 
+# the fields of a maximizer's ProjectionResult
+PROJECTION_FIELDS = ("point", "distance", "member_index", "medial_gap")
+
+
 def sweep_rows(sc, records):
     """Every node's yielded (i, y, z, rec), copied out of the one track."""
     ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
-    rows = [(i, t.y.copy(), None if t.z is None else t.z.copy(), t.rec)
+    rows = [(i, t.y.copy(), t.z.copy(), t.rec)
             for i, _, _, (t,) in engine.backward_sweep([sc], ens,
                                                        records=records)]
     assert [r[0] for r in rows] == list(range(sc.grid.n_steps, -1, -1))
@@ -665,14 +670,15 @@ def sweep_rows(sc, records):
 @pytest.mark.parametrize("records", [False, True])
 def test_sweep_rows_are_one_node_each(records):
     sc = union_projection_scenario()
-    n = sc.grid.n_steps
     _, rows = sweep_rows(sc, records)
-    for i, y, z, rec in rows:
+    for _, y, z, rec in rows:
         assert y.shape == (sc.n_paths,)
-        assert (z is None) == (i == n)
-        assert z is None or z.shape == (sc.n_paths, sc.sde.dim_b)
-        # a record exists only where asked for, and never at node n
-        assert (rec is not None) == (records and i < n)
+        assert z.shape == (sc.n_paths, sc.sde.dim_b)
+        # a record exists where asked for, node n included
+        assert (rec is not None) == records
+    # Z_n, the regression of the terminal values on node n - 1's design,
+    # is Z_{n-1}
+    assert np.array_equal(rows[0][2], rows[1][2])
     assert [f.name for f in fields(engine.BackwardTrack)] == [
         "scenario", "y", "accum", "z", "rec"]
 
@@ -695,29 +701,36 @@ def test_sweep_peak_does_not_grow_with_the_steps(traced_peak):
     assert peaks[1] - peaks[0] < 10 * row, peaks
 
 
-def test_sweep_record_is_the_maximizer_at_the_final_rows():
-    sc = union_projection_scenario()
+def final_maximizer_members(sc):
+    """Check that every yielded record, node n's included, is bitwise the
+    maximizer at the node's final rows; return the members that won."""
     ens, rows = sweep_rows(sc, records=True)
     X = ens.all_states()
     members = set()
-    for i, y, z, rec in rows[1:]:
+    for i, y, z, rec in rows:
         ref, _ = maximizer(sc.driver, sc.uset, sc.grid.times[i],
                            X[:, i], y, z)
-        for name in ("point", "distance", "member_index", "medial_gap"):
+        for name in PROJECTION_FIELDS:
             assert np.array_equal(getattr(rec, name), getattr(ref, name))
         members.update(np.unique(rec.member_index))
-    assert members == {0, 1}  # both union members win somewhere
+    return members
+
+
+def test_sweep_record_is_the_maximizer_at_the_final_rows():
+    sc = union_projection_scenario()
+    assert not sc.driver.depends_on_y()
+    assert final_maximizer_members(sc) == {0, 1}  # both members win somewhere
 
 
 @pytest.mark.parametrize("sc", [
     union_projection_scenario(c_y=0.4),
     driver_scenario(tb.AffineDriver(0.3, 0.5, [0.2])),
 ], ids=["y_dependent_query", "affine_picard"])
-def test_y_dependent_sweep_has_no_record(sc):
-    # its last Picard pass ran at the previous iterate, not at the final Y_i
+def test_y_dependent_sweep_records_the_final_maximizer(sc):
+    # its last Picard pass ran at the previous iterate; the record comes
+    # from one more maximizer call at the final Y_i
     assert sc.driver.depends_on_y()
-    _, rows = sweep_rows(sc, records=True)
-    assert all(rec is None for _, _, _, rec in rows)
+    final_maximizer_members(sc)
 
 
 def test_sweep_rejects_paths_and_terminals_that_do_not_fit():
@@ -750,16 +763,17 @@ def layout_scenario():
 
 def test_kept_records_are_the_maximizer_at_the_clipped_y():
     sc = replace(layout_scenario(), y_clip=(-0.8, 0.6))
-    ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
+    ens, rows = sweep_rows(sc, records=True)
     sol = tb.solve_theta_bsde(sc, paths=ens, keep=engine.KEEPABLE)
     # the clip binds, so a record from the last Picard iterate would differ
     assert np.any(np.isin(sol.Y[:, :-1], sc.y_clip))
-    for i, (t, x) in enumerate(zip(sc.grid.times, ens.replay())):
-        rec, _ = maximizer(sc.driver, sc.uset, t, x,
+    X = ens.all_states()
+    for i, _, _, rec in rows:
+        ref, _ = maximizer(sc.driver, sc.uset, sc.grid.times[i], X[:, i],
                            sol.Y[:, i], sol.Z[:, i])
-        assert np.array_equal(rec.point, sol.A[:, i])
-        assert np.array_equal(rec.member_index, sol.member_index[:, i])
-        assert np.array_equal(rec.medial_gap, sol.medial_gap[:, i])
+        assert np.array_equal(ref.point, sol.A[:, i])
+        for name in PROJECTION_FIELDS:
+            assert np.array_equal(getattr(rec, name), getattr(ref, name))
 
 
 @pytest.mark.parametrize("keep", [(), engine.KEEPABLE], ids=["lean", "full"])
@@ -781,13 +795,13 @@ def test_degenerate_argmax_is_a_property_of_the_driver(driver, uset,
 def test_per_node_slices_are_contiguous():
     sc = layout_scenario()
     ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
-    sol = tb.solve_theta_bsde(sc, paths=ens, keep=("Z", "A", "projection"))
+    sol = tb.solve_theta_bsde(sc, paths=ens, keep=engine.KEEPABLE)
     n = sc.grid.n_steps
     assert ens.states.shape == (sc.n_paths, len(ens.checkpoints), 1)
     assert ens.increments.shape == (sc.n_paths, n, 1)
-    assert sol.Y.shape == sol.member_index.shape == (sc.n_paths, n + 1)
+    assert sol.Y.shape == (sc.n_paths, n + 1)
     for i in range(n + 1):
-        rows = [sol.Y, sol.Z, sol.A, sol.member_index, sol.medial_gap]
+        rows = [sol.Y, sol.Z, sol.A]
         if i < n:
             rows.append(ens.increments)
         if i < len(ens.checkpoints):
@@ -824,13 +838,17 @@ def test_solve_on_path_major_copies_matches_node_major():
                                np.ascontiguousarray(ens.increments),
                                np.ascontiguousarray(ens.all_states()))
     assert not copy.states[:, 0].flags.c_contiguous
-    node = tb.solve_theta_bsde(sc, paths=ens, keep=("Z", "A", "projection"))
-    path = tb.solve_theta_bsde(sc, paths=copy, keep=("Z", "A", "projection"))
-    for a, b in ((node.Y, path.Y), (node.Z, path.Z), (node.A, path.A),
-                 (node.medial_gap, path.medial_gap)):
+    node = tb.solve_theta_bsde(sc, paths=ens, keep=engine.KEEPABLE)
+    path = tb.solve_theta_bsde(sc, paths=copy, keep=engine.KEEPABLE)
+    for a, b in ((node.Y, path.Y), (node.Z, path.Z), (node.A, path.A)):
         np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)
-    assert np.array_equal(node.member_index, path.member_index)
     assert abs(node.Y0 - path.Y0) <= 1e-12
+    for (_, _, _, (a,)), (_, _, _, (b,)) in zip(
+            engine.backward_sweep([sc], ens, records=True),
+            engine.backward_sweep([sc], copy, records=True)):
+        np.testing.assert_allclose(b.rec.medial_gap, a.rec.medial_gap,
+                                   rtol=0, atol=1e-12)
+        assert np.array_equal(a.rec.member_index, b.rec.member_index)
 
 
 @pytest.mark.parametrize("big, node", [(None, 10), (1.7e308, 9)],
@@ -1105,11 +1123,11 @@ CHECKPOINT_RUNS = {
     "solve_y_free": (
         lambda n, s: checkpoint_scenario(n, s, union_driver(),
                                          box_cloud_union()),
-        lambda sc: tb.solve_theta_bsde(sc, keep=("Z", "A", "projection"))),
+        lambda sc: tb.solve_theta_bsde(sc, keep=engine.KEEPABLE)),
     "solve_y_dependent": (
         lambda n, s: checkpoint_scenario(n, s, union_driver(c_y=0.4),
                                          box_cloud_union()),
-        lambda sc: tb.solve_theta_bsde(sc, keep=("Z", "A", "projection"))),
+        lambda sc: tb.solve_theta_bsde(sc, keep=engine.KEEPABLE)),
     "epsilon_sweep": (
         lambda n, s: checkpoint_scenario(
             n, s, tb.GLimitDriver(), tb.Box([1.0], [2.0]),
@@ -1181,13 +1199,28 @@ def test_replays_and_truncations_rebuild_the_full_rows(n_steps):
     full = full_paths(ens, CHECKPOINT_SDE).states
     assert np.array_equal(ens.states, full[:, ens.checkpoints])
     assert np.array_equal(ens.all_states(), full)
-    backward = list(ens.replay(backward=True))
+    backward = list(ens.replay())
     assert np.array_equal(np.stack(backward[::-1], axis=1), full)
     for s in range(1, n_steps + 1):
         sub = ens.truncated(s)
         assert sub.checkpoints == [c for c in ens.checkpoints if c < s] + [s]
         assert np.array_equal(sub.all_states(), full[:, :s + 1])
         assert np.array_equal(sub.increments, ens.increments[:, :s])
+
+
+def test_a_replay_reads_the_grid_times_once_per_segment(monkeypatch):
+    # 10 steps, checkpoints 0, 4, 8, 10: three segments to step, 7 steps
+    ens = tb.simulate_forward(CHECKPOINT_SDE, tb.TimeGrid(0.0, 1.0, 10), 50, 7)
+    assert ens.checkpoints == [0, 4, 8, 10]
+    reads = [0]
+    times = tb.TimeGrid.times
+
+    def counted(grid):
+        reads[0] += 1
+        return times.fget(grid)
+    monkeypatch.setattr(tb.TimeGrid, "times", property(counted))
+    assert len(list(ens.replay())) == 11
+    assert reads[0] <= 3
 
 
 def count_euler_steps(monkeypatch):
@@ -1212,10 +1245,9 @@ def test_euler_step_budget(monkeypatch):
             (lambda: tb.solve_theta_bsde(sc, paths=ens, keep=engine.KEEPABLE),
              rebuilt),
             (lambda: list(ens.replay()), rebuilt),
-            (lambda: list(ens.replay(backward=True)), rebuilt),
             (ens.all_states, rebuilt),
-            # the forward pass, the backward sweep and one replay
-            (lambda: eos_demo(sc), n + 2 * rebuilt),
+            # the forward pass and the backward sweep, which it folds
+            (lambda: eos_demo(sc), n + rebuilt),
             # the forward pass and the backward sweep, which it folds
             (lambda: feynman_kac_compare(replace(
                 sc, sde=replace(sc.sde, vol_lin=None))), n + rebuilt),

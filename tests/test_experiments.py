@@ -350,6 +350,10 @@ def test_eos_reads_the_solver_record_bitwise(G, terminal, y_clip):
     expected = eos_by_reprojection(sc)
     assert (res.member_occupancy, res.min_medial_gap, res.medial_hit_fraction,
             res.gap_threshold) == expected
+    # the per-node argmax moments are those of a solve's full A
+    A = tb.solve_theta_bsde(sc, keep=("A",)).A
+    assert np.array_equal(res.a_path_mean, A.mean(axis=0))
+    assert np.array_equal(res.a_path_std, A.std(axis=0))
     assert 0.0 < res.medial_hit_fraction < 1.0
     assert all(0.0 < o < 1.0 for o in res.member_occupancy)
     if y_clip is not None:
@@ -357,6 +361,29 @@ def test_eos_reads_the_solver_record_bitwise(G, terminal, y_clip):
         Y = tb.solve_theta_bsde(sc).Y
         assert np.any(Y == y_clip[0]) and np.any(Y == y_clip[1])
         assert expected != eos_by_reprojection(replace(sc, y_clip=None))
+
+
+def test_eos_holds_no_full_solution(traced_peak):
+    # beyond its paths the demo holds one (n_steps + 1, n_paths) gap array
+    # and one node's rows: less than a full Z plus A, which in dim 2 are
+    # four such arrays; a kept solve held them with Y and the projection
+    # record
+    uset = tb.UnionSet([tb.Box([-1.0, -1.0], [0.0, 0.0]),
+                        tb.PointCloud([[2.0, 0.0], [4.0, 1.0], [6.0, -1.0]])])
+    G = tb.StateFn(c0=np.array([0.5, 0.0]), C_x=1.5 * np.eye(2),
+                   C_z=0.2 * np.eye(2))
+    sc = tb.Scenario(sde=tb.SdeSpec(dim_x=2, dim_b=2, x0=[0.0, 0.0],
+                                    vol_const=np.eye(2)),
+                     driver=tb.RegularizedProjectionDriver(
+                         h=tb.StateFn(c0=0.0), G=G, eps=0.5),
+                     uset=uset, terminal=tb.Payoff([0.0, 1.0]),
+                     grid=tb.TimeGrid(0.0, 1.0, 40), n_paths=20_000, seed=11)
+    ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
+    paths = ens.increments.nbytes + ens.states.nbytes
+    z_and_a = (sc.grid.n_steps + 1) * sc.n_paths * 8 * (sc.sde.dim_b + uset.dim)
+    peak, res = traced_peak(eos_demo, sc)
+    assert peak - paths < z_and_a, (peak, paths, z_and_a)
+    assert 0.0 < res.medial_hit_fraction < 1.0
 
 
 def test_eos_honours_y_clip():

@@ -172,13 +172,13 @@ def test_feynman_kac_trivial_fixtures():
     sc = tb.Scenario(sde=make_sde(), driver=tb.ZeroDriver(), uset=UNIT_BOX,
                      terminal=tb.Payoff([0.0, 1.0]), grid=grid,
                      n_paths=20_000, seed=3)
-    rep = tb.feynman_kac_compare(sc, auto_grid(sc.sde, grid, n_x=200))
+    rep = tb.feynman_kac_compare(sc, surface=fk_surface(sc, n_x=200))
     assert rep["abs_err"] <= 3 * rep["stderr"] + 1e-9
     # constant driver: both equal k*T
     sc = tb.Scenario(sde=make_sde(), driver=tb.AffineDriver(0.4, 0.0, [0.0]),
                      uset=UNIT_BOX, terminal=tb.Payoff([0.0]), grid=grid,
                      n_paths=2000, seed=3)
-    rep = tb.feynman_kac_compare(sc, auto_grid(sc.sde, grid, n_x=200))
+    rep = tb.feynman_kac_compare(sc, surface=fk_surface(sc, n_x=200))
     assert rep["y0_mc"] == pytest.approx(0.4, abs=1e-6)
     assert rep["u0"] == pytest.approx(0.4, abs=1e-6)
 
@@ -189,12 +189,14 @@ def test_fk_path_rms_reads_the_nearest_pde_row():
     sc = tb.Scenario(sde=make_sde(), driver=tb.AffineDriver(0.4, 0.0, [0.0]),
                      uset=UNIT_BOX, terminal=tb.Payoff([0.0]), grid=grid,
                      n_paths=200, seed=3)
-    rep = tb.feynman_kac_compare(sc, auto_grid(sc.sde, grid, n_x=50))
+    rep = tb.feynman_kac_compare(sc, surface=fk_surface(sc, n_x=50))
     assert rep["fk_path_rms_max"] <= 1e-9
     assert rep["u0_discretisation_err"] <= 1e-9
     # 30 PDE steps on 20 nodes: the odd nodes lie half a PDE step from the
     # nearest row, where u is off by 0.4 / 60
-    rep = tb.feynman_kac_compare(sc, PdeGrid(-6.0, 6.0, 50, 30, 0.0, 1.0))
+    rep = tb.feynman_kac_compare(sc, surface=solve_pde(
+        sc.driver, sc.uset, sc.sde, sc.terminal,
+        PdeGrid(-6.0, 6.0, 50, 30, 0.0, 1.0)))
     assert rep["fk_path_rms_max"] == pytest.approx(0.4 / 60, rel=1e-6)
 
 
@@ -216,16 +218,17 @@ def fk_surface(sc, n_x=100):
 
 
 def two_pass_compare(sc, surface):
-    """The comparison by its definition: one full solve's Y, a forward
-    replay of the paths, and np.interp on the PDE row nearest each node."""
+    """The comparison by its definition: one full solve's Y, every node's
+    states, and np.interp on the PDE row nearest each node."""
     ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
     sol = tb.solve_theta_bsde(sc, paths=ens)
     g = surface.grid
     rows = np.clip(np.rint((sc.grid.times - g.t0) / g.dt_pde), 0,
                    g.n_t).astype(int)
+    X = ens.all_states()
     rms = [np.sqrt(np.mean((sol.Y[:, i]
-                            - np.interp(x[:, 0], g.xs, surface.u[k])) ** 2))
-           for i, (k, x) in enumerate(zip(rows, ens.replay()))]
+                            - np.interp(X[:, i, 0], g.xs, surface.u[k])) ** 2))
+           for i, k in enumerate(rows)]
     x0 = float(sc.sde.x0[0])
     u0 = float(np.interp(x0, g.xs, surface.u[0]))
     return {"y0_mc": sol.Y0, "u0": u0, "abs_err": abs(sol.Y0 - u0),
