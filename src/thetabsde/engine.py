@@ -8,7 +8,6 @@ at its pointwise maximum over the uncertainty set, and the adversarial
 parameter path is read off from the maximizer map.
 """
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -45,10 +44,6 @@ class TimeGrid:
     @property
     def times(self):
         return self.t0 + self.dt * np.arange(self.n_steps + 1)
-
-    def truncated(self, n_steps):
-        """Sub-grid [t0, t0 + n_steps*dt] on the same spacing."""
-        return TimeGrid(self.t0, self.t0 + n_steps * self.dt, n_steps)
 
 
 @dataclass
@@ -151,35 +146,23 @@ def euler_step(sde, t, dt, X, dB):
     return X + sde.drift(t, X) * dt + sde.vol_mul(t, X, dB)
 
 
-def _checkpoints(n_steps, k):
-    """Nodes 0, k, 2k, ... below ``n_steps``, and ``n_steps``."""
+def _checkpoints(n_steps, stepped=True):
+    """Nodes 0, k, 2k, ... below ``n_steps``, and ``n_steps``: k =
+    ceil(sqrt(n_steps)) for states that ``simulate_forward`` stepped, else
+    1."""
+    k = math.isqrt(n_steps - 1) + 1 if stepped else 1
     return list(range(0, n_steps, k)) + [n_steps]
-
-
-@dataclass(frozen=True)
-class EulerScheme:
-    """The SDE and the grid that ``simulate_forward`` stepped an ensemble
-    on. A rebuild steps with this grid's times and dt, not with those of a
-    truncated ensemble's own grid, so every rebuilt state is bitwise the
-    simulated one."""
-
-    sde: SdeSpec
-    grid: TimeGrid
-
-    @property
-    def stride(self):
-        """The checkpoint spacing k = ceil(sqrt(n_steps)) of this grid."""
-        return math.isqrt(self.grid.n_steps - 1) + 1
 
 
 @dataclass
 class PathEnsemble:
     """Simulated paths: the Brownian increments at every step, and the
     states X at the ``checkpoints`` only, nodes 0, k, 2k, ... and n_steps.
-    ``simulate_forward`` sets ``scheme``, and k is its stride; an ensemble
-    without a scheme holds every node (k = 1). ``replay`` hands out every
-    node's states, stepping each one between two checkpoints from the one
-    below it, bitwise as the forward pass did.
+    ``sde`` is the diffusion that ``simulate_forward`` stepped the states
+    with on ``grid``, and then k = ceil(sqrt(n_steps)); an ensemble built
+    from arrays has no ``sde`` and holds every node (k = 1). ``replay``
+    hands out every node's states, stepping each one between two
+    checkpoints from the one below it, bitwise as the forward pass did.
 
     ``simulate_forward`` stores both arrays node-major and read-only, and
     hands out their path-major transpose views, so ``states[:, j]`` is one
@@ -190,7 +173,7 @@ class PathEnsemble:
     seed: int
     increments: np.ndarray  # (n_paths, n_steps, dim_b)
     states: np.ndarray      # (n_paths, len(checkpoints), dim_x)
-    scheme: Optional[EulerScheme] = None
+    sde: Optional[SdeSpec] = None
 
     def __post_init__(self):
         self.n_paths = as_integer(EngineError, self.n_paths, "n_paths", 1)
@@ -206,32 +189,23 @@ class PathEnsemble:
     @property
     def checkpoints(self):
         """The nodes whose states ``states`` holds, in order."""
-        return _checkpoints(self.grid.n_steps,
-                            1 if self.scheme is None else self.scheme.stride)
-
-    def _walk(self, j, stop):
-        """The states at the nodes after checkpoint ``j`` and before node
-        ``stop``, each stepped from the one before."""
-        steps = range(self.checkpoints[j], stop - 1)
-        if not steps:  # as for every segment of an ensemble without a scheme
-            return
-        s, dB = self.scheme, _swap(self.increments)
-        times, dt = s.grid.times, s.grid.dt
-        x = _swap(self.states)[j]
-        for i in steps:
-            x = euler_step(s.sde, times[i], dt, x, dB[i])
-            yield x
+        return _checkpoints(self.grid.n_steps, self.sde is not None)
 
     def replay(self):
         """Every node's states, X_n to X_0: checkpoint rows are read, and
         the rows between two checkpoints are stepped from the lower one
         once per replay. A replay holds one such segment, at most k - 1
-        rows, at a time."""
+        rows, at a time, and lets go of each row as it hands it out."""
         X, nodes = _swap(self.states), self.checkpoints
-        last = len(nodes) - 1
-        yield X[last]
-        for j in range(last - 1, -1, -1):
-            yield from reversed(list(self._walk(j, nodes[j + 1])))
+        dB, times, dt = _swap(self.increments), self.grid.times, self.grid.dt
+        yield X[-1]
+        for j in range(len(nodes) - 2, -1, -1):
+            x, segment = X[j], []
+            for i in range(nodes[j], nodes[j + 1] - 1):
+                x = euler_step(self.sde, times[i], dt, x, dB[i])
+                segment.append(x)
+            while segment:
+                yield segment.pop()
             yield X[j]
 
     def all_states(self):
@@ -242,28 +216,6 @@ class PathEnsemble:
         for i, x in zip(range(n, -1, -1), self.replay()):
             X[i] = x
         return _swap(X)
-
-    def truncated(self, n_steps):
-        """The first ``n_steps`` steps: views of the increments and of the
-        checkpoint rows up to node ``n_steps``; the state at that node is
-        stepped from the checkpoint below it when it is not one."""
-        if not 1 <= n_steps <= self.grid.n_steps:
-            raise EngineError(f"need 1 <= n_steps <= {self.grid.n_steps}, "
-                              f"got {n_steps}")
-        nodes = self.checkpoints
-        j = bisect.bisect_right(nodes, n_steps) - 1
-        states = self.states[:, :j + 1]
-        if nodes[j] < n_steps:
-            X = np.empty((j + 2,) + _swap(states).shape[1:])
-            X[:j + 1] = _swap(states)
-            for x in self._walk(j, n_steps + 1):
-                pass
-            X[j + 1] = x
-            X.flags.writeable = False
-            states = _swap(X)
-        return PathEnsemble(self.grid.truncated(n_steps), self.n_paths,
-                            self.seed, self.increments[:, :n_steps], states,
-                            self.scheme)
 
 
 # paths per Philox draw: a block's transpose into the node-major buffer
@@ -299,9 +251,7 @@ def simulate_forward(sde, grid, n_paths, seed):
     nodes 0, k, 2k, ... and n_steps, k = ceil(sqrt(n_steps)); both arrays
     are read-only. The random stream is that of ``brownian_increments``."""
     dB = brownian_increments(grid, n_paths, seed, sde.dim_b)
-    scheme = EulerScheme(sde, grid)
-    slot = {c: j for j, c in enumerate(_checkpoints(grid.n_steps,
-                                                    scheme.stride))}
+    slot = {c: j for j, c in enumerate(_checkpoints(grid.n_steps))}
     steps = _swap(dB)
     X = np.empty((len(slot), len(dB), sde.dim_x))
     X[0] = sde.x0
@@ -313,7 +263,7 @@ def simulate_forward(sde, grid, n_paths, seed):
         if i + 1 in slot:
             X[slot[i + 1]] = x
     X.flags.writeable = False
-    return PathEnsemble(grid, len(dB), int(seed), dB, _swap(X), scheme)
+    return PathEnsemble(grid, len(dB), int(seed), dB, _swap(X), sde)
 
 
 @dataclass
@@ -447,21 +397,28 @@ class _Basis:
 class BackwardTrack:
     """One scenario's rows in ``backward_sweep`` at the node last yielded:
     ``y`` and ``z`` are its ``Y`` and ``Z``, ``accum`` its per-path
-    terminal plus accumulated driver, for the Y0 stderr, and ``rec`` the
-    maximizer's ``ProjectionResult`` at the final ``(Y_i, Z_i)`` when
-    ``records`` asks for it and the driver has an argmax."""
+    terminal plus accumulated driver, for the Y0 stderr, ``f`` the driver
+    value whose ``dt * f`` this node added to ``accum`` (None at node n),
+    and ``rec`` the maximizer's ``ProjectionResult`` at the final
+    ``(Y_i, Z_i)`` when ``records`` asks for it and the driver has an
+    argmax."""
 
     scenario: Scenario
     y: np.ndarray                 # (n_paths,)
     accum: np.ndarray             # (n_paths,)
     z: Optional[np.ndarray] = None    # (n_paths, dim_b)
+    f: Optional[np.ndarray] = None    # (n_paths,)
     rec: Optional[object] = None
 
     def estimate(self):
         """``(Y0, stderr)`` at node 0: the path mean of ``y``, and the
         standard error of the mean of ``accum``."""
-        return (float(np.mean(self.y)),
-                float(np.std(self.accum) / np.sqrt(len(self.accum))))
+        return float(np.mean(self.y)), _stderr(self.accum)
+
+
+def _stderr(accum):
+    """The standard error of the path mean of ``accum``."""
+    return float(np.std(accum) / np.sqrt(len(accum)))
 
 
 def backward_sweep(scenarios, paths, terminal_values=None, records=False):
@@ -547,7 +504,7 @@ def backward_sweep(scenarios, paths, terminal_values=None, records=False):
         # frees them; held through the fits, they fragment the heap and
         # raise peak RSS
         for t in tracks:
-            t.z = t.rec = None
+            t.z = t.f = t.rec = None
         pending = []
         if i == n - 1:
             # node n waits for every scenario's Z_{n-1}, which is its Z_n
@@ -577,7 +534,7 @@ def backward_sweep(scenarios, paths, terminal_values=None, records=False):
             _require_finite(i, Yk, Zi)
             if want and not free:
                 driver_at(t, i, x, Yk, Zi, True)
-            t.y, t.z = Yk, Zi
+            t.y, t.z, t.f = Yk, Zi, f
             t.accum += dt * f
         yield i, x, basis, tracks
 
@@ -593,12 +550,12 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None, keep=()):
 
     ``paths`` reuses a pre-simulated ensemble (common-path experiments);
     ``terminal_values`` overrides the payoff with per-path terminal data
-    (nested tower-property solves). The solution holds ``Y`` for every
-    node; each node's ``Z`` and maximizer live only for that node's step,
-    unless ``keep`` (a subset of ``KEEPABLE``) names them: "Z" and "A"
-    (the maximizer's point at the final ``Y_i``) are then kept for every
-    node. This is ``backward_sweep`` over the one scenario, copying each
-    yielded node's rows into what ``keep`` names.
+    (the martingale check's window solves). The solution holds ``Y`` for
+    every node; each node's ``Z`` and maximizer live only for that node's
+    step, unless ``keep`` (a subset of ``KEEPABLE``) names them: "Z" and
+    "A" (the maximizer's point at the final ``Y_i``) are then kept for
+    every node. This is ``backward_sweep`` over the one scenario, copying
+    each yielded node's rows into what ``keep`` names.
     """
     # one name on its own is a name, not a sequence of letters
     keep = {keep} if isinstance(keep, str) else set(keep)
@@ -735,16 +692,24 @@ def axiom_check(scenario, axiom, params=None):
         return {"axiom": axiom, "passed": disc <= tol, "discrepancy": disc,
                 "tol": tol}
 
-    # A3_tower, the last name check_axiom lets through
-    s_index = params["s_index"]
-    sol = solve_theta_bsde(scenario, paths=ens)
-    if s_index == 0:
-        return {"axiom": axiom, "passed": True, "discrepancy": 0.0,
-                "stderr": sol.stderr}
-    nested = solve_theta_bsde(scenario, paths=ens.truncated(s_index),
-                              terminal_values=sol.Y[:, s_index])
-    disc = float(abs(nested.Y0 - sol.Y0))
-    stderr = float(np.hypot(sol.stderr, nested.stderr))
+    # A3_tower, the last name check_axiom lets through. The nested
+    # valuation of Y_s on these paths would run the sweep's own nodes
+    # s - 1, ..., 0 again: the same rows, designs and driver values. So it
+    # is read off the one sweep: its accumulator is Y_s plus every lower
+    # node's dt * f, and its Y0 is the sweep's own node-0 mean, which makes
+    # the discrepancy 0.0 by construction (ROADMAP item 2: an out-of-sample
+    # check on independent paths can fail).
+    s = params["s_index"]
+    dt = ens.grid.dt
+    for i, _, _, (track,) in backward_sweep([scenario], ens):
+        if i == s:
+            nested = track.y.copy()
+        elif i < s:
+            nested += dt * track.f
+    _, stderr = track.estimate()
+    disc = 0.0
+    if s > 0:
+        stderr = float(np.hypot(stderr, _stderr(nested)))
     passed = disc <= 3.0 * stderr + 1e-12
     return {"axiom": axiom, "passed": passed, "discrepancy": disc,
             "stderr": stderr}

@@ -102,6 +102,10 @@ def check_martingale(scenario, process, t_index, s_index, c):
     if not 0 <= t_index < s_index <= scenario.grid.n_steps:
         raise EngineError("need 0 <= t_index < s_index <= n_steps")
     check_theta_driver(scenario.driver, scenario.uset, 1)
+    # the check solves on one-dimensional Brownian paths
+    if scenario.sde.dim_x != 1 or scenario.sde.dim_b != 1:
+        raise EngineError("martingale check supports sde.dim_x = "
+                          "sde.dim_b = 1 only")
     return t_index, s_index, as_number(EngineError, c, "c")
 
 

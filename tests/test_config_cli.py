@@ -220,6 +220,12 @@ UNION = ('set.type = union\nset.members = [{"type": "box", "lower": [0.0], '
               "driver.eps = 0.5\ndriver.g.z = [[1.0]]"), "union"),
     (GOOD.replace("kind = solve", "kind = martingale_check")
      + "martingale.s_index = 9\n", "s_index"),
+    # the solve on the one-dimensional Brownian paths raised "sde.dim_x is
+    # 2, but the paths have dim_x 1", and the same for dim_b
+    (GOOD.replace("kind = solve", "kind = martingale_check")
+     + "sde.dim_x = 2\n", "sde.dim_x = sde.dim_b = 1"),
+    (GOOD.replace("kind = solve", "kind = martingale_check")
+     + "sde.dim_b = 2\n", "sde.dim_x = sde.dim_b = 1"),
     (GOOD.replace("terminal.coeffs = [0.0, 1.0]", "terminal.coeffs = []"),
      "terminal"),
     (GOOD.replace("terminal.coeffs = [0.0, 1.0]", "terminal.coeffs = [[1, 2]]"),
@@ -284,6 +290,7 @@ UNION = ('set.type = union\nset.members = [{"type": "box", "lower": [0.0], '
                   "\ndriver.eps = 0.5\ndriver.g = [1.0]"),
      "driver.g must be a number or mapping"),
 ], ids=["sweep_on_union", "fk_in_dim_2", "eos_on_box", "martingale_past_grid",
+        "martingale_dim_x_2", "martingale_dim_b_2",
         "empty_coeffs", "nested_coeffs", "nan_coeff", "nan_x0", "nan_drift_const",
         "inf_drift_t", "nan_drift_lin", "nan_vol_const", "nan_vol_lin", "inf_T",
         "inf_t0", "nan_alpha", "nan_beta", "inf_gamma", "nan_g_x", "inf_g_eps",

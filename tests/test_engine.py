@@ -570,6 +570,16 @@ def ball_scenario(dim, n_paths=500, n_steps=10):
                        seed=12)
 
 
+def truncation(ens, s):
+    """The first ``s`` steps of ``ens`` as an ensemble built from arrays:
+    the increments up to step s and every node's states up to node s, on
+    the sub-grid that ends at node s."""
+    grid = ens.grid
+    return tb.PathEnsemble(tb.TimeGrid(grid.t0, grid.times[s], s), ens.n_paths,
+                           ens.seed, ens.increments[:, :s],
+                           ens.all_states()[:, :s + 1])
+
+
 LEAN_VARIANTS = {
     "ball_y_free": lambda: ball_scenario(2),
     "picard": lambda: layout_scenario(),
@@ -594,7 +604,7 @@ def test_lean_solve_equals_full_solve_bitwise(variant, data):
     if data == "terminal_values":
         kwargs["terminal_values"] = np.cos(ens.states[:, -1]).sum(axis=1)
     elif data == "truncated":
-        kwargs["paths"] = ens.truncated(6)
+        kwargs["paths"] = truncation(ens, 6)
     lean = tb.solve_theta_bsde(sc, **kwargs)
     full = tb.solve_theta_bsde(sc, keep=engine.KEEPABLE, **kwargs)
     assert np.array_equal(lean.Y, full.Y)
@@ -680,7 +690,19 @@ def test_sweep_rows_are_one_node_each(records):
     # is Z_{n-1}
     assert np.array_equal(rows[0][2], rows[1][2])
     assert [f.name for f in fields(engine.BackwardTrack)] == [
-        "scenario", "y", "accum", "z", "rec"]
+        "scenario", "y", "accum", "z", "f", "rec"]
+
+
+def test_a_sweep_needs_one_regression_degree():
+    # each node's design is built once, for every scenario
+    sc = driver_scenario(tb.ZeroDriver())
+    ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
+    sweep = engine.backward_sweep(
+        [replace(sc, regression_degree=3), replace(sc, regression_degree=2)],
+        ens)
+    with pytest.raises(EngineError, match=r"one sweep needs one "
+                                          r"regression_degree, got \[2, 3\]"):
+        next(sweep)
 
 
 def test_sweep_peak_does_not_grow_with_the_steps(traced_peak):
@@ -870,7 +892,7 @@ def test_non_finite_values_name_the_node(big, node):
 def fresh_copy(ens):
     """The same arrays on a new ensemble."""
     return tb.PathEnsemble(ens.grid, ens.n_paths, ens.seed, ens.increments,
-                           ens.states, ens.scheme)
+                           ens.states, ens.sde)
 
 
 def count_factorisations(monkeypatch):
@@ -948,11 +970,12 @@ def test_a_solve_leaves_its_ensemble_as_it_found_it(make_ens):
                          terminal=tb.Payoff([0.0, 1.0, 0.5]), grid=ens.grid,
                          n_paths=ens.n_paths, seed=0, **BASIS_VARIANTS[name])
         tb.solve_theta_bsde(sc, paths=ens, keep=engine.KEEPABLE)
-        tb.solve_theta_bsde(sc, paths=ens.truncated(4))
+        for _ in engine.backward_sweep([sc], ens, records=True):
+            pass
         assert pickle.dumps(ens) == before
 
 
-def test_a3_nested_solve_measures_its_own_nodes(monkeypatch):
+def test_a3_measures_each_node_once(monkeypatch):
     sc = driver_scenario(tb.AffineDriver(0.3, 0.5, [0.2]))
     solves = [0]
     solve = engine.solve_theta_bsde
@@ -963,9 +986,61 @@ def test_a3_nested_solve_measures_its_own_nodes(monkeypatch):
     monkeypatch.setattr(engine, "solve_theta_bsde", counted)
     calls = count_factorisations(monkeypatch)
     rep = axiom_check(sc, "A3_tower", {"s_index": 4})
-    assert solves[0] == 2 and rep["passed"]
-    # the nested solve on the truncated ensemble measures nodes 0..3 again
-    assert calls[0] == sc.grid.n_steps + 4
+    # the nested valuation is read off the one sweep: no solve, and no
+    # node below s is measured again
+    assert solves[0] == 0 and calls[0] == sc.grid.n_steps
+    assert rep["discrepancy"] == 0.0
+
+
+def test_a3_holds_no_full_y(traced_peak):
+    # 20k paths x 51 nodes: Y is 8 MB, and the check holds no row beyond
+    # the sweep's and its nested accumulator
+    sc = replace(driver_scenario(tb.AffineDriver(0.3, 0.5, [0.2])),
+                 n_paths=20_000, grid=tb.TimeGrid(0.0, 1.0, 50))
+    solve_peak, sol = traced_peak(tb.solve_theta_bsde, sc)
+    a3_peak, rep = traced_peak(axiom_check, sc, "A3_tower", {"s_index": 25})
+    assert rep["stderr"] > sol.stderr
+    assert a3_peak < solve_peak - 0.5 * sol.Y.nbytes, (a3_peak, solve_peak)
+
+
+def two_solve_a3(sc, s):
+    """A3 by its definition: the outer solve, then the nested solve from
+    node s, with terminal ``Y_s``, on the paths' first s steps."""
+    ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
+    sol = tb.solve_theta_bsde(sc, paths=ens)
+    if s == 0:
+        return {"axiom": "A3_tower", "passed": True, "discrepancy": 0.0,
+                "stderr": sol.stderr}
+    nested = tb.solve_theta_bsde(sc, paths=truncation(ens, s),
+                                 terminal_values=sol.Y[:, s])
+    disc = float(abs(nested.Y0 - sol.Y0))
+    stderr = float(np.hypot(sol.stderr, nested.stderr))
+    return {"axiom": "A3_tower", "passed": disc <= 3.0 * stderr + 1e-12,
+            "discrepancy": disc, "stderr": stderr}
+
+
+A3_SDE = make_sde(x0=[0.3], drift_const=[0.1], drift_lin=[[-0.5]],
+                  vol_const=[[0.8]], vol_lin=[[[0.1]]])
+
+
+@pytest.mark.parametrize("y_clip", [None, (-1.0, 0.6)],
+                         ids=["free", "clipped"])
+@pytest.mark.parametrize("variant", list(BASIS_VARIANTS))
+@pytest.mark.parametrize("n_steps", [10, 40])
+def test_a3_report_equals_its_two_solve_definition(n_steps, variant, y_clip):
+    sc = tb.Scenario(sde=A3_SDE, uset=UNIT_BOX, terminal=tb.Payoff([0.0, 1.0]),
+                     grid=tb.TimeGrid(0.0, 1.0, n_steps), n_paths=500, seed=7,
+                     y_clip=y_clip, **BASIS_VARIANTS[variant])
+    times = sc.grid.times
+    # a sub-grid whose dt rounds an ulp off the grid's steps its driver at
+    # other times and dt; the one sweep takes the grid's own
+    exact = [s for s in range(n_steps + 1)
+             if s == 0 or tb.TimeGrid(0.0, times[s], s).dt == sc.grid.dt]
+    assert len(exact) > n_steps // 2
+    for s in exact:
+        rep = axiom_check(sc, "A3_tower", {"s_index": s})
+        assert rep == two_solve_a3(sc, s), s
+        assert rep["discrepancy"] == 0.0
 
 
 @pytest.mark.parametrize("axiom, driver, params", [
@@ -1043,29 +1118,10 @@ def test_a1_a2_reports_equal_their_definition(seed, axiom, variant, y_clip,
 
 def test_simulated_paths_are_read_only():
     ens = tb.simulate_forward(make_sde(), tb.TimeGrid(0.0, 1.0, 5), 20, 1)
-    # checkpoints 0, 3 and 5: node 4 is stepped from node 3
-    sub, between = ens.truncated(3), ens.truncated(4)
     for a in (ens.states, ens.increments, ens.states.base,
-              ens.increments.base, sub.states, sub.increments,
-              between.states, between.states.base, between.increments):
+              ens.increments.base):
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0, 0] = 1.0
-
-
-@pytest.mark.parametrize("k", [-1, 0, 6])
-def test_truncated_needs_a_step_count_inside_the_grid(k):
-    ens = tb.simulate_forward(make_sde(), tb.TimeGrid(0.0, 1.0, 5), 20, 1)
-    with pytest.raises(EngineError, match=r"1 <= n_steps <= 5"):
-        ens.truncated(k)
-
-
-def test_truncated_keeps_the_leading_nodes():
-    ens = tb.simulate_forward(make_sde(), tb.TimeGrid(0.0, 1.0, 5), 20, 1)
-    for k in (1, 5):
-        sub = ens.truncated(k)
-        assert sub.grid.n_steps == k and sub.grid.dt == pytest.approx(ens.grid.dt)
-        assert np.array_equal(sub.all_states(), ens.all_states()[:, :k + 1])
-        assert np.array_equal(sub.increments, ens.increments[:, :k])
 
 
 # checkpointed paths ---------------------------------------------------------
@@ -1201,11 +1257,11 @@ def test_replays_and_truncations_rebuild_the_full_rows(n_steps):
     assert np.array_equal(ens.all_states(), full)
     backward = list(ens.replay())
     assert np.array_equal(np.stack(backward[::-1], axis=1), full)
+    # a truncation built from arrays holds every node and steps none
     for s in range(1, n_steps + 1):
-        sub = ens.truncated(s)
-        assert sub.checkpoints == [c for c in ens.checkpoints if c < s] + [s]
+        sub = truncation(ens, s)
+        assert sub.sde is None and sub.checkpoints == list(range(s + 1))
         assert np.array_equal(sub.all_states(), full[:, :s + 1])
-        assert np.array_equal(sub.increments, ens.increments[:, :s])
 
 
 def test_a_replay_reads_the_grid_times_once_per_segment(monkeypatch):
@@ -1253,9 +1309,9 @@ def test_euler_step_budget(monkeypatch):
                 sc, sde=replace(sc.sde, vol_lin=None))), n + rebuilt),
             (lambda: axiom_check(sc, "A2_translation", {"m": 1.0}),
              n + rebuilt),
-            # node 5 from node 4, then the nested sweep over 0, 4, 5
+            # one sweep: the nested valuation is read off its nodes
             (lambda: axiom_check(sc, "A3_tower", {"s_index": 5}),
-             n + rebuilt + 1 + 3),
+             n + rebuilt),
             (lambda: epsilon_sweep(replace(
                 sc, driver=tb.GLimitDriver(), uset=tb.Box([1.0], [2.0]),
                 terminal=tb.Payoff([0.0, 1.0], clamp=(0.0, 1.0))),
@@ -1303,8 +1359,8 @@ def test_path_ensemble_rejects_arrays_off_its_grid(arrays, field):
 def test_simulated_states_are_kept_only_at_checkpoints():
     ens = tb.simulate_forward(make_sde(), GRID_8, 50, 0)
     assert ens.checkpoints == [0, 3, 6, 8]
-    # every node given, with the scheme that keeps four of them
+    # every node given, with the sde whose ensembles keep four of them
     with pytest.raises(EngineError, match=r"^states has shape \(50, 9, 1\), "
                                           r"but .* need \(50, 4, dim\)"):
         tb.PathEnsemble(GRID_8, 50, 0, ens.increments, ens.all_states(),
-                        ens.scheme)
+                        ens.sde)

@@ -1,4 +1,5 @@
 import ast
+import builtins
 import importlib
 import importlib.util
 import inspect
@@ -87,52 +88,62 @@ def test_readme_config_example_validates(tmp_path, capsys):
     assert main(["validate", str(cfg)]) == 0, capsys.readouterr().err
 
 
+# what ``quoted_signature`` returns for a name that names nothing
+NAMES_NOTHING = object()
 LIBRARY = [importlib.import_module(f"thetabsde.{p.stem}")
            for p in sorted((ROOT / "src" / "thetabsde").glob("[!_]*.py"))]
 # `name(params)` in inline code, the name optionally dotted
 QUOTED_CALL = re.compile(r"`((?:[A-Za-z_]\w*\.)*[A-Za-z_]\w*)\(([^`]*)\)`")
 
 
-def library_signature(dotted):
-    """The signature of the thetabsde function or method that ``dotted``
-    names (``engine.backward_sweep``, ``_Basis.measure``, ``eos_demo``),
-    without ``self``; None when it names nothing of the library."""
+def quoted_signature(dotted):
+    """The signature that a quote of ``dotted`` must match: a thetabsde
+    function's or method's without ``self``, or a thetabsde class's
+    constructor's (``engine.backward_sweep``, ``_Basis.measure``,
+    ``TimeGrid``). None for a name outside the library, such as a builtin
+    or a numpy name under ``np``; ``NAMES_NOTHING`` when no such name
+    exists."""
     head, *rest = dotted.split(".")
+    owner, obj = None, vars(builtins).get(head, NAMES_NOTHING)
     for module in LIBRARY:
         if module.__name__ == f"thetabsde.{head}":
-            obj, owner = module, None
+            obj = module
         elif hasattr(module, head):
-            obj, owner = getattr(module, head), module
+            owner, obj = module, getattr(module, head)
         else:
             continue
-        for name in rest:
-            if not hasattr(obj, name):
-                return None
-            owner, obj = obj, getattr(obj, name)
-        if not (inspect.isroutine(obj)
-                and getattr(obj, "__module__", "").startswith("thetabsde")):
-            return None
-        sig = inspect.signature(obj)
-        if inspect.isclass(owner) and inspect.isfunction(
-                inspect.getattr_static(owner, rest[-1])):
-            sig = sig.replace(parameters=list(sig.parameters.values())[1:])
-        return sig
-    return None
+        break
+    for name in rest:
+        owner, obj = obj, getattr(obj, name, NAMES_NOTHING)
+    if obj is NAMES_NOTHING:
+        return obj
+    if not ((inspect.isroutine(obj) or inspect.isclass(obj))
+            and getattr(obj, "__module__", "").startswith("thetabsde")):
+        return None
+    sig = inspect.signature(obj)
+    if inspect.isclass(owner) and inspect.isfunction(
+            inspect.getattr_static(owner, rest[-1])):
+        sig = sig.replace(parameters=list(sig.parameters.values())[1:])
+    return sig
 
 
 def signature_problems(text):
     """The library calls quoted in ``text``, and how each quote differs
     from the real signature. A quote names every parameter in order, a
     defaulted one as ``name=default``; ``...`` stands for parameters left
-    out, or for a default not shown."""
+    out, or for a default not shown. A quoted name that names nothing is a
+    problem too."""
     text = re.sub(r"```.*?```", "", text, flags=re.S)  # fenced blocks
     checked, problems = [], []
     for dotted, params in QUOTED_CALL.findall(text):
-        sig = library_signature(dotted)
+        sig = quoted_signature(dotted)
         if sig is None:
             continue
         quote = f"{dotted}({params})"
         checked.append(dotted)
+        if sig is NAMES_NOTHING:
+            problems.append(f"{quote}: nothing is named {dotted}")
+            continue
         call = ast.parse(f"f({params})", mode="eval").body
         elided = any(isinstance(a, ast.Constant) and a.value is Ellipsis
                      for a in call.args)
@@ -169,8 +180,13 @@ def test_readme_signatures_are_the_library_ones():
     "_Basis.measure(X_i, degree)",
     "solve_theta_bsde(..., records=...)",
     "eos_demo(scenario, gap_threshold=0.1)",
+    "EulerScheme(sde, gird)",
+    "TimeGrid(t0, T, steps)",
+    "PathEnsemble.forward_replay()",
+    "engine.design_matrix(X)",
 ], ids=["stale_name", "defaults_not_shown", "out_of_order", "renamed",
-        "elided_unknown", "wrong_default"])
+        "elided_unknown", "wrong_default", "class_gone",
+        "class_parameter_renamed", "method_gone", "module_name_gone"])
 def test_a_stale_signature_is_named(quote):
     checked, problems = signature_problems(f"see `{quote}` here")
     assert len(checked) == 1 and problems, problems
