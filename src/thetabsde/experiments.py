@@ -279,10 +279,11 @@ def run_scenario(cfg, out_dir, paths_dump=False):
         ok = abs(sum(res.member_occupancy) - 1.0) <= 1e-12
 
     elif kind == "theta_bm":
-        ens = simulate_theta_bm(sc.driver, sc.uset, sc.grid, sc.n_paths, sc.seed)
-        realized_qv = np.sum(np.diff(ens.b_theta, axis=1) ** 2, axis=1)
-        summary.update(final_mean=float(np.mean(ens.b_theta[:, -1])),
-                       final_var=float(np.var(ens.b_theta[:, -1])),
+        b = simulate_theta_bm(sc.driver, sc.uset, sc.grid, sc.n_paths,
+                              sc.seed).states[:, :, 0]
+        realized_qv = np.sum(np.diff(b, axis=1) ** 2, axis=1)
+        summary.update(final_mean=float(np.mean(b[:, -1])),
+                       final_var=float(np.var(b[:, -1])),
                        realized_qv_mean=float(np.mean(realized_qv)))
 
     elif kind == "theta_qv":

@@ -12,20 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambient import as_integer, as_number
-from .drivers import effective_driver
-from .engine import (EngineError, PathEnsemble, TimeGrid, brownian_increments,
-                     solve_theta_bsde)
-
-
-@dataclass
-class ThetaEnsemble:
-    """Per-path arrays are path-major transpose views of node-major
-    buffers, as on ``PathEnsemble``."""
-
-    grid: object
-    b_theta: np.ndarray       # (n_paths, n_steps + 1)
-    increments: np.ndarray    # (n_paths, n_steps, 1)
-    drift_record: np.ndarray  # (n_paths, n_steps) values of F_max(t, b, 1)
+from .drivers import ZeroDriver, effective_driver
+from .engine import (EngineError, PathEnsemble, TimeGrid, backward_sweep,
+                     brownian_increments)
 
 
 def check_theta_driver(driver, uset, dim):
@@ -36,32 +25,31 @@ def check_theta_driver(driver, uset, dim):
 
 
 def simulate_theta_bm(driver, uset, grid, n_paths, seed):
-    """Euler scheme for the scalar drift-corrected Brownian motion."""
+    """Euler scheme for the scalar drift-corrected Brownian motion: a
+    ``PathEnsemble`` built from arrays, so it holds b at every node, with
+    b = ``states[:, :, 0]``. Under ``ZeroDriver`` b is bitwise the running
+    sum of the increments, plain Brownian motion."""
     check_theta_driver(driver, uset, 1)
     dB = brownian_increments(grid, n_paths, seed, 1)
     n_paths = len(dB)
     steps = dB[:, :, 0].T
-    n = grid.n_steps
     dt = grid.dt
     times = grid.times
-    b = np.zeros((n + 1, n_paths))
-    drift = np.empty((n, n_paths))
+    b = np.zeros((grid.n_steps + 1, n_paths, 1))
     ones = np.ones((n_paths, 1))
-    for i in range(n):
-        f = effective_driver(driver, uset, times[i], b[i, :, None], b[i], ones)
-        drift[i] = f
-        b[i + 1] = b[i] - f * dt + steps[i]
+    for i in range(grid.n_steps):
+        f = effective_driver(driver, uset, times[i], b[i], b[i, :, 0], ones)
+        b[i + 1, :, 0] = b[i, :, 0] - f * dt + steps[i]
     if not np.all(np.isfinite(b)):
         raise EngineError("drift-corrected simulation produced non-finite values")
-    return ThetaEnsemble(grid=grid, b_theta=b.T, increments=dB,
-                         drift_record=drift.T)
+    b.flags.writeable = False
+    return PathEnsemble(grid, n_paths, int(seed), dB, np.swapaxes(b, 0, 1))
 
 
 @dataclass
 class QvPath:
     """``qv`` and ``m_path`` are transpose views of node-major buffers."""
 
-    grid: object
     qv: np.ndarray        # (n_paths, n_steps + 1)
     m_path: np.ndarray    # |B_t|^2 - qv_t per path and node
     monotone: np.ndarray  # (n_paths,) integrand stayed >= 0 along the path
@@ -89,7 +77,7 @@ def integrate_theta_qv(driver, uset, grid, B):
         integrand = d + f
         monotone &= integrand >= 0
         qv[i + 1] = qv[i] + integrand * dt
-    return QvPath(grid=grid, qv=qv.T, m_path=(norms - qv).T, monotone=monotone)
+    return QvPath(qv=qv.T, m_path=(norms - qv).T, monotone=monotone)
 
 
 def check_martingale(scenario, process, t_index, s_index, c):
@@ -112,38 +100,37 @@ def check_martingale(scenario, process, t_index, s_index, c):
 def verify_theta_martingale(scenario_base, process, t_index, s_index, c=1.0):
     """Check M_t = E_t[M_s] numerically for one of the canonical processes.
 
-    ``process`` is "theta_bm", "m_qv" or "linear_bm"; the latter uses
-    M = c * B and additionally reports the effective-driver value
-    F_max(t, c*B_t, c) whose deviation from zero explains a failure.
-    E_t[M_s] is computed by solving the backward equation on [t, s] with
-    per-path terminal M_s; at t_index 0 the conditioning is exact.
+    ``process`` is "theta_bm", "m_qv" or "linear_bm"; the latter two run on
+    plain Brownian paths, the first on the drift-corrected ones, and
+    "linear_bm" uses M = c * B and additionally reports the effective-driver
+    value F_max(t, c*B_t, c) whose deviation from zero explains a failure.
+    E_t[M_s] is node t of one backward sweep over nodes s, ..., t of the
+    paths, with per-path terminal M_s; at t_index 0 the conditioning is
+    exact.
     """
     sc = scenario_base
     t_index, s_index, c = check_martingale(sc, process, t_index, s_index, c)
+    driver = sc.driver if process == "theta_bm" else ZeroDriver()
+    ens = simulate_theta_bm(driver, sc.uset, sc.grid, sc.n_paths, sc.seed)
+    B = ens.states[:, :, 0]
     if process == "theta_bm":
-        ens_th = simulate_theta_bm(sc.driver, sc.uset, sc.grid, sc.n_paths, sc.seed)
-        B = ens_th.b_theta
-        dB = ens_th.increments
         M = B
+    elif process == "linear_bm":
+        M = c * B
     else:
-        # plain Brownian paths; d = 1 throughout the verification fixtures
-        dB = brownian_increments(sc.grid, sc.n_paths, sc.seed, 1)
-        B = np.concatenate([np.zeros((1, sc.n_paths)),
-                            np.cumsum(dB[:, :, 0].T, axis=0)]).T
-        if process == "linear_bm":
-            M = c * B
-        else:
-            M = integrate_theta_qv(sc.driver, sc.uset, sc.grid,
-                                   B[:, :, None]).m_path
+        M = integrate_theta_qv(sc.driver, sc.uset, sc.grid, ens.states).m_path
 
-    times = sc.grid.times
-    sub_grid = TimeGrid(times[t_index], times[s_index], s_index - t_index)
-    # reuse the realized driving noise on the [t, s] window
-    sub = PathEnsemble(sub_grid, sc.n_paths, sc.seed,
-                       dB[:, t_index:s_index],
-                       B[:, t_index:s_index + 1, None])
-    sol = solve_theta_bsde(sc, paths=sub, terminal_values=M[:, s_index])
-    diff = M[:, t_index] - sol.Y[:, 0]
+    if s_index < sc.grid.n_steps:
+        # the leading nodes 0, ..., s of the same paths (ROADMAP item 4:
+        # this grid's dt can be an ulp off the parent's)
+        prefix = TimeGrid(sc.grid.t0, sc.grid.times[s_index], s_index)
+        ens = PathEnsemble(prefix, ens.n_paths, ens.seed,
+                           ens.increments[:, :s_index],
+                           ens.states[:, :s_index + 1])
+    for i, _, _, (track,) in backward_sweep([sc], ens, M[:, s_index]):
+        if i == t_index:
+            break
+    diff = M[:, t_index] - track.y
     # sampling scale of the window increment, not of the (possibly
     # cross-path-constant) residual itself
     stderr = float(np.std(M[:, s_index] - M[:, t_index]) / np.sqrt(sc.n_paths))

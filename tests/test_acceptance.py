@@ -190,12 +190,13 @@ def test_c7_theta_calculus():
     ens = simulate_theta_bm(tb.ZeroDriver(), UNIT_BOX, grid, 500, 7)
     B = np.concatenate([np.zeros((500, 1)),
                         np.cumsum(ens.increments[:, :, 0], axis=1)], axis=1)
-    bit_exact = np.array_equal(ens.b_theta, B)
+    bit_exact = np.array_equal(ens.states[:, :, 0], B)
 
     fine = tb.TimeGrid(0.0, 1.0, 10_000)
     ens = simulate_theta_bm(tb.AffineDriver(0.5, 0.0, [0.0]), UNIT_BOX,
                             fine, 1000, 7)
-    qv_realized = np.mean(np.sum(np.diff(ens.b_theta, axis=1) ** 2, axis=1))
+    qv_realized = np.mean(np.sum(np.diff(ens.states[:, :, 0], axis=1) ** 2,
+                                 axis=1))
     qv_ok = abs(qv_realized - 1.0) <= 0.05
 
     B2 = np.cumsum(np.random.default_rng(8).standard_normal((51, 2))

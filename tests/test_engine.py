@@ -1003,6 +1003,18 @@ def test_a3_holds_no_full_y(traced_peak):
     assert a3_peak < solve_peak - 0.5 * sol.Y.nbytes, (a3_peak, solve_peak)
 
 
+def test_normalization_holds_no_full_y(traced_peak):
+    # 20k paths x 51 nodes: Y is 8 MB, and the check keeps only the
+    # largest |y - m| of the nodes the sweep has yielded
+    sc = replace(driver_scenario(tb.AffineDriver(0.3, 0.5, [0.2])),
+                 n_paths=20_000, grid=tb.TimeGrid(0.0, 1.0, 50))
+    solve_peak, sol = traced_peak(tb.solve_theta_bsde,
+                                  replace(sc, terminal=tb.Payoff([1.5])))
+    peak, rep = traced_peak(axiom_check, sc, "normalization", {"m": 1.5})
+    assert rep["discrepancy"] == float(np.max(np.abs(sol.Y - 1.5)))
+    assert peak < solve_peak - 0.5 * sol.Y.nbytes, (peak, solve_peak)
+
+
 def two_solve_a3(sc, s):
     """A3 by its definition: the outer solve, then the nested solve from
     node s, with terminal ``Y_s``, on the paths' first s steps."""

@@ -27,8 +27,7 @@ def base_scenario(driver, n_paths=2000, n_steps=20, seed=7):
 def test_zero_driver_bm_is_plain_bm_bitwise():
     grid = tb.TimeGrid(0.0, 1.0, 50)
     ens = simulate_theta_bm(tb.ZeroDriver(), UNIT_BOX, grid, 200, 1)
-    assert np.array_equal(ens.b_theta, brownian_from(ens))
-    assert np.all(ens.drift_record == 0.0)
+    assert np.array_equal(ens.states[:, :, 0], brownian_from(ens))
 
 
 def test_constant_drift_exact():
@@ -36,14 +35,14 @@ def test_constant_drift_exact():
     c = 0.7
     ens = simulate_theta_bm(tb.AffineDriver(c, 0.0, [0.0]), UNIT_BOX, grid, 100, 2)
     expected = brownian_from(ens) - c * grid.times
-    assert np.allclose(ens.b_theta, expected, atol=1e-12)
+    assert np.allclose(ens.states[:, :, 0], expected, atol=1e-12)
 
 
 def test_realized_quadratic_variation_is_t():
     grid = tb.TimeGrid(0.0, 1.0, 10_000)
     ens = simulate_theta_bm(tb.AffineDriver(0.5, 0.0, [0.0]), UNIT_BOX,
                             grid, 1000, 3)
-    qv = np.sum(np.diff(ens.b_theta, axis=1) ** 2, axis=1)
+    qv = np.sum(np.diff(ens.states[:, :, 0], axis=1) ** 2, axis=1)
     assert abs(np.mean(qv) - 1.0) <= 0.05
 
 
@@ -179,13 +178,38 @@ def test_martingale_window_is_solved_on_its_own_times():
         assert rep["residual"] == pytest.approx(expected, rel=1e-9)
 
 
+def test_martingale_windows_to_n_are_the_solve_on_the_same_paths():
+    # window (t, n) is node t of one sweep on the scenario's own grid, so
+    # it reads the solve's Y_t bitwise however the driver depends on t and y
+    drv = tb.RegularizedProjectionDriver(
+        h=tb.StateFn(c0=0.0, c_t=0.7, c_y=0.2),
+        G=tb.StateFn(c0=np.array([0.3]), C_z=[[0.5]]), eps=0.3)
+    sc = base_scenario(drv, n_paths=500, n_steps=20)
+    ens = simulate_theta_bm(tb.ZeroDriver(), UNIT_BOX, sc.grid, sc.n_paths,
+                            sc.seed)
+    B = ens.states[:, :, 0]
+    Y = tb.solve_theta_bsde(sc, paths=ens, terminal_values=B[:, -1]).Y
+    for t in range(sc.grid.n_steps):
+        rep = verify_theta_martingale(sc, "linear_bm", t, sc.grid.n_steps)
+        assert rep["residual"] == float(np.mean(np.abs(B[:, t] - Y[:, t]))), t
+
+
+def test_theta_bm_holds_its_paths_and_nothing_beside_them(traced_peak):
+    # 20k paths x 50 steps: b and dB are 8 MB each, and no other
+    # (n_steps, n_paths) buffer is held
+    grid = tb.TimeGrid(0.0, 1.0, 50)
+    peak, ens = traced_peak(simulate_theta_bm,
+                            tb.AffineDriver(0.5, 0.0, [0.0]), UNIT_BOX, grid,
+                            20_000, 7)
+    held = ens.states.nbytes + ens.increments.nbytes
+    assert peak <= held + 0.5 * ens.states.nbytes, (peak, held)
+
+
 def test_theta_paths_are_stored_node_major():
     grid = tb.TimeGrid(0.0, 1.0, 10)
     ens = simulate_theta_bm(tb.AffineDriver(0.5, 0.0, [0.0]), UNIT_BOX, grid, 100, 3)
-    qv = integrate_theta_qv(tb.ZeroDriver(), UNIT_BOX, grid, ens.b_theta[:, :, None])
-    assert ens.b_theta.shape == qv.qv.shape == qv.m_path.shape == (100, 11)
+    b = ens.states[:, :, 0]
+    qv = integrate_theta_qv(tb.ZeroDriver(), UNIT_BOX, grid, ens.states)
+    assert b.shape == qv.qv.shape == qv.m_path.shape == (100, 11)
     for i in range(grid.n_steps + 1):
-        rows = [ens.b_theta, qv.qv, qv.m_path]
-        if i < grid.n_steps:
-            rows.append(ens.drift_record)
-        assert all(a[:, i].flags.c_contiguous for a in rows)
+        assert all(a[:, i].flags.c_contiguous for a in (b, qv.qv, qv.m_path))
