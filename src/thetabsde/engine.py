@@ -297,11 +297,12 @@ class Scenario:
 class BsdeSolution:
     """Solution ensembles; every per-path array is the path-major transpose
     view of a node-major buffer, so ``Y[:, i]`` is one contiguous row.
-    ``Y`` is always kept; the other arrays are None unless the solve was
-    asked to keep them (``A`` also needs a driver with an argmax)."""
+    Each array is None unless the solve was asked to keep it (``A`` also
+    needs a driver with an argmax); ``Y0``, ``stderr`` and ``diagnostics``
+    are always there."""
 
     grid: TimeGrid
-    Y: np.ndarray                 # (n_paths, n_steps + 1)
+    Y: Optional[np.ndarray]       # (n_paths, n_steps + 1)
     Z: Optional[np.ndarray]       # (n_paths, n_steps + 1, dim_b)
     A: Optional[np.ndarray]       # (n_paths, n_steps + 1, dim_a)
     Y0: float
@@ -310,7 +311,7 @@ class BsdeSolution:
 
 
 # per-node records that solve_theta_bsde can keep for every node
-KEEPABLE = ("Z", "A")
+KEEPABLE = ("Y", "Z", "A")
 
 
 # Design condition number (2-norm) above which the normal equations would
@@ -318,16 +319,18 @@ KEEPABLE = ("Z", "A")
 _MAX_CONDITION = 1e6
 
 
-def _monomial_rows(Xi, degree):
+def _monomial_rows(Xi, degree, rows=None):
     """The constant and every monomial of ``Xi`` up to ``degree``, raw, as
-    the rows of one (k, n) array. Built feature-major: each monomial is its
-    parent (the same index tuple less its last entry) times one coordinate,
-    so every operation runs on a contiguous row."""
+    the rows of one (k, n) array, k = comb(dim_x + degree, degree): of
+    ``rows`` when given, else a fresh one. Built feature-major: each
+    monomial is its parent (the same index tuple less its last entry)
+    times one coordinate, so every operation runs on a contiguous row."""
     n, dim_x = Xi.shape
     coords = np.ascontiguousarray(Xi.T)
     monomials = [c for total in range(1, degree + 1)
                  for c in itertools.combinations_with_replacement(range(dim_x), total)]
-    rows = np.empty((len(monomials) + 1, n))
+    if rows is None:
+        rows = np.empty((len(monomials) + 1, n))
     rows[0] = 1.0
     row_of = {(): 0}
     for r, c in enumerate(monomials, start=1):
@@ -350,12 +353,13 @@ class _Basis:
     condition: float
 
     @classmethod
-    def measure(cls, Xi, degree):
-        """The record of states ``Xi`` and its design. Each monomial's mean
-        and sd are measured on one (n,) scratch row, bitwise ``np.mean`` and
-        ``np.std``, and the raw rows become the design in place: a (k, n)
-        temporary at every node would cost fresh pages."""
-        rows = _monomial_rows(Xi, degree)
+    def measure(cls, Xi, degree, rows=None):
+        """The record of states ``Xi`` and its design, a view of ``rows``
+        (see ``_monomial_rows``). Each monomial's mean and sd are measured
+        on one (n,) scratch row, bitwise ``np.mean`` and ``np.std``, and
+        the raw rows become the design in place: a (k, n) temporary at
+        every node would cost fresh pages."""
+        rows = _monomial_rows(Xi, degree, rows)
         n = len(Xi)
         sq = np.empty(n)
         k = 0
@@ -436,11 +440,12 @@ def backward_sweep(scenarios, paths, terminal_values=None, records=False):
     y-free driver's one Picard pass computes it, and node n and each node
     of a y-dependent driver take one more maximizer call.
 
-    Each node's design is built once, and every scenario fits its own
-    ``E[Y_{i+1} | X_i]`` and ``Z_i`` on it, so the scenarios must share
-    ``regression_degree``. Each keeps its own driver, set, terminal,
-    Picard count and ``y_clip``. ``terminal_values`` applies to every
-    scenario, as in ``solve_theta_bsde``.
+    Each node's design is built once, in the sweep's one design buffer,
+    and every scenario fits its own ``E[Y_{i+1} | X_i]`` and ``Z_i`` on
+    it, so the scenarios must share ``regression_degree``. Each keeps its
+    own driver, set, terminal, Picard count and ``y_clip``.
+    ``terminal_values`` applies to every scenario, as in
+    ``solve_theta_bsde``.
     """
     degrees = {sc.regression_degree for sc in scenarios}
     if len(degrees) != 1:
@@ -497,9 +502,12 @@ def backward_sweep(scenarios, paths, terminal_values=None, records=False):
         tracks.append(BackwardTrack(sc, y, y.copy()))
     y_free = [not sc.driver.depends_on_y() for sc in scenarios]
     wants_rec = [records and sc.driver.has_argmax for sc in scenarios]
+    # every node's design is built over the last one's, which no fit reads
+    # any more: a fresh (k, n_paths) block per node would cost fresh pages
+    rows = np.empty((math.comb(x_n.shape[1] + degree, degree), n_paths))
 
     for i, x in zip(range(n - 1, -1, -1), states):
-        basis, design = _Basis.measure(x, degree)
+        basis, design = _Basis.measure(x, degree, rows)
         # the previous node's rows are freed once read, as a single solve
         # frees them; held through the fits, they fragment the heap and
         # raise peak RSS
@@ -539,7 +547,8 @@ def backward_sweep(scenarios, paths, terminal_values=None, records=False):
         yield i, x, basis, tracks
 
 
-def solve_theta_bsde(scenario, paths=None, terminal_values=None, keep=()):
+def solve_theta_bsde(scenario, paths=None, terminal_values=None,
+                     keep=("Y",)):
     """Backward regression sweep; returns the solution ensembles.
 
     Each node's ``Y`` is the fixed point of ``y -> E[Y_{i+1} | X_i] + dt *
@@ -550,12 +559,12 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None, keep=()):
 
     ``paths`` reuses a pre-simulated ensemble (common-path experiments);
     ``terminal_values`` overrides the payoff with per-path terminal data.
-    The solution holds ``Y`` for every node; each node's ``Z`` and
-    maximizer live only for that node's step, unless ``keep`` (a subset of
-    ``KEEPABLE``) names them: "Z" and "A" (the maximizer's point at the
-    final ``Y_i``) are then kept for every node. This is ``backward_sweep``
-    over the one scenario, copying each yielded node's rows into what
-    ``keep`` names.
+    Each node's ``Y``, ``Z`` and maximizer live only for that node's
+    step, unless ``keep`` (a subset of ``KEEPABLE``) names them: "Y", "Z"
+    and "A" (the maximizer's point at the final ``Y_i``) are then kept for
+    every node. ``Y0``, its stderr and the diagnostics need none of them.
+    This is ``backward_sweep`` over the one scenario, copying each yielded
+    node's rows into what ``keep`` names.
     """
     # one name on its own is a name, not a sequence of letters
     keep = {keep} if isinstance(keep, str) else set(keep)
@@ -566,25 +575,28 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None, keep=()):
     ens = paths if paths is not None else simulate_forward(
         sc.sde, sc.grid, sc.n_paths, sc.seed)
     n, n_paths = ens.grid.n_steps, ens.n_paths
-    Y = np.empty((n + 1, n_paths))
+    Y = np.empty((n + 1, n_paths)) if "Y" in keep else None
     Z = np.empty((n + 1, n_paths, sc.sde.dim_b)) if "Z" in keep else None
     A = (np.empty((n + 1, n_paths, sc.uset.dim))
          if sc.driver.has_argmax and "A" in keep else None)
 
-    bases = []
+    # a condition number is at least 1
+    max_condition, fallbacks = 0.0, 0
     for i, _, basis, (track,) in backward_sweep([sc], ens, terminal_values,
                                                 A is not None):
-        Y[i] = track.y
+        if Y is not None:
+            Y[i] = track.y
         if Z is not None:
             Z[i] = track.z
         if A is not None:
             A[i] = track.rec.point
         if basis is not None:
-            bases.append(basis)
+            max_condition = max(max_condition, basis.condition)
+            fallbacks += basis.chol is None
 
     diagnostics = {
-        "max_condition": max(b.condition for b in bases),
-        "lstsq_fallbacks": sum(b.chol is None for b in bases),
+        "max_condition": max_condition,
+        "lstsq_fallbacks": fallbacks,
         "degenerate_argmax": sc.driver.has_argmax and sc.driver.query is None,
         "unsound_for_existence": sc.driver.unsound_for_existence(sc.uset),
     }
@@ -606,6 +618,8 @@ def theta_expectation(solution, t_index):
     t_index = as_integer(EngineError, t_index, "t_index")
     if not 0 <= t_index <= solution.grid.n_steps:
         raise EngineError("t_index outside the grid")
+    if solution.Y is None:
+        raise EngineError('the solution holds no Y: solve with "Y" in keep')
     return float(np.mean(solution.Y[:, t_index]))
 
 

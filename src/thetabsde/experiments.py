@@ -15,8 +15,8 @@ from . import __version__
 from .ambient import as_number, row_sq
 from .drivers import (GLimitDriver, GRegularizedDriver,
                       RegularizedProjectionDriver, is_convex)
-from .engine import (axiom_check, backward_sweep, simulate_forward,
-                     solve_theta_bsde)
+from .engine import (KEEPABLE, axiom_check, backward_sweep,
+                     simulate_forward, solve_theta_bsde)
 from .pde import feynman_kac_compare, solve_pde
 from .sets import UnionSet
 from .theta import integrate_theta_qv, simulate_theta_bm, verify_theta_martingale
@@ -249,7 +249,7 @@ def run_scenario(cfg, out_dir, paths_dump=False):
     sc, params = cfg.scenario, cfg.params
 
     if kind == "solve":
-        sol = solve_theta_bsde(sc, keep=("Z", "A") if paths_dump else ())
+        sol = solve_theta_bsde(sc, keep=KEEPABLE if paths_dump else ())
         summary.update(y0=sol.Y0, stderr=sol.stderr,
                        diagnostics=sol.diagnostics)
         if paths_dump:

@@ -55,7 +55,7 @@ def test_zero_driver_constant_terminal():
     grid = tb.TimeGrid(0.0, 1.0, 20)
     sc = tb.Scenario(sde=make_sde(), driver=tb.ZeroDriver(), uset=UNIT_BOX,
                      terminal=tb.Payoff([3.0]), grid=grid, n_paths=10_000, seed=3)
-    sol = tb.solve_theta_bsde(sc, keep=("Z",))
+    sol = tb.solve_theta_bsde(sc, keep=("Y", "Z"))
     assert np.allclose(sol.Y, 3.0, atol=1e-10)
     assert np.max(np.abs(sol.Z)) <= 5e-3
 
@@ -109,7 +109,7 @@ def test_recorded_maximizers_are_feasible_and_optimal():
                      terminal=tb.Payoff([0.0, 1.0]), grid=grid,
                      n_paths=500, seed=6)
     ens = tb.simulate_forward(sc.sde, grid, sc.n_paths, sc.seed)
-    sol = tb.solve_theta_bsde(sc, paths=ens, keep=("Z", "A"))
+    sol = tb.solve_theta_bsde(sc, paths=ens, keep=("Y", "Z", "A"))
     assert uset.project_batch(sol.A.reshape(-1, uset.dim)).distance.max() <= 1e-9
     # G = 2z moves the query on a union: the argmax may jump at any eps
     assert sol.diagnostics["unsound_for_existence"] is True
@@ -133,8 +133,8 @@ def test_solution_determinism_bit_identical():
     sc = tb.Scenario(sde=make_sde(), driver=tb.AffineDriver(0.1, 0.2, [0.3]),
                      uset=UNIT_BOX, terminal=tb.Payoff([0.0, 0.0, 1.0]),
                      grid=grid, n_paths=2000, seed=11)
-    s1 = tb.solve_theta_bsde(sc, keep=("Z", "A"))
-    s2 = tb.solve_theta_bsde(sc, keep=("Z", "A"))
+    s1 = tb.solve_theta_bsde(sc, keep=("Y", "Z", "A"))
+    s2 = tb.solve_theta_bsde(sc, keep=("Y", "Z", "A"))
     assert np.array_equal(s1.Y, s2.Y)
     assert np.array_equal(s1.Z, s2.Z)
     assert np.array_equal(s1.A, s2.A)
@@ -335,7 +335,7 @@ def test_collinear_design_falls_back_to_lstsq():
     sc = tb.Scenario(sde=make_sde(), driver=tb.AffineDriver(0.1, 0.0, [0.2]),
                      uset=UNIT_BOX, terminal=tb.Payoff([0.0, 1.0]), grid=grid,
                      n_paths=n_paths, seed=0)
-    sol = tb.solve_theta_bsde(sc, paths=ens, keep=("Z",))
+    sol = tb.solve_theta_bsde(sc, paths=ens, keep=("Y", "Z"))
     assert sol.diagnostics["lstsq_fallbacks"] == 8
     assert np.all(np.isfinite(sol.Y)) and np.all(np.isfinite(sol.Z))
 
@@ -428,6 +428,16 @@ def test_theta_expectation_takes_an_integer_node(t_index):
     assert tb.theta_expectation(sol, 1.0) == tb.theta_expectation(sol, 1)
 
 
+def test_theta_expectation_needs_a_kept_y():
+    # a solution that holds no Y raised a bare TypeError
+    sc = driver_scenario(tb.ZeroDriver())
+    for keep in ((), ("Z", "A")):
+        sol = tb.solve_theta_bsde(sc, keep=keep)
+        assert sol.Y is None
+        with pytest.raises(EngineError, match='"Y" in keep'):
+            tb.theta_expectation(sol, 0)
+
+
 def test_y_independent_driver_is_evaluated_once_per_node(monkeypatch):
     calls = count_driver_calls(monkeypatch)
     G = tb.StateFn(c0=np.array([0.0]), C_z=[[1.0]])
@@ -462,9 +472,9 @@ def test_single_evaluation_equals_picard_bitwise(monkeypatch, driver):
     uset = tb.Box([1.0], [2.0]) if isinstance(driver, tb.GRegularizedDriver) \
         else tb.UnionSet([tb.Box([0.0], [1.0]), tb.Box([3.0], [4.0])])
     sc = driver_scenario(driver, uset=uset, y_clip=(-0.5, 0.8))
-    fast = tb.solve_theta_bsde(sc, keep=("Z", "A"))
+    fast = tb.solve_theta_bsde(sc, keep=("Y", "Z", "A"))
     monkeypatch.setattr(driver, "depends_on_y", lambda: True)
-    slow = tb.solve_theta_bsde(sc, keep=("Z", "A"))
+    slow = tb.solve_theta_bsde(sc, keep=("Y", "Z", "A"))
     for a, b in ((fast.Y, slow.Y), (fast.Z, slow.Z), (fast.A, slow.A)):
         assert np.array_equal(a, b)
     assert (fast.Y0, fast.stderr) == (slow.Y0, slow.stderr)
@@ -522,7 +532,7 @@ def test_sweep_records_the_maximizer_projection():
     sc = driver_scenario(
         tb.RegularizedProjectionDriver(h=tb.StateFn(c0=0.0), G=G, eps=0.3),
         uset=uset)
-    sol = tb.solve_theta_bsde(sc, keep=("Z", "A"))
+    sol = tb.solve_theta_bsde(sc, keep=("Y", "Z", "A"))
     _, rows = sweep_rows(sc, records=True)
     members = set()
     # the y-free query depends on z only, so re-projecting it node by node
@@ -617,7 +627,7 @@ def test_lean_solve_equals_full_solve_bitwise(variant, data):
 
 def test_keep_rejects_unknown_names():
     sc = driver_scenario(tb.ZeroDriver())
-    for keep in (("Z", "Y"), ("member_index",), ("projection",), "ZA"):
+    for keep in (("Z", "X"), ("member_index",), ("projection",), "ZA"):
         with pytest.raises(EngineError, match="cannot keep"):
             tb.solve_theta_bsde(sc, keep=keep)
     assert tb.solve_theta_bsde(sc, keep="Z").Z is not None
@@ -651,6 +661,22 @@ def test_lean_solve_holds_no_full_z_or_a(traced_peak):
                                   keep=engine.KEEPABLE)
     kept = full.Z.nbytes + full.A.nbytes
     assert full_peak - lean_peak >= 0.9 * kept, (lean_peak, full_peak, kept)
+
+
+def test_lean_solve_holds_no_full_y(traced_peak):
+    # 20k paths x 21 nodes in dim 3: Y is 3.4 MB, which Y0, its stderr and
+    # the diagnostics never read
+    sc = ball_scenario(3, n_paths=20_000, n_steps=20)
+    ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
+    tb.solve_theta_bsde(sc, paths=ens)  # measures the bases outside the trace
+    lean_peak, lean = traced_peak(tb.solve_theta_bsde, sc, paths=ens, keep=())
+    kept_peak, kept = traced_peak(tb.solve_theta_bsde, sc, paths=ens,
+                                  keep=("Y",))
+    assert (lean.Y, lean.Z, lean.A) == (None, None, None)
+    assert (lean.Y0, lean.stderr) == (kept.Y0, kept.stderr)
+    assert lean.diagnostics == kept.diagnostics
+    assert kept_peak - lean_peak >= 0.9 * kept.Y.nbytes, (
+        lean_peak, kept_peak, kept.Y.nbytes)
 
 
 # the backward sweep's rows --------------------------------------------------
@@ -944,8 +970,9 @@ def test_solves_on_a_shared_ensemble_equal_solves_on_fresh_copies(make_ens,
         sc = tb.Scenario(sde=make_sde(), uset=UNIT_BOX,
                          terminal=tb.Payoff([0.0, 1.0, 0.5]), grid=ens.grid,
                          n_paths=ens.n_paths, seed=0, **BASIS_VARIANTS[name])
-        got = tb.solve_theta_bsde(sc, paths=shared, keep=("Z", "A"))
-        ref = tb.solve_theta_bsde(sc, paths=fresh_copy(ens), keep=("Z", "A"))
+        got = tb.solve_theta_bsde(sc, paths=shared, keep=engine.KEEPABLE)
+        ref = tb.solve_theta_bsde(sc, paths=fresh_copy(ens),
+                                  keep=engine.KEEPABLE)
         for a, b in ((got.Y, ref.Y), (got.Z, ref.Z)):
             assert np.array_equal(a, b)
         assert (got.A is None) == (ref.A is None)
@@ -973,6 +1000,40 @@ def test_a_solve_leaves_its_ensemble_as_it_found_it(make_ens):
         for _ in engine.backward_sweep([sc], ens, records=True):
             pass
         assert pickle.dumps(ens) == before
+
+
+@pytest.mark.parametrize("make_ens", [
+    lambda: tb.simulate_forward(make_sde(), tb.TimeGrid(0.0, 1.0, 10), 400, 3),
+    collinear_ensemble,
+], ids=["simulated", "collinear"])
+def test_a_sweep_builds_every_design_in_one_buffer(monkeypatch, make_ens):
+    # a fresh (k, n_paths) design per node cost fresh pages at every node;
+    # the shared buffer must give the same bits as a fresh one
+    ens = make_ens()
+    measure = engine._Basis.measure
+    seen = []
+
+    def spied(*args):
+        basis, design = measure(*args)
+        seen.append((args[0].copy(), basis, design, design.copy()))
+        return basis, design
+    monkeypatch.setattr(engine._Basis, "measure", spied)
+    scenarios = [tb.Scenario(sde=make_sde(), driver=driver, uset=UNIT_BOX,
+                             terminal=tb.Payoff([0.0, 1.0, 0.5]),
+                             grid=ens.grid, n_paths=ens.n_paths, seed=0)
+                 for driver in (tb.ZeroDriver(),
+                                tb.AffineDriver(0.3, 0.5, [0.2]))]
+    for _ in engine.backward_sweep(scenarios, ens):
+        pass
+    assert len(seen) == ens.grid.n_steps
+    first = seen[0][2]
+    for x, basis, design, bits in seen:
+        assert np.shares_memory(design, first)
+        fresh, fresh_design = measure(x, 3)
+        assert np.array_equal(bits, fresh_design)
+        assert basis.condition == fresh.condition
+        assert (basis.chol is None) == (fresh.chol is None)
+        assert basis.chol is None or np.array_equal(basis.chol, fresh.chol)
 
 
 def test_a3_measures_each_node_once(monkeypatch):

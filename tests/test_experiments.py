@@ -68,12 +68,12 @@ def five_solve_sweep(sc, epsilons, a0):
     base = replace(sc, y_clip=sc.terminal.clamp)
     ens = tb.simulate_forward(base.sde, base.grid, base.n_paths, base.seed)
     ref = tb.solve_theta_bsde(replace(base, driver=tb.GLimitDriver()),
-                              paths=ens, keep=("Z",))
+                              paths=ens, keep=("Y", "Z"))
     sup_errs, z_errs, ses = [], [], []
     for e in epsilons:
         sol = tb.solve_theta_bsde(
             replace(base, driver=tb.GRegularizedDriver(eps=e, a0=a0)),
-            paths=ens, keep=("Z",))
+            paths=ens, keep=("Y", "Z"))
         dY = sol.Y - ref.Y
         rms = np.sqrt(np.mean(dY ** 2, axis=0))
         j = int(np.argmax(rms))
@@ -316,7 +316,7 @@ def eos_by_reprojection(sc):
     """The demo's four statistics from projecting ``driver.query`` node by
     node after the solve."""
     ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
-    sol = tb.solve_theta_bsde(sc, paths=ens, keep=("Z",))
+    sol = tb.solve_theta_bsde(sc, paths=ens, keep=("Y", "Z"))
     shape = sol.Y.shape
     K = np.empty(shape + (sc.uset.dim,))
     idx = np.empty(shape, dtype=np.int64)
