@@ -85,23 +85,58 @@ class SdeSpec:
         require_finite(EngineError, self, ("x0", "drift_const", "drift_t",
                                            "drift_lin", "vol_const", "vol_lin"))
 
+    def _drift_terms(self, t, X):
+        """The drift terms this SDE has, summed left to right in the order
+        of the fields, or None without any: a (dim_x,) row without
+        ``drift_lin``, else an (n, dim_x) array."""
+        out = self.drift_const
+        if self.drift_t is not None:
+            out = t * self.drift_t if out is None else out + t * self.drift_t
+        if self.drift_lin is not None:
+            lin = X @ self.drift_lin.T
+            out = lin if out is None else np.add(lin, out, out=lin)
+        return out
+
+    def _vol_terms(self, X, dB):
+        """sigma(t, X) @ dB over the terms this SDE has, or None without
+        any."""
+        out = None
+        if self.vol_const is not None:
+            out = dB @ self.vol_const.T
+        if self.vol_lin is not None:
+            lin = np.einsum("nj,ijk,nk->ni", X, self.vol_lin, dB)
+            out = lin if out is None else np.add(out, lin, out=out)
+        return out
+
     def drift(self, t, X):
         out = np.zeros_like(X)
-        if self.drift_const is not None:
-            out += self.drift_const
-        if self.drift_t is not None:
-            out += t * self.drift_t
-        if self.drift_lin is not None:
-            out += X @ self.drift_lin.T
+        terms = self._drift_terms(t, X)
+        if terms is not None:
+            out += terms
         return out
 
     def vol_mul(self, t, X, dB):
         """sigma(t, X) @ dB, batched over paths."""
         out = np.zeros_like(X)
-        if self.vol_const is not None:
-            out += dB @ self.vol_const.T
-        if self.vol_lin is not None:
-            out += np.einsum("nj,ijk,nk->ni", X, self.vol_lin, dB)
+        terms = self._vol_terms(X, dB)
+        if terms is not None:
+            out += terms
+        return out
+
+    def step(self, t, dt, X, dB):
+        """One Euler step, bitwise ``X + drift(t, X) * dt + vol_mul(t, X,
+        dB)``, signed zeros included, with no zero arrays: it starts from
+        the volatility product and adds only the terms this SDE has. It
+        can differ from the zero-started sums only in the sign of a zero;
+        they hold no -0.0, and the closing ``+ 0.0`` clears every -0.0."""
+        out = self._vol_terms(X, dB)
+        drift = self._drift_terms(t, X)
+        if drift is not None:
+            X = X + drift * dt
+        if out is None:
+            return X + 0.0
+        out += X
+        out += 0.0
         return out
 
 
@@ -142,8 +177,8 @@ def euler_step(sde, t, dt, X, dB):
     """One Euler step of the forward diffusion from states ``X`` at time
     ``t`` over the increments ``dB``. The forward pass and every rebuild
     of its states take this step, and the same operations on the same
-    inputs give the same bits."""
-    return X + sde.drift(t, X) * dt + sde.vol_mul(t, X, dB)
+    inputs give the same bits (see ``SdeSpec.step``)."""
+    return sde.step(t, dt, X, dB)
 
 
 def _checkpoints(n_steps, stepped=True):
@@ -324,9 +359,10 @@ def _monomial_rows(Xi, degree, rows=None):
     the rows of one (k, n) array, k = comb(dim_x + degree, degree): of
     ``rows`` when given, else a fresh one. Built feature-major: each
     monomial is its parent (the same index tuple less its last entry)
-    times one coordinate, so every operation runs on a contiguous row."""
+    times one coordinate, so every operation runs on a contiguous row.
+    Coordinate j is read from its degree-1 row ``rows[1 + j]``, which is
+    ``1.0 * x_j``, bitwise ``x_j``."""
     n, dim_x = Xi.shape
-    coords = np.ascontiguousarray(Xi.T)
     monomials = [c for total in range(1, degree + 1)
                  for c in itertools.combinations_with_replacement(range(dim_x), total)]
     if rows is None:
@@ -334,8 +370,8 @@ def _monomial_rows(Xi, degree, rows=None):
     rows[0] = 1.0
     row_of = {(): 0}
     for r, c in enumerate(monomials, start=1):
-        # a degree-1 parent is the constant row, and 1.0 * x is x bitwise
-        np.multiply(rows[row_of[c[:-1]]], coords[c[-1]], out=rows[r])
+        coord = Xi[:, c[0]] if len(c) == 1 else rows[1 + c[-1]]
+        np.multiply(rows[row_of[c[:-1]]], coord, out=rows[r])
         row_of[c] = r
     return rows
 
@@ -483,7 +519,10 @@ def backward_sweep(scenarios, paths, terminal_values=None, records=False):
         """``E[Y_{i+1} | X_i]`` and ``Z_i`` of track ``t`` on node i's
         design."""
         Ey = design @ basis.fit(design, t.y)
-        return Ey, design @ basis.fit(design, (t.y - Ey)[:, None] * dB[i] / dt)
+        # the Z target (y - Ey) dB / dt, built in its one (n, dim_b) array
+        target = np.multiply((t.y - Ey)[:, None], dB[i])
+        target /= dt
+        return Ey, design @ basis.fit(design, target)
 
     tracks = []
     states = paths.replay()

@@ -189,38 +189,46 @@ def eos_demo(scenario, gap_threshold=None):
     """Pathwise uniqueness empirics: how often the projection query point
     lands near the medial region between union members. A fold over one
     backward sweep with records: each node's member index, medial gap and
-    argmax are those of the solver's own maximizer projection, and only
-    the gaps are held for every node."""
+    argmax are those of the solver's own maximizer projection. A given
+    ``gap_threshold`` is counted node by node; the default one is known
+    only after the last node, so then the gaps are held for every node."""
     gap_threshold = check_eos(scenario, gap_threshold)
     sc, uset = scenario, scenario.uset
     ens = simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
     n, times = sc.grid.n_steps, sc.grid.times
     counts = np.zeros(len(uset.members), dtype=np.int64)
-    gaps = np.empty((n + 1, sc.n_paths))
+    gaps = np.empty((n + 1, sc.n_paths)) if gap_threshold is None else None
+    hits, min_gap = 0, np.inf
     a_mean, a_std = np.empty((2, n + 1, uset.dim))
     # largest one-step move of the query, driver.query(t_i, X_i, Y_i, Z_i)
     # at Y_i after any clip
     step, prev = 0.0, None
     for i, x, _, (t,) in backward_sweep([sc], ens, records=True):
         rec = t.rec
+        gap = rec.medial_gap
         counts += np.bincount(rec.member_index, minlength=len(counts))
-        gaps[i] = rec.medial_gap
+        # the smallest finite gap, without a copy of the finite ones
+        min_gap = min(min_gap, np.min(gap, where=np.isfinite(gap),
+                                      initial=np.inf))
         a_mean[i] = rec.point.mean(axis=0)
         a_std[i] = rec.point.std(axis=0)
-        if gap_threshold is None:
+        if gaps is None:
+            hits += np.count_nonzero(gap < gap_threshold)
+        else:
+            gaps[i] = gap
             K = sc.driver.query(times[i], x, t.y, t.z)
             if prev is not None:
                 step = max(step, float(np.sqrt(row_sq(K - prev)).max()))
             prev = K
 
     occupancy = counts / counts.sum()
-    # the smallest finite gap, without a copy of the finite ones
-    min_gap = float(np.min(gaps, where=np.isfinite(gaps), initial=np.inf))
-    if gap_threshold is None:
+    if gaps is not None:
         gap_threshold = 2.0 * step
-    hit = float(np.mean(gaps < gap_threshold))
+        hits = np.count_nonzero(gaps < gap_threshold)
+    # a count over the node count, as np.mean of the hits would divide
+    hit = int(hits) / ((n + 1) * sc.n_paths)
     return EosDemoResult(member_occupancy=[float(o) for o in occupancy],
-                         min_medial_gap=min_gap,
+                         min_medial_gap=float(min_gap),
                          medial_hit_fraction=hit,
                          gap_threshold=gap_threshold,
                          a_path_mean=a_mean, a_path_std=a_std)

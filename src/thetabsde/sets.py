@@ -16,9 +16,10 @@ from .ambient import MAX_DIM, as_number, as_point, row_sq, row_sum
 
 INF_GAP = np.inf
 
-# Query rows per block of the point-cloud search: its (rows, k) buffers
-# then stay bounded however large the query batch grows.
-_CLOUD_BLOCK = 1024
+# float64 elements in each of the point-cloud search's two (rows, k)
+# buffers: rows = max(1, _CLOUD_BUDGET // k) query rows per block, so the
+# buffers stay bounded however large the query batch or the cloud grows.
+_CLOUD_BUDGET = 2 ** 14
 
 
 class SetError(ValueError):
@@ -34,9 +35,10 @@ def _check_batch(P, dim):
     return P
 
 
-def _cloud_nearest(P, pts):
-    """Per query row: index of the nearest cloud point, its distance and
-    the second-smallest distance (inf for a single-point cloud).
+def _cloud_nearest(P, pts, second=True):
+    """Per query row: index of the nearest cloud point, its distance and,
+    with ``second``, the second-smallest distance (inf for a single-point
+    cloud; None without ``second``).
 
     Squared distances accumulate coordinate by coordinate on (rows, k)
     buffers, left to right, which is the order ``np.sum`` uses over a
@@ -45,16 +47,18 @@ def _cloud_nearest(P, pts):
     is the first argmin of the squared distances, and the second-smallest
     is the row minimum once that entry is set to inf; only these two take
     a square root, which is monotone, so they are bitwise the two smallest
-    rooted distances.
+    rooted distances. Rows are searched independently, so the block size
+    does not change a bit.
     """
-    n = len(P)
+    n, k = len(P), len(pts)
+    block = max(1, _CLOUD_BUDGET // k)
     cols = np.ascontiguousarray(pts.T)  # (dim, k): coordinate j of each point
     idx = np.empty(n, dtype=np.int64)
     d1 = np.empty(n)
-    d2 = np.full(n, np.inf)
-    buf = np.empty((2, min(n, _CLOUD_BLOCK), len(pts)))
-    for s in range(0, n, _CLOUD_BLOCK):
-        rows = slice(s, s + _CLOUD_BLOCK)
+    d2 = np.full(n, np.inf) if second else None
+    buf = np.empty((2, min(n, block), k))
+    for s in range(0, n, block):
+        rows = slice(s, s + block)
         Q = P[rows]
         D, sq = buf[:, :len(Q)]
         np.subtract(Q[:, :1], cols[0], out=D)
@@ -70,11 +74,12 @@ def _cloud_nearest(P, pts):
         at = np.arange(len(D))
         idx[rows] = best
         d1[rows] = D[at, best]
-        if len(pts) >= 2:
+        if second and k >= 2:
             D[at, best] = np.inf
             d2[rows] = D.min(axis=1)
     np.sqrt(d1, out=d1)
-    np.sqrt(d2, out=d2)
+    if second:
+        np.sqrt(d2, out=d2)
     return idx, d1, d2
 
 
@@ -82,9 +87,9 @@ def _cloud_nearest(P, pts):
 class ProjectionResult:
     """Nearest point per query row, its distance, the winning union member
     (-1 outside a union) and the medial gap: second-smallest candidate
-    distance minus the smallest (inf with a single candidate). Fields are
-    (n, dim) and (n,) arrays from ``project_batch``, one row's values from
-    ``project``."""
+    distance minus the smallest (inf with a single candidate; None when the
+    caller asked for none). Fields are (n, dim) and (n,) arrays from
+    ``project_batch``, one row's values from ``project``."""
 
     point: np.ndarray
     distance: np.ndarray
@@ -92,12 +97,13 @@ class ProjectionResult:
     medial_gap: np.ndarray
 
 
-def plain_result(point, distance, medial_gap=None):
-    """Record of a set that is not a union: member index -1 and, unless
-    given, an inf medial gap, both as stride-0 views."""
+def plain_result(point, distance, medial_gap=INF_GAP):
+    """Record of a set that is not a union: member index -1 as a stride-0
+    view, and ``medial_gap``: an (n,) array, None, or a number (inf by
+    default) as a stride-0 view."""
     n = len(distance)
-    if medial_gap is None:
-        medial_gap = np.broadcast_to(INF_GAP, n)
+    if isinstance(medial_gap, float):
+        medial_gap = np.broadcast_to(medial_gap, n)
     return ProjectionResult(point, distance, np.broadcast_to(np.int64(-1), n),
                             medial_gap)
 
@@ -107,8 +113,10 @@ class UncertaintySet:
 
     dim: int
 
-    def project_batch(self, P):
-        """The ProjectionResult of a (n, dim) batch of query points."""
+    def project_batch(self, P, gap=True):
+        """The ProjectionResult of a (n, dim) batch of query points. With
+        ``gap`` False the caller reads no medial gap, and a set that would
+        have to search for it (a point cloud, a union) leaves it None."""
         raise NotImplementedError
 
     def linear_max(self, c):
@@ -158,7 +166,7 @@ class Box(UncertaintySet):
             raise SetError("box lower bound exceeds upper bound")
         self.dim = self.lower.size
 
-    def project_batch(self, P):
+    def project_batch(self, P, gap=True):
         P = _check_batch(P, self.dim)
         pts = np.clip(P, self.lower, self.upper)
         return plain_result(pts, np.sqrt(row_sq(P - pts)))
@@ -188,7 +196,7 @@ class Ball(UncertaintySet):
         self.radius = as_number(SetError, self.radius, "radius", above=0.0)
         self.dim = self.center.size
 
-    def project_batch(self, P):
+    def project_batch(self, P, gap=True):
         P = _check_batch(P, self.dim)
         diff = P - self.center
         dist = np.sqrt(row_sq(diff))
@@ -199,8 +207,9 @@ class Ball(UncertaintySet):
                           where=outside)
         diff *= scale[:, None]
         diff += self.center
-        pts = np.where(outside[:, None], diff, P)
-        return plain_result(pts, np.sqrt(row_sq(P - pts)))
+        # the projection, in place: the inside rows are the queries
+        np.copyto(diff, P, where=~outside[:, None])
+        return plain_result(diff, np.sqrt(row_sq(P - diff)))
 
     def linear_max_batch(self, C):
         C = _check_batch(C, self.dim)
@@ -242,10 +251,11 @@ class PointCloud(UncertaintySet):
         self.points = pts[fresh]
         self.dim = pts.shape[1]
 
-    def project_batch(self, P):
+    def project_batch(self, P, gap=True):
         P = _check_batch(P, self.dim)
-        idx, d1, d2 = _cloud_nearest(P, self.points)
-        d2 -= d1
+        idx, d1, d2 = _cloud_nearest(P, self.points, gap)
+        if gap:
+            d2 -= d1
         return plain_result(self.points[idx], d1, d2)
 
     def linear_max_batch(self, C):
@@ -275,21 +285,26 @@ class UnionSet(UncertaintySet):
             raise SetError(f"union members disagree on dim: {sorted(dims)}")
         self.dim = dims.pop()
 
-    def project_batch(self, P):
+    def project_batch(self, P, gap=True):
         P = _check_batch(P, self.dim)
-        projs = [m.project_batch(P) for m in self.members]
+        # the union reads each member's point and distance, never its gap
+        projs = [m.project_batch(P, gap=False) for m in self.members]
         D = np.stack([r.distance for r in projs], axis=1)
         best = np.argmin(D, axis=1)  # first minimum = lowest member index
         pts = np.empty_like(P)
         for j, r in enumerate(projs):
             sel = best == j
             pts[sel] = r.point[sel]
-        if len(projs) < 2:
-            gap = np.broadcast_to(INF_GAP, len(P))
-        else:
-            two = np.partition(D, 1, axis=1)
-            gap = two[:, 1] - two[:, 0]
-        return ProjectionResult(pts, D[np.arange(len(P)), best], best, gap)
+        at = np.arange(len(P))
+        dist = D[at, best]
+        medial = None
+        if gap:
+            # the nearest other member: the row minimum once the nearest is
+            # masked, which selects what a partition would (inf for one)
+            D[at, best] = np.inf
+            medial = D.min(axis=1)
+            medial -= dist
+        return ProjectionResult(pts, dist, best, medial)
 
     def linear_max_batch(self, C):
         C = _check_batch(C, self.dim)

@@ -299,9 +299,9 @@ def test_eos_projects_each_node_once(monkeypatch):
     rows = []
     project = tb.PointCloud.project_batch
 
-    def counted(self, P):
+    def counted(self, P, **kwargs):
         rows.append(len(P))
-        return project(self, P)
+        return project(self, P, **kwargs)
     monkeypatch.setattr(tb.PointCloud, "project_batch", counted)
     n_paths, n_steps = 300, 12
     res = eos_demo(scenario(uset, rp_driver(g_x=[[1.0]]),
@@ -312,9 +312,9 @@ def test_eos_projects_each_node_once(monkeypatch):
     assert abs(sum(res.member_occupancy) - 1.0) <= 1e-12
 
 
-def eos_by_reprojection(sc):
-    """The demo's four statistics from projecting ``driver.query`` node by
-    node after the solve."""
+def reprojection(sc):
+    """Every node's query, member index and medial gap, from projecting
+    ``driver.query`` node by node after the solve."""
     ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
     sol = tb.solve_theta_bsde(sc, paths=ens, keep=("Y", "Z"))
     shape = sol.Y.shape
@@ -327,6 +327,12 @@ def eos_by_reprojection(sc):
         r = sc.uset.project_batch(K[:, i])
         idx[:, i] = r.member_index
         gaps[:, i] = r.medial_gap
+    return K, idx, gaps
+
+
+def eos_by_reprojection(sc):
+    """The demo's four statistics from ``reprojection``."""
+    K, idx, gaps = reprojection(sc)
     counts = np.bincount(idx.ravel(), minlength=len(sc.uset.members))
     threshold = 2.0 * float(np.linalg.norm(np.diff(K, axis=1), axis=2).max())
     return ([float(c) for c in counts / counts.sum()],
@@ -363,21 +369,55 @@ def test_eos_reads_the_solver_record_bitwise(G, terminal, y_clip):
         assert expected != eos_by_reprojection(replace(sc, y_clip=None))
 
 
+def test_a_given_threshold_is_counted_node_by_node():
+    sc = scenario(tb.UnionSet([tb.Box([-1.0], [0.0]),
+                               tb.PointCloud([[2.0], [4.0], [6.0]])]),
+                  rp_driver(g_const=0.5, g_x=[[1.5]], g_z=[[0.2]]),
+                  tb.Payoff([0.0, 1.0]), tb.TimeGrid(0.0, 1.0, 40), 800, 11)
+    _, _, gaps = reprojection(sc)
+    finite = gaps[np.isfinite(gaps)]
+    for threshold in (0.0, *np.quantile(finite, [0.01, 0.5]), finite.max(),
+                      finite.max() + 1.0):
+        res = eos_demo(sc, gap_threshold=threshold)
+        assert res.medial_hit_fraction == float(np.mean(gaps < threshold))
+        assert res.min_medial_gap == float(finite.min())
+        assert res.gap_threshold == threshold
+
+
+def dim2_union_scenario():
+    uset = tb.UnionSet([tb.Box([-1.0, -1.0], [0.0, 0.0]),
+                        tb.PointCloud([[2.0, 0.0], [4.0, 1.0], [6.0, -1.0]])])
+    G = tb.StateFn(c0=np.array([0.5, 0.0]), C_x=1.5 * np.eye(2),
+                   C_z=0.2 * np.eye(2))
+    return tb.Scenario(sde=tb.SdeSpec(dim_x=2, dim_b=2, x0=[0.0, 0.0],
+                                      vol_const=np.eye(2)),
+                       driver=tb.RegularizedProjectionDriver(
+                           h=tb.StateFn(c0=0.0), G=G, eps=0.5),
+                       uset=uset, terminal=tb.Payoff([0.0, 1.0]),
+                       grid=tb.TimeGrid(0.0, 1.0, 40), n_paths=20_000, seed=11)
+
+
+def test_a_given_threshold_holds_no_gap_array(traced_peak):
+    # the default threshold is known only after the last node, so that run
+    # holds every node's gaps; a given one is counted as each node comes
+    sc = dim2_union_scenario()
+    peak_default, full = traced_peak(eos_demo, sc)
+    peak_given, given = traced_peak(eos_demo, sc,
+                                    gap_threshold=full.gap_threshold)
+    assert given.medial_hit_fraction == full.medial_hit_fraction
+    assert given.min_medial_gap == full.min_medial_gap
+    gap_array = (sc.grid.n_steps + 1) * sc.n_paths * 8
+    assert peak_default - peak_given >= 0.9 * gap_array, (
+        peak_default, peak_given, gap_array)
+
+
 def test_eos_holds_no_full_solution(traced_peak):
     # beyond its paths the demo holds one (n_steps + 1, n_paths) gap array
     # and one node's rows: less than a full Z plus A, which in dim 2 are
     # four such arrays; a kept solve held them with Y and the projection
     # record
-    uset = tb.UnionSet([tb.Box([-1.0, -1.0], [0.0, 0.0]),
-                        tb.PointCloud([[2.0, 0.0], [4.0, 1.0], [6.0, -1.0]])])
-    G = tb.StateFn(c0=np.array([0.5, 0.0]), C_x=1.5 * np.eye(2),
-                   C_z=0.2 * np.eye(2))
-    sc = tb.Scenario(sde=tb.SdeSpec(dim_x=2, dim_b=2, x0=[0.0, 0.0],
-                                    vol_const=np.eye(2)),
-                     driver=tb.RegularizedProjectionDriver(
-                         h=tb.StateFn(c0=0.0), G=G, eps=0.5),
-                     uset=uset, terminal=tb.Payoff([0.0, 1.0]),
-                     grid=tb.TimeGrid(0.0, 1.0, 40), n_paths=20_000, seed=11)
+    sc = dim2_union_scenario()
+    uset = sc.uset
     ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
     paths = ens.increments.nbytes + ens.states.nbytes
     z_and_a = (sc.grid.n_steps + 1) * sc.n_paths * 8 * (sc.sde.dim_b + uset.dim)

@@ -255,9 +255,9 @@ def test_union_projects_each_member_once(monkeypatch):
     rows = []
     project = PointCloud.project_batch
 
-    def counted(self, P):
+    def counted(self, P, **kwargs):
         rows.append(len(P))
-        return project(self, P)
+        return project(self, P, **kwargs)
     monkeypatch.setattr(PointCloud, "project_batch", counted)
     r = u.project_batch(np.array([[0.5], [3.2], [5.0]]))
     pts, dist = r.point, r.distance
@@ -270,7 +270,8 @@ def test_cloud_search_spanning_blocks_matches_one_shot_brute_force():
     rng = np.random.default_rng(4)
     # half-integer coordinates make exact distance ties common
     cloud = PointCloud(np.round(rng.uniform(-2, 2, size=(40, 2)) * 2) / 2)
-    P = np.round(rng.uniform(-3, 3, size=(2 * sets._CLOUD_BLOCK + 37, 2)) * 2) / 2
+    n = 2 * cloud_block(len(cloud.points)) + 37
+    P = np.round(rng.uniform(-3, 3, size=(n, 2)) * 2) / 2
     r = cloud.project_batch(P)
     pts, dist, gap = r.point, r.distance, r.medial_gap
     D = np.linalg.norm(P[:, None, :] - cloud.points[None, :, :], axis=2)
@@ -279,6 +280,11 @@ def test_cloud_search_spanning_blocks_matches_one_shot_brute_force():
     assert np.array_equal(dist, D[np.arange(len(P)), idx])
     assert np.array_equal(gap, np.sort(D, axis=1)[:, 1] - dist)
     assert np.any(gap == 0.0)  # the batch does contain exact ties
+
+
+def cloud_block(k):
+    """Query rows per block of the cloud search on ``k`` points."""
+    return max(1, sets._CLOUD_BUDGET // k)
 
 
 def broadcast_cloud_nearest(P, pts):
@@ -330,7 +336,7 @@ def test_cloud_dedupe_is_np_unique_bitwise():
 def test_feature_major_cloud_search_matches_broadcast_sum(dim, k):
     rng = np.random.default_rng(100 * dim + k)
     pts = np.unique(rng.normal(size=(k, dim)), axis=0)
-    P = rng.normal(scale=2.0, size=(2 * sets._CLOUD_BLOCK + 37, dim))
+    P = rng.normal(scale=2.0, size=(2 * cloud_block(len(pts)) + 37, dim))
     idx, d1, d2 = sets._cloud_nearest(P, pts)
     o_idx, o_d1, o_d2 = broadcast_cloud_nearest(P, pts)
     assert np.array_equal(idx, o_idx)
@@ -340,6 +346,96 @@ def test_feature_major_cloud_search_matches_broadcast_sum(dim, k):
         assert np.allclose(d1, o_d1, rtol=1e-15, atol=0.0)
         assert np.allclose(d2, o_d2, rtol=1e-15, atol=0.0)
     assert np.all(np.isinf(d2)) == (k == 1)
+
+
+# 501 rows: blocks of one row, 72 blocks with a partial last one, and one
+# partial block
+@pytest.mark.parametrize("rows", [1, 7, 1000])
+def test_cloud_search_is_bitwise_at_every_block_size(monkeypatch, rows):
+    # half-integer coordinates make exact distance ties common; rows are
+    # searched independently, so the block size cannot change a bit
+    rng = np.random.default_rng(6)
+    pts = np.unique(np.round(rng.uniform(-2, 2, size=(40, 2)) * 2) / 2, axis=0)
+    P = np.round(rng.uniform(-3, 3, size=(501, 2)) * 2) / 2
+    monkeypatch.setattr(sets, "_CLOUD_BUDGET", rows * len(pts))
+    assert cloud_block(len(pts)) == rows
+    want = broadcast_cloud_nearest(P, pts)
+    for a, b in zip(sets._cloud_nearest(P, pts), want):
+        assert np.array_equal(a, b)
+    assert np.any(want[1] == want[2])  # the batch does contain exact ties
+    idx, d1, d2 = sets._cloud_nearest(P, pts, second=False)
+    assert np.array_equal(idx, want[0]) and np.array_equal(d1, want[1])
+    assert d2 is None
+
+
+def partition_gap(u, P):
+    """The union's medial gap by ``np.partition`` of the member distances."""
+    D = np.stack([m.project_batch(P).distance for m in u.members], axis=1)
+    two = np.partition(D, 1, axis=1)
+    return two[:, 1] - two[:, 0]
+
+
+@pytest.mark.parametrize("members", ["two", "three", "nested"])
+def test_union_gap_is_the_partition_gap(members):
+    # members placed so that many half-integer queries are equidistant from
+    # two of them, and some from all three
+    cloud = PointCloud([[-2.0, 0.0], [2.0, 0.0]])
+    box = Box([-0.5, 2.0], [0.5, 3.0])
+    ball = Ball([0.0, -2.5], 0.5)
+    u = {"two": UnionSet([cloud, box]),
+         "three": UnionSet([cloud, box, ball]),
+         "nested": UnionSet([box, UnionSet([ball, cloud])])}[members]
+    g = np.arange(-4.0, 4.5, 0.5)
+    P = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+    r = u.project_batch(P)
+    want = partition_gap(u, P)
+    assert np.array_equal(r.medial_gap, want)
+    assert np.any(want == 0.0)
+    D = np.stack([m.project_batch(P).distance for m in u.members], axis=1)
+    assert np.array_equal(r.distance, D.min(axis=1))
+    assert np.array_equal(r.member_index, np.argmin(D, axis=1))
+    # a caller that reads no gap gets the same point and distance
+    lean = u.project_batch(P, gap=False)
+    assert lean.medial_gap is None
+    for name in ("point", "distance", "member_index"):
+        assert np.array_equal(getattr(lean, name), getattr(r, name))
+
+
+def big_cloud_queries():
+    rng = np.random.default_rng(5)
+    return (rng.normal(scale=2.0, size=(20_000, 2)),
+            PointCloud(rng.normal(size=(1000, 2))))
+
+
+def test_cloud_projection_holds_only_its_budget(traced_peak):
+    # the record (an (n, dim) point, three (n,) rows) plus the search's two
+    # buffers of _CLOUD_BUDGET floats; 1,024-row blocks held 16 MB here
+    P, cloud = big_cloud_queries()
+    row = len(P) * 8
+    peak, r = traced_peak(cloud.project_batch, P)
+    assert np.all(np.isfinite(r.medial_gap))
+    assert peak <= P.nbytes + 3 * row + 2 * 8 * sets._CLOUD_BUDGET, peak
+
+
+def test_union_projection_holds_only_its_budget(traced_peak):
+    # each member's record, the stacked member distances and the union's
+    # record are a few (n,) rows each; the cloud adds only its buffers
+    P, cloud = big_cloud_queries()
+    u = UnionSet([Box([-4.0, -1.0], [-3.0, 1.0]), cloud])
+    row = len(P) * 8
+    peak, r = traced_peak(u.project_batch, P)
+    assert np.array_equal(r.medial_gap, partition_gap(u, P))
+    assert peak <= 16 * row + 2 * 8 * sets._CLOUD_BUDGET, peak
+
+
+def test_ball_projection_holds_no_fourth_block(traced_peak):
+    # the projection and the P - point temporary, (n, dim) each, and a few
+    # (n,) rows: the projection is built in the centred copy
+    P = np.random.default_rng(8).normal(scale=2.0, size=(20_000, 3))
+    ball = Ball([0.1, 0.0, -0.2], 1.5)
+    peak, r = traced_peak(ball.project_batch, P)
+    assert np.any(r.distance > 0) and np.any(r.distance == 0)
+    assert peak <= 2 * P.nbytes + 5 * len(P) * 8, peak
 
 
 # property test: batched calls, the scalar API and a plain-Python oracle ----
