@@ -14,6 +14,10 @@ into one contiguous (n,) row, which is the order ``np.sum`` uses over such
 an axis, so the result is bitwise that of ``np.sum(x, axis=1)`` without its
 per-row overhead; from there on they call ``np.sum``. They allocate only
 (n,) rows, and their callers keep every temporary at (n,) or (n, dim).
+Elementwise work that broadcasts a (dim,) row or an (n, 1) column over an
+(n, dim) array goes through ``by_column`` by the same rule: numpy runs
+such a broadcast's inner loop dim elements at a time, several times
+slower than one contiguous (n,) loop per column.
 """
 
 import functools
@@ -129,6 +133,29 @@ def row_sq(x):
         np.multiply(x[:, j], x[:, j], out=sq)
         out += sq
     return out
+
+
+def by_column(fn, *operands):
+    """``fn(*operands)``, elementwise work on (n, d) arrays, called once
+    per column when 1 < d < ``_ROW_KERNEL_DIM``. Each operand is an (n, d)
+    array, an (n, 1) column, a (d,) row or a number; d is the longest
+    trailing axis among them. Call j gets each 2-d operand's column j (an
+    (n, 1) column's only one), each row's entry j and each number as it
+    is. Otherwise one call gets the operands as they are, for numpy to
+    broadcast: with one column that is already one contiguous loop. Every
+    element meets the same operands either way, so arithmetic and copies
+    give bitwise equal results; ``np.clip`` does not (see
+    ``Box.project_batch``). ``fn`` writes its output through the views it
+    gets, as a ufunc's ``out``."""
+    ndims = [getattr(a, "ndim", 0) for a in operands]
+    d = max(a.shape[-1] for a, k in zip(operands, ndims) if k)
+    if d == 1 or d >= _ROW_KERNEL_DIM:
+        fn(*operands)
+        return
+    for j in range(d):
+        # j % 1 == 0 picks an (n, 1) column's only column
+        fn(*[a[:, j % a.shape[1]] if k == 2 else a[j] if k else a
+             for a, k in zip(operands, ndims)])
 
 
 def sym_vec_dim(d):

@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .ambient import (as_integer, as_number, as_pair, as_seed, require_finite,
-                      row_sum)
+from .ambient import (as_integer, as_number, as_pair, as_seed, by_column,
+                      require_finite, row_sum)
 from .drivers import effective_driver, maximizer
 
 
@@ -132,7 +132,9 @@ class SdeSpec:
         out = self._vol_terms(X, dB)
         drift = self._drift_terms(t, X)
         if drift is not None:
-            X = X + drift * dt
+            shifted = np.empty(X.shape)
+            by_column(np.add, X, drift * dt, shifted)
+            X = shifted
         if out is None:
             return X + 0.0
         out += X
@@ -182,22 +184,20 @@ def euler_step(sde, t, dt, X, dB):
 
 
 def _checkpoints(n_steps, stepped=True):
-    """Nodes 0, k, 2k, ... below ``n_steps``, and ``n_steps``: k =
-    ceil(sqrt(n_steps)) for states that ``simulate_forward`` stepped, else
-    1."""
-    k = math.isqrt(n_steps - 1) + 1 if stepped else 1
-    return list(range(0, n_steps, k)) + [n_steps]
+    """Nodes 0 and ``n_steps`` for states that ``simulate_forward``
+    stepped, else every node."""
+    return [0, n_steps] if stepped else list(range(n_steps + 1))
 
 
 @dataclass
 class PathEnsemble:
     """Simulated paths: the Brownian increments at every step, and the
-    states X at the ``checkpoints`` only, nodes 0, k, 2k, ... and n_steps.
-    ``sde`` is the diffusion that ``simulate_forward`` stepped the states
-    with on ``grid``, and then k = ceil(sqrt(n_steps)); an ensemble built
-    from arrays has no ``sde`` and holds every node (k = 1). ``replay``
-    hands out every node's states, stepping each one between two
-    checkpoints from the one below it, bitwise as the forward pass did.
+    states X at the ``checkpoints`` only. ``sde`` is the diffusion that
+    ``simulate_forward`` stepped the states with on ``grid``, and then the
+    checkpoints are nodes 0 and n_steps; an ensemble built from arrays has
+    no ``sde`` and holds every node. ``replay`` hands out every node's
+    states, stepping each one between two checkpoints from the one below
+    it, bitwise as the forward pass did.
 
     ``simulate_forward`` stores both arrays node-major and read-only, and
     hands out their path-major transpose views, so ``states[:, j]`` is one
@@ -227,20 +227,35 @@ class PathEnsemble:
         return _checkpoints(self.grid.n_steps, self.sde is not None)
 
     def replay(self):
-        """Every node's states, X_n to X_0: checkpoint rows are read, and
-        the rows between two checkpoints are stepped from the lower one
-        once per replay. A replay holds one such segment, at most k - 1
-        rows, at a time, and lets go of each row as it hands it out."""
+        """Every node's states, X_n to X_0. Checkpoint rows are read, and
+        the nodes strictly between two checkpoints lo and hi are rebuilt
+        by bisection: step from X_lo to mid = (lo + hi) // 2 keeping only
+        X_mid, hand out (mid, hi) that way, then X_mid, then (lo, mid).
+        Between nodes 0 and n a replay takes T(n) Euler steps, T(1) = 0
+        and T(L) = L // 2 + T(L - L // 2) + T(L // 2), at most
+        n ceil(log2 n) / 2, and holds one rebuilt row per level of the
+        bisection, at most ceil(log2 n), beside the one it steps; it lets
+        go of each row as it hands it out."""
         X, nodes = _swap(self.states), self.checkpoints
         dB, times, dt = _swap(self.increments), self.grid.times, self.grid.dt
+
+        def between(lo, x_lo, hi):
+            """X_{hi-1}, ..., X_{lo+1}, from X_lo = ``x_lo``."""
+            if hi - lo < 2:
+                return
+            mid = (lo + hi) // 2
+            x = x_lo
+            for i in range(lo, mid):
+                x = euler_step(self.sde, times[i], dt, x, dB[i])
+            yield from between(mid, x, hi)
+            yield x
+            # held through the lower half, X_mid would add a row per level
+            x = None
+            yield from between(lo, x_lo, mid)
+
         yield X[-1]
         for j in range(len(nodes) - 2, -1, -1):
-            x, segment = X[j], []
-            for i in range(nodes[j], nodes[j + 1] - 1):
-                x = euler_step(self.sde, times[i], dt, x, dB[i])
-                segment.append(x)
-            while segment:
-                yield segment.pop()
+            yield from between(nodes[j], X[j], nodes[j + 1])
             yield X[j]
 
     def all_states(self):
@@ -282,21 +297,20 @@ def brownian_increments(grid, n_paths, seed, dim_b):
 
 def simulate_forward(sde, grid, n_paths, seed):
     """Euler scheme for the forward diffusion on the shared time grid. The
-    ensemble keeps every increment, and the states only at its checkpoint
-    nodes 0, k, 2k, ... and n_steps, k = ceil(sqrt(n_steps)); both arrays
-    are read-only. The random stream is that of ``brownian_increments``."""
+    ensemble keeps every increment, and the states only at its checkpoints,
+    nodes 0 and n_steps, from which ``replay`` rebuilds every other node;
+    both arrays are read-only. The random stream is that of
+    ``brownian_increments``."""
     dB = brownian_increments(grid, n_paths, seed, sde.dim_b)
-    slot = {c: j for j, c in enumerate(_checkpoints(grid.n_steps))}
     steps = _swap(dB)
-    X = np.empty((len(slot), len(dB), sde.dim_x))
+    X = np.empty((2, len(dB), sde.dim_x))
     X[0] = sde.x0
     x = X[0]
     times = grid.times
     dt = grid.dt
     for i in range(grid.n_steps):
         x = euler_step(sde, times[i], dt, x, steps[i])
-        if i + 1 in slot:
-            X[slot[i + 1]] = x
+    X[1] = x
     X.flags.writeable = False
     return PathEnsemble(grid, len(dB), int(seed), dB, _swap(X), sde)
 
@@ -520,7 +534,8 @@ def backward_sweep(scenarios, paths, terminal_values=None, records=False):
         design."""
         Ey = design @ basis.fit(design, t.y)
         # the Z target (y - Ey) dB / dt, built in its one (n, dim_b) array
-        target = np.multiply((t.y - Ey)[:, None], dB[i])
+        target = np.empty(dB[i].shape)
+        by_column(np.multiply, (t.y - Ey)[:, None], dB[i], target)
         target /= dt
         return Ey, design @ basis.fit(design, target)
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ambient import MAX_DIM, as_number, as_point, row_sq, row_sum
+from .ambient import (_ROW_KERNEL_DIM, MAX_DIM, as_number, as_point,
+                      by_column, row_sq, row_sum)
 
 INF_GAP = np.inf
 
@@ -33,6 +34,18 @@ def _check_batch(P, dim):
     if P.ndim != 2 or P.shape[1] != dim:
         raise SetError(f"query batch has shape {P.shape}, expected (n, {dim})")
     return P
+
+
+def _scale_shift(scale, shift, out):
+    """``out = out * scale + shift`` in place, as one ``by_column`` call."""
+    out *= scale
+    out += shift
+
+
+def _copy_rows(dst, src, rows):
+    """``src``'s rows where the (n,) mask ``rows`` is set, into ``dst``."""
+    by_column(lambda s, keep, out: np.copyto(out, s, where=keep),
+              src, rows[:, None], dst)
 
 
 def _cloud_nearest(P, pts, second=True):
@@ -168,7 +181,18 @@ class Box(UncertaintySet):
 
     def project_batch(self, P, gap=True):
         P = _check_batch(P, self.dim)
-        pts = np.clip(P, self.lower, self.upper)
+        pts = np.empty(P.shape)
+        if self.dim == 1 or self.dim >= _ROW_KERNEL_DIM:
+            np.clip(P, self.lower, self.upper, out=pts)
+        else:
+            # each column is clipped to (n,) rows of its bounds: numpy
+            # clips to bounds of stride 0, or numbers, in another loop,
+            # whose result can differ in the sign of a zero (one column's
+            # bounds broadcast to stride 0, so it takes that loop as is)
+            bounds = np.empty((2, len(P)))
+            for j in range(self.dim):
+                bounds[0], bounds[1] = self.lower[j], self.upper[j]
+                np.clip(P[:, j], bounds[0], bounds[1], out=pts[:, j])
         return plain_result(pts, np.sqrt(row_sq(P - pts)))
 
     def linear_max_batch(self, C):
@@ -198,17 +222,17 @@ class Ball(UncertaintySet):
 
     def project_batch(self, P, gap=True):
         P = _check_batch(P, self.dim)
-        diff = P - self.center
+        diff = np.empty(P.shape)
+        by_column(np.subtract, P, self.center, diff)
         dist = np.sqrt(row_sq(diff))
         outside = dist > self.radius
         # every row is scaled and the inside ones are discarded: cheaper
         # than gathering and scattering the outside ones
         scale = np.divide(self.radius, dist, out=np.zeros_like(dist),
                           where=outside)
-        diff *= scale[:, None]
-        diff += self.center
+        by_column(_scale_shift, scale[:, None], self.center, diff)
         # the projection, in place: the inside rows are the queries
-        np.copyto(diff, P, where=~outside[:, None])
+        _copy_rows(diff, P, ~outside)
         return plain_result(diff, np.sqrt(row_sq(P - diff)))
 
     def linear_max_batch(self, C):
@@ -286,25 +310,35 @@ class UnionSet(UncertaintySet):
         self.dim = dims.pop()
 
     def project_batch(self, P, gap=True):
+        """Folds the members in one at a time, holding one member's record
+        beside the running one: the nearest point, its distance and member
+        so far, and with ``gap`` the smallest distance of the others. A
+        member takes a row on a strictly smaller distance, so ties keep
+        the lowest index, and a tie leaves a gap of 0; a nan distance
+        takes the row unless a nan already holds it, so the choice is
+        ``np.argmin``'s over the member distances. The union writes into
+        its first member's record."""
         P = _check_batch(P, self.dim)
         # the union reads each member's point and distance, never its gap
-        projs = [m.project_batch(P, gap=False) for m in self.members]
-        D = np.stack([r.distance for r in projs], axis=1)
-        best = np.argmin(D, axis=1)  # first minimum = lowest member index
-        pts = np.empty_like(P)
-        for j, r in enumerate(projs):
-            sel = best == j
-            pts[sel] = r.point[sel]
-        at = np.arange(len(P))
-        dist = D[at, best]
-        medial = None
+        first = self.members[0].project_batch(P, gap=False)
+        pts, dist = first.point, first.distance
+        best = np.zeros(len(P), dtype=np.int64)
+        # the nearest other member (inf for one), as a partition would pick
+        second = np.full(len(P), np.inf) if gap else None
+        for j, m in enumerate(self.members[1:], start=1):
+            r = m.project_batch(P, gap=False)
+            take = r.distance < dist
+            take |= np.isnan(r.distance) & ~np.isnan(dist)
+            if gap:
+                np.minimum(second, np.where(take, dist, r.distance),
+                           out=second)
+            best[take] = j
+            np.copyto(dist, r.distance, where=take)
+            _copy_rows(pts, r.point, take)
+            del r
         if gap:
-            # the nearest other member: the row minimum once the nearest is
-            # masked, which selects what a partition would (inf for one)
-            D[at, best] = np.inf
-            medial = D.min(axis=1)
-            medial -= dist
-        return ProjectionResult(pts, dist, best, medial)
+            second -= dist
+        return ProjectionResult(pts, dist, best, second)
 
     def linear_max_batch(self, C):
         C = _check_batch(C, self.dim)

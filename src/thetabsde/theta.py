@@ -36,10 +36,15 @@ def simulate_theta_bm(driver, uset, grid, n_paths, seed):
     dt = grid.dt
     times = grid.times
     b = np.zeros((grid.n_steps + 1, n_paths, 1))
-    ones = np.ones((n_paths, 1))
+    # ZeroDriver's F is 0.0 on every path, and b - 0.0 * dt is b bitwise
+    zero = type(driver) is ZeroDriver
+    ones = None if zero else np.ones((n_paths, 1))
     for i in range(grid.n_steps):
-        f = effective_driver(driver, uset, times[i], b[i], b[i, :, 0], ones)
-        b[i + 1, :, 0] = b[i, :, 0] - f * dt + steps[i]
+        b_i = b[i, :, 0]
+        if not zero:
+            f = effective_driver(driver, uset, times[i], b[i], b_i, ones)
+            b_i = b_i - f * dt
+        np.add(b_i, steps[i], out=b[i + 1, :, 0])
     if not np.all(np.isfinite(b)):
         raise EngineError("drift-corrected simulation produced non-finite values")
     b.flags.writeable = False

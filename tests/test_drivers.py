@@ -280,3 +280,33 @@ def test_regularization_does_not_make_the_union_maximizer_lipschitz():
     hull = Box([-1.0], [1.0])
     assert rp.unsound_for_existence(hull) is False
     assert rp.maximizer_lipschitz(hull) == pytest.approx(1.0 / 1.5)
+
+
+def broadcast_statefn_value(f, t, x, y, z):
+    """StateFn.value with its rows and the y column broadcast."""
+    out = np.empty((x.shape[0], f.c0.size))
+    out[:] = f.c0
+    out += t * f.c_t
+    out += x @ f.C_x.T
+    out += y[:, None] * f.c_y
+    out += z @ f.C_z.T
+    return out
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_statefn_value_is_bitwise_its_broadcast_formula(m, special_batch):
+    # signed zeros and subnormals in the coefficients; signed zeros,
+    # infinities, nan and subnormals in y
+    rng = np.random.default_rng(m)
+    odd = np.arange(m) % 2 == 1
+    f = StateFn(c0=np.where(odd, -0.0, 1e-310), c_t=np.where(odd, 0.5, -0.0),
+                C_x=rng.normal(size=(m, 2)), c_y=np.where(odd, -5e-324, -1.5),
+                C_z=rng.normal(size=(m, 3)))
+    n = 300
+    x, z = rng.normal(size=(n, 2)), rng.normal(size=(n, 3))
+    y = special_batch(n, 1, m)[:, 0]
+    with np.errstate(all="ignore"):
+        for t in (0.0, -0.0, 0.375):
+            got = f.value(t, x, y, z)
+            want = broadcast_statefn_value(f, t, x, y, z)
+            assert got.tobytes() == want.tobytes(), t

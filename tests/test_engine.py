@@ -908,6 +908,48 @@ def test_euler_step_is_bitwise_the_zero_started_sum(present):
         assert not np.shares_memory(got, X)
 
 
+@pytest.mark.parametrize("linear", [False, True], ids=["row", "array"])
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_euler_step_drift_is_bitwise_the_broadcast(dim, linear,
+                                                   special_batch):
+    # the drift, a (dim,) row or with drift_lin an (n, dim) array, is added
+    # column by column from 2 to 7 columns
+    sde = tb.SdeSpec(dim_x=dim, dim_b=2, x0=np.zeros(dim),
+                     drift_const=np.where(np.arange(dim) % 2, -0.0, 1e-310),
+                     drift_t=np.where(np.arange(dim) % 3, 0.25, -5e-324),
+                     drift_lin=np.eye(dim) * -0.5 if linear else None,
+                     vol_const=np.full((dim, 2), 0.5))
+    X = special_batch(200, dim, dim)
+    dB = special_batch(200, 2, 50 + dim)
+    with np.errstate(all="ignore"):
+        for t, dt in ((0.0, 0.1), (0.35, 1.0 / 3.0)):
+            got = sde.step(t, dt, X, dB)
+            out = dB @ sde.vol_const.T
+            out += X + sde._drift_terms(t, X) * dt
+            out += 0.0
+            assert got.tobytes() == out.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 3, 9])
+def test_z_target_is_bitwise_the_broadcast(dim):
+    # Z_n = Z_{n-1}, fitted on node n - 1's design against the target
+    # (y - Ey) dB / dt, which the sweep builds column by column from 2 to 7
+    sc = replace(ball_scenario(dim, n_paths=400, n_steps=4),
+                 driver=tb.ZeroDriver())
+    ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
+    n, dt = sc.grid.n_steps, sc.grid.dt
+    X = ens.all_states()
+    y = sc.terminal.value(X[:, n])
+    basis, design = _Basis.measure(X[:, n - 1], sc.regression_degree)
+    Ey = design @ basis.fit(design, y)
+    target = (y - Ey)[:, None] * ens.increments[:, n - 1]
+    target /= dt
+    want = design @ basis.fit(design, target)
+    i, _, _, (track,) = next(engine.backward_sweep([sc], ens))
+    assert i == n
+    assert track.z.tobytes() == want.tobytes()
+
+
 def test_solve_on_path_major_copies_matches_node_major():
     sc = layout_scenario()
     ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
@@ -1233,13 +1275,16 @@ def test_simulated_paths_are_read_only():
 CHECKPOINT_SDE = make_sde(x0=[0.3], drift_const=[0.1], drift_t=[0.2],
                           drift_lin=[[-0.5]], vol_const=[[0.8]],
                           vol_lin=[[[0.1]]])
-# k = 1, 2, 3 and 4: one node per checkpoint, a single segment, a multiple
-# of k and a remainder (checkpoints 0, 4, 8, 10)
-CHECKPOINT_STEPS = [1, 2, 9, 10]
+# every grid up to 70 steps: no node to rebuild (n = 1), one, and every
+# bisection shape, 2^k - 1, 2^k and 2^k + 1 among them
+CHECKPOINT_STEPS = list(range(1, 71))
+# the runs on checkpointed paths: no node to rebuild, one, odd and even
+# halves, and 2^k - 1, 2^k and 2^k + 1
+RUN_STEPS = [1, 2, 9, 10, 15, 16, 17]
 
 
 def full_paths(ens, sde):
-    """The ensemble's paths with X at every node (k = 1), stepped
+    """The ensemble's paths with X at every node, stepped
     node-major from its increments by the forward loop that stored every
     node."""
     grid, dB = ens.grid, np.swapaxes(ens.increments, 0, 1)
@@ -1332,7 +1377,7 @@ def assert_same(a, b):
 
 
 @pytest.mark.parametrize("seed", [7, 2027])
-@pytest.mark.parametrize("n_steps", CHECKPOINT_STEPS)
+@pytest.mark.parametrize("n_steps", RUN_STEPS)
 @pytest.mark.parametrize("run", list(CHECKPOINT_RUNS))
 def test_checkpointed_paths_give_the_full_paths_results_bitwise(
         monkeypatch, run, n_steps, seed):
@@ -1348,17 +1393,24 @@ def test_checkpointed_paths_give_the_full_paths_results_bitwise(
     assert_same(checkpointed, call(sc))
 
 
+def bits(a):
+    """The float64 bit patterns of ``a``: equal bits, not equal values."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
 @pytest.mark.parametrize("n_steps", CHECKPOINT_STEPS)
 def test_replays_and_truncations_rebuild_the_full_rows(n_steps):
     grid = tb.TimeGrid(0.0, 1.0, n_steps)
     ens = tb.simulate_forward(CHECKPOINT_SDE, grid, 50, 7)
-    k = math.ceil(math.sqrt(n_steps))
-    assert ens.checkpoints == sorted(set(range(0, n_steps, k)) | {n_steps})
+    assert ens.checkpoints == [0, n_steps]
     full = full_paths(ens, CHECKPOINT_SDE).states
-    assert np.array_equal(ens.states, full[:, ens.checkpoints])
-    assert np.array_equal(ens.all_states(), full)
+    assert np.array_equal(bits(ens.states), bits(full[:, [0, n_steps]]))
+    assert np.array_equal(bits(ens.all_states()), bits(full))
     backward = list(ens.replay())
-    assert np.array_equal(np.stack(backward[::-1], axis=1), full)
+    assert len(backward) == n_steps + 1
+    for i, x in zip(range(n_steps, -1, -1), backward):
+        assert x.flags.c_contiguous, i
+        assert np.array_equal(bits(x), bits(full[:, i])), i
     # a truncation built from arrays holds every node and steps none
     for s in range(1, n_steps + 1):
         sub = truncation(ens, s)
@@ -1367,9 +1419,9 @@ def test_replays_and_truncations_rebuild_the_full_rows(n_steps):
 
 
 def test_a_replay_reads_the_grid_times_once_per_segment(monkeypatch):
-    # 10 steps, checkpoints 0, 4, 8, 10: three segments to step, 7 steps
+    # 10 steps, checkpoints 0 and 10: one segment, 9 nodes rebuilt
     ens = tb.simulate_forward(CHECKPOINT_SDE, tb.TimeGrid(0.0, 1.0, 10), 50, 7)
-    assert ens.checkpoints == [0, 4, 8, 10]
+    assert ens.checkpoints == [0, 10]
     reads = [0]
     times = tb.TimeGrid.times
 
@@ -1378,7 +1430,48 @@ def test_a_replay_reads_the_grid_times_once_per_segment(monkeypatch):
         return times.fget(grid)
     monkeypatch.setattr(tb.TimeGrid, "times", property(counted))
     assert len(list(ens.replay())) == 11
-    assert reads[0] <= 3
+    assert reads[0] == 1
+
+
+def bisection_steps(length):
+    """T(L), the Euler steps a replay takes to rebuild the L - 1 nodes
+    strictly between two checkpoints L steps apart: L // 2 to the middle
+    node, then both halves."""
+    if length == 1:
+        return 0
+    half = length // 2
+    return half + bisection_steps(length - half) + bisection_steps(half)
+
+
+@pytest.mark.parametrize("n_steps, steps_taken", [
+    (1, 0), (2, 1), (3, 2), (4, 4), (10, 15), (33, 81), (50, 133), (64, 192)])
+def test_a_replay_takes_the_bisection_steps(monkeypatch, n_steps,
+                                            steps_taken):
+    ens = tb.simulate_forward(CHECKPOINT_SDE, tb.TimeGrid(0.0, 1.0, n_steps),
+                              20, 7)
+    steps = count_euler_steps(monkeypatch)
+    assert len(list(ens.replay())) == n_steps + 1
+    assert steps[0] == steps_taken == bisection_steps(n_steps)
+    assert 2 * steps_taken <= n_steps * math.ceil(math.log2(n_steps))
+
+
+def test_a_replay_holds_a_log_of_its_rows(traced_peak):
+    # n = 64: the deepest descent holds X_32, X_48, ..., X_63, six rebuilt
+    # rows; the Euler step adds its output and the drift-shifted states
+    n, row = 64, 20_000 * 3 * 8
+    sde = tb.SdeSpec(dim_x=3, dim_b=3, x0=[0.1, 0.2, 0.3],
+                     drift_const=[0.1, -0.2, 0.3], drift_t=[0.2, 0.0, -0.1],
+                     vol_const=0.8 * np.eye(3))
+    ens = tb.simulate_forward(sde, tb.TimeGrid(0.0, 1.0, n), 20_000, 7)
+
+    def walk():
+        nodes = 0
+        for x in ens.replay():
+            nodes += 1
+        return nodes
+    peak, nodes = traced_peak(walk)
+    assert nodes == n + 1
+    assert peak <= (math.ceil(math.log2(n)) + 2) * row, peak / row
 
 
 def count_euler_steps(monkeypatch):
@@ -1393,8 +1486,10 @@ def count_euler_steps(monkeypatch):
 
 
 def test_euler_step_budget(monkeypatch):
-    # 10 steps, checkpoints 0, 4, 8, 10: a replay steps the 7 other nodes
-    n, rebuilt = 10, 7
+    # 10 steps, checkpoints 0 and 10: a replay rebuilds the 9 other nodes
+    # by bisection in T(10) = 15 steps
+    n, rebuilt = 10, bisection_steps(10)
+    assert rebuilt == 15
     steps = count_euler_steps(monkeypatch)
     sc = checkpoint_scenario(n, 7, union_driver(), box_cloud_union())
     ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
@@ -1460,9 +1555,10 @@ def test_path_ensemble_rejects_arrays_off_its_grid(arrays, field):
 
 def test_simulated_states_are_kept_only_at_checkpoints():
     ens = tb.simulate_forward(make_sde(), GRID_8, 50, 0)
-    assert ens.checkpoints == [0, 3, 6, 8]
-    # every node given, with the sde whose ensembles keep four of them
+    assert ens.checkpoints == [0, 8]
+    assert ens.states.shape == (50, 2, 1)
+    # every node given, with the sde whose ensembles keep two of them
     with pytest.raises(EngineError, match=r"^states has shape \(50, 9, 1\), "
-                                          r"but .* need \(50, 4, dim\)"):
+                                          r"but .* need \(50, 2, dim\)"):
         tb.PathEnsemble(GRID_8, 50, 0, ens.increments, ens.all_states(),
                         ens.sde)

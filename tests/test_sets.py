@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thetabsde import sets
+from thetabsde.ambient import row_sq
 from thetabsde.sets import (Ball, Box, PointCloud, SetError, UnionSet,
                             grid_cover)
 
@@ -401,6 +402,102 @@ def test_union_gap_is_the_partition_gap(members):
         assert np.array_equal(getattr(lean, name), getattr(r, name))
 
 
+def broadcast_box_projection(box, P):
+    """Box.project_batch with the bounds broadcast over the rows."""
+    pts = np.clip(P, box.lower, box.upper)
+    return pts, np.sqrt(row_sq(P - pts))
+
+
+def broadcast_ball_projection(ball, P):
+    """Ball.project_batch with the centre and the scale broadcast over the
+    rows and columns."""
+    diff = P - ball.center
+    dist = np.sqrt(row_sq(diff))
+    outside = dist > ball.radius
+    scale = np.divide(ball.radius, dist, out=np.zeros_like(dist),
+                      where=outside)
+    diff *= scale[:, None]
+    diff += ball.center
+    np.copyto(diff, P, where=~outside[:, None])
+    return diff, np.sqrt(row_sq(P - diff))
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_box_and_ball_are_bitwise_their_broadcast_formulas(dim,
+                                                           special_batch):
+    # column by column from 2 to 7 columns: signed zeros, infinities, nan and
+    # subnormals in the queries, and bounds a query can tie with
+    P = special_batch(400, dim, dim)
+    P[::7] = np.where(np.arange(dim) % 2, 0.0, -0.0)
+    lower = np.where(np.arange(dim) % 2, -0.0, np.linspace(-1.0, 0.0, dim))
+    upper = np.where(np.arange(dim) % 3, 1e-310, 0.0) + np.maximum(lower, 0.0)
+    ball = Ball(np.where(np.arange(dim) % 2, -0.0, 1e-310), 0.75)
+    for uset, formula in ((Box(lower, upper), broadcast_box_projection),
+                          (ball, broadcast_ball_projection)):
+        with np.errstate(all="ignore"):
+            r = uset.project_batch(P)
+            pts, dist = formula(uset, P)
+        assert np.array_equal(bits(r.point), bits(pts)), type(uset)
+        assert np.array_equal(bits(r.distance), bits(dist)), type(uset)
+
+
+def stacked_union_projection(u, P, gap=True):
+    """UnionSet.project_batch with every member's record held at once: the
+    first ``np.argmin`` of the stacked member distances, and the gap to the
+    row minimum once the winner is masked with inf."""
+    projs = [stacked_union_projection(m, P, False) if isinstance(m, UnionSet)
+             else m.project_batch(P, gap=False) for m in u.members]
+    D = np.stack([r.distance for r in projs], axis=1)
+    best = np.argmin(D, axis=1)
+    pts = np.empty_like(P)
+    for j, r in enumerate(projs):
+        pts[best == j] = r.point[best == j]
+    at = np.arange(len(P))
+    dist = D[at, best]
+    medial = None
+    if gap:
+        D[at, best] = np.inf
+        medial = D.min(axis=1) - dist
+    return sets.ProjectionResult(pts, dist, best, medial)
+
+
+@pytest.mark.parametrize("members", ["two", "three", "nested", "ball_first"])
+def test_union_fold_is_bitwise_the_stacked_argmin(members, special_batch):
+    # half-integer queries tie two members, and some all three; infinite
+    # queries give a ball a nan distance, where np.argmin picks the first
+    # nan and the fold must too
+    cloud = PointCloud([[-2.0, 0.0], [2.0, 0.0]])
+    box = Box([-0.5, 2.0], [0.5, 3.0])
+    ball = Ball([0.0, -2.5], 0.5)
+    u = {"two": UnionSet([cloud, box]),
+         "three": UnionSet([cloud, box, ball]),
+         "nested": UnionSet([box, UnionSet([ball, cloud])]),
+         "ball_first": UnionSet([ball, box, cloud, ball])}[members]
+    g = np.arange(-4.0, 4.5, 0.5)
+    P = np.vstack([np.stack(np.meshgrid(g, g, indexing="ij"),
+                            axis=-1).reshape(-1, 2),
+                   special_batch(300, 2, 11)])
+    with np.errstate(all="ignore"):
+        want = stacked_union_projection(u, P)
+        ties = np.sum(want.medial_gap == 0.0)
+        for gap in (True, False):
+            r = u.project_batch(P, gap=gap)
+            assert np.array_equal(r.member_index, want.member_index)
+            assert np.array_equal(bits(r.point), bits(want.point))
+            assert np.array_equal(bits(r.distance), bits(want.distance))
+            if gap:
+                assert np.array_equal(bits(r.medial_gap),
+                                      bits(want.medial_gap))
+            else:
+                assert r.medial_gap is None
+    assert ties > 0
+    assert np.any(np.isnan(want.distance))
+
+
 def big_cloud_queries():
     rng = np.random.default_rng(5)
     return (rng.normal(scale=2.0, size=(20_000, 2)),
@@ -426,6 +523,25 @@ def test_union_projection_holds_only_its_budget(traced_peak):
     peak, r = traced_peak(u.project_batch, P)
     assert np.array_equal(r.medial_gap, partition_gap(u, P))
     assert peak <= 16 * row + 2 * 8 * sets._CLOUD_BUDGET, peak
+
+
+def test_union_holds_one_member_record_beside_its_own(traced_peak):
+    # a box and three clouds: folded one at a time, the union holds its
+    # running record, an (n, dim) point and three (n,) rows, beside the
+    # member it projects, whose peak is at most a cloud's
+    P, _ = big_cloud_queries()
+    rng = np.random.default_rng(6)
+    clouds = [PointCloud(rng.normal(loc=c, size=(1000, 2)))
+              for c in (-1.0, 0.0, 1.0)]
+    u = UnionSet([Box([-4.0, -1.0], [-3.0, 1.0])] + clouds)
+    row = len(P) * 8
+    cloud_peak, _ = traced_peak(clouds[0].project_batch, P, gap=False)
+    for gap in (True, False):
+        peak, r = traced_peak(u.project_batch, P, gap=gap)
+        assert np.array_equal(r.member_index,
+                              stacked_union_projection(u, P).member_index)
+        assert peak <= cloud_peak + P.nbytes + 3 * row + row / 2, (
+            (peak - cloud_peak) / row)
 
 
 def test_ball_projection_holds_no_fourth_block(traced_peak):

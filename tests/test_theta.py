@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import thetabsde as tb
+from thetabsde import engine, theta
+from thetabsde.drivers import effective_driver
 from thetabsde.engine import EngineError
 from thetabsde.theta import (integrate_theta_qv, simulate_theta_bm,
                              verify_theta_martingale)
@@ -28,6 +30,35 @@ def test_zero_driver_bm_is_plain_bm_bitwise():
     grid = tb.TimeGrid(0.0, 1.0, 50)
     ens = simulate_theta_bm(tb.ZeroDriver(), UNIT_BOX, grid, 200, 1)
     assert np.array_equal(ens.states[:, :, 0], brownian_from(ens))
+
+
+def test_zero_driver_bm_skips_the_driver_bitwise(monkeypatch):
+    # ZeroDriver's F is 0.0, so the driver loop's b - 0.0 * dt is b: the
+    # path is the same with no driver call, from a -0.0 first increment on
+    grid = tb.TimeGrid(0.0, 1.0, 12)
+    n_paths = 64
+    dB = engine.brownian_increments(grid, n_paths, 3, 1).copy()
+    dB[::2, 0, 0] = -0.0
+    dB[1::4, 3:6, 0] = -0.0
+    dB[5, :, 0] = -0.0
+    monkeypatch.setattr(theta, "brownian_increments", lambda *args: dB)
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return effective_driver(*args)
+    monkeypatch.setattr(theta, "effective_driver", counted)
+    ens = simulate_theta_bm(tb.ZeroDriver(), UNIT_BOX, grid, n_paths, 3)
+    assert calls[0] == 0
+    b = np.zeros((grid.n_steps + 1, n_paths, 1))
+    ones = np.ones((n_paths, 1))
+    for i in range(grid.n_steps):
+        f = effective_driver(tb.ZeroDriver(), UNIT_BOX, grid.times[i], b[i],
+                             b[i, :, 0], ones)
+        b[i + 1, :, 0] = b[i, :, 0] - f * grid.dt + dB[:, i, 0]
+    assert ens.states.tobytes() == np.ascontiguousarray(
+        np.swapaxes(b, 0, 1)).tobytes()
+    assert np.all(ens.states[5] == 0.0)
 
 
 def test_constant_drift_exact():
