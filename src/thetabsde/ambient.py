@@ -15,9 +15,9 @@ an axis, so the result is bitwise that of ``np.sum(x, axis=1)`` without its
 per-row overhead; from there on they call ``np.sum``. They allocate only
 (n,) rows, and their callers keep every temporary at (n,) or (n, dim).
 Elementwise work that broadcasts a (dim,) row or an (n, 1) column over an
-(n, dim) array goes through ``by_column`` by the same rule: numpy runs
-such a broadcast's inner loop dim elements at a time, several times
-slower than one contiguous (n,) loop per column.
+(n, dim) array goes through ``by_column``: numpy runs such a broadcast's
+inner loop dim elements at a time, and below ``_COLUMN_LOOP_DIM`` columns
+one strided (n,) loop per column is faster.
 """
 
 import functools
@@ -31,6 +31,11 @@ _SQRT2 = np.sqrt(2.0)
 # np.sum reduces a trailing axis shorter than 8 left to right; from 8 on it
 # sums pairwise, which the column loop would not reproduce
 _ROW_KERNEL_DIM = 8
+
+# a broadcast over an (n, d) array runs as d strided (n,) column loops while
+# d < 4: at n = 2k-50k (numpy 2.4.6, 2-vCPU VM) the loops take 0.2-0.6 of
+# the broadcast's time at d = 2, 3, and from 0.9 to 1.6 times it at d = 4
+_COLUMN_LOOP_DIM = 4
 
 
 class AmbientError(ValueError):
@@ -137,19 +142,22 @@ def row_sq(x):
 
 def by_column(fn, *operands):
     """``fn(*operands)``, elementwise work on (n, d) arrays, called once
-    per column when 1 < d < ``_ROW_KERNEL_DIM``. Each operand is an (n, d)
-    array, an (n, 1) column, a (d,) row or a number; d is the longest
-    trailing axis among them. Call j gets each 2-d operand's column j (an
-    (n, 1) column's only one), each row's entry j and each number as it
-    is. Otherwise one call gets the operands as they are, for numpy to
-    broadcast: with one column that is already one contiguous loop. Every
+    per column when 1 < d < ``_COLUMN_LOOP_DIM`` and some operand is a
+    (d,) row or an (n, 1) column. Each operand is an (n, d) array, an
+    (n, 1) column, a (d,) row or a number; d is the longest trailing axis
+    among them. Call j gets each 2-d operand's column j (an (n, 1)
+    column's only one), each row's entry j and each number as it is.
+    Otherwise one call gets the operands as they are: with nothing to
+    broadcast, or with one column, numpy's loop is already one pass. Every
     element meets the same operands either way, so arithmetic and copies
     give bitwise equal results; ``np.clip`` does not (see
     ``Box.project_batch``). ``fn`` writes its output through the views it
     gets, as a ufunc's ``out``."""
     ndims = [getattr(a, "ndim", 0) for a in operands]
     d = max(a.shape[-1] for a, k in zip(operands, ndims) if k)
-    if d == 1 or d >= _ROW_KERNEL_DIM:
+    broadcast = any(k == 1 or (k == 2 and a.shape[1] < d)
+                    for a, k in zip(operands, ndims))
+    if not (broadcast and 1 < d < _COLUMN_LOOP_DIM):
         fn(*operands)
         return
     for j in range(d):

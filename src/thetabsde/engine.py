@@ -183,12 +183,6 @@ def euler_step(sde, t, dt, X, dB):
     return sde.step(t, dt, X, dB)
 
 
-def _checkpoints(n_steps, stepped=True):
-    """Nodes 0 and ``n_steps`` for states that ``simulate_forward``
-    stepped, else every node."""
-    return [0, n_steps] if stepped else list(range(n_steps + 1))
-
-
 @dataclass
 class PathEnsemble:
     """Simulated paths: the Brownian increments at every step, and the
@@ -224,7 +218,8 @@ class PathEnsemble:
     @property
     def checkpoints(self):
         """The nodes whose states ``states`` holds, in order."""
-        return _checkpoints(self.grid.n_steps, self.sde is not None)
+        n = self.grid.n_steps
+        return [0, n] if self.sde is not None else list(range(n + 1))
 
     def replay(self):
         """Every node's states, X_n to X_0. Checkpoint rows are read, and

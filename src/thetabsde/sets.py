@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ambient import (_ROW_KERNEL_DIM, MAX_DIM, as_number, as_point,
+from .ambient import (_COLUMN_LOOP_DIM, MAX_DIM, as_number, as_point,
                       by_column, row_sq, row_sum)
 
 INF_GAP = np.inf
@@ -182,13 +182,14 @@ class Box(UncertaintySet):
     def project_batch(self, P, gap=True):
         P = _check_batch(P, self.dim)
         pts = np.empty(P.shape)
-        if self.dim == 1 or self.dim >= _ROW_KERNEL_DIM:
+        if not 1 < self.dim < _COLUMN_LOOP_DIM:
             np.clip(P, self.lower, self.upper, out=pts)
         else:
-            # each column is clipped to (n,) rows of its bounds: numpy
-            # clips to bounds of stride 0, or numbers, in another loop,
-            # whose result can differ in the sign of a zero (one column's
-            # bounds broadcast to stride 0, so it takes that loop as is)
+            # by ``by_column``'s rule, but each column is clipped to (n,)
+            # rows of its bounds: numpy clips to bounds of stride 0, or
+            # numbers, in another loop, whose result can differ in the
+            # sign of a zero (one column's bounds broadcast to stride 0,
+            # so it takes that loop as is)
             bounds = np.empty((2, len(P)))
             for j in range(self.dim):
                 bounds[0], bounds[1] = self.lower[j], self.upper[j]

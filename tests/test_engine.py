@@ -912,8 +912,8 @@ def test_euler_step_is_bitwise_the_zero_started_sum(present):
 @pytest.mark.parametrize("dim", range(1, 11))
 def test_euler_step_drift_is_bitwise_the_broadcast(dim, linear,
                                                    special_batch):
-    # the drift, a (dim,) row or with drift_lin an (n, dim) array, is added
-    # column by column from 2 to 7 columns
+    # the drift, a (dim,) row, is added column by column at 2 and 3
+    # columns; with drift_lin it is an (n, dim) array, added in one call
     sde = tb.SdeSpec(dim_x=dim, dim_b=2, x0=np.zeros(dim),
                      drift_const=np.where(np.arange(dim) % 2, -0.0, 1e-310),
                      drift_t=np.where(np.arange(dim) % 3, 0.25, -5e-324),
@@ -933,7 +933,8 @@ def test_euler_step_drift_is_bitwise_the_broadcast(dim, linear,
 @pytest.mark.parametrize("dim", [1, 3, 9])
 def test_z_target_is_bitwise_the_broadcast(dim):
     # Z_n = Z_{n-1}, fitted on node n - 1's design against the target
-    # (y - Ey) dB / dt, which the sweep builds column by column from 2 to 7
+    # (y - Ey) dB / dt, which the sweep builds column by column at 2 and 3
+    # columns
     sc = replace(ball_scenario(dim, n_paths=400, n_steps=4),
                  driver=tb.ZeroDriver())
     ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
@@ -1312,15 +1313,6 @@ def union_driver(c_y=0.0):
                      C_z=[[2.0]]), eps=0.3)
 
 
-def a3_nodes(n_steps):
-    """A3's ``s_index`` at the last checkpoint strictly inside the grid
-    and at the last node that is no checkpoint; n_steps where none is."""
-    nodes = tb.simulate_forward(CHECKPOINT_SDE, tb.TimeGrid(0.0, 1.0, n_steps),
-                                1, 0).checkpoints
-    return {"checkpoint": max(nodes[1:-1] or [n_steps]),
-            "between": max(set(range(n_steps)) - set(nodes) or {n_steps})}
-
-
 # name -> (scenario of (n_steps, seed), the run on it)
 CHECKPOINT_RUNS = {
     "solve_y_free": (
@@ -1352,14 +1344,16 @@ CHECKPOINT_RUNS = {
     "A2": (
         lambda n, s: checkpoint_scenario(n, s, union_driver()),
         lambda sc: axiom_check(sc, "A2_translation", {"m": 1.0})),
+    # A3 with s at node n, the one stored checkpoint after node 0, and s at
+    # n - 1, the last node the replay rebuilds (n itself on a one-step grid)
     "A3_checkpoint": (
         lambda n, s: checkpoint_scenario(n, s, union_driver(c_y=0.4)),
         lambda sc: axiom_check(sc, "A3_tower", {
-            "s_index": a3_nodes(sc.grid.n_steps)["checkpoint"]})),
+            "s_index": sc.grid.n_steps})),
     "A3_between": (
         lambda n, s: checkpoint_scenario(n, s, union_driver(c_y=0.4)),
         lambda sc: axiom_check(sc, "A3_tower", {
-            "s_index": a3_nodes(sc.grid.n_steps)["between"]})),
+            "s_index": max(sc.grid.n_steps - 1, 1)})),
 }
 
 
