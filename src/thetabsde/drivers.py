@@ -12,8 +12,8 @@ from typing import Optional
 
 import numpy as np
 
-from .ambient import (as_number, as_point, by_column, off_diagonal,
-                      require_finite, row_sq, row_sum, sym_vec_dim)
+from .ambient import (as_number, as_point, off_diagonal, require_finite,
+                      row_sq, row_sum, sym_vec_dim)
 from .sets import Box, Ball, SetError, grid_cover, plain_result
 
 
@@ -106,14 +106,13 @@ class StateFn:
     def value(self, t, x, y, z):
         """Values (n, m) at batched (t, x, y, z)."""
         out = np.empty((x.shape[0], self.c0.size))
-        by_column(np.copyto, out, self.c0)
+        out[:] = self.c0
         if self.c_t is not None:
-            by_column(np.add, out, t * self.c_t, out)
+            out += t * self.c_t
         if self.C_x is not None:
             out += x @ self.C_x.T
         if self.c_y is not None:
-            by_column(lambda o, yc, c: np.add(o, yc * c, out=o),
-                      out, y[:, None], self.c_y)
+            out += y[:, None] * self.c_y
         if self.C_z is not None:
             out += z @ self.C_z.T
         return out

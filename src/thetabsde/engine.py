@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .ambient import (as_integer, as_number, as_pair, as_seed, by_column,
-                      require_finite, row_sum)
+from .ambient import (as_integer, as_number, as_pair, as_seed, require_finite,
+                      row_sum)
 from .drivers import effective_driver, maximizer
 
 
@@ -128,13 +128,14 @@ class SdeSpec:
         dB)``, signed zeros included, with no zero arrays: it starts from
         the volatility product and adds only the terms this SDE has. It
         can differ from the zero-started sums only in the sign of a zero;
-        they hold no -0.0, and the closing ``+ 0.0`` clears every -0.0."""
+        they hold no -0.0, and the closing ``+ 0.0`` clears every -0.0.
+        ``simulate_forward`` and ``PathEnsemble.replay`` both take this
+        step, so a rebuilt state is bitwise the one the forward pass
+        reached."""
         out = self._vol_terms(X, dB)
         drift = self._drift_terms(t, X)
         if drift is not None:
-            shifted = np.empty(X.shape)
-            by_column(np.add, X, drift * dt, shifted)
-            X = shifted
+            X = X + drift * dt
         if out is None:
             return X + 0.0
         out += X
@@ -175,14 +176,6 @@ def _swap(a):
     return None if a is None else np.swapaxes(a, 0, 1)
 
 
-def euler_step(sde, t, dt, X, dB):
-    """One Euler step of the forward diffusion from states ``X`` at time
-    ``t`` over the increments ``dB``. The forward pass and every rebuild
-    of its states take this step, and the same operations on the same
-    inputs give the same bits (see ``SdeSpec.step``)."""
-    return sde.step(t, dt, X, dB)
-
-
 @dataclass
 class PathEnsemble:
     """Simulated paths: the Brownian increments at every step, and the
@@ -191,7 +184,7 @@ class PathEnsemble:
     checkpoints are nodes 0 and n_steps; an ensemble built from arrays has
     no ``sde`` and holds every node. ``replay`` hands out every node's
     states, stepping each one between two checkpoints from the one below
-    it, bitwise as the forward pass did.
+    it with ``sde.step``, bitwise as the forward pass did.
 
     ``simulate_forward`` stores both arrays node-major and read-only, and
     hands out their path-major transpose views, so ``states[:, j]`` is one
@@ -241,7 +234,7 @@ class PathEnsemble:
             mid = (lo + hi) // 2
             x = x_lo
             for i in range(lo, mid):
-                x = euler_step(self.sde, times[i], dt, x, dB[i])
+                x = self.sde.step(times[i], dt, x, dB[i])
             yield from between(mid, x, hi)
             yield x
             # held through the lower half, X_mid would add a row per level
@@ -304,7 +297,7 @@ def simulate_forward(sde, grid, n_paths, seed):
     times = grid.times
     dt = grid.dt
     for i in range(grid.n_steps):
-        x = euler_step(sde, times[i], dt, x, steps[i])
+        x = sde.step(times[i], dt, x, steps[i])
     X[1] = x
     X.flags.writeable = False
     return PathEnsemble(grid, len(dB), int(seed), dB, _swap(X), sde)
@@ -333,6 +326,14 @@ class Scenario:
             setattr(self, name, as_integer(EngineError, getattr(self, name),
                                            name, least))
         self.seed = as_seed(EngineError, self.seed)
+        # the regression needs at least as many paths as basis columns
+        columns = math.comb(self.sde.dim_x + self.regression_degree,
+                            self.regression_degree)
+        if columns > self.n_paths:
+            raise EngineError(
+                f"regression_degree {self.regression_degree} on dim_x "
+                f"{self.sde.dim_x} needs {columns} basis columns, more than "
+                f"n_paths = {self.n_paths}")
         if self.y_clip is not None:
             self.y_clip = as_pair(EngineError, self.y_clip, "y_clip")
 
@@ -529,8 +530,7 @@ def backward_sweep(scenarios, paths, terminal_values=None, records=False):
         design."""
         Ey = design @ basis.fit(design, t.y)
         # the Z target (y - Ey) dB / dt, built in its one (n, dim_b) array
-        target = np.empty(dB[i].shape)
-        by_column(np.multiply, (t.y - Ey)[:, None], dB[i], target)
+        target = (t.y - Ey)[:, None] * dB[i]
         target /= dt
         return Ey, design @ basis.fit(design, target)
 

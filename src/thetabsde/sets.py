@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ambient import (_COLUMN_LOOP_DIM, MAX_DIM, as_number, as_point,
-                      by_column, row_sq, row_sum)
+from .ambient import MAX_DIM, as_number, as_point, row_sq, row_sum
 
 INF_GAP = np.inf
 
@@ -34,18 +33,6 @@ def _check_batch(P, dim):
     if P.ndim != 2 or P.shape[1] != dim:
         raise SetError(f"query batch has shape {P.shape}, expected (n, {dim})")
     return P
-
-
-def _scale_shift(scale, shift, out):
-    """``out = out * scale + shift`` in place, as one ``by_column`` call."""
-    out *= scale
-    out += shift
-
-
-def _copy_rows(dst, src, rows):
-    """``src``'s rows where the (n,) mask ``rows`` is set, into ``dst``."""
-    by_column(lambda s, keep, out: np.copyto(out, s, where=keep),
-              src, rows[:, None], dst)
 
 
 def _cloud_nearest(P, pts, second=True):
@@ -181,19 +168,7 @@ class Box(UncertaintySet):
 
     def project_batch(self, P, gap=True):
         P = _check_batch(P, self.dim)
-        pts = np.empty(P.shape)
-        if not 1 < self.dim < _COLUMN_LOOP_DIM:
-            np.clip(P, self.lower, self.upper, out=pts)
-        else:
-            # by ``by_column``'s rule, but each column is clipped to (n,)
-            # rows of its bounds: numpy clips to bounds of stride 0, or
-            # numbers, in another loop, whose result can differ in the
-            # sign of a zero (one column's bounds broadcast to stride 0,
-            # so it takes that loop as is)
-            bounds = np.empty((2, len(P)))
-            for j in range(self.dim):
-                bounds[0], bounds[1] = self.lower[j], self.upper[j]
-                np.clip(P[:, j], bounds[0], bounds[1], out=pts[:, j])
+        pts = np.clip(P, self.lower, self.upper)
         return plain_result(pts, np.sqrt(row_sq(P - pts)))
 
     def linear_max_batch(self, C):
@@ -223,17 +198,17 @@ class Ball(UncertaintySet):
 
     def project_batch(self, P, gap=True):
         P = _check_batch(P, self.dim)
-        diff = np.empty(P.shape)
-        by_column(np.subtract, P, self.center, diff)
+        diff = P - self.center
         dist = np.sqrt(row_sq(diff))
         outside = dist > self.radius
         # every row is scaled and the inside ones are discarded: cheaper
         # than gathering and scattering the outside ones
         scale = np.divide(self.radius, dist, out=np.zeros_like(dist),
                           where=outside)
-        by_column(_scale_shift, scale[:, None], self.center, diff)
+        diff *= scale[:, None]
+        diff += self.center
         # the projection, in place: the inside rows are the queries
-        _copy_rows(diff, P, ~outside)
+        np.copyto(diff, P, where=~outside[:, None])
         return plain_result(diff, np.sqrt(row_sq(P - diff)))
 
     def linear_max_batch(self, C):
@@ -335,7 +310,7 @@ class UnionSet(UncertaintySet):
                            out=second)
             best[take] = j
             np.copyto(dist, r.distance, where=take)
-            _copy_rows(pts, r.point, take)
+            np.copyto(pts, r.point, where=take[:, None])
             del r
         if gap:
             second -= dist

@@ -27,8 +27,9 @@ def check_theta_driver(driver, uset, dim):
 def simulate_theta_bm(driver, uset, grid, n_paths, seed):
     """Euler scheme for the scalar drift-corrected Brownian motion: a
     ``PathEnsemble`` built from arrays, so it holds b at every node, with
-    b = ``states[:, :, 0]``. Under ``ZeroDriver`` b is bitwise the running
-    sum of the increments, plain Brownian motion."""
+    b = ``states[:, :, 0]``. Under ``ZeroDriver`` F is 0.0 on every path,
+    and b - 0.0 * dt is b bitwise, so b is the running sum of the
+    increments, plain Brownian motion."""
     check_theta_driver(driver, uset, 1)
     dB = brownian_increments(grid, n_paths, seed, 1)
     n_paths = len(dB)
@@ -36,15 +37,10 @@ def simulate_theta_bm(driver, uset, grid, n_paths, seed):
     dt = grid.dt
     times = grid.times
     b = np.zeros((grid.n_steps + 1, n_paths, 1))
-    # ZeroDriver's F is 0.0 on every path, and b - 0.0 * dt is b bitwise
-    zero = type(driver) is ZeroDriver
-    ones = None if zero else np.ones((n_paths, 1))
+    ones = np.ones((n_paths, 1))
     for i in range(grid.n_steps):
-        b_i = b[i, :, 0]
-        if not zero:
-            f = effective_driver(driver, uset, times[i], b[i], b_i, ones)
-            b_i = b_i - f * dt
-        np.add(b_i, steps[i], out=b[i + 1, :, 0])
+        f = effective_driver(driver, uset, times[i], b[i], b[i, :, 0], ones)
+        b[i + 1, :, 0] = b[i, :, 0] - f * dt + steps[i]
     if not np.all(np.isfinite(b)):
         raise EngineError("drift-corrected simulation produced non-finite values")
     b.flags.writeable = False

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from thetabsde.ambient import (AmbientError, as_point, by_column, embed,
-                               extract, frobenius_inner, matrix_dim, row_sq,
-                               row_sum, sym_vec_dim)
+from thetabsde.ambient import (AmbientError, as_point, embed, extract,
+                               frobenius_inner, matrix_dim, row_sq, row_sum,
+                               sym_vec_dim)
 
 
 def same_bits(a, b):
@@ -83,43 +83,3 @@ def test_row_kernels_are_bitwise_np_sum(d):
     wide = np.repeat(x, 2, axis=1)[:, ::2]
     assert same_bits(row_sum(wide), np.sum(x, axis=1))
     assert same_bits(row_sq(wide), np.sum(x * x, axis=1))
-
-
-def copy_where(src, mask, out):
-    np.copyto(out, src, where=mask)
-
-
-@pytest.mark.parametrize("d", range(1, 11))
-def test_by_column_is_bitwise_the_broadcast(d, special_batch):
-    # column by column when a row or a column broadcasts over 2 or 3
-    # columns, one call otherwise
-    n = 300
-    A, B = special_batch(n, d, d), special_batch(n, d, 100 + d)
-    row = special_batch(1, d, 200 + d)[0]
-    col = special_batch(n, 1, 300 + d)
-    mask = np.random.default_rng(d).random((n, 1)) < 0.5
-    cases = {
-        "array minus row": (np.subtract, (A, row), lambda: A - row),
-        "row plus array": (np.add, (row, A), lambda: row + A),
-        "column times array": (np.multiply, (col, A), lambda: col * A),
-        "array times column": (np.multiply, (A, col), lambda: A * col),
-        "array over number": (np.divide, (A, 3.0), lambda: A / 3.0),
-        "array plus array": (np.add, (A, B), lambda: A + B),
-    }
-    looped = {"array over number": 1, "array plus array": 1}
-    with np.errstate(all="ignore"):
-        for name, (fn, args, want) in cases.items():
-            out = np.empty((n, d))
-            calls = []
-            by_column(lambda *a: calls.append(fn(*a)), *args, out)
-            assert same_bits(out, want()), name
-            assert len(calls) == looped.get(name, d if 1 < d < 4 else 1)
-        # in place, through the output's own column views
-        out = A.copy()
-        by_column(np.multiply, out, col, out)
-        assert same_bits(out, A * col)
-        out = A.copy()
-        by_column(copy_where, B, mask, out)
-        want = A.copy()
-        np.copyto(want, B, where=mask)
-        assert same_bits(out, want)

@@ -289,6 +289,10 @@ UNION = ('set.type = union\nset.members = [{"type": "box", "lower": [0.0], '
     (GOOD.replace("driver.type = zero", "driver.type = regularized_projection"
                   "\ndriver.eps = 0.5\ndriver.g = [1.0]"),
      "driver.g must be a number or mapping"),
+    # numpy raised "Maximum allowed dimension exceeded" building the design
+    (GOOD + "mc.regression_degree = 1e30\n",
+     "mc: regression_degree 1000000000000000019884624838656 on dim_x 1 "
+     "needs"),
 ], ids=["sweep_on_union", "fk_in_dim_2", "eos_on_box", "martingale_past_grid",
         "martingale_dim_x_2", "martingale_dim_b_2",
         "empty_coeffs", "nested_coeffs", "nan_coeff", "nan_x0", "nan_drift_const",
@@ -299,7 +303,7 @@ UNION = ('set.type = union\nset.members = [{"type": "box", "lower": [0.0], '
         "sweep_a0_outside_set", "sweep_a0_wrong_dim", "martingale_nan_c",
         "inf_ball_radius", "empty_key", "key_under_scalar", "malformed_json",
         "scalar_set", "scalar_driver", "unknown_set_type",
-        "unknown_driver_type", "list_driver_g"])
+        "unknown_driver_type", "list_driver_g", "degree_past_n_paths"])
 def test_cli_validate_rejects_what_run_would_fail(tmp_path, capsys, kind_cfg,
                                                   message):
     p = tmp_path / "kind.cfg"

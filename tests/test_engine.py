@@ -376,15 +376,20 @@ def driver_scenario(driver, uset=UNIT_BOX, n_steps=10, y_clip=None):
     ("seed", 2 ** 64, r"seed must be < 2\*\*64"),
     ("n_paths", 10.5, "n_paths must be an integer"),
     ("picard_iters", 2.5, "picard_iters must be an integer"),
+    # the cubic design on dim_x 1 has 4 columns; at degree 1e30 numpy
+    # failed to build the design
+    ("n_paths", 3, "needs 4 basis columns, more than n_paths = 3"),
+    ("regression_degree", 1e30, "more than n_paths = 500"),
 ], ids=["reversed_clip", "empty_clip", "nan_clip", "short_clip",
         "scalar_clip", "word_clip", "zero_paths", "fractional_seed",
         "negative_seed", "seed_past_philox_key", "fractional_paths",
-        "fractional_picard"])
+        "fractional_picard", "paths_below_columns", "degree_past_paths"])
 def test_scenario_rejects_bad_mc_fields(field, value, message):
     sc = driver_scenario(tb.ZeroDriver())
     with pytest.raises(EngineError, match=message):
         replace(sc, **{field: value})
     assert replace(sc, y_clip=[-1, 2]).y_clip == (-1.0, 2.0)
+    assert replace(sc, n_paths=4).n_paths == 4
 
 
 SEED_GRID = tb.TimeGrid(0.0, 1.0, 5)
@@ -912,8 +917,8 @@ def test_euler_step_is_bitwise_the_zero_started_sum(present):
 @pytest.mark.parametrize("dim", range(1, 11))
 def test_euler_step_drift_is_bitwise_the_broadcast(dim, linear,
                                                    special_batch):
-    # the drift, a (dim,) row, is added column by column at 2 and 3
-    # columns; with drift_lin it is an (n, dim) array, added in one call
+    # the drift, a (dim,) row, is broadcast over the states; with
+    # drift_lin it is an (n, dim) array
     sde = tb.SdeSpec(dim_x=dim, dim_b=2, x0=np.zeros(dim),
                      drift_const=np.where(np.arange(dim) % 2, -0.0, 1e-310),
                      drift_t=np.where(np.arange(dim) % 3, 0.25, -5e-324),
@@ -933,8 +938,7 @@ def test_euler_step_drift_is_bitwise_the_broadcast(dim, linear,
 @pytest.mark.parametrize("dim", [1, 3, 9])
 def test_z_target_is_bitwise_the_broadcast(dim):
     # Z_n = Z_{n-1}, fitted on node n - 1's design against the target
-    # (y - Ey) dB / dt, which the sweep builds column by column at 2 and 3
-    # columns
+    # (y - Ey) dB / dt, the residual column broadcast over the increments
     sc = replace(ball_scenario(dim, n_paths=400, n_steps=4),
                  driver=tb.ZeroDriver())
     ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
@@ -1470,12 +1474,12 @@ def test_a_replay_holds_a_log_of_its_rows(traced_peak):
 
 def count_euler_steps(monkeypatch):
     steps = [0]
-    step = engine.euler_step
+    step = tb.SdeSpec.step
 
     def counted(*args):
         steps[0] += 1
         return step(*args)
-    monkeypatch.setattr(engine, "euler_step", counted)
+    monkeypatch.setattr(tb.SdeSpec, "step", counted)
     return steps
 
 

@@ -429,8 +429,8 @@ def bits(a):
 @pytest.mark.parametrize("dim", range(1, 11))
 def test_box_and_ball_are_bitwise_their_broadcast_formulas(dim,
                                                            special_batch):
-    # column by column at 2 and 3 columns: signed zeros, infinities, nan
-    # and subnormals in the queries, and bounds a query can tie with
+    # signed zeros, infinities, nan and subnormals in the queries, and
+    # bounds a query can tie with
     P = special_batch(400, dim, dim)
     P[::7] = np.where(np.arange(dim) % 2, 0.0, -0.0)
     lower = np.where(np.arange(dim) % 2, -0.0, np.linspace(-1.0, 0.0, dim))

@@ -191,3 +191,54 @@ def test_a_stale_signature_is_named(quote):
     checked, problems = signature_problems(f"see `{quote}` here")
     assert len(checked) == 1 and problems, problems
     assert all(p.startswith(quote) for p in problems)
+
+
+def unread_private_names(sources):
+    """The ``_``-prefixed module-level functions, classes and constants
+    defined in ``sources`` (module name -> text) that no code in them reads
+    outside their own definition: as a name, or as an attribute such as
+    ``engine._swap`` or ``_Basis.measure``. Dunder names are left out,
+    since code outside the package reads them."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name, node))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                defined += [(module, t.id, node) for t in targets
+                            if isinstance(t, ast.Name)]
+    reads = [(n.id, id(n)) if isinstance(n, ast.Name) else (n.attr, id(n))
+             for tree in trees.values() for n in ast.walk(tree)
+             if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+             or isinstance(n, ast.Attribute)]
+    unread = []
+    for module, name, definition in defined:
+        if not name.startswith("_") or name.endswith("__"):
+            continue
+        own = {id(n) for n in ast.walk(definition)}
+        if not any(read == name and at not in own for read, at in reads):
+            unread.append(f"{module}.{name}")
+    return unread
+
+
+def test_every_private_name_has_a_reader():
+    # a private helper that nothing reads is dead code: its public
+    # callers are gone, and no caller outside the package may reach it
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted((ROOT / "src" / "thetabsde").glob("*.py"))}
+    assert unread_private_names(sources) == []
+
+
+def test_an_unread_private_name_is_named():
+    sources = {
+        "sets": "def _copy_rows(dst, src, rows):\n    return _copy_rows\n"
+                "_LIMIT = 4\n_USED = 5\n__all__ = []\n"
+                "class _Box:\n    pass\n",
+        "engine": "from .sets import _copy_rows, _USED\n"
+                  "def _step(x):\n    return x + _USED\n"
+                  "y = _step(1) + sets._LIMIT\n",
+    }
+    assert unread_private_names(sources) == ["sets._copy_rows", "sets._Box"]
