@@ -6,14 +6,20 @@ Euclidean norm of the vector equals the Frobenius norm of the matrix. Plain
 Euclidean vectors pass through unchanged, which lets all set geometry run on
 one code path.
 
-The kernel rule of the per-path hot loop: a reduction over a short trailing
-axis of an (n, dim) array (a query's coordinates, a driver's ambient
+The kernel rule of the per-path hot loop: an (n, dim) batch of the solver
+(states, increments, queries, projections, driver terms) is column-major,
+so that each coordinate is one contiguous (n,) column and broadcasting a
+(dim,) row over the batch runs over contiguous columns. A reduction over
+its short trailing axis (a query's coordinates, a driver's ambient
 dimension) goes through ``row_sum`` or ``row_sq``. Below
 ``_ROW_KERNEL_DIM`` columns they accumulate column by column, left to right,
-into one contiguous (n,) row, which is the order ``np.sum`` uses over such
-an axis, so the result is bitwise that of ``np.sum(x, axis=1)`` without its
-per-row overhead; from there on they call ``np.sum``. They allocate only
-(n,) rows, and their callers keep every temporary at (n,) or (n, dim).
+into one contiguous (n,) row, which is the order ``np.sum`` uses over the
+trailing axis of a C-ordered array, so the result is bitwise that of
+``np.sum(x, axis=1)`` without its per-row overhead; from there on they call
+``np.sum`` on a C-ordered copy, since over a column-major array it would
+sum left to right rather than pairwise. A matrix product ``x @ m.T``
+goes through ``col_product``, which returns it column-major with the
+values of the C-ordered product.
 """
 
 import functools
@@ -27,6 +33,12 @@ _SQRT2 = np.sqrt(2.0)
 # np.sum reduces a trailing axis shorter than 8 left to right; from 8 on it
 # sums pairwise, which the column loop would not reproduce
 _ROW_KERNEL_DIM = 8
+
+# OpenBLAS's matrix kernels give a column-major operand the values of a
+# C-ordered one below 32 inner columns on every core type checked (SkylakeX,
+# Cooperlake, Haswell, Zen, Sandybridge, Nehalem, Prescott); from 32 on the
+# AVX-512 kernels do not
+_COL_PRODUCT_DIM = 32
 
 
 class AmbientError(ValueError):
@@ -110,7 +122,7 @@ def as_pair(error, value, name):
 def row_sum(x):
     """``np.sum(x, axis=1)`` of an (n, d) array, bitwise."""
     if x.shape[1] >= _ROW_KERNEL_DIM:
-        return np.sum(x, axis=1)
+        return np.sum(np.ascontiguousarray(x), axis=1)
     # 0.0 + x turns a -0.0 into 0.0, as np.sum's zero start does
     out = np.add(x[:, 0], 0.0)
     for j in range(1, x.shape[1]):
@@ -122,6 +134,7 @@ def row_sq(x):
     """``np.sum(x * x, axis=1)`` of an (n, d) array, bitwise: the squared
     row norms."""
     if x.shape[1] >= _ROW_KERNEL_DIM:
+        x = np.ascontiguousarray(x)
         return np.sum(x * x, axis=1)
     out = np.multiply(x[:, 0], x[:, 0])
     sq = np.empty_like(out)
@@ -129,6 +142,20 @@ def row_sq(x):
         np.multiply(x[:, j], x[:, j], out=sq)
         out += sq
     return out
+
+
+def col_product(x, m):
+    """``x @ m.T`` of an (n, d) batch and a (k, d) matrix, as a
+    column-major (n, k) array, with the values of the C-ordered batch's
+    product. BLAS's matrix kernel reads a column-major batch as it is
+    below ``_COL_PRODUCT_DIM`` columns; on special values its AVX-512
+    kernel can then give a product that underflows to zero the other sign.
+    Its matrix-vector kernel, which takes one row of ``m``, and its AVX-512
+    matrix kernel from there on sum a column-major batch in another order,
+    so they get a C-ordered copy."""
+    if len(m) == 1 or x.shape[1] >= _COL_PRODUCT_DIM:
+        x = np.ascontiguousarray(x)
+    return np.asfortranarray(x @ m.T)
 
 
 def sym_vec_dim(d):

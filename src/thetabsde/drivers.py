@@ -12,8 +12,8 @@ from typing import Optional
 
 import numpy as np
 
-from .ambient import (as_number, as_point, off_diagonal, require_finite,
-                      row_sq, row_sum, sym_vec_dim)
+from .ambient import (as_number, as_point, col_product, off_diagonal,
+                      require_finite, row_sq, row_sum, sym_vec_dim)
 from .sets import Box, Ball, SetError, grid_cover, plain_result
 
 
@@ -42,14 +42,15 @@ def _batch_args(t, x, y, z):
 
 
 def embed_zz(z):
-    """Batched ambient embedding of z^T z for row vectors z (n, d)."""
+    """Batched ambient embedding of z^T z for row vectors z (n, d), as a
+    column-major (n, d(d+1)/2) array."""
     z = np.asarray(z, dtype=float)
     if z.ndim == 1:
         z = z.reshape(1, -1)
     n, d = z.shape
-    out = np.empty((n, sym_vec_dim(d)))
+    out = np.empty((sym_vec_dim(d), n)).T
     out[:, :d] = z * z
-    # column by column: a strided column product beats gathering columns
+    # one product per off-diagonal pair, written into its contiguous column
     for k, (i, j) in enumerate(zip(*off_diagonal(d)), start=d):
         out[:, k] = np.sqrt(2.0) * z[:, i] * z[:, j]
     return out
@@ -104,17 +105,17 @@ class StateFn:
                     f"{name} has {v.shape[1]} columns, needs {dim}")
 
     def value(self, t, x, y, z):
-        """Values (n, m) at batched (t, x, y, z)."""
-        out = np.empty((x.shape[0], self.c0.size))
+        """Values at batched (t, x, y, z), a column-major (n, m) array."""
+        out = np.empty((self.c0.size, x.shape[0])).T
         out[:] = self.c0
         if self.c_t is not None:
             out += t * self.c_t
         if self.C_x is not None:
-            out += x @ self.C_x.T
+            out += col_product(x, self.C_x)
         if self.c_y is not None:
             out += y[:, None] * self.c_y
         if self.C_z is not None:
-            out += z @ self.C_z.T
+            out += col_product(z, self.C_z)
         return out
 
     def lipschitz_yz(self):
@@ -192,7 +193,9 @@ class AffineDriver(Driver):
 
     def value(self, t, x, y, z, a):
         val = self.alpha + self.beta * y
-        return val if self.gamma is None else val + z @ self.gamma
+        # BLAS's matrix-vector kernel sums a column-major z in another order
+        return (val if self.gamma is None
+                else val + np.ascontiguousarray(z) @ self.gamma)
 
     def depends_on_y(self):
         return self.beta != 0.0

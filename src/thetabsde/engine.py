@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .ambient import (as_integer, as_number, as_pair, as_seed, require_finite,
-                      row_sum)
+from .ambient import (as_integer, as_number, as_pair, as_seed, col_product,
+                      require_finite, row_sum)
 from .drivers import effective_driver, maximizer
 
 
@@ -88,21 +88,24 @@ class SdeSpec:
     def _drift_terms(self, t, X):
         """The drift terms this SDE has, summed left to right in the order
         of the fields, or None without any: a (dim_x,) row without
-        ``drift_lin``, else an (n, dim_x) array."""
+        ``drift_lin``, else a column-major (n, dim_x) array."""
         out = self.drift_const
         if self.drift_t is not None:
             out = t * self.drift_t if out is None else out + t * self.drift_t
         if self.drift_lin is not None:
-            lin = X @ self.drift_lin.T
+            lin = col_product(X, self.drift_lin)
             out = lin if out is None else np.add(lin, out, out=lin)
         return out
 
     def _vol_terms(self, X, dB):
-        """sigma(t, X) @ dB over the terms this SDE has, or None without
-        any."""
+        """sigma(t, X) @ dB over the terms this SDE has, a column-major
+        (n, dim_x) array, or None without any. With one noise the constant
+        term is a plain product, which can differ from BLAS's only in the
+        sign of a zero; ``step`` clears that."""
         out = None
         if self.vol_const is not None:
-            out = dB @ self.vol_const.T
+            out = ((self.vol_const * dB[:, 0]).T if self.dim_b == 1
+                   else col_product(dB, self.vol_const))
         if self.vol_lin is not None:
             lin = np.einsum("nj,ijk,nk->ni", X, self.vol_lin, dB)
             out = lin if out is None else np.add(out, lin, out=out)
@@ -115,20 +118,13 @@ class SdeSpec:
             out += terms
         return out
 
-    def vol_mul(self, t, X, dB):
-        """sigma(t, X) @ dB, batched over paths."""
-        out = np.zeros_like(X)
-        terms = self._vol_terms(X, dB)
-        if terms is not None:
-            out += terms
-        return out
-
     def step(self, t, dt, X, dB):
-        """One Euler step, bitwise ``X + drift(t, X) * dt + vol_mul(t, X,
-        dB)``, signed zeros included, with no zero arrays: it starts from
-        the volatility product and adds only the terms this SDE has. It
-        can differ from the zero-started sums only in the sign of a zero;
-        they hold no -0.0, and the closing ``+ 0.0`` clears every -0.0.
+        """One Euler step, bitwise ``X + drift(t, X) * dt + sigma(t, X) @
+        dB`` with both sums started from zeros, signed zeros included, with
+        no zero arrays: it starts from the volatility product and adds only
+        the terms this SDE has. It can differ from the zero-started sums
+        only in the sign of a zero; they hold no -0.0, and the closing
+        ``+ 0.0`` clears every -0.0.
         ``simulate_forward`` and ``PathEnsemble.replay`` both take this
         step, so a rebuilt state is bitwise the one the forward pass
         reached."""
@@ -176,6 +172,12 @@ def _swap(a):
     return None if a is None else np.swapaxes(a, 0, 1)
 
 
+def _paths_view(buf):
+    """The (n_paths, nodes, dim) view of a (nodes, dim, n_paths) buffer,
+    whose node rows ``_swap(view)[i]`` are column-major (n_paths, dim)."""
+    return buf.transpose(2, 0, 1)
+
+
 @dataclass
 class PathEnsemble:
     """Simulated paths: the Brownian increments at every step, and the
@@ -186,9 +188,11 @@ class PathEnsemble:
     states, stepping each one between two checkpoints from the one below
     it with ``sde.step``, bitwise as the forward pass did.
 
-    ``simulate_forward`` stores both arrays node-major and read-only, and
-    hands out their path-major transpose views, so ``states[:, j]`` is one
-    contiguous row; arrays with other strides are read correctly too."""
+    ``simulate_forward`` stores both arrays node-major in (nodes, dim,
+    n_paths) buffers, read-only, and hands out their path-major transpose
+    views, so ``states[:, j]`` is one column-major (n_paths, dim) row whose
+    columns are contiguous; arrays with other strides are read correctly
+    too."""
 
     grid: TimeGrid
     n_paths: int
@@ -248,12 +252,13 @@ class PathEnsemble:
 
     def all_states(self):
         """Every node's states as one (n_paths, n_steps + 1, dim_x)
-        transpose view of a node-major buffer, filled by one replay."""
+        transpose view of a (n_steps + 1, dim_x, n_paths) buffer, filled by
+        one replay: each node's row is column-major."""
         n = self.grid.n_steps
-        X = np.empty((n + 1,) + _swap(self.states).shape[1:])
+        X = np.empty((n + 1, self.states.shape[2], self.n_paths))
         for i, x in zip(range(n, -1, -1), self.replay()):
-            X[i] = x
-        return _swap(X)
+            X[i] = x.T
+        return _paths_view(X)
 
 
 # paths per Philox draw: a block's transpose into the node-major buffer
@@ -266,21 +271,21 @@ def brownian_increments(grid, n_paths, seed, dim_b):
 
     The stream is drawn path-major, block by block, which continues it
     exactly as one draw would; each block is scaled straight into its
-    columns of the node-major buffer. Returns the read-only
-    (n_paths, n_steps, dim_b) transpose view."""
+    columns of the (n_steps, dim_b, n_paths) buffer, one 2-d transpose.
+    Returns the read-only (n_paths, n_steps, dim_b) transpose view, whose
+    rows ``[:, i]`` are column-major."""
     n_paths = as_integer(EngineError, n_paths, "n_paths", 1)
     dim_b = as_integer(EngineError, dim_b, "dim_b", 1)
     seed = as_seed(EngineError, seed)
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    out = np.empty((grid.n_steps, n_paths, dim_b))
+    out = np.empty((grid.n_steps * dim_b, n_paths))
     scale = np.sqrt(grid.dt)
     for p in range(0, n_paths, _DRAW_BLOCK):
         draw = gen.standard_normal((min(_DRAW_BLOCK, n_paths - p),
-                                    grid.n_steps, dim_b))
-        for j in range(dim_b):  # 2-d transposes: long inner loops
-            np.multiply(draw[:, :, j].T, scale, out=out[:, p:p + len(draw), j])
+                                    len(out)))
+        np.multiply(draw.T, scale, out=out[:, p:p + len(draw)])
     out.flags.writeable = False
-    return _swap(out)
+    return _paths_view(out.reshape(grid.n_steps, dim_b, n_paths))
 
 
 def simulate_forward(sde, grid, n_paths, seed):
@@ -288,19 +293,20 @@ def simulate_forward(sde, grid, n_paths, seed):
     ensemble keeps every increment, and the states only at its checkpoints,
     nodes 0 and n_steps, from which ``replay`` rebuilds every other node;
     both arrays are read-only. The random stream is that of
-    ``brownian_increments``."""
+    ``brownian_increments``, and the states are stored as it stores the
+    increments."""
     dB = brownian_increments(grid, n_paths, seed, sde.dim_b)
     steps = _swap(dB)
-    X = np.empty((2, len(dB), sde.dim_x))
-    X[0] = sde.x0
-    x = X[0]
+    X = np.empty((2, sde.dim_x, len(dB)))
+    X[0] = sde.x0[:, None]
+    x = X[0].T
     times = grid.times
     dt = grid.dt
     for i in range(grid.n_steps):
         x = sde.step(times[i], dt, x, steps[i])
-    X[1] = x
+    X[1] = x.T
     X.flags.writeable = False
-    return PathEnsemble(grid, len(dB), int(seed), dB, _swap(X), sde)
+    return PathEnsemble(grid, len(dB), int(seed), dB, _paths_view(X), sde)
 
 
 @dataclass
@@ -502,7 +508,8 @@ def backward_sweep(scenarios, paths, terminal_values=None, records=False):
     n = grid.n_steps
     dt = grid.dt
     times = grid.times
-    # node-major reads, contiguous for an ensemble from simulate_forward
+    # node-major reads, column-major rows for an ensemble from
+    # simulate_forward
     dB = _swap(paths.increments)
     n_paths = paths.n_paths
     if terminal_values is not None:
@@ -529,8 +536,12 @@ def backward_sweep(scenarios, paths, terminal_values=None, records=False):
         """``E[Y_{i+1} | X_i]`` and ``Z_i`` of track ``t`` on node i's
         design."""
         Ey = design @ basis.fit(design, t.y)
-        # the Z target (y - Ey) dB / dt, built in its one (n, dim_b) array
-        target = (t.y - Ey)[:, None] * dB[i]
+        # the Z target (y - Ey) dB / dt in its one (n, dim_b) array,
+        # C-ordered, since BLAS sums a column-major one in another order:
+        # filled column by column, each read contiguous
+        res, target = t.y - Ey, np.empty(dB[i].shape)
+        for j in range(target.shape[1]):
+            np.multiply(res, dB[i][:, j], out=target[:, j])
         target /= dt
         return Ey, design @ basis.fit(design, target)
 

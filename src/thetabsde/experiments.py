@@ -210,8 +210,11 @@ def eos_demo(scenario, gap_threshold=None):
         # the smallest finite gap, without a copy of the finite ones
         min_gap = min(min_gap, np.min(gap, where=np.isfinite(gap),
                                       initial=np.inf))
-        a_mean[i] = rec.point.mean(axis=0)
-        a_std[i] = rec.point.std(axis=0)
+        # over the path axis numpy sums a column-major array pairwise and
+        # a C-ordered one row by row: the statistics reduce the latter
+        point = np.ascontiguousarray(rec.point)
+        a_mean[i] = point.mean(axis=0)
+        a_std[i] = point.std(axis=0)
         if gaps is None:
             hits += np.count_nonzero(gap < gap_threshold)
         else:

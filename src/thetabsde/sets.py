@@ -168,7 +168,15 @@ class Box(UncertaintySet):
 
     def project_batch(self, P, gap=True):
         P = _check_batch(P, self.dim)
-        pts = np.clip(P, self.lower, self.upper)
+        # a query of one signed zero at a bound of the other: np.clip keeps
+        # the query where the bounds are constant along its inner loop (at
+        # dim 1, and on any column-major batch) and takes the bound on a
+        # C-ordered batch from dim 2 on. np.maximum and np.minimum take the
+        # bound in every layout, so from dim 2 on they give those bits
+        if self.dim == 1:
+            pts = np.clip(P, self.lower, self.upper)
+        else:
+            pts = np.minimum(np.maximum(P, self.lower), self.upper)
         return plain_result(pts, np.sqrt(row_sq(P - pts)))
 
     def linear_max_batch(self, C):
@@ -202,13 +210,13 @@ class Ball(UncertaintySet):
         dist = np.sqrt(row_sq(diff))
         outside = dist > self.radius
         # every row is scaled and the inside ones are discarded: cheaper
-        # than gathering and scattering the outside ones
-        scale = np.divide(self.radius, dist, out=np.zeros_like(dist),
-                          where=outside)
-        diff *= scale[:, None]
+        # than gathering and scattering the outside ones. An inside row's
+        # scale is 1, so no division is by zero; an outside row's is
+        # radius / dist
+        diff *= (self.radius / np.maximum(dist, self.radius))[:, None]
         diff += self.center
-        # the projection, in place: the inside rows are the queries
-        np.copyto(diff, P, where=~outside[:, None])
+        # rebinding lets go of the scaled rows before P - diff is taken
+        diff = np.where(outside[:, None], diff, P)
         return plain_result(diff, np.sqrt(row_sq(P - diff)))
 
     def linear_max_batch(self, C):
@@ -217,7 +225,8 @@ class Ball(UncertaintySet):
         args = np.tile(self.center, (len(C), 1))
         nz = nc > 0
         args[nz] += self.radius * C[nz] / nc[nz, None]
-        return C @ self.center + self.radius * nc, args
+        # BLAS's matrix-vector kernel sums a column-major C in another order
+        return np.ascontiguousarray(C) @ self.center + self.radius * nc, args
 
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
@@ -256,11 +265,13 @@ class PointCloud(UncertaintySet):
         idx, d1, d2 = _cloud_nearest(P, self.points, gap)
         if gap:
             d2 -= d1
-        return plain_result(self.points[idx], d1, d2)
+        # the nearest points gathered column-major, as every projection is
+        return plain_result(self.points.T.take(idx, axis=1).T, d1, d2)
 
     def linear_max_batch(self, C):
         C = _check_batch(C, self.dim)
-        V = C @ self.points.T
+        # BLAS sums a column-major C of one or many columns in another order
+        V = np.ascontiguousarray(C) @ self.points.T
         idx = np.argmax(V, axis=1)
         return V[np.arange(len(C)), idx], self.points[idx]
 

@@ -69,7 +69,10 @@ def integrate_theta_qv(driver, uset, grid, B):
     dt = grid.dt
     times = grid.times
     nodes = np.swapaxes(B, 0, 1)
-    norms = np.einsum("ipj,ipj->ip", nodes, nodes)
+    # einsum sums a column-major row in another order: each node's squared
+    # norms reduce a C-ordered copy of its row
+    norms = np.array([np.einsum("pj,pj->p", x, x)
+                      for x in map(np.ascontiguousarray, nodes)])
     qv = np.zeros(norms.shape)
     monotone = np.ones(len(B), dtype=bool)
     for i in range(grid.n_steps):

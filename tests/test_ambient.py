@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from thetabsde.ambient import (AmbientError, as_point, embed, extract,
-                               frobenius_inner, matrix_dim, row_sq, row_sum,
-                               sym_vec_dim)
+from thetabsde.ambient import (AmbientError, as_point, col_product, embed,
+                               extract, frobenius_inner, matrix_dim, row_sq,
+                               row_sum, sym_vec_dim)
 
 
 def same_bits(a, b):
@@ -83,3 +83,27 @@ def test_row_kernels_are_bitwise_np_sum(d):
     wide = np.repeat(x, 2, axis=1)[:, ::2]
     assert same_bits(row_sum(wide), np.sum(x, axis=1))
     assert same_bits(row_sq(wide), np.sum(x * x, axis=1))
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_row_kernels_are_bitwise_across_layouts(d, special_batch):
+    # a column-major batch reduces to the bits of the C-ordered one, past
+    # _ROW_KERNEL_DIM too, where np.sum would sum its rows left to right
+    x = special_batch(500, d, d)
+    with np.errstate(all="ignore"):
+        for kernel in (row_sum, row_sq):
+            assert same_bits(kernel(np.asfortranarray(x)), kernel(x))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 9])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 31, 32, 40])
+def test_col_product_is_column_major_with_the_c_ordered_bits(d, k):
+    # one row of m (a matrix-vector kernel) and 32 columns of x or more
+    # (the AVX-512 kernel) take a C-ordered copy of a column-major x
+    rng = np.random.default_rng(10 * d + k)
+    x = rng.normal(size=(300, d))
+    m = rng.normal(size=(k, d))
+    for batch in (x, np.asfortranarray(x)):
+        got = col_product(batch, m)
+        assert got.flags.f_contiguous
+        assert same_bits(got, x @ m.T)

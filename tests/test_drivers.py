@@ -41,6 +41,16 @@ def test_embed_zz_is_bitwise_the_pairwise_loop(d):
     assert np.array_equal(embed_zz(z), np.column_stack(ref))
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_embed_zz_is_bitwise_across_layouts(d, special_batch):
+    z = special_batch(300, d, 40 + d)
+    with np.errstate(all="ignore"):
+        want = embed_zz(z)
+        got = embed_zz(np.asfortranarray(z))
+    assert want.flags.f_contiguous and got.flags.f_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
 def test_embed_zz_matches_matrix_embedding():
     rng = np.random.default_rng(0)
     z = rng.standard_normal(3)

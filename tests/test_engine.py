@@ -23,6 +23,17 @@ def make_sde(**kw):
 UNIT_BOX = tb.Box([0.0], [1.0])
 
 
+def vol_mul(sde, X, dB):
+    """sigma(X) @ dB summed from zeros: the volatility part of the Euler
+    step's reference formula."""
+    out = np.zeros_like(X)
+    if sde.vol_const is not None:
+        out += dB @ sde.vol_const.T
+    if sde.vol_lin is not None:
+        out += np.einsum("nj,ijk,nk->ni", X, sde.vol_lin, dB)
+    return out
+
+
 def test_forward_deterministic_cases():
     grid = tb.TimeGrid(0.0, 1.0, 20)
     frozen = tb.SdeSpec(dim_x=1, dim_b=1, x0=[2.0])  # b=0, sigma=0
@@ -877,7 +888,7 @@ def test_forward_matches_path_major_reference_bitwise():
     X[:, 0] = sde.x0
     for i, t in enumerate(grid.times[:-1]):
         Xi = X[:, i]
-        X[:, i + 1] = Xi + sde.drift(t, Xi) * grid.dt + sde.vol_mul(t, Xi, dB[:, i])
+        X[:, i + 1] = Xi + sde.drift(t, Xi) * grid.dt + vol_mul(sde, Xi, dB[:, i])
     ens = tb.simulate_forward(sde, grid, n_paths, seed)
     assert np.array_equal(ens.increments, dB)
     assert np.array_equal(ens.states, X[:, ens.checkpoints])
@@ -908,7 +919,7 @@ def test_euler_step_is_bitwise_the_zero_started_sum(present):
     dB[1::4, 1:] = 0.0
     for t, dt in ((0.0, 0.1), (0.35, 1.0 / 3.0)):
         got = sde.step(t, dt, X, dB)
-        want = X + sde.drift(t, X) * dt + sde.vol_mul(t, X, dB)
+        want = X + sde.drift(t, X) * dt + vol_mul(sde, X, dB)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert not np.shares_memory(got, X)
 
@@ -935,10 +946,90 @@ def test_euler_step_drift_is_bitwise_the_broadcast(dim, linear,
             assert got.tobytes() == out.tobytes()
 
 
+@pytest.mark.parametrize("dim_x", [1, 3])
+def test_one_noise_step_is_bitwise_the_matmul(dim_x, special_batch):
+    # with one noise the volatility is a plain product, where BLAS could
+    # differ only in the sign of a zero, and the step clears that
+    vol = np.array([[0.7], [-0.0], [1e-310]])[:dim_x]
+    for scale in (1.0, -2.5):
+        sde = tb.SdeSpec(dim_x=dim_x, dim_b=1, x0=np.zeros(dim_x),
+                         drift_const=np.full(dim_x, -0.0),
+                         vol_const=scale * vol)
+        X = special_batch(400, dim_x, dim_x)
+        dB = special_batch(400, 1, 20 + dim_x)
+        with np.errstate(all="ignore"):
+            for t, dt in ((0.0, 0.1), (0.35, 1.0 / 3.0)):
+                got = sde.step(t, dt, X, dB)
+                want = dB @ sde.vol_const.T
+                want += X + sde._drift_terms(t, X) * dt
+                want += 0.0
+                assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("vol", [None, [[0.7], [-0.0], [1e-310]]],
+                         ids=["no_noise", "one_noise"])
+@pytest.mark.parametrize("dim_x", [1, 3])
+def test_euler_step_is_bitwise_across_layouts(dim_x, vol, special_batch):
+    # the steps without BLAS give a column-major batch the bits of the
+    # C-ordered one, and a column-major result
+    sde = tb.SdeSpec(dim_x=dim_x, dim_b=1, x0=np.zeros(dim_x),
+                     drift_const=np.where(np.arange(dim_x) % 2, -0.0, 0.25),
+                     drift_t=np.full(dim_x, 1e-310),
+                     vol_const=None if vol is None else np.array(vol)[:dim_x])
+    X = special_batch(400, dim_x, 30 + dim_x)
+    dB = special_batch(400, 1, 40 + dim_x)
+    with np.errstate(all="ignore"):
+        for t, dt in ((0.0, 0.1), (0.35, 1.0 / 3.0)):
+            want = sde.step(t, dt, X, dB)
+            got = sde.step(t, dt, np.asfortranarray(X), dB)
+            assert got.flags.f_contiguous
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("uset", [
+    tb.Ball([0.0] * 3, 1.0),
+    tb.UnionSet([tb.Box([-1.0] * 3, [0.0] * 3),
+                 tb.PointCloud([[0.5, 0.5, 0.5], [1.0, -0.5, 0.25]])])],
+    ids=["ball", "box_cloud_union"])
+def test_backward_sweep_hands_out_column_major_rows(uset):
+    # every row the sweep hands out at dim 3: the states, the increments,
+    # the maximizer's query and its projection record
+    G = tb.StateFn(c0=np.zeros(3), C_x=0.5 * np.eye(3), C_z=np.eye(3))
+    sc = replace(ball_scenario(3, n_paths=300, n_steps=6), uset=uset,
+                 driver=tb.RegularizedProjectionDriver(
+                     h=tb.StateFn(c0=0.0), G=G, eps=0.5))
+    ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
+    queries = []
+    project = uset.project_batch
+
+    def spy(P, gap=True):
+        queries.append(P.flags.f_contiguous)
+        return project(P, gap)
+    uset.project_batch = spy
+    nodes = []
+    try:
+        for i, x, _, (track,) in engine.backward_sweep([sc], ens,
+                                                       records=True):
+            nodes.append(i)
+            assert x.flags.f_contiguous, i
+            assert track.rec.point.flags.f_contiguous, i
+    finally:
+        del uset.project_batch
+    n = sc.grid.n_steps
+    assert nodes == list(range(n, -1, -1))
+    assert len(queries) == n + 1 and all(queries)
+    assert all(ens.increments[:, i].flags.f_contiguous for i in range(n))
+    assert all(ens.states[:, j].flags.f_contiguous
+               for j in range(len(ens.checkpoints)))
+    assert all(ens.all_states()[:, i].flags.f_contiguous
+               for i in range(n + 1))
+
+
 @pytest.mark.parametrize("dim", [1, 3, 9])
 def test_z_target_is_bitwise_the_broadcast(dim):
     # Z_n = Z_{n-1}, fitted on node n - 1's design against the target
-    # (y - Ey) dB / dt, the residual column broadcast over the increments
+    # (y - Ey) dB / dt, the residual column broadcast over C-ordered
+    # increments: BLAS sums a column-major target in another order
     sc = replace(ball_scenario(dim, n_paths=400, n_steps=4),
                  driver=tb.ZeroDriver())
     ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
@@ -947,7 +1038,7 @@ def test_z_target_is_bitwise_the_broadcast(dim):
     y = sc.terminal.value(X[:, n])
     basis, design = _Basis.measure(X[:, n - 1], sc.regression_degree)
     Ey = design @ basis.fit(design, y)
-    target = (y - Ey)[:, None] * ens.increments[:, n - 1]
+    target = (y - Ey)[:, None] * np.ascontiguousarray(ens.increments[:, n - 1])
     target /= dt
     want = design @ basis.fit(design, target)
     i, _, _, (track,) = next(engine.backward_sweep([sc], ens))
@@ -1296,8 +1387,8 @@ def full_paths(ens, sde):
     X = np.empty((grid.n_steps + 1, ens.n_paths, sde.dim_x))
     X[0] = sde.x0
     for i, t in enumerate(grid.times[:-1]):
-        X[i + 1] = X[i] + sde.drift(t, X[i]) * grid.dt + sde.vol_mul(
-            t, X[i], dB[i])
+        X[i + 1] = X[i] + sde.drift(t, X[i]) * grid.dt + vol_mul(
+            sde, X[i], dB[i])
     X.flags.writeable = False
     return tb.PathEnsemble(grid, ens.n_paths, ens.seed, ens.increments,
                            np.swapaxes(X, 0, 1))

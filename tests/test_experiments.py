@@ -369,6 +369,25 @@ def test_eos_reads_the_solver_record_bitwise(G, terminal, y_clip):
         assert expected != eos_by_reprojection(replace(sc, y_clip=None))
 
 
+def test_eos_argmax_moments_reduce_c_ordered_rows_in_dim_2():
+    # the solver's argmax rows are column-major; over the path axis numpy
+    # sums those pairwise, and the moments must stay those of a solve's
+    # full A, whose node rows are C-ordered
+    uset = tb.UnionSet([tb.Box([-2.0, -1.0], [0.0, 1.0]),
+                        tb.PointCloud([[2.0, 0.0], [3.0, 1.0], [2.5, -1.0]])])
+    G = tb.StateFn(c0=np.zeros(2), C_x=np.eye(2), C_z=0.2 * np.eye(2))
+    sc = tb.Scenario(sde=tb.SdeSpec(dim_x=2, dim_b=2, x0=[0.5, 0.0],
+                                    vol_const=np.eye(2)),
+                     driver=tb.RegularizedProjectionDriver(
+                         h=tb.StateFn(c0=0.0), G=G, eps=0.5),
+                     uset=uset, terminal=tb.Payoff([0.0, 1.0]),
+                     grid=tb.TimeGrid(0.0, 1.0, 20), n_paths=700, seed=3)
+    res = eos_demo(sc)
+    A = tb.solve_theta_bsde(sc, keep=("A",)).A
+    assert np.array_equal(res.a_path_mean, A.mean(axis=0))
+    assert np.array_equal(res.a_path_std, A.std(axis=0))
+
+
 def test_a_given_threshold_is_counted_node_by_node():
     sc = scenario(tb.UnionSet([tb.Box([-1.0], [0.0]),
                                tb.PointCloud([[2.0], [4.0], [6.0]])]),

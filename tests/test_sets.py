@@ -445,6 +445,27 @@ def test_box_and_ball_are_bitwise_their_broadcast_formulas(dim,
         assert np.array_equal(bits(r.distance), bits(dist)), type(uset)
 
 
+@pytest.mark.parametrize("dim", range(1, 6))
+def test_projections_are_bitwise_across_layouts(dim, special_batch):
+    # a column-major query batch projects to the bits of the C-ordered one,
+    # and to a column-major point batch
+    rng = np.random.default_rng(dim)
+    P = special_batch(400, dim, 60 + dim)
+    P[::7] = np.where(np.arange(dim) % 2, 0.0, -0.0)
+    box = Box(np.where(np.arange(dim) % 2, -0.0, -0.5), np.full(dim, 0.5))
+    ball = Ball(np.where(np.arange(dim) % 2, -0.0, 1e-310), 0.75)
+    cloud = PointCloud(rng.normal(size=(9, dim)))
+    union = UnionSet([box, cloud, ball])
+    for uset in (box, ball, cloud, union):
+        with np.errstate(all="ignore"):
+            want = uset.project_batch(P)
+            got = uset.project_batch(np.asfortranarray(P))
+        assert got.point.flags.f_contiguous, type(uset)
+        for name in ("point", "distance", "member_index", "medial_gap"):
+            assert np.array_equal(bits(getattr(got, name)),
+                                  bits(getattr(want, name))), (type(uset), name)
+
+
 def stacked_union_projection(u, P, gap=True):
     """UnionSet.project_batch with every member's record held at once: the
     first ``np.argmin`` of the stacked member distances, and the gap to the

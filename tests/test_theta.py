@@ -237,3 +237,20 @@ def test_theta_paths_are_stored_node_major():
     assert b.shape == qv.qv.shape == qv.m_path.shape == (100, 11)
     for i in range(grid.n_steps + 1):
         assert all(a[:, i].flags.c_contiguous for a in (b, qv.qv, qv.m_path))
+
+
+def test_qv_norms_are_bitwise_across_layouts():
+    # all_states hands out column-major rows at dim 3, where einsum would
+    # sum the squared norms in another order than over C-ordered rows; the
+    # G-limit driver on a box takes no BLAS product
+    sde = tb.SdeSpec(dim_x=3, dim_b=3, x0=[0.5, -0.5, 0.0],
+                     vol_const=np.eye(3))
+    grid = tb.TimeGrid(0.0, 1.0, 8)
+    B = engine.simulate_forward(sde, grid, 300, 5).all_states()
+    box = tb.Box(np.zeros(6), np.ones(6))
+    assert B[:, 0].flags.f_contiguous
+    got = integrate_theta_qv(tb.GLimitDriver(), box, grid, B)
+    want = integrate_theta_qv(tb.GLimitDriver(), box, grid,
+                              np.ascontiguousarray(B))
+    for name in ("qv", "m_path", "monotone"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
