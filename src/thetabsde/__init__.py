@@ -5,14 +5,12 @@ oracle, drift-corrected Brownian calculus, and reproducible experiments.
 
 __version__ = "0.1.0"
 
-from .ambient import embed, extract, frobenius_inner, matrix_dim, sym_vec_dim
+from .ambient import sym_vec_dim
 from .drivers import (AffineDriver, GLimitDriver, GRegularizedDriver,
                       RegularizedProjectionDriver, StateFn, ZeroDriver,
-                      effective_driver, empirical_lipschitz, evaluate,
-                      maximizer, maximizer_oracle)
+                      effective_driver, evaluate, maximizer)
 from .engine import (Payoff, PathEnsemble, Scenario, SdeSpec, TimeGrid,
-                     axiom_check, simulate_forward, solve_theta_bsde,
-                     theta_expectation)
+                     axiom_check, simulate_forward, solve_theta_bsde)
 from .pde import PdeGrid, ValueSurface, auto_grid, feynman_kac_compare, solve_pde
-from .sets import Ball, Box, PointCloud, UnionSet, grid_cover
+from .sets import Ball, Box, PointCloud, UnionSet
 from .theta import integrate_theta_qv, simulate_theta_bm, verify_theta_martingale

@@ -1,10 +1,12 @@
 """Ambient space for uncertainty sets.
 
-Symmetric d x d matrices are flattened to vectors of length d(d+1)/2 with
-the off-diagonal entries stored once, scaled by sqrt(2), so that the
-Euclidean norm of the vector equals the Frobenius norm of the matrix. Plain
-Euclidean vectors pass through unchanged, which lets all set geometry run on
-one code path.
+A symmetric d x d matrix (the z z^T of a G-type driver, and the points of
+its set) is written as a flat vector of length d(d+1)/2: the diagonal,
+then each entry of the strict upper triangle once, scaled by sqrt(2), so
+that the Euclidean norm of the vector equals the Frobenius norm of the
+matrix (``sym_vec_dim``, ``off_diagonal``; ``drivers.embed_zz`` builds
+it). Plain Euclidean vectors pass through unchanged, which lets all set
+geometry run on one code path.
 
 The kernel rule of the per-path hot loop: an (n, dim) batch of the solver
 (states, increments, queries, projections, driver terms) is column-major,
@@ -27,8 +29,6 @@ import functools
 import numpy as np
 
 MAX_DIM = 64
-
-_SQRT2 = np.sqrt(2.0)
 
 # np.sum reduces a trailing axis shorter than 8 left to right; from 8 on it
 # sums pairwise, which the column loop would not reproduce
@@ -171,48 +171,3 @@ def off_diagonal(d):
     i, j = np.triu_indices(d, 1)
     i.flags.writeable = j.flags.writeable = False
     return i, j
-
-
-def matrix_dim(n):
-    """Inverse of sym_vec_dim; raises if n is not of the form d(d+1)/2."""
-    d = int((np.sqrt(8 * n + 1) - 1) / 2)
-    if sym_vec_dim(d) != n:
-        raise AmbientError(f"{n} is not a symmetric-matrix vector length")
-    return d
-
-
-def embed(m, atol=0.0):
-    """Flatten a symmetric matrix to ambient coordinates (isometry)."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise AmbientError(f"expected square matrix, got shape {m.shape}")
-    d = m.shape[0]
-    if sym_vec_dim(d) > MAX_DIM:
-        raise AmbientError(f"matrix dim {d} exceeds supported size")
-    if not np.allclose(m, m.T, rtol=0.0, atol=atol):
-        raise AmbientError("matrix is not symmetric")
-    out = np.empty(sym_vec_dim(d))
-    out[:d] = np.diag(m)
-    out[d:] = _SQRT2 * m[off_diagonal(d)]
-    return out
-
-
-def extract(p, d=None):
-    """Rebuild the symmetric matrix from ambient coordinates."""
-    p = as_point(p)
-    if d is None:
-        d = matrix_dim(p.size)
-    elif sym_vec_dim(d) != p.size:
-        raise AmbientError(f"vector length {p.size} does not match matrix dim {d}")
-    m = np.zeros((d, d))
-    np.fill_diagonal(m, p[:d])
-    i, j = off_diagonal(d)
-    m[i, j] = m[j, i] = p[d:] / _SQRT2
-    return m
-
-
-def frobenius_inner(a, b):
-    """Inner product of ambient points; equals Tr(A^T B) for embedded matrices."""
-    a = as_point(a)
-    b = as_point(b, dim=a.size)
-    return float(a @ b)

@@ -3,8 +3,9 @@ driver max_a F.
 
 All evaluation entry points are batched over the sample axis: ``x`` has
 shape (n, dim_x), ``y`` shape (n,), ``z`` shape (n, dim_b) and ``a`` shape
-(n, dim_a) or (dim_a,). Closed-form maximizers exist for every variant that
-supports one; a brute-force grid oracle (dim_a <= 3) double-checks them.
+(n, dim_a) or (dim_a,). Maximizers are closed-form: the metric projection
+of the driver's query onto the set, or the set's fixed element where F
+ignores a.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ import numpy as np
 
 from .ambient import (as_number, as_point, col_product, off_diagonal,
                       require_finite, row_sq, row_sum, sym_vec_dim)
-from .sets import Box, Ball, SetError, grid_cover, plain_result
+from .sets import Box, Ball, plain_result
 
 
 class DriverError(ValueError):
@@ -222,13 +223,6 @@ class RegularizedProjectionDriver(Driver):
     def __post_init__(self):
         self.eps = as_number(DriverError, self.eps, "eps", least=0.0)
 
-    def maximizer_lipschitz(self, uset):
-        """Lipschitz constant of the maximizer map in (y, z) on ``uset``;
-        inf where the map may jump (``unsound_for_existence``)."""
-        if self.unsound_for_existence(uset):
-            return np.inf
-        return self.G.lipschitz_yz() / (1.0 + self.eps)
-
     def shared(self, t, x, y, z):
         return self.G.value(t, x, y, z)
 
@@ -267,7 +261,7 @@ class RegularizedProjectionDriver(Driver):
 
 @dataclass
 class GRegularizedDriver(Driver):
-    """F = 0.5*<a, embed(z^T z)> - (eps/2)*||a - a0||^2."""
+    """F = 0.5*<a, embed_zz(z)> - (eps/2)*||a - a0||^2."""
 
     eps: float
     a0: np.ndarray
@@ -297,13 +291,13 @@ class GRegularizedDriver(Driver):
             raise DriverError("a0 must lie in the uncertainty set")
 
     def unsound_for_existence(self, uset):
-        # the query a0 + embed(z^T z) / (2 eps) always moves with z
+        # the query a0 + embed_zz(z) / (2 eps) always moves with z
         return not is_convex(uset)
 
 
 @dataclass
 class GLimitDriver(Driver):
-    """Reduced driver is the support function max_a 0.5*<a, embed(z^T z)>
+    """Reduced driver is the support function max_a 0.5*<a, embed_zz(z)>
     directly; there is no a argument."""
 
     has_argmax = False
@@ -358,47 +352,3 @@ def effective_driver(driver, uset, t, x, y, z):
     if not driver.has_argmax:
         return driver.support(uset, z)
     return maximizer(driver, uset, t, x, y, z)[1]
-
-
-def maximizer_oracle(driver, uset, t, x, y, z, grid_step):
-    """Exhaustive grid search over the set; single state only, dim <= 3."""
-    if uset.dim > 3:
-        raise DriverError("grid oracle supported for ambient dim <= 3 only")
-    pts = grid_cover(uset, grid_step)
-    if len(pts) == 0:
-        raise SetError("grid cover is empty; decrease grid_step")
-    t, x, y, z = _batch_args(t, x, y, z)
-    if x.shape[0] != 1:
-        raise DriverError("oracle evaluates a single state at a time")
-    vals = evaluate(driver,
-                    t,
-                    np.broadcast_to(x, (len(pts), x.shape[1])),
-                    np.broadcast_to(y, (len(pts),)),
-                    np.broadcast_to(z, (len(pts), z.shape[1])),
-                    pts)
-    i = int(np.argmax(vals))
-    return pts[i].copy(), float(vals[i])
-
-
-def empirical_lipschitz(driver, uset, sample_box, n_pairs, seed):
-    """Sampled lower bound on the Lipschitz constant of max_a F in (y, z).
-
-    ``sample_box`` is a pair (lo, hi) over the stacked (y, z) coordinates.
-    """
-    lo = np.atleast_1d(np.asarray(sample_box[0], dtype=float))
-    hi = np.atleast_1d(np.asarray(sample_box[1], dtype=float))
-    if lo.size != hi.size or np.any(hi <= lo):
-        raise DriverError("degenerate sample box")
-    rng = np.random.default_rng(seed)
-    dim_b = lo.size - 1
-    if dim_b < 1:
-        raise DriverError("sample box must cover (y, z) with dim_b >= 1")
-    u = rng.uniform(lo, hi, size=(n_pairs, lo.size))
-    v = rng.uniform(lo, hi, size=(n_pairs, lo.size))
-    x0 = np.zeros((1, 1))
-    f_u = effective_driver(driver, uset, 0.0, x0, u[:, 0], u[:, 1:])
-    f_v = effective_driver(driver, uset, 0.0, x0, v[:, 0], v[:, 1:])
-    denom = np.abs(u[:, 0] - v[:, 0]) + np.linalg.norm(u[:, 1:] - v[:, 1:], axis=1)
-    ok = denom > 1e-12
-    return float(np.max(np.abs(f_u[ok] - f_v[ok]) / denom[ok]))
-

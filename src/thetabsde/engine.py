@@ -672,17 +672,6 @@ def _require_finite(i, *values):
         raise EngineError(f"solver produced non-finite values at node {i}")
 
 
-def theta_expectation(solution, t_index):
-    """Cross-path summary of Y at a node; per-path values live on the
-    solution object."""
-    t_index = as_integer(EngineError, t_index, "t_index")
-    if not 0 <= t_index <= solution.grid.n_steps:
-        raise EngineError("t_index outside the grid")
-    if solution.Y is None:
-        raise EngineError('the solution holds no Y: solve with "Y" in keep')
-    return float(np.mean(solution.Y[:, t_index]))
-
-
 AXIOM_PARAMS = {"normalization": ("m", "tol"),
                 "A1_monotonicity": ("terminal2",),
                 "A2_translation": ("m", "tol"), "A3_tower": ("s_index",)}

@@ -2,10 +2,10 @@
 
 Variants: axis-aligned boxes, Euclidean balls, finite point clouds and
 finite unions of the above. All geometry runs on flat ambient coordinates
-(see :mod:`thetabsde.ambient`). Projection, membership and linear
-maximization are vectorized over batches of query points; ties are broken
-deterministically (lowest member index, then lexicographically smallest
-coordinates).
+(see :mod:`thetabsde.ambient`). Projection and linear maximization are
+vectorized over batches of query points, and membership reads a
+projection's distance; ties are broken deterministically (lowest member
+index, then lexicographically smallest coordinates).
 """
 
 from dataclasses import dataclass, field
@@ -119,18 +119,9 @@ class UncertaintySet:
         have to search for it (a point cloud, a union) leaves it None."""
         raise NotImplementedError
 
-    def linear_max(self, c):
-        """(max over the set of <c, a>, an argmax); a batch of one, so the
-        scalar and batched calls share one tie rule."""
-        c = as_point(c, dim=self.dim)
-        vals, args = self.linear_max_batch(c.reshape(1, -1))
-        return float(vals[0]), args[0]
-
     def linear_max_batch(self, C):
-        """Vectorized linear_max over a (n, dim) batch of functionals."""
-        raise NotImplementedError
-
-    def bounding_box(self):
+        """For each row c of a (n, dim) batch of functionals, the max over
+        the set of <c, a> and an argmax: an (n,) and an (n, dim) array."""
         raise NotImplementedError
 
     def fixed_element(self):
@@ -148,9 +139,6 @@ class UncertaintySet:
 
     def contains(self, p, tol=0.0):
         return bool(self.project(p).distance <= tol)
-
-    def contains_batch(self, P, tol=0.0):
-        return self.project_batch(P).distance <= tol
 
 
 @dataclass
@@ -184,9 +172,6 @@ class Box(UncertaintySet):
         # per-coordinate sign selection; c == 0 picks the lower bound
         args = np.where(C > 0, self.upper, self.lower)
         return row_sum(args * C), args
-
-    def bounding_box(self):
-        return self.lower.copy(), self.upper.copy()
 
     def fixed_element(self):
         return self.lower.copy()
@@ -227,9 +212,6 @@ class Ball(UncertaintySet):
         args[nz] += self.radius * C[nz] / nc[nz, None]
         # BLAS's matrix-vector kernel sums a column-major C in another order
         return np.ascontiguousarray(C) @ self.center + self.radius * nc, args
-
-    def bounding_box(self):
-        return self.center - self.radius, self.center + self.radius
 
     def fixed_element(self):
         return self.center.copy()
@@ -274,9 +256,6 @@ class PointCloud(UncertaintySet):
         V = np.ascontiguousarray(C) @ self.points.T
         idx = np.argmax(V, axis=1)
         return V[np.arange(len(C)), idx], self.points[idx]
-
-    def bounding_box(self):
-        return self.points.min(axis=0), self.points.max(axis=0)
 
     def fixed_element(self):
         return self.points[0].copy()
@@ -337,24 +316,5 @@ class UnionSet(UncertaintySet):
             args[better] = a[better]
         return vals, args
 
-    def bounding_box(self):
-        boxes = [m.bounding_box() for m in self.members]
-        lo = np.min([b[0] for b in boxes], axis=0)
-        hi = np.max([b[1] for b in boxes], axis=0)
-        return lo, hi
-
     def fixed_element(self):
         return self.members[0].fixed_element()
-
-
-def grid_cover(uset, step):
-    """Regular grid over the bounding box, thinned to points within
-    ``step`` of the set. Brute-force oracle support; dim <= 3 only."""
-    if uset.dim > 3:
-        raise SetError("grid cover supported for dim <= 3 only")
-    lo, hi = uset.bounding_box()
-    axes = [np.arange(lo[j], hi[j] + step / 2, step) for j in range(uset.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    P = np.stack([m.ravel() for m in mesh], axis=1)
-    keep = uset.contains_batch(P, tol=step)
-    return P[keep]

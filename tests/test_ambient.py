@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from thetabsde.ambient import (AmbientError, as_point, col_product, embed,
-                               extract, frobenius_inner, matrix_dim, row_sq,
-                               row_sum, sym_vec_dim)
+from thetabsde.ambient import (AmbientError, as_point, col_product,
+                               off_diagonal, row_sq, row_sum, sym_vec_dim)
 
 
 def same_bits(a, b):
@@ -13,49 +12,12 @@ def same_bits(a, b):
 
 
 def test_sym_vec_dim_roundtrip():
-    for d in range(1, 10):
-        assert matrix_dim(sym_vec_dim(d)) == d
-    with pytest.raises(AmbientError):
-        matrix_dim(4)  # not of the form d(d+1)/2
-
-
-def test_embed_extract_roundtrip():
-    rng = np.random.default_rng(0)
-    for d in (1, 2, 3, 5):
-        a = rng.standard_normal((d, d))
-        m = a + a.T
-        assert np.allclose(extract(embed(m)), m, atol=1e-14)
-
-
-def test_embed_is_isometry():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((4, 4))
-    m = a + a.T
-    # vector 2-norm equals Frobenius norm
-    assert np.linalg.norm(embed(m)) == pytest.approx(np.linalg.norm(m), abs=1e-12)
-
-
-def test_frobenius_inner_matches_trace():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((3, 3))
-    b = rng.standard_normal((3, 3))
-    ma, mb = a + a.T, b + b.T
-    assert frobenius_inner(embed(ma), embed(mb)) == pytest.approx(
-        np.trace(ma.T @ mb), abs=1e-12)
-
-
-def test_embed_rejects_nonsymmetric():
-    with pytest.raises(AmbientError):
-        embed(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_embed_and_extract_reject_bad_shapes():
-    with pytest.raises(AmbientError, match="expected square matrix"):
-        embed(np.zeros((2, 3)))
-    with pytest.raises(AmbientError, match="exceeds supported size"):
-        embed(np.eye(11))  # 66 ambient coordinates
-    with pytest.raises(AmbientError, match="does not match matrix dim 3"):
-        extract(np.zeros(3), d=3)
+    # the flat length is the diagonal plus the strict upper triangle, and
+    # it gives d back: no two d share a length
+    lengths = [sym_vec_dim(d) for d in range(1, 10)]
+    for d, n in enumerate(lengths, start=1):
+        assert n == d + len(off_diagonal(d)[0]) == len(np.triu_indices(d)[0])
+        assert lengths.index(n) == d - 1 and lengths.count(n) == 1
 
 
 def test_as_point_validation():

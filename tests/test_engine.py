@@ -104,11 +104,10 @@ def test_theta_expectation():
                      uset=UNIT_BOX, terminal=tb.Payoff([0.0]), grid=grid,
                      n_paths=500, seed=5)
     sol = tb.solve_theta_bsde(sc)
-    assert tb.theta_expectation(sol, 0) == pytest.approx(0.5, abs=1e-10)
+    # the theta-expectation at a node is the cross-path mean of Y there
+    assert np.mean(sol.Y[:, 0]) == pytest.approx(0.5, abs=1e-10)
     # terminal node: mean of the payoff
-    assert tb.theta_expectation(sol, 10) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(EngineError):
-        tb.theta_expectation(sol, 11)
+    assert np.mean(sol.Y[:, 10]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_recorded_maximizers_are_feasible_and_optimal():
@@ -434,25 +433,6 @@ SEED_GRID = tb.TimeGrid(0.0, 1.0, 5)
 def test_raw_seeds_follow_the_scenario_rules(draw, message):
     with pytest.raises(EngineError, match=message):
         draw()
-
-
-@pytest.mark.parametrize("t_index", [0.5, True])
-def test_theta_expectation_takes_an_integer_node(t_index):
-    # 0.5 raised a bare IndexError, True returned node 1's mean
-    sol = tb.solve_theta_bsde(driver_scenario(tb.ZeroDriver()))
-    with pytest.raises(EngineError, match="t_index must be an integer"):
-        tb.theta_expectation(sol, t_index)
-    assert tb.theta_expectation(sol, 1.0) == tb.theta_expectation(sol, 1)
-
-
-def test_theta_expectation_needs_a_kept_y():
-    # a solution that holds no Y raised a bare TypeError
-    sc = driver_scenario(tb.ZeroDriver())
-    for keep in ((), ("Z", "A")):
-        sol = tb.solve_theta_bsde(sc, keep=keep)
-        assert sol.Y is None
-        with pytest.raises(EngineError, match='"Y" in keep'):
-            tb.theta_expectation(sol, 0)
 
 
 def test_y_independent_driver_is_evaluated_once_per_node(monkeypatch):

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from thetabsde import sets
 from thetabsde.ambient import row_sq
-from thetabsde.sets import (Ball, Box, PointCloud, SetError, UnionSet,
-                            grid_cover)
+from thetabsde.sets import Ball, Box, PointCloud, SetError, UnionSet
 
 
 def brute_nearest(P, candidates):
@@ -194,30 +193,24 @@ def test_linear_max_against_enumeration():
     g = np.vstack([g1, g2])
     for _ in range(20):
         c = rng.standard_normal(2)
-        val, arg = u.linear_max(c)
+        vals, args = u.linear_max_batch(c[None])
+        val, arg = vals[0], args[0]
         assert val >= np.max(g @ c) - 1e-9
         assert u.contains(arg, tol=1e-9)
-    # batch agrees with scalar
+    # the batch agrees with batches of one
     C = rng.standard_normal((50, 2))
     vals, args = u.linear_max_batch(C)
     for i in range(50):
-        v, a = u.linear_max(C[i])
-        assert vals[i] == pytest.approx(v, abs=1e-12)
-        assert np.allclose(args[i], a)
+        v, a = u.linear_max_batch(C[i][None])
+        assert vals[i] == pytest.approx(v[0], abs=1e-12)
+        assert np.allclose(args[i], a[0])
 
 
 def test_box_linear_max_zero_coefficient_picks_lower():
     b = Box([0.0, -2.0], [1.0, 3.0])
-    val, arg = b.linear_max(np.array([0.0, 1.0]))
+    vals, args = b.linear_max_batch(np.array([[0.0, 1.0]]))
+    val, arg = vals[0], args[0]
     assert arg[0] == 0.0 and arg[1] == 3.0 and val == pytest.approx(3.0)
-
-
-def test_grid_cover():
-    b = Ball([0.0, 0.0], 1.0)
-    pts = grid_cover(b, 0.1)
-    assert np.all(b.contains_batch(pts, tol=0.1))
-    # covers the set reasonably densely
-    assert len(pts) > 250
 
 
 def test_set_validation_errors():
@@ -244,10 +237,8 @@ def test_set_validation_errors():
 def test_union_linear_max_tie_keeps_lowest_member_index():
     u = UnionSet([PointCloud([[1.0, 0.0]]), PointCloud([[0.0, 1.0]])])
     c = np.array([1.0, 1.0])
-    val, arg = u.linear_max(c)
     vals, args = u.linear_max_batch(c.reshape(1, -1))
-    assert val == vals[0] == 1.0
-    assert np.array_equal(arg, [1.0, 0.0])
+    assert vals[0] == 1.0
     assert np.array_equal(args[0], [1.0, 0.0])
 
 
@@ -670,8 +661,8 @@ def test_batched_scalar_and_oracle_geometry_agree(case):
         r = uset.project(p)
         assert np.array_equal(r.point, pts[i]) and r.distance == dist[i]
         assert r.medial_gap == gaps[i] and r.member_index == index[i]
-        val, arg = uset.linear_max(C[i])
-        assert val == vals[i] and np.array_equal(arg, args[i])
+        val, arg = uset.linear_max_batch(C[i][None])
+        assert val[0] == vals[i] and np.array_equal(arg[0], args[i])
 
         q, d, gap, mi = oracle_project(uset, p)
         assert abs(dist[i] - d) <= tol
@@ -686,6 +677,5 @@ def test_batched_scalar_and_oracle_geometry_agree(case):
             assert np.array_equal(args[i], oa)
     # the projected points lie in the set, which is what makes every
     # maximizer the solver records feasible
-    scale = 1.0 + max(np.max(np.abs(P)), *(np.max(np.abs(b))
-                                           for b in uset.bounding_box()))
+    scale = 1.0 + max(np.max(np.abs(P)), np.max(np.abs(pts)))
     assert np.all(uset.project_batch(pts).distance <= 1e-12 * scale)

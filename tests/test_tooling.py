@@ -193,12 +193,14 @@ def test_a_stale_signature_is_named(quote):
     assert all(p.startswith(quote) for p in problems)
 
 
-def unread_private_names(sources):
-    """The ``_``-prefixed module-level functions, classes and constants
-    defined in ``sources`` (module name -> text) that no code in them reads
-    outside their own definition: as a name, or as an attribute such as
-    ``engine._swap`` or ``_Basis.measure``. Dunder names are left out,
-    since code outside the package reads them."""
+def unread_names(sources):
+    """The names defined in ``sources`` (module name -> text) that no code
+    in them reads outside their own definition: as a name, or as an
+    attribute such as ``engine._swap`` or ``_Basis.measure``. Reported are
+    the ``_``-prefixed module-level functions, classes and constants, the
+    public module-level functions and classes, and the public methods (as
+    ``module.Class.method``). Dunder names are left out, since code outside
+    the package reads them."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     defined = []
     for module, tree in trees.items():
@@ -209,19 +211,31 @@ def unread_private_names(sources):
                 targets = (node.targets if isinstance(node, ast.Assign)
                            else [node.target])
                 defined += [(module, t.id, node) for t in targets
-                            if isinstance(t, ast.Name)]
+                            if isinstance(t, ast.Name)
+                            and t.id.startswith("_")]
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{module}.{node.name}", n.name, n)
+                            for n in node.body
+                            if isinstance(n, ast.FunctionDef)
+                            and not n.name.startswith("_")]
     reads = [(n.id, id(n)) if isinstance(n, ast.Name) else (n.attr, id(n))
              for tree in trees.values() for n in ast.walk(tree)
              if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
              or isinstance(n, ast.Attribute)]
     unread = []
-    for module, name, definition in defined:
-        if not name.startswith("_") or name.endswith("__"):
+    for owner, name, definition in defined:
+        if name.endswith("__"):
             continue
         own = {id(n) for n in ast.walk(definition)}
         if not any(read == name and at not in own for read, at in reads):
-            unread.append(f"{module}.{name}")
+            unread.append(f"{owner}.{name}")
     return unread
+
+
+def unread_private_names(sources):
+    """The ``_``-prefixed names of ``unread_names``."""
+    return [name for name in unread_names(sources)
+            if name.rsplit(".", 1)[1].startswith("_")]
 
 
 def test_every_private_name_has_a_reader():
@@ -242,3 +256,40 @@ def test_an_unread_private_name_is_named():
                   "y = _step(1) + sets._LIMIT\n",
     }
     assert unread_private_names(sources) == ["sets._copy_rows", "sets._Box"]
+
+
+def names_unquoted(names, text):
+    """Those of ``names`` (dotted, as ``unread_names`` gives them) whose
+    last part is no word of an inline code span of ``text``."""
+    text = re.sub(r"```.*?```", "", text, flags=re.S)  # fenced blocks
+    quoted = {word for span in re.findall(r"`([^`]+)`", text)
+              for word in re.findall(r"\w+", span)}
+    return [name for name in names if name.rsplit(".", 1)[1] not in quoted]
+
+
+def test_every_public_name_has_a_reader_or_a_readme_quote():
+    # a public name that no library code reads is either an entry point
+    # the README documents or a helper only tests call, which belongs in
+    # the test tree
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted((ROOT / "src" / "thetabsde").glob("*.py"))}
+    public = [name for name in unread_names(sources)
+              if not name.rsplit(".", 1)[1].startswith("_")]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert names_unquoted(public, readme) == []
+
+
+def test_an_unread_public_name_is_named():
+    sources = {
+        "sets": "class Box:\n    def project(self, p):\n        return p\n"
+                "    def grid(self):\n        return self.grid()\n"
+                "    def _lo(self):\n        pass\n"
+                "def cover(box):\n    return box.project(0)\n"
+                "LIMIT = 4\n",
+        "engine": "from .sets import Box\n"
+                  "def solve():\n    return Box()\n",
+    }
+    unread = unread_names(sources)
+    assert unread == ["sets.Box.grid", "sets.cover", "engine.solve"]
+    assert names_unquoted(unread, "`solve()` and `Box.grid` run\n"
+                          "```\ncover(box)\n```\n") == ["sets.cover"]
