@@ -152,7 +152,14 @@ def col_product(x, m):
     kernel can then give a product that underflows to zero the other sign.
     Its matrix-vector kernel, which takes one row of ``m``, and its AVX-512
     matrix kernel from there on sum a column-major batch in another order,
-    so they get a C-ordered copy."""
+    so they get a C-ordered copy. With one inner column each entry is one
+    product, which BLAS adds to a zero: ``(m * x[:, 0]).T`` plus 0.0,
+    which turns a -0.0 into the +0.0 BLAS gives, has its bits but for the
+    sign of a NaN, at a fifth of BLAS's time."""
+    if x.shape[1] == 1:
+        out = np.multiply(m, x[:, 0])
+        out += 0.0
+        return out.T
     if len(m) == 1 or x.shape[1] >= _COL_PRODUCT_DIM:
         x = np.ascontiguousarray(x)
     return np.asfortranarray(x @ m.T)

@@ -99,13 +99,10 @@ class SdeSpec:
 
     def _vol_terms(self, X, dB):
         """sigma(t, X) @ dB over the terms this SDE has, a column-major
-        (n, dim_x) array, or None without any. With one noise the constant
-        term is a plain product, which can differ from BLAS's only in the
-        sign of a zero; ``step`` clears that."""
+        (n, dim_x) array, or None without any."""
         out = None
         if self.vol_const is not None:
-            out = ((self.vol_const * dB[:, 0]).T if self.dim_b == 1
-                   else col_product(dB, self.vol_const))
+            out = col_product(dB, self.vol_const)
         if self.vol_lin is not None:
             lin = np.einsum("nj,ijk,nk->ni", X, self.vol_lin, dB)
             out = lin if out is None else np.add(out, lin, out=out)
@@ -407,25 +404,25 @@ class _Basis:
     @classmethod
     def measure(cls, Xi, degree, rows=None):
         """The record of states ``Xi`` and its design, a view of ``rows``
-        (see ``_monomial_rows``). Each monomial's mean and sd are measured
-        on one (n,) scratch row, bitwise ``np.mean`` and ``np.std``, and
-        the raw rows become the design in place: a (k, n) temporary at
-        every node would cost fresh pages."""
+        (see ``_monomial_rows``). Each monomial's mean and sd are bitwise
+        ``np.mean`` and ``np.std``, and the raw rows become the design in
+        place: a (k, n) temporary at every node would cost fresh pages.
+        A row is centred once, straight into the slot it takes if it is
+        kept, and its squares go to one (n,) scratch row."""
         rows = _monomial_rows(Xi, degree, rows)
         n = len(Xi)
         sq = np.empty(n)
         k = 0
         for r in range(1, len(rows)):
-            mu = rows[r].sum() / n
-            np.subtract(rows[r], mu, out=sq)
-            np.multiply(sq, sq, out=sq)
+            # the slot behind the kept rows is at most r, so no unread row
+            # is overwritten; a row that is dropped leaves it free again
+            centred = rows[k + 1]
+            np.subtract(rows[r], rows[r].sum() / n, out=centred)
+            np.multiply(centred, centred, out=sq)
             sd = np.sqrt(sq.sum() / n)
             if sd > 1e-12:
-                # the kept row moves into its slot behind the constant; the
-                # target k is at most r, so no unread row is overwritten
                 k += 1
-                np.subtract(rows[r], mu, out=rows[k])
-                rows[k] /= sd
+                centred /= sd
         design = rows[:k + 1].T
         gram = design.T @ design
         eig = np.linalg.eigvalsh(gram)
@@ -668,7 +665,7 @@ def solve_theta_bsde(scenario, paths=None, terminal_values=None,
 
 def _require_finite(i, *values):
     """Raise naming node ``i`` when any of ``values`` is not finite."""
-    if not all(np.all(np.isfinite(v)) for v in values):
+    if not all(np.isfinite(v).all() for v in values):
         raise EngineError(f"solver produced non-finite values at node {i}")
 
 

@@ -8,7 +8,9 @@ stepped backward in time by IMEX Euler (Ascher, Ruuth & Spiteri 1997,
 "Implicit-explicit Runge-Kutta methods for time-dependent partial
 differential equations"): the diffusion is implicit, drift and driver are
 explicit, all with central differences. Used as an independent check of the
-Monte Carlo solver (the value process satisfies Y = u(t, X_t)).
+Monte Carlo solver (the value process satisfies Y = u(t, X_t)); u between
+nodes is the linear interpolant, read by a cell lookup on the uniform grid
+that gives numpy.interp's bits without its binary search (``_Lookup``).
 """
 
 from dataclasses import dataclass
@@ -23,6 +25,12 @@ from .engine import TimeGrid, backward_sweep, simulate_forward
 # half-width of the automatic domain, in standard deviations of X_T
 HALF_WIDTH_SIGMAS = 6.0
 
+# the narrowest cell a grid may have, as a fraction of its largest |x|.
+# Rounding moves xs and (x - x_min) / dx, in x units, by under 4 ulps of
+# that |x|, 2**-50 of it; at 2**-48 the cell lookup's estimate lands
+# within one cell of x's own (see _Lookup)
+_MIN_CELL = 2.0 ** -48
+
 
 class PdeError(ValueError):
     pass
@@ -30,6 +38,11 @@ class PdeError(ValueError):
 
 @dataclass(frozen=True)
 class PdeGrid:
+    """The uniform x grid ``xs`` of ``n_x`` nodes on ``[x_min, x_max]`` and
+    ``n_t`` time steps on ``[t0, T]``. A grid is refused when numpy could
+    not size the oracle's arrays, or when its cells are too narrow for the
+    cell lookup (``_MIN_CELL``)."""
+
     x_min: float
     x_max: float
     n_x: int
@@ -45,6 +58,19 @@ class PdeGrid:
                 ("n_x", as_integer(PdeError, self.n_x, "n_x", 8)),
                 ("n_t", as_integer(PdeError, self.n_t, "n_t", 2))):
             object.__setattr__(self, name, value)
+        # the sweep holds an (n_x, n_x) step matrix and an (n_t + 1, n_x)
+        # surface of float64; numpy sizes no array past intp's bytes
+        for name, shape, count in (
+                ("n_x", "(n_x, n_x)", self.n_x ** 2),
+                ("n_t", "(n_t + 1, n_x)", (self.n_t + 1) * self.n_x)):
+            if count * 8 > np.iinfo(np.intp).max:
+                raise PdeError(f"{name} = {getattr(self, name):.3g} is too "
+                               f"large: numpy cannot size the oracle's "
+                               f"{shape} float64 array")
+        reach = max(abs(self.x_min), abs(self.x_max))
+        if self.dx < _MIN_CELL * reach:
+            raise PdeError(f"cells of width {self.dx:.3g} are narrower than "
+                           f"2**-48 of the grid's largest |x|, {reach:.3g}")
 
     @property
     def dx(self):
@@ -92,14 +118,87 @@ class ValueSurface:
 
     def value_at(self, t_index, x):
         """Linear interpolation in x at a stored time row."""
-        return float(np.interp(x, self.grid.xs, self.u[t_index]))
+        return _Lookup(self.grid).at(x, self.u[t_index])
+
+
+class _Lookup:
+    """``numpy.interp(x, pgrid.xs, row)``, bitwise, found without a binary
+    search. The grid is uniform, so x's cell is ``(x - x_min) / dx``
+    truncated, clamped to the grid and corrected once up and once down
+    against ``xs`` itself (``_MIN_CELL`` keeps the estimate within one
+    cell). Then numpy.interp's own rules: x clipped to ``[xs[0], xs[-1]]``
+    takes the value of a node it sits on, else ``slope * (x - xs[j]) +
+    row[j]`` with numpy.interp's slope; a NaN x comes back as itself, and
+    on a row with an inf or a NaN a NaN result takes numpy.interp's two
+    fallbacks. The grid's arrays are read once, when the lookup is made;
+    a call's (n,) work arrays are its own and freed on return, since
+    buffers kept for the next call would be held through the backward
+    sweep's own work, where its memory peaks."""
+
+    def __init__(self, pgrid):
+        xs = pgrid.xs
+        self.xs, self.x_min, self.dx = xs, pgrid.x_min, pgrid.dx
+        # xs[j + 1] at j, and +inf past the last node, where no x goes up
+        self.xs_up = np.append(xs[1:], np.inf)
+        self.widths = xs[1:] - xs[:-1]
+        # the last slope stays 0: only a point on the last node gets there
+        self.slopes = np.zeros(len(xs))
+
+    def __call__(self, x, row):
+        xs = self.xs
+        c, out = np.empty(len(x)), np.empty(len(x))
+        j, mask = np.empty(len(x), dtype=np.intp), np.empty(len(x), dtype=bool)
+        with np.errstate(all="ignore"):  # numpy.interp raises no FP warning
+            np.subtract(row[1:], row[:-1], out=self.slopes[:-1])
+            self.slopes[:-1] /= self.widths
+            np.clip(x, xs[0], xs[-1], out=c)
+            # c >= x_min, so the estimate is >= 0; fmin sends a NaN to the top
+            np.subtract(c, self.x_min, out=out)
+            out /= self.dx
+            np.fmin(out, len(xs) - 1, out=out)
+            np.copyto(j, out, casting="unsafe")
+            np.take(self.xs_up, j, out=out)
+            np.greater_equal(c, out, out=mask)
+            j += mask
+            np.take(xs, j, out=out)
+            np.less(c, out, out=mask)
+            if mask.any():
+                j -= mask
+                np.take(xs, j, out=out)
+            np.equal(c, out, out=mask)  # on a node
+            np.subtract(c, out, out=out)
+            np.take(self.slopes, j, out=c)
+            out *= c
+            np.take(row, j, out=c)
+            out += c
+            if not np.isfinite(row).all():
+                bad = np.flatnonzero(np.isnan(out))
+                out[bad] = self._fallback(x[bad], j[bad], row)
+        np.copyto(out, c, where=mask)
+        return out
+
+    def _fallback(self, x, j, row):
+        """numpy.interp's value where ``slope * (x - xs[j]) + row[j]`` is
+        NaN: the same from the cell's right end, then ``row[j]`` if both
+        ends hold the same value; a NaN x is its own value."""
+        right = np.minimum(j + 1, len(row) - 1)
+        alt = self.slopes[j] * (x - self.xs_up[j]) + row[right]
+        alt = np.where(np.isnan(alt) & (row[j] == row[right]), row[j], alt)
+        return np.where(np.isnan(x), x, alt)
+
+    def at(self, x, row):
+        """The interpolant at one point, as a float."""
+        return float(self(np.array([x], dtype=float), row)[0])
 
 
 def _tridiagonal_inverse(lower, diag, upper):
     """Inverse of the tridiagonal matrix with row i = (lower[i], diag[i],
     upper[i]) around the diagonal, by a Thomas elimination run on every
     column of the identity at once: 2n row operations and no LAPACK call.
-    Stable without pivoting when the matrix is diagonally dominant."""
+    Stable without pivoting when the matrix is diagonally dominant. The
+    forward pass leaves row i zero right of column i, so it updates only
+    the prefix ``[:i]`` and the diagonal; on those zeros ``0 - l * 0``
+    would give the same +0.0."""
     n = len(diag)
     inv = np.eye(n)
     c = np.empty(n)
@@ -107,9 +206,9 @@ def _tridiagonal_inverse(lower, diag, upper):
         m = diag[i]
         if i:
             m -= lower[i] * c[i - 1]
-            inv[i] -= lower[i] * inv[i - 1]
+            inv[i, :i] -= lower[i] * inv[i - 1, :i]
         c[i] = upper[i] / m
-        inv[i] /= m
+        inv[i, :i + 1] /= m
     for i in range(n - 2, -1, -1):
         inv[i] -= c[i] * inv[i + 1]
     return inv
@@ -146,7 +245,7 @@ def _sweep(driver, uset, sde, payoff, pgrid, n_t):
         z = (ux * sig).reshape(-1, 1)
         f = effective_driver(driver, uset, t, X, uk, z)
         u[k - 1] = step @ (uk + dt * (drift * ux + f))
-        if not np.all(np.isfinite(u[k - 1])):
+        if not np.isfinite(u[k - 1]).all():
             raise PdeError(f"non-finite values in PDE sweep at time step {k - 1}")
     return u
 
@@ -189,19 +288,22 @@ def feynman_kac_compare(scenario, surface=None):
     rows = np.clip(np.rint((sc.grid.times - pgrid.t0) / pgrid.dt_pde), 0,
                    pgrid.n_t).astype(int)
     rms = []
+    lookup = _Lookup(pgrid)
     ens = simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
     for i, x, _, (track,) in backward_sweep([sc], ens):
-        u = np.interp(x[:, 0], pgrid.xs, surface.u[rows[i]])
-        rms.append(np.sqrt(np.mean((track.y - u) ** 2)))
+        d = lookup(x[:, 0], surface.u[rows[i]])
+        np.subtract(track.y, d, out=d)
+        rms.append(np.sqrt(np.mean(np.square(d, out=d))))
+        del d  # not held through the next node, where the sweep peaks
     y0, stderr = track.estimate()
     x0 = float(sc.sde.x0[0])
-    u0 = surface.value_at(0, x0)
+    u0 = lookup.at(x0, surface.u[0])
     return {
         "y0_mc": y0,
         "u0": u0,
         "abs_err": abs(y0 - u0),
         "stderr": stderr,
-        "u0_discretisation_err": float(
-            np.interp(x0, pgrid.xs, surface.u0_discretisation_err)),
+        "u0_discretisation_err": lookup.at(
+            x0, surface.u0_discretisation_err),
         "fk_path_rms_max": float(np.max(rms)),
     }

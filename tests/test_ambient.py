@@ -69,3 +69,20 @@ def test_col_product_is_column_major_with_the_c_ordered_bits(d, k):
         got = col_product(batch, m)
         assert got.flags.f_contiguous
         assert same_bits(got, x @ m.T)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 9, 40])
+def test_one_inner_column_product_has_the_blas_bits(k, special_batch):
+    # each entry is one product, which BLAS adds to a zero: the plain
+    # product plus 0.0 has its bits, -0.0 turned +0.0 included; only the
+    # sign of a NaN is the BLAS kernel's own
+    x = special_batch(301, 1, k)
+    m = special_batch(k, 1, 100 + k)
+    with np.errstate(all="ignore"):
+        want = x @ m.T
+        for batch in (x, np.asfortranarray(x), np.repeat(x, 2, axis=1)[:, ::2]):
+            got = col_product(batch, m)
+            assert got.flags.f_contiguous
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert same_bits(np.where(np.isnan(got), np.nan, got),
+                             np.where(np.isnan(want), np.nan, want))

@@ -539,6 +539,20 @@ def test_cli_validate_rejects_non_finite_pde_bounds(tmp_path, capsys, bounds,
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("keys, name", [
+    # both passed validate; run then failed with exit 1 in numpy
+    # ("Maximum allowed size exceeded")
+    ("pde.n_x = 1e30\n", "n_x"),
+    ("pde.x_min = -3.0\npde.x_max = 3.0\npde.n_t = 1e30\n", "n_t"),
+], ids=["n_x", "n_t"])
+def test_cli_validate_rejects_a_pde_grid_numpy_cannot_size(tmp_path, capsys,
+                                                           keys, name):
+    p = tmp_path / "fk.cfg"
+    p.write_text(FK + keys)
+    assert main(["validate", str(p)]) == 2
+    assert f"pde: {name} = 1e+30 is too large" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("keys, missing", [
     # each validated and then ran on the automatic grid, ignoring the keys
     ("pde.x_min = 100\npde.n_t = 7\n", "pde.x_max"),

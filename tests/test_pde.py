@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import thetabsde as tb
-from thetabsde.pde import (PdeError, PdeGrid, _tridiagonal_inverse, auto_grid,
-                           solve_pde)
+from thetabsde.pde import (PdeError, PdeGrid, _Lookup, _tridiagonal_inverse,
+                           auto_grid, solve_pde)
 
 
 UNIT_BOX = tb.Box([0.0], [1.0])
@@ -52,6 +52,47 @@ def test_tridiagonal_inverse_matches_the_dense_inverse():
         diag[[0, -1]] = 1.0
         ref = np.linalg.inv(imex_step_matrix(pgrid.n_x, a))
         assert np.max(np.abs(_tridiagonal_inverse(off, diag, off) - ref)) <= 1e-14
+
+
+def full_row_tridiagonal_inverse(lower, diag, upper):
+    """The Thomas elimination over the identity's columns on whole rows:
+    the reference for ``_tridiagonal_inverse``'s row-prefix updates."""
+    n = len(diag)
+    inv = np.eye(n)
+    c = np.empty(n)
+    for i in range(n):
+        m = diag[i]
+        if i:
+            m -= lower[i] * c[i - 1]
+            inv[i] -= lower[i] * inv[i - 1]
+        c[i] = upper[i] / m
+        inv[i] /= m
+    for i in range(n - 2, -1, -1):
+        inv[i] -= c[i] * inv[i + 1]
+    return inv
+
+
+def test_tridiagonal_inverse_is_bitwise_the_full_row_elimination():
+    # right of the diagonal the forward pass meets only +0.0, which the
+    # full-row update and the positive pivot leave +0.0
+    pgrid = auto_grid(make_sde(), tb.TimeGrid(0.0, 1.0, 50))
+    rng = np.random.default_rng(4)
+    cases = []
+    for a in (pgrid.dt_pde * 0.5 / pgrid.dx ** 2, 1e-3, 100.0, 0.0):
+        off = np.full(pgrid.n_x, -a)
+        diag = np.full(pgrid.n_x, 1.0 + 2 * a)
+        off[[0, -1]] = 0.0
+        diag[[0, -1]] = 1.0
+        cases.append((off, diag, off))
+    # diagonally dominant with a positive diagonal, off-diagonals of both
+    # signs and unequal sides, and one of 8 rows (the smallest grid)
+    for n in (8, 57):
+        lower, upper = rng.normal(size=(2, n))
+        cases.append((lower, np.abs(lower) + np.abs(upper) + rng.random(n),
+                      upper))
+    for lower, diag, upper in cases:
+        assert bits(_tridiagonal_inverse(lower, diag, upper)).tobytes() == \
+            bits(full_row_tridiagonal_inverse(lower, diag, upper)).tobytes()
 
 
 def test_solve_pde_forms_no_dense_inverse(monkeypatch):
@@ -164,6 +205,113 @@ def test_pde_grid_rejects_non_finite_bounds_and_single_steps():
     # built a 17-point grid that ran past x_max
     with pytest.raises(PdeError, match="n_x must be an integer"):
         PdeGrid(-1.0, 1.0, 16.5, 10, 0.0, 1.0)
+
+
+def test_pde_grid_rejects_a_grid_numpy_cannot_size():
+    # the (n_x, n_x) step matrix and the (n_t + 1, n_x) surface: numpy
+    # sizes no array past np.iinfo(np.intp).max bytes
+    largest = np.iinfo(np.intp).max
+    n_x = 2 ** 30  # n_x ** 2 * 8 is 2**63, one byte past intp
+    assert (n_x - 1) ** 2 * 8 <= largest < n_x ** 2 * 8
+    PdeGrid(-1.0, 1.0, n_x - 1, 2, 0.0, 1.0)
+    with pytest.raises(PdeError, match=r"n_x = 1.07e\+09 is too large"):
+        PdeGrid(-1.0, 1.0, n_x, 2, 0.0, 1.0)
+    n_t = 2 ** 57 - 1  # (n_t + 1) * 8 * 8 is 2**63
+    PdeGrid(-1.0, 1.0, 8, n_t - 1, 0.0, 1.0)
+    with pytest.raises(PdeError, match=r"n_t = 1.44e\+17 is too large"):
+        PdeGrid(-1.0, 1.0, 8, n_t, 0.0, 1.0)
+    for n_x, n_t in ((1e30, 10), (400, 1e30)):
+        with pytest.raises(PdeError, match="too large"):
+            PdeGrid(-1.0, 1.0, n_x, n_t, 0.0, 1.0)
+
+
+def test_pde_grid_rejects_cells_the_lookup_cannot_estimate():
+    # a cell of at least 2**-48 of the largest |x| passes
+    width = 2.0 ** -48 * 1e6
+    PdeGrid(1e6 - 9 * width, 1e6, 10, 2, 0.0, 1.0)
+    with pytest.raises(PdeError, match="narrower than 2\\*\\*-48"):
+        PdeGrid(1e6 - 9 * width * 0.99, 1e6, 10, 2, 0.0, 1.0)
+
+
+LOOKUP_GRIDS = {
+    "heat": PdeGrid(-3.0, 3.0, 400, 2, 0.0, 1.0),
+    # odd n_x, an asymmetric span off the origin
+    "odd_asymmetric": PdeGrid(-1.3, 7.9, 401, 2, 0.0, 1.0),
+    "smallest": PdeGrid(0.25, 0.5, 8, 2, 0.0, 1.0),
+    # cells of 2**-46 of |x|, near the narrowest a grid may have
+    "narrow": PdeGrid(1e6, 1e6 + 399 * 2.0 ** -46 * 1e6, 400, 2, 0.0, 1.0),
+}
+
+
+def lookup_rows(n_x, rng):
+    """Rows of n_x values: smooth, with zeros, -0.0 and flat runs."""
+    xs = np.linspace(-2.0, 2.0, n_x)
+    smooth = np.sin(3 * xs) + 0.1 * rng.normal(size=n_x)
+    signed = smooth.copy()
+    signed[::3], signed[1::5] = 0.0, -0.0
+    flat = np.repeat(rng.normal(size=n_x // 4 + 1), 4)[:n_x]
+    flat[:n_x // 2] = -0.0
+    return smooth, signed, flat, np.zeros(n_x), np.full(n_x, -0.0)
+
+
+def assert_lookup_is_interp(g, x, row):
+    """The lookup and np.interp agree bit for bit."""
+    assert np.array_equal(bits(_Lookup(g)(x, row)),
+                          bits(np.interp(x, g.xs, row)))
+
+
+@pytest.mark.parametrize("name", LOOKUP_GRIDS)
+def test_lookup_is_bitwise_interp_on_random_points(name):
+    g = LOOKUP_GRIDS[name]
+    rng = np.random.default_rng(len(name))
+    centre, half = 0.5 * (g.x_min + g.x_max), 0.5 * (g.x_max - g.x_min)
+    for row in lookup_rows(g.n_x, rng):
+        # unsorted points inside the grid and past both ends, in batches
+        # of fewer and of more points than n_x
+        for spread in (0.01, 0.3, 1.0, 3.0):
+            for n in (3, 100, 10_000):
+                x = centre + spread * half * rng.normal(size=n)
+                assert_lookup_is_interp(g, x, row)
+
+
+@pytest.mark.parametrize("name", LOOKUP_GRIDS)
+def test_lookup_is_bitwise_interp_at_nodes_ends_and_special_values(name):
+    g = LOOKUP_GRIDS[name]
+    xs = g.xs
+    x = np.concatenate([
+        xs, np.nextafter(xs, np.inf), np.nextafter(xs, -np.inf),
+        # below, at and above both ends
+        [xs[0] - 1.0, g.x_min, xs[-1], g.x_max, xs[-1] + 1.0],
+        [np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, 5e-324, -1e300, 1e300]])
+    for row in lookup_rows(g.n_x, np.random.default_rng(1)):
+        # pytest turns warnings into errors: an integer cast of inf or
+        # nan would warn
+        assert_lookup_is_interp(g, x, row)
+        assert_lookup_is_interp(g, x[::-1].copy(), row)
+
+
+def test_lookup_is_bitwise_interp_on_non_finite_rows():
+    # np.interp's two fallbacks where slope * (x - xs[j]) + row[j] is NaN
+    g = LOOKUP_GRIDS["odd_asymmetric"]
+    rng = np.random.default_rng(3)
+    row = rng.normal(size=g.n_x)
+    row[[3, 4, 10, 20, 21, 22, 40, 41, 60]] = [np.inf, np.inf, np.nan, 1.0,
+                                               1.0, -np.inf, -np.inf, -np.inf,
+                                               np.inf]
+    xs = g.xs
+    x = np.concatenate([rng.uniform(xs[0], xs[70], 5000), xs[:70],
+                        0.5 * (xs[:69] + xs[1:70]),
+                        [np.inf, -np.inf, np.nan, xs[0] - 1.0]])
+    assert_lookup_is_interp(g, x, row)
+
+
+def test_lookup_reads_one_point_as_a_float():
+    g = LOOKUP_GRIDS["odd_asymmetric"]
+    row = np.sin(g.xs)
+    for x in (g.xs[7], 0.3, -5.0, 100.0):
+        got = _Lookup(g).at(x, row)
+        assert type(got) is float
+        assert bits(got) == bits(np.interp(x, g.xs, row))
 
 
 def test_feynman_kac_trivial_fixtures():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from thetabsde import sets
 from thetabsde.ambient import row_sq
+from thetabsde.drivers import AffineDriver, maximizer
 from thetabsde.sets import Ball, Box, PointCloud, SetError, UnionSet
 
 
@@ -679,3 +680,41 @@ def test_batched_scalar_and_oracle_geometry_agree(case):
     # maximizer the solver records feasible
     scale = 1.0 + max(np.max(np.abs(P)), np.max(np.abs(pts)))
     assert np.all(uset.project_batch(pts).distance <= 1e-12 * scale)
+
+
+def plain_records(n):
+    """The records of each set that is not a union, and the degenerate
+    argmax's, for n query rows."""
+    rng = np.random.default_rng(n)
+    P = np.asfortranarray(rng.normal(size=(n, 2)))
+    yield "box", Box([0.0, -1.0], [1.0, 0.5]).project_batch(P)
+    yield "ball", Ball([0.5, 0.0], 1.0).project_batch(P)
+    cloud = PointCloud(rng.normal(size=(5, 2)))
+    yield "cloud", cloud.project_batch(P)
+    yield "cloud_no_gap", cloud.project_batch(P, gap=False)
+    yield "degenerate_argmax", maximizer(
+        AffineDriver(1.0, 0.0, [0.0]), Box([0.2], [0.9]), 0.0,
+        np.zeros((n, 1)), np.zeros(n), np.zeros((n, 1)))[0]
+
+
+@pytest.mark.parametrize("n", [1, 4, 1000])
+def test_plain_records_hold_read_only_stride_0_fields(n):
+    # member index -1 (all of them) and medial gap inf (all but the
+    # cloud's) are read-only stride-0 views, not n-element arrays
+    for name, rec in plain_records(n):
+        fields = [(rec.member_index, np.int64, -1)]
+        if name in ("box", "ball", "degenerate_argmax"):
+            fields.append((rec.medial_gap, np.float64, np.inf))
+        elif name == "cloud":
+            assert rec.medial_gap.shape == (n,) and rec.medial_gap.strides == (8,)
+        else:
+            assert rec.medial_gap is None
+        for field, dtype, value in fields:
+            assert field.dtype == dtype and field.shape == (n,), name
+            assert field.strides == (0,), name
+            assert np.all(field == value), name
+            assert not field.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                field[0] = 0
+            with pytest.raises(ValueError):
+                field.flags.writeable = True
