@@ -758,7 +758,7 @@ def axiom_check(scenario, axiom, params=None):
     # s - 1, ..., 0 again: the same rows, designs and driver values. So it
     # is read off the one sweep: its accumulator is Y_s plus every lower
     # node's dt * f, and its Y0 is the sweep's own node-0 mean, which makes
-    # the discrepancy 0.0 by construction (ROADMAP item 2: an out-of-sample
+    # the discrepancy 0.0 by construction (ROADMAP item 5: an out-of-sample
     # check on independent paths can fail).
     s = params["s_index"]
     dt = ens.grid.dt

@@ -169,15 +169,12 @@ class Box(UncertaintySet):
 
     def project_batch(self, P, gap=True):
         P = _check_batch(P, self.dim)
-        # a query of one signed zero at a bound of the other: np.clip keeps
-        # the query where the bounds are constant along its inner loop (at
-        # dim 1, and on any column-major batch) and takes the bound on a
-        # C-ordered batch from dim 2 on. np.maximum and np.minimum take the
-        # bound in every layout, so from dim 2 on they give those bits
-        if self.dim == 1:
-            pts = np.clip(P, self.lower, self.upper)
-        else:
-            pts = np.minimum(np.maximum(P, self.lower), self.upper)
+        # a query of one signed zero at a bound of the other projects to
+        # the bound, in every dimension and layout: np.maximum and
+        # np.minimum take their second operand on a tie of zeros, where
+        # np.clip keeps the query when the bounds are constant along its
+        # inner loop
+        pts = np.minimum(np.maximum(P, self.lower), self.upper)
         return plain_result(pts, np.sqrt(row_sq(P - pts)))
 
     def linear_max_batch(self, C):

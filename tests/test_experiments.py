@@ -1,10 +1,12 @@
 import json
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import thetabsde as tb
+from thetabsde import experiments
 from thetabsde.config import build_pde_grid, build_scenario, parse_config
 from thetabsde.experiments import (ExperimentError, dump_json, eos_demo,
                                    epsilon_sweep, fmt, run_scenario, write_csv)
@@ -465,7 +467,7 @@ def csv_oracle(header, keys, blocks):
         for lead, values in blocks for key, row in zip(keys, values))
 
 
-def test_write_csv_matches_per_value_formatting(tmp_path):
+def test_write_csv_matches_per_value_formatting(tmp_path, monkeypatch):
     path = tmp_path / "x.csv"
     edge = [-0.0, 5e-324, 1e22, 0.1, np.inf, -np.inf, np.nan, -7e-300]
     ids = [0, 1, 12345, 10 ** 15]
@@ -494,10 +496,81 @@ def test_write_csv_matches_per_value_formatting(tmp_path):
     write_csv(path, ["epsilon", "a", "b"], keys, blocks)
     assert path.read_text() == csv_oracle(["epsilon", "a", "b"], keys, blocks)
 
+    # chunks of 5 values (2 rows of 2): chunks that end mid-block, blocks
+    # longer than a chunk, leads and keys of different lengths, a change
+    # of row width, and rows with no values
+    monkeypatch.setattr(experiments, "_CHUNK", 5)
+    keys = [0, 12345, 1.0 / 3.0]
+    blocks = [((t,), np.array([[0.1, -2.5], [1e-7, 1e300], [7.0, np.nan]]))
+              for t in (0.0, 1.0 / 3.0, -7e-300, 2.0)]
+    write_csv(path, ["t", "key", "a", "b"], keys, iter(blocks))
+    assert path.read_text() == csv_oracle(["t", "key", "a", "b"], keys, blocks)
+    blocks = [blocks[0], ((0.5, -1e-9), np.array([[3.0], [-0.0], [1e22]])),
+              blocks[1]]
+    write_csv(path, ["t", "key", "a", "b"], keys, iter(blocks))
+    assert path.read_text() == csv_oracle(["t", "key", "a", "b"], keys, blocks)
+    blocks = [((t,), np.zeros((3, 0))) for t in (0.25, 1e-5)]
+    write_csv(path, ["t", "key"], keys, iter(blocks))
+    assert path.read_text() == csv_oracle(["t", "key"], keys, blocks)
+    monkeypatch.undo()
+
     with pytest.raises(ExperimentError, match="3 keys"):
         write_csv(path, ["t", "x", "u"], keys, [((0.0,), np.zeros((2, 1)))])
     with pytest.raises(ExperimentError, match="header"):  # lead missing
         write_csv(path, ["t", "x", "u"], keys, [((), np.zeros((3, 1)))])
+
+
+def formatted(x):
+    """The float kernel's text of each value of the 1-d array ``x``, and
+    how many values it handed to ``%``."""
+    out = np.zeros((len(x), 4), dtype="<u8")
+    slow = experiments._format_fields(x, out, experiments._FloatTables())
+    text = out.view(np.uint8)
+    return bytes(text[text != 0]).decode().split(",")[1:], slow
+
+
+def test_float_kernel_row_brackets_every_binade():
+    # 10**kb <= 2**(e - 1) < 10**(kb + 1) for every frexp exponent e, so
+    # a value's decimal exponent is kb or kb + 1
+    rows = experiments._FloatTables().row
+    for e in range(-1073, 1025):
+        kb = int(rows[e]) - experiments._X0
+        assert Fraction(10) ** kb <= Fraction(2) ** (e - 1) < Fraction(10) ** (kb + 1)
+
+
+def test_float_kernel_is_format_17g():
+    rng = np.random.default_rng(36)
+    bits = rng.integers(0, 2 ** 64, 400_000, dtype=np.uint64,
+                        endpoint=False).view(np.float64)
+    normals = rng.standard_normal(200_000)
+    p10 = 10.0 ** np.arange(-323, 309)
+    up, down = np.nextafter(p10, np.inf), np.nextafter(p10, 0.0)
+    switches = np.array([1e-5, 1e-4, 1e16, 1e17])
+    switches = np.concatenate([np.nextafter(switches, np.inf), switches,
+                               np.nextafter(switches, 0.0)])
+    # doubles under a power of ten whose 17 digits round up to it
+    carries = np.array([d for d in np.concatenate([down, p10]).tolist()
+                        if format(d, ".17g").split("e")[0].strip("0.") == "1"
+                        and Fraction(d) < Fraction(format(d, ".17g"))])
+    special = np.array([0.0, np.inf, np.nan, 5e-324, 2.2250738585072014e-308,
+                        1.7976931348623157e308, 0.1, 1.0 / 3.0, 123456.0])
+    x = np.concatenate([bits, normals, p10, up, down, switches, carries,
+                        special])
+    x = np.concatenate([x, -x])
+    assert len(x) >= 10 ** 6
+    got, slow = formatted(x)
+    assert slow < 0.2 * len(x)
+    expected = [format(v, ".17g") for v in x.tolist()]
+    if got != expected:
+        bad = [(v, g, e) for v, g, e in zip(x.tolist(), got, expected)
+               if g != e]
+        pytest.fail(f"{len(got)} texts for {len(x)} values; first "
+                    f"mismatches (value, kernel, format): {bad[:5]}")
+    # the fast path takes nearly every normal draw; an exact tie goes to %
+    assert formatted(normals)[1] <= 0.01 * len(normals)
+    assert formatted(np.array([1.0 + 2.0 ** -17]))[1] == 1
+    carries = carries[carries >= 1e-280]
+    assert len(carries) >= 5 and formatted(carries)[1] == 0
 
 
 def test_surface_csv_is_the_pde_solution_row_by_row(tmp_path):

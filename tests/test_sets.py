@@ -395,9 +395,23 @@ def test_union_gap_is_the_partition_gap(members):
 
 
 def broadcast_box_projection(box, P):
-    """Box.project_batch with the bounds broadcast over the rows."""
-    pts = np.clip(P, box.lower, box.upper)
+    """Box.project_batch with the bounds broadcast over the rows; a tie of
+    signed zeros takes the bound."""
+    pts = np.minimum(np.maximum(P, box.lower), box.upper)
     return pts, np.sqrt(row_sq(P - pts))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_box_signed_zero_tie_takes_the_bound_in_every_dimension(dim):
+    # -0.0 at a lower bound of 0.0 and 0.0 at an upper bound of -0.0
+    # project to the bound, as they do from dim 2 on
+    ones = np.ones(dim)
+    for box, q, want in ((Box(0.0 * ones, ones), -0.0, 0.0),
+                         (Box(-ones, -0.0 * ones), 0.0, -0.0)):
+        for P in (np.full((3, dim), q), np.asfortranarray(np.full((3, dim), q))):
+            r = box.project_batch(P)
+            assert np.array_equal(np.signbit(r.point), np.full((3, dim), np.signbit(want)))
+            assert np.signbit(box.project(P[0]).point).tolist() == [np.signbit(want)] * dim
 
 
 def broadcast_ball_projection(ball, P):
