@@ -7,7 +7,7 @@ seed is byte-identical.
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -344,16 +344,6 @@ def write_csv(path, header, keys, blocks):
 
 # epsilon sweep -------------------------------------------------------------
 
-@dataclass
-class EpsilonSweepResult:
-    epsilons: list
-    sup_y_err: list
-    z_err_l2: list
-    stderrs: list
-    fitted_slope: float
-    y0: float  # of the g_limit reference
-
-
 def check_sweep(scenario, epsilons, a0):
     """Preconditions of ``epsilon_sweep``; returns the epsilons as floats."""
     if not is_convex(scenario.uset):
@@ -370,8 +360,8 @@ def check_sweep(scenario, epsilons, a0):
 
 
 def epsilon_sweep(scenario, epsilons, a0):
-    """Convergence of the regularized runs toward the support-function
-    reference on common paths; ``scenario.driver`` is not used.
+    """The regularized runs' convergence to the support-function reference
+    on common paths, as a summary dict; ``scenario.driver`` is not used.
 
     The reference and the runs share one backward sweep, which holds only
     the node it has reached: each run's errors against the reference are
@@ -394,31 +384,17 @@ def epsilon_sweep(scenario, epsilons, a0):
             sd[k, i] = np.std(np.abs(dY))
             z_sq[k, i] = np.mean(row_sq(run.z - ref.z))
 
-    sup_errs, z_errs, ses = [], [], []
-    dt = base.grid.dt
-    for k in range(len(eps)):
-        j = int(np.argmax(rms[k]))
-        sup_errs.append(float(rms[k, j]))
-        ses.append(float(sd[k, j] / np.sqrt(base.n_paths)))
-        z_errs.append(float(np.sqrt(np.sum(dt * z_sq[k]))))
-    safe = np.maximum(sup_errs, 1e-300)
-    slope = float(np.polyfit(np.log(eps), np.log(safe), 1)[0])
-    return EpsilonSweepResult(epsilons=eps, sup_y_err=sup_errs,
-                              z_err_l2=z_errs, stderrs=ses,
-                              fitted_slope=slope, y0=float(np.mean(ref.y)))
+    # each run's node of largest RMS
+    worst = np.arange(len(eps)), np.argmax(rms, axis=1)
+    slope = np.polyfit(np.log(eps), np.log(np.maximum(rms[worst], 1e-300)), 1)
+    return {"epsilons": eps, "sup_y_err": rms[worst].tolist(),
+            "z_err_l2": np.sqrt(np.sum(base.grid.dt * z_sq, axis=1)).tolist(),
+            "stderrs": (sd[worst] / np.sqrt(base.n_paths)).tolist(),
+            "fitted_slope": float(slope[0]),
+            "y0": float(np.mean(ref.y))}  # of the g_limit reference
 
 
 # union-set maximizer demo --------------------------------------------------
-
-@dataclass
-class EosDemoResult:
-    member_occupancy: list
-    min_medial_gap: float
-    medial_hit_fraction: float
-    gap_threshold: float
-    a_path_mean: np.ndarray   # (n_steps + 1, dim_a)
-    a_path_std: np.ndarray
-
 
 def check_eos(scenario, gap_threshold=None):
     """Preconditions of ``eos_demo``; returns the gap threshold as a float,
@@ -435,7 +411,7 @@ def check_eos(scenario, gap_threshold=None):
 
 
 def eos_demo(scenario, gap_threshold=None):
-    """Pathwise uniqueness empirics: how often the projection query point
+    """Pathwise uniqueness empirics, as a summary dict: how often the query
     lands near the medial region between union members. A fold over one
     backward sweep with records: each node's member index, medial gap and
     argmax are those of the solver's own maximizer projection. A given
@@ -479,11 +455,11 @@ def eos_demo(scenario, gap_threshold=None):
         hits = np.count_nonzero(gaps < gap_threshold)
     # a count over the node count, as np.mean of the hits would divide
     hit = int(hits) / ((n + 1) * sc.n_paths)
-    return EosDemoResult(member_occupancy=[float(o) for o in occupancy],
-                         min_medial_gap=float(min_gap),
-                         medial_hit_fraction=hit,
-                         gap_threshold=gap_threshold,
-                         a_path_mean=a_mean, a_path_std=a_std)
+    return {"member_occupancy": occupancy.tolist(),
+            "min_medial_gap": float(min_gap), "medial_hit_fraction": hit,
+            "gap_threshold": gap_threshold,
+            # (n_steps + 1, dim_a) moments of the argmax over paths
+            "a_path_mean": a_mean, "a_path_std": a_std}
 
 
 # dispatch ------------------------------------------------------------------
@@ -518,7 +494,7 @@ def run_scenario(cfg, out_dir, paths_dump=False):
     elif kind == "fk_check":
         surface = solve_pde(sc.driver, sc.uset, sc.sde, sc.terminal,
                             params["pde_grid"])
-        rep = feynman_kac_compare(sc, surface=surface)
+        rep = feynman_kac_compare(sc, surface)
         summary.update(rep)
         summary["y0"] = rep["y0_mc"]
         grid = surface.grid
@@ -528,15 +504,15 @@ def run_scenario(cfg, out_dir, paths_dump=False):
 
     elif kind == "epsilon_sweep":
         res = epsilon_sweep(sc, **params)
-        summary.update(vars(res))
+        summary.update(res)
         write_csv(f"{out}.sweep.csv", ["epsilon", "sup_y_err", "z_err_l2"],
-                  res.epsilons,
-                  [((), np.column_stack([res.sup_y_err, res.z_err_l2]))])
+                  res["epsilons"],
+                  [((), np.column_stack([res["sup_y_err"], res["z_err_l2"]]))])
 
     elif kind == "eos_demo":
         res = eos_demo(sc, **params)
-        summary.update(vars(res))
-        ok = abs(sum(res.member_occupancy) - 1.0) <= 1e-12
+        summary.update(res)
+        ok = abs(sum(res["member_occupancy"]) - 1.0) <= 1e-12
 
     elif kind == "theta_bm":
         b = simulate_theta_bm(sc.driver, sc.uset, sc.grid, sc.n_paths,

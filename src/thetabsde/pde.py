@@ -112,9 +112,19 @@ def auto_grid(sde, grid, n_x=400):
 
 @dataclass
 class ValueSurface:
+    """The oracle's solution on ``grid``: finite arrays of its shape."""
+
     u: np.ndarray  # (n_t + 1, n_x), row 0 = t0, last row = T
     grid: PdeGrid
     u0_discretisation_err: np.ndarray  # (n_x,), |u[0] - u[0] at n_t // 2|
+
+    def __post_init__(self):
+        for name, shape in (("u", (self.grid.n_t + 1, self.grid.n_x)),
+                            ("u0_discretisation_err", (self.grid.n_x,))):
+            a = getattr(self, name)
+            if np.shape(a) != shape or not np.isfinite(a).all():
+                raise PdeError(f"{name} must be a finite array of shape "
+                               f"{shape}")
 
     def value_at(self, t_index, x):
         """Linear interpolation in x at a stored time row."""
@@ -128,12 +138,12 @@ class _Lookup:
     against ``xs`` itself (``_MIN_CELL`` keeps the estimate within one
     cell). Then numpy.interp's own rules: x clipped to ``[xs[0], xs[-1]]``
     takes the value of a node it sits on, else ``slope * (x - xs[j]) +
-    row[j]`` with numpy.interp's slope; a NaN x comes back as itself, and
-    on a row with an inf or a NaN a NaN result takes numpy.interp's two
-    fallbacks. The grid's arrays are read once, when the lookup is made;
-    a call's (n,) work arrays are its own and freed on return, since
-    buffers kept for the next call would be held through the backward
-    sweep's own work, where its memory peaks."""
+    row[j]`` with numpy.interp's slope; a NaN x comes back as itself. A
+    row is finite (``ValueSurface``), so numpy.interp's fallbacks for an
+    inf in it are not needed. The grid's arrays are read once, when the
+    lookup is made; a call's (n,) work arrays are its own and freed on
+    return, since buffers kept for the next call would be held through
+    the backward sweep's own work, where its memory peaks."""
 
     def __init__(self, pgrid):
         xs = pgrid.xs
@@ -171,20 +181,8 @@ class _Lookup:
             out *= c
             np.take(row, j, out=c)
             out += c
-            if not np.isfinite(row).all():
-                bad = np.flatnonzero(np.isnan(out))
-                out[bad] = self._fallback(x[bad], j[bad], row)
         np.copyto(out, c, where=mask)
         return out
-
-    def _fallback(self, x, j, row):
-        """numpy.interp's value where ``slope * (x - xs[j]) + row[j]`` is
-        NaN: the same from the cell's right end, then ``row[j]`` if both
-        ends hold the same value; a NaN x is its own value."""
-        right = np.minimum(j + 1, len(row) - 1)
-        alt = self.slopes[j] * (x - self.xs_up[j]) + row[right]
-        alt = np.where(np.isnan(alt) & (row[j] == row[right]), row[j], alt)
-        return np.where(np.isnan(x), x, alt)
 
     def at(self, x, row):
         """The interpolant at one point, as a float."""
@@ -269,22 +267,21 @@ def solve_pde(driver, uset, sde, payoff, pgrid):
                         u0_discretisation_err=np.abs(u[0] - u_half[0]))
 
 
-def feynman_kac_compare(scenario, surface=None):
-    """Solve the same problem by Monte Carlo and by the FD oracle and
-    compare the time-zero values and the values along the paths.
-
-    ``surface`` is an already solved ``ValueSurface`` of this scenario; the
-    PDE is solved here, on ``auto_grid``, only when it is not given. The
-    Monte Carlo side is one ``backward_sweep``, and like ``epsilon_sweep``
-    it keeps no full solution: at each node it keeps only the RMS over
-    paths of |Y_i - u(t_i, X_i)|, with u interpolated in x on the PDE row
-    nearest to t_i, and it reads Y0 and its stderr off node 0.
+def feynman_kac_compare(scenario, surface):
+    """Compare the Monte Carlo solution with the FD oracle's ``surface``
+    of the same problem, which must span the scenario's [t0, T]: the
+    time-zero values and the values along the paths. The Monte Carlo
+    side is one ``backward_sweep``, and like ``epsilon_sweep`` it keeps no
+    full solution: at each node it keeps only the RMS over paths of
+    |Y_i - u(t_i, X_i)|, with u interpolated in x on the PDE row nearest
+    to t_i, and it reads Y0 and its stderr off node 0.
     """
     sc = scenario
-    if surface is None:
-        surface = solve_pde(sc.driver, sc.uset, sc.sde, sc.terminal,
-                            auto_grid(sc.sde, sc.grid))
+    check_sde(sc.sde)
     pgrid = surface.grid
+    if (pgrid.t0, pgrid.T) != (sc.grid.t0, sc.grid.T):
+        raise PdeError(f"the surface spans [{pgrid.t0:g}, {pgrid.T:g}], "
+                       f"the scenario [{sc.grid.t0:g}, {sc.grid.T:g}]")
     rows = np.clip(np.rint((sc.grid.times - pgrid.t0) / pgrid.dt_pde), 0,
                    pgrid.n_t).astype(int)
     rms = []

@@ -130,6 +130,12 @@ def test_c4_effective_driver_lipschitz_bound():
            0.5 < est <= bound + 1e-6)
 
 
+def fk_compare(sc):
+    """The Feynman-Kac comparison on the automatic PDE grid."""
+    return tb.feynman_kac_compare(sc, solve_pde(
+        sc.driver, sc.uset, sc.sde, sc.terminal, auto_grid(sc.sde, sc.grid)))
+
+
 def test_c5_feynman_kac_cross_checks():
     start = time.perf_counter()
     grid = tb.TimeGrid(0.0, 1.0, 50)
@@ -139,20 +145,20 @@ def test_c5_feynman_kac_cross_checks():
     sc = tb.Scenario(sde=make_sde(), driver=tb.ZeroDriver(), uset=UNIT_BOX,
                      terminal=tb.Payoff([0.0, 0.0, 1.0]), grid=grid,
                      n_paths=50_000, seed=5)
-    results.append(tb.feynman_kac_compare(sc))
+    results.append(fk_compare(sc))
 
     # constant driver, phi = 0
     sc = tb.Scenario(sde=make_sde(), driver=tb.AffineDriver(0.4, 0.0, [0.0]),
                      uset=UNIT_BOX, terminal=tb.Payoff([0.0]), grid=grid,
                      n_paths=10_000, seed=5)
-    results.append(tb.feynman_kac_compare(sc))
+    results.append(fk_compare(sc))
 
     # regularized projection, phi = max(x, 0) via clamping
     sc = tb.Scenario(sde=make_sde(), driver=rp_driver(eps=0.5, g_z=[[1.0]]),
                      uset=UNIT_BOX,
                      terminal=tb.Payoff([0.0, 1.0], clamp=(0.0, 1e6)),
                      grid=grid, n_paths=50_000, seed=5)
-    results.append(tb.feynman_kac_compare(sc))
+    results.append(fk_compare(sc))
 
     fk_ok = all(r["abs_err"] <= max(0.02, 3 * r["stderr"]) for r in results)
 
@@ -179,12 +185,12 @@ def test_c6_regularization_convergence():
                      terminal=tb.Payoff([0.0, 0.0, 1.0], clamp=(0.0, 4.0)),
                      grid=tb.TimeGrid(0.0, 1.0, 50), n_paths=50_000, seed=6)
     res = epsilon_sweep(sc, [0.5, 0.25, 0.125, 0.0625], [1.0])
-    mono = all(res.sup_y_err[i + 1] <= res.sup_y_err[i]
-               + np.hypot(res.stderrs[i], res.stderrs[i + 1])
-               for i in range(len(res.epsilons) - 1))
-    slope_ok = 0.4 <= res.fitted_slope <= 1.3
+    mono = all(res["sup_y_err"][i + 1] <= res["sup_y_err"][i]
+               + np.hypot(res["stderrs"][i], res["stderrs"][i + 1])
+               for i in range(len(res["epsilons"]) - 1))
+    slope_ok = 0.4 <= res["fitted_slope"] <= 1.3
     wall = time.perf_counter() - start
-    report(f"C6 regularization sweep (slope {res.fitted_slope:.2f})",
+    report(f"C6 regularization sweep (slope {res['fitted_slope']:.2f})",
            mono and slope_ok and wall < 300)
 
 
@@ -228,10 +234,10 @@ def test_c8_pathwise_uniqueness_empirics():
                   terminal=tb.Payoff([0.0, 1.0]), n_paths=10_000, seed=10)
     r1 = eos_demo(tb.Scenario(grid=tb.TimeGrid(0.0, 1.0, 200), **kwargs))
     r2 = eos_demo(tb.Scenario(grid=tb.TimeGrid(0.0, 1.0, 400), **kwargs))
-    report(f"C8 medial hit fraction {r1.medial_hit_fraction:.2e} "
-           f"-> {r2.medial_hit_fraction:.2e} under step doubling",
-           r1.medial_hit_fraction <= 0.01
-           and r2.medial_hit_fraction <= r1.medial_hit_fraction)
+    report(f"C8 medial hit fraction {r1['medial_hit_fraction']:.2e} "
+           f"-> {r2['medial_hit_fraction']:.2e} under step doubling",
+           r1["medial_hit_fraction"] <= 0.01
+           and r2["medial_hit_fraction"] <= r1["medial_hit_fraction"])
 
 
 DET_CFG = """

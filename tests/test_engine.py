@@ -11,7 +11,7 @@ from thetabsde import engine, experiments, pde
 from thetabsde.drivers import evaluate, maximizer
 from thetabsde.engine import EngineError, _Basis, axiom_check
 from thetabsde.experiments import eos_demo, epsilon_sweep
-from thetabsde.pde import feynman_kac_compare
+from thetabsde.pde import auto_grid, feynman_kac_compare, solve_pde
 
 
 def make_sde(**kw):
@@ -1388,6 +1388,12 @@ def union_driver(c_y=0.0):
                      C_z=[[2.0]]), eps=0.3)
 
 
+def fk_surface(sc):
+    """The PDE oracle's surface of ``sc`` on the automatic grid."""
+    return solve_pde(sc.driver, sc.uset, sc.sde, sc.terminal,
+                     auto_grid(sc.sde, sc.grid))
+
+
 # name -> (scenario of (n_steps, seed), the run on it)
 CHECKPOINT_RUNS = {
     "solve_y_free": (
@@ -1411,7 +1417,7 @@ CHECKPOINT_RUNS = {
         lambda n, s: checkpoint_scenario(n, s, union_driver(),
                                          sde=replace(CHECKPOINT_SDE,
                                                      vol_lin=None)),
-        feynman_kac_compare),
+        lambda sc: feynman_kac_compare(sc, fk_surface(sc))),
     "A1": (
         lambda n, s: checkpoint_scenario(n, s, union_driver(c_y=0.4)),
         lambda sc: axiom_check(sc, "A1_monotonicity",
@@ -1563,6 +1569,7 @@ def test_euler_step_budget(monkeypatch):
     sc = checkpoint_scenario(n, 7, union_driver(), box_cloud_union())
     ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
     assert steps[0] == n
+    fk_sc = replace(sc, sde=replace(sc.sde, vol_lin=None))
     for walk, count in (
             (lambda: tb.solve_theta_bsde(sc, paths=ens, keep=engine.KEEPABLE),
              rebuilt),
@@ -1571,8 +1578,8 @@ def test_euler_step_budget(monkeypatch):
             # the forward pass and the backward sweep, which it folds
             (lambda: eos_demo(sc), n + rebuilt),
             # the forward pass and the backward sweep, which it folds
-            (lambda: feynman_kac_compare(replace(
-                sc, sde=replace(sc.sde, vol_lin=None))), n + rebuilt),
+            (lambda: feynman_kac_compare(fk_sc, fk_surface(fk_sc)),
+             n + rebuilt),
             (lambda: axiom_check(sc, "A2_translation", {"m": 1.0}),
              n + rebuilt),
             # one sweep: the nested valuation is read off its nodes
@@ -1631,3 +1638,70 @@ def test_simulated_states_are_kept_only_at_checkpoints():
                                           r"but .* need \(50, 2, dim\)"):
         tb.PathEnsemble(GRID_8, 50, 0, ens.increments, ens.all_states(),
                         ens.sde)
+
+
+# reflection: with a set and payoff symmetric under x -> -x, x0 = 0 and
+# G = z, the scheme is equivariant under dB -> -dB, node for node and bit
+# for bit, in any dimension
+REFLECTION_SETS = {
+    "box_d1": tb.Box([-1.0], [1.0]),
+    "ball_d3": tb.Ball(np.zeros(3), 1.0),
+    "union_d1": tb.UnionSet([tb.Box([-1.0], [-0.5]), tb.Box([0.5], [1.0])]),
+}
+
+
+def reflection_scenario(uset, vol=1.0):
+    d = uset.dim
+    return tb.Scenario(
+        sde=tb.SdeSpec(dim_x=d, dim_b=d, x0=np.zeros(d),
+                       vol_const=vol * np.eye(d)),
+        driver=tb.RegularizedProjectionDriver(
+            h=tb.StateFn(c0=0.0), G=tb.StateFn(C_z=np.eye(d)), eps=0.5),
+        uset=uset, terminal=tb.Payoff([0.0, 0.0, 1.0]),
+        grid=tb.TimeGrid(0.0, 1.0, 20), n_paths=5000, seed=7)
+
+
+def reflected_solves(sc):
+    """Full solves on the stepped ensemble and on the array-built
+    ensembles (dB, X) and (-dB, -X) of its paths."""
+    ens = tb.simulate_forward(sc.sde, sc.grid, sc.n_paths, sc.seed)
+    dB, X = np.array(ens.increments), np.array(ens.all_states())
+    return [tb.solve_theta_bsde(sc, paths=paths, keep=engine.KEEPABLE)
+            for paths in (ens, *(tb.PathEnsemble(sc.grid, sc.n_paths,
+                                                 sc.seed, s * dB, s * X)
+                                 for s in (1.0, -1.0)))]
+
+
+@pytest.mark.parametrize("name", REFLECTION_SETS)
+def test_reflected_noise_mirrors_z_and_a_bitwise(name):
+    stepped, up, down = reflected_solves(
+        reflection_scenario(REFLECTION_SETS[name]))
+    assert bits(up.Y0).tobytes() == bits(stepped.Y0).tobytes()
+    assert bits(down.Y).tobytes() == bits(up.Y).tobytes()
+    for field in ("Z", "A"):
+        a, b = getattr(up, field), getattr(down, field)
+        assert bits(b).tobytes() == bits(-a).tobytes(), field
+    # not vacuous: Z and A take both signs
+    assert (up.Z > 0).any() and (up.Z < 0).any()
+    assert (up.A > 0).any() and (up.A < 0).any()
+
+
+def test_reflection_breaks_on_the_medial_point():
+    # with no noise X stays at 0, so Z is 0 up to the regression's
+    # rounding and every query sits at the union's medial point 0. Where
+    # the two members' distances tie the lowest member index wins: both
+    # ensembles pick -0.5, and A is not mirrored
+    sc = reflection_scenario(REFLECTION_SETS["union_d1"], vol=0.0)
+    _, up, down = reflected_solves(sc)
+    assert bits(down.Y).tobytes() == bits(up.Y).tobytes()
+    # equal values: the terminal node's Z is +0.0 on both sides
+    assert np.array_equal(down.Z, -up.Z) and np.abs(up.Z).max() < 1e-15
+    x = np.zeros((sc.n_paths, 1))
+    tie = np.stack([sc.uset.project_batch(sc.driver.query(
+        t, x, up.Y[:, i], up.Z[:, i])).medial_gap == 0.0
+        for i, t in enumerate(sc.grid.times)], axis=1)[..., None]
+    # how many nodes tie depends on the fits' rounding, which differs
+    # between BLAS kernel families (about 95 % and 76 % of the entries)
+    assert tie.mean() > 0.5
+    assert np.all(up.A[tie] == -0.5) and np.all(down.A[tie] == -0.5)
+    assert bits(down.A[~tie]).tobytes() == bits(-up.A[~tie]).tobytes()

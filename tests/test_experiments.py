@@ -109,7 +109,7 @@ def test_sweep_equals_five_separate_solves(seed, dim_b):
     ref = tb.solve_theta_bsde(replace(base, driver=tb.GLimitDriver()),
                               paths=ens)
     assert np.any(ref.Y[:, :-1] == 0.6)  # the clip binds
-    assert vars(epsilon_sweep(sc, EPS, a0)) == expected
+    assert epsilon_sweep(sc, EPS, a0) == expected
 
 
 def test_sweep_holds_no_full_solution(traced_peak):
@@ -133,7 +133,8 @@ def test_sweep_singleton_set_is_inert():
                  tb.Payoff([0.0, 0.0, 1.0], clamp=(0.0, 4.0)),
                  tb.TimeGrid(0.0, 1.0, 10), 2000, 3),
         [0.5, 0.25, 0.125], [1.0])
-    assert all(e <= 3 * (se + 1e-15) for e, se in zip(res.sup_y_err, res.stderrs))
+    assert all(e <= 3 * (se + 1e-15)
+               for e, se in zip(res["sup_y_err"], res["stderrs"]))
 
 
 def test_sweep_rejects_nonconvex_set():
@@ -174,9 +175,9 @@ def test_eos_constant_query_deep_in_member():
                             rp_driver(g_const=0.75, eps=0.5),
                             tb.Payoff([0.0, 1.0]),
                             tb.TimeGrid(0.0, 1.0, 20), 500, 5))
-    assert res.member_occupancy == [1.0, 0.0]
-    assert res.medial_hit_fraction == 0.0
-    assert abs(sum(res.member_occupancy) - 1.0) <= 1e-12
+    assert res["member_occupancy"] == [1.0, 0.0]
+    assert res["medial_hit_fraction"] == 0.0
+    assert abs(sum(res["member_occupancy"]) - 1.0) <= 1e-12
 
 
 def test_eos_symmetric_occupancy():
@@ -189,7 +190,7 @@ def test_eos_symmetric_occupancy():
     n = 20_000 * 51
     se = 0.5 / np.sqrt(n)  # Bernoulli(1/2) scale; samples are correlated,
     # so allow a generous multiple
-    assert abs(res.member_occupancy[0] - 0.5) <= 30 * se
+    assert abs(res["member_occupancy"][0] - 0.5) <= 30 * se
 
 
 def test_eos_occupancy_invariant_under_member_relabeling():
@@ -201,7 +202,7 @@ def test_eos_occupancy_invariant_under_member_relabeling():
     b = eos_demo(scenario(
         tb.UnionSet([tb.Box([5.0], [6.0]), tb.Box([0.0], [1.0])]),
         rp_driver(g_x=[[1.0]]), **kwargs))
-    assert a.member_occupancy == b.member_occupancy[::-1]
+    assert a["member_occupancy"] == b["member_occupancy"][::-1]
 
 
 def test_eos_rejects_bad_inputs():
@@ -311,7 +312,7 @@ def test_eos_projects_each_node_once(monkeypatch):
                             tb.TimeGrid(0.0, 1.0, n_steps), n_paths, 3))
     assert sum(rows) == (n_steps + 1) * n_paths
     assert max(rows) == n_paths
-    assert abs(sum(res.member_occupancy) - 1.0) <= 1e-12
+    assert abs(sum(res["member_occupancy"]) - 1.0) <= 1e-12
 
 
 def reprojection(sc):
@@ -356,14 +357,15 @@ def test_eos_reads_the_solver_record_bitwise(G, terminal, y_clip):
                   y_clip=y_clip)
     res = eos_demo(sc)
     expected = eos_by_reprojection(sc)
-    assert (res.member_occupancy, res.min_medial_gap, res.medial_hit_fraction,
-            res.gap_threshold) == expected
+    assert tuple(res[k] for k in ("member_occupancy", "min_medial_gap",
+                                  "medial_hit_fraction",
+                                  "gap_threshold")) == expected
     # the per-node argmax moments are those of a solve's full A
     A = tb.solve_theta_bsde(sc, keep=("A",)).A
-    assert np.array_equal(res.a_path_mean, A.mean(axis=0))
-    assert np.array_equal(res.a_path_std, A.std(axis=0))
-    assert 0.0 < res.medial_hit_fraction < 1.0
-    assert all(0.0 < o < 1.0 for o in res.member_occupancy)
+    assert np.array_equal(res["a_path_mean"], A.mean(axis=0))
+    assert np.array_equal(res["a_path_std"], A.std(axis=0))
+    assert 0.0 < res["medial_hit_fraction"] < 1.0
+    assert all(0.0 < o < 1.0 for o in res["member_occupancy"])
     if y_clip is not None:
         # the clip binds, and the y-dependent query sees the clipped Y
         Y = tb.solve_theta_bsde(sc).Y
@@ -386,8 +388,8 @@ def test_eos_argmax_moments_reduce_c_ordered_rows_in_dim_2():
                      grid=tb.TimeGrid(0.0, 1.0, 20), n_paths=700, seed=3)
     res = eos_demo(sc)
     A = tb.solve_theta_bsde(sc, keep=("A",)).A
-    assert np.array_equal(res.a_path_mean, A.mean(axis=0))
-    assert np.array_equal(res.a_path_std, A.std(axis=0))
+    assert np.array_equal(res["a_path_mean"], A.mean(axis=0))
+    assert np.array_equal(res["a_path_std"], A.std(axis=0))
 
 
 def test_a_given_threshold_is_counted_node_by_node():
@@ -400,9 +402,9 @@ def test_a_given_threshold_is_counted_node_by_node():
     for threshold in (0.0, *np.quantile(finite, [0.01, 0.5]), finite.max(),
                       finite.max() + 1.0):
         res = eos_demo(sc, gap_threshold=threshold)
-        assert res.medial_hit_fraction == float(np.mean(gaps < threshold))
-        assert res.min_medial_gap == float(finite.min())
-        assert res.gap_threshold == threshold
+        assert res["medial_hit_fraction"] == float(np.mean(gaps < threshold))
+        assert res["min_medial_gap"] == float(finite.min())
+        assert res["gap_threshold"] == threshold
 
 
 def dim2_union_scenario():
@@ -424,9 +426,9 @@ def test_a_given_threshold_holds_no_gap_array(traced_peak):
     sc = dim2_union_scenario()
     peak_default, full = traced_peak(eos_demo, sc)
     peak_given, given = traced_peak(eos_demo, sc,
-                                    gap_threshold=full.gap_threshold)
-    assert given.medial_hit_fraction == full.medial_hit_fraction
-    assert given.min_medial_gap == full.min_medial_gap
+                                    gap_threshold=full["gap_threshold"])
+    assert given["medial_hit_fraction"] == full["medial_hit_fraction"]
+    assert given["min_medial_gap"] == full["min_medial_gap"]
     gap_array = (sc.grid.n_steps + 1) * sc.n_paths * 8
     assert peak_default - peak_given >= 0.9 * gap_array, (
         peak_default, peak_given, gap_array)
@@ -444,7 +446,7 @@ def test_eos_holds_no_full_solution(traced_peak):
     z_and_a = (sc.grid.n_steps + 1) * sc.n_paths * 8 * (sc.sde.dim_b + uset.dim)
     peak, res = traced_peak(eos_demo, sc)
     assert peak - paths < z_and_a, (peak, paths, z_and_a)
-    assert 0.0 < res.medial_hit_fraction < 1.0
+    assert 0.0 < res["medial_hit_fraction"] < 1.0
 
 
 def test_eos_honours_y_clip():
@@ -457,7 +459,7 @@ def test_eos_honours_y_clip():
     unclipped = tb.solve_theta_bsde(replace(sc, y_clip=None),
                                     keep=("A",)).A.mean(axis=0)
     assert not np.array_equal(clipped, unclipped)
-    assert np.array_equal(res.a_path_mean, clipped)
+    assert np.array_equal(res["a_path_mean"], clipped)
 
 
 def csv_oracle(header, keys, blocks):

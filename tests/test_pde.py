@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -290,19 +292,32 @@ def test_lookup_is_bitwise_interp_at_nodes_ends_and_special_values(name):
         assert_lookup_is_interp(g, x[::-1].copy(), row)
 
 
-def test_lookup_is_bitwise_interp_on_non_finite_rows():
-    # np.interp's two fallbacks where slope * (x - xs[j]) + row[j] is NaN
-    g = LOOKUP_GRIDS["odd_asymmetric"]
-    rng = np.random.default_rng(3)
-    row = rng.normal(size=g.n_x)
-    row[[3, 4, 10, 20, 21, 22, 40, 41, 60]] = [np.inf, np.inf, np.nan, 1.0,
-                                               1.0, -np.inf, -np.inf, -np.inf,
-                                               np.inf]
-    xs = g.xs
-    x = np.concatenate([rng.uniform(xs[0], xs[70], 5000), xs[:70],
-                        0.5 * (xs[:69] + xs[1:70]),
-                        [np.inf, -np.inf, np.nan, xs[0] - 1.0]])
-    assert_lookup_is_interp(g, x, row)
+def test_value_surface_refuses_non_finite_or_misshaped_arrays():
+    # the cell lookup reads only finite rows: a surface holds no others
+    g = PdeGrid(-1.0, 1.0, 8, 2, 0.0, 1.0)
+    u, err = np.zeros((3, 8)), np.zeros(8)
+    assert tb.ValueSurface(u, g, err).value_at(1, 0.3) == 0.0
+    for bad in (np.inf, -np.inf, np.nan):
+        u_bad, err_bad = u.copy(), err.copy()
+        u_bad[1, 4] = err_bad[7] = bad
+        with pytest.raises(PdeError, match="^u must be a finite array"):
+            tb.ValueSurface(u_bad, g, err)
+        with pytest.raises(PdeError, match="^u0_discretisation_err must"):
+            tb.ValueSurface(u, g, err_bad)
+    for u_bad, err_bad in ((u[:2], err), (u.T, err), (u[0], err),
+                           (u, np.zeros(9)), (u, err[None]), (u, 0.0)):
+        with pytest.raises(PdeError, match=r"of shape \("):
+            tb.ValueSurface(u_bad, g, err_bad)
+
+
+def test_solve_pde_raises_before_a_non_finite_row():
+    # phi = 1e308 x^2 overflows on the grid: the sweep's per-step check
+    # raises, so no surface is made
+    g = heat_grid(n_x=50)
+    with pytest.raises(PdeError, match="non-finite values in PDE sweep"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        solve_pde(tb.ZeroDriver(), UNIT_BOX, make_sde(),
+                  tb.Payoff([0.0, 0.0, 1e308]), g)
 
 
 def test_lookup_reads_one_point_as_a_float():
@@ -413,6 +428,29 @@ def test_fk_compare_holds_no_full_y(traced_peak):
     peak, rep = traced_peak(tb.feynman_kac_compare, sc, surface=surface)
     assert np.isfinite(rep["fk_path_rms_max"])
     assert peak < held, (peak, held)
+
+
+def test_fk_compare_refuses_a_surface_of_another_time_span():
+    # a surface solved for T = 2 was compared with the T = 1 scenario:
+    # abs_err 0.113, against 0.006 on the matching surface
+    sc = fk_scenario(7)
+    for t0, T in ((0.0, 2.0), (0.0, 0.5), (0.5, 1.0)):
+        other = replace(sc, grid=tb.TimeGrid(t0, T, sc.grid.n_steps))
+        with pytest.raises(PdeError, match="the surface spans"):
+            tb.feynman_kac_compare(sc, fk_surface(other))
+    assert tb.feynman_kac_compare(sc, fk_surface(sc))["abs_err"] < 0.02
+
+
+def test_fk_compare_checks_the_scenario_sde():
+    sc = fk_scenario(7, n_paths=100)
+    surface = fk_surface(sc)
+    for sde, match in (
+            (tb.SdeSpec(dim_x=2, dim_b=2, x0=[0.0, 0.0], vol_const=np.eye(2)),
+             "dim_x = dim_b = 1"),
+            (tb.SdeSpec(dim_x=1, dim_b=1, x0=[0.0], vol_const=[[1.0]],
+                        vol_lin=[[[0.5]]]), "constant volatility")):
+        with pytest.raises(PdeError, match=match):
+            tb.feynman_kac_compare(replace(sc, sde=sde), surface)
 
 
 def test_pde_rejects_multidimensional_state():
