@@ -21,7 +21,7 @@ from .drivers import (AffineDriver, GLimitDriver, GRegularizedDriver,
                       RegularizedProjectionDriver, StateFn, ZeroDriver)
 from .engine import Payoff, Scenario, SdeSpec, TimeGrid, check_axiom
 from .experiments import check_eos, check_sweep
-from .pde import PdeGrid, auto_grid, check_sde
+from .pde import PdeGrid, auto_grid, check_grid
 from .sets import Ball, Box, PointCloud, UnionSet
 from .theta import check_martingale, check_theta_driver
 
@@ -236,7 +236,6 @@ def build_scenario(cfg):
 
 def build_pde_grid(cfg, scenario):
     with _Section(cfg._root.get("pde", {}), "pde") as spec:
-        check_sde(scenario.sde)
         n_x = spec.get("n_x", 400)
         # an explicit grid needs all three keys; none gives the automatic one
         missing = [f"pde.{k}" for k in ("x_min", "x_max", "n_t")
@@ -246,8 +245,9 @@ def build_pde_grid(cfg, scenario):
         if missing:
             raise ConfigError(f"an explicit PDE grid also needs "
                               f"{' and '.join(missing)}")
-        return PdeGrid(spec.get("x_min"), spec.get("x_max"), n_x,
-                       spec.get("n_t"), scenario.grid.t0, scenario.grid.T)
+        return check_grid(PdeGrid(spec.get("x_min"), spec.get("x_max"), n_x,
+                                  spec.get("n_t"), scenario.grid.t0,
+                                  scenario.grid.T), scenario)
 
 
 # the config section of each kind's parameters, which names its failures

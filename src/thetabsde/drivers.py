@@ -309,8 +309,7 @@ class GLimitDriver(Driver):
         raise DriverError("g_limit driver has no maximizer; use effective_driver")
 
     def support(self, uset, z):
-        vals, _ = uset.linear_max_batch(0.5 * embed_zz(z))
-        return vals
+        return uset.linear_max_batch(0.5 * embed_zz(z))
 
     def check(self, uset, dim_x, dim_b):
         _check_g_type_dim(uset, dim_b)

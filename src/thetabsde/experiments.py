@@ -281,65 +281,48 @@ def _text_words(texts):
 _CHUNK = 4096  # values formatted and written at once
 
 
-def _write_rows(f, chunk, keys, tab):
-    """Format and write the rows of the (lead, first key, values) pieces."""
-    n = sum(len(v) for _, _, v in chunk)
-    k = chunk[0][2].shape[1]
-    wl, wk = max(len(lead) for lead, _, _ in chunk), keys.shape[1]
-    buf = np.zeros((n, wl + wk + 4 * k + (k == 0)), dtype="<u8")
-    values = np.empty((n, k))
-    r = 0
-    for lead, i, v in chunk:
-        m = len(v)
-        buf[r:r + m, :len(lead)] = lead
-        buf[r:r + m, wl:wl + wk] = keys[i:i + m]
-        values[r:r + m] = v
-        r += m
-    _format_fields(values, buf[:, wl + wk:wl + wk + 4 * k].reshape(n, k, 4),
-                   tab)
-    buf[:, -1] |= np.uint64(10 << 56)  # the newline, in the last byte
-    text = buf.view(np.uint8)
-    f.write(text[text != 0])
-
-
-def write_csv(path, header, keys, blocks):
-    """Stream a CSV: the header, then for each block ``(lead, values)`` as
-    it comes, one row ``lead..., keys[j], values[j]...`` per key, every
-    value (integers included) in ``FLOAT_FORMAT``. Keys are formatted once
-    per file and a block's lead once per block, by ``fmt``. The values go
-    through ``_format_fields``, which gives the bytes of ``FLOAT_FORMAT %
-    v`` in numpy passes and runs ``%`` only on a value it cannot decide:
-    nan, ±inf, a magnitude outside [1e-280, 1e281), or a scaled fraction
-    within 2**-40 of a rounding tie. Rows are gathered across blocks into
-    chunks of at most ``_CHUNK`` values (one row if a row holds more),
-    each formatted and written at once, so memory does not grow with the
-    file."""
-    keys = _text_words([fmt(k) for k in keys])
+def write_csv(path, header, leads, keys, columns):
+    """Write a CSV: the header, then for each lead ``b`` (the fields that
+    open a run of rows, such as a node's time) and key ``j`` the row
+    ``leads[b]..., keys[j], columns[0][b, j], ...``, every value (integers
+    included) in ``FLOAT_FORMAT``. ``leads`` is a (leads, fields) table and
+    each column a ``(len(leads), len(keys))`` array. Leads and keys are
+    formatted once per file, by ``fmt``. The values go through
+    ``_format_fields``, which gives the bytes of ``FLOAT_FORMAT % v`` in
+    numpy passes and runs ``%`` only on a value it cannot decide: nan,
+    ±inf, a magnitude outside [1e-280, 1e281), or a scaled fraction within
+    2**-40 of a rounding tie. Each chunk of at most ``_CHUNK`` values (one
+    row if a row holds more) is a slice of whole leads, or of one lead's
+    keys when a lead holds more, so memory does not grow with the file."""
+    leads = np.asarray(leads, dtype=float)
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    k, shape = len(columns), (len(leads), len(keys))
+    if (leads.ndim != 2 or len(header) != leads.shape[1] + 1 + k
+            or not columns or any(c.shape != shape for c in columns)):
+        raise ExperimentError(
+            f"leads of shape {leads.shape}, {len(keys)} keys and columns of "
+            f"shapes {[c.shape for c in columns]} do not fit header {header}")
+    leads = _text_words(["".join(fmt(v) + "," for v in lead)
+                         for lead in leads.tolist()])
+    keys = _text_words([fmt(key) for key in keys])
+    wl, wk = leads.shape[1], keys.shape[1]
+    rows = max(1, _CHUNK // k)  # rows per chunk
+    span = max(1, rows // max(len(keys), 1))  # leads per chunk
     tab = _FloatTables()
-    chunk, n = [], 0  # the pending pieces and their rows
     with open(path, "wb") as f:
         f.write((",".join(header) + "\n").encode())
-        for lead, values in blocks:
-            k = values.shape[1]
-            if len(values) != len(keys) or len(lead) + 1 + k != len(header):
-                raise ExperimentError(
-                    f"block of {len(lead)} lead and {values.shape} values "
-                    f"does not fit {len(keys)} keys and header {header}")
-            if chunk and chunk[0][2].shape[1] != k:
-                _write_rows(f, chunk, keys, tab)
-                chunk, n = [], 0
-            rows = max(1, _CHUNK // max(k, 1))
-            lead = _text_words(["".join(fmt(v) + "," for v in lead)])[0]
-            i = 0
-            while i < len(values):
-                m = min(rows - n, len(values) - i)
-                chunk.append((lead, i, values[i:i + m]))
-                n, i = n + m, i + m
-                if n == rows:
-                    _write_rows(f, chunk, keys, tab)
-                    chunk, n = [], 0
-        if chunk:
-            _write_rows(f, chunk, keys, tab)
+        for b in range(0, len(leads), span):
+            for j in range(0, len(keys), rows):
+                at = np.s_[b:b + span, j:j + rows]
+                values = np.stack([c[at] for c in columns], axis=-1)
+                buf = np.zeros((*values.shape[:2], wl + wk + 4 * k), "<u8")
+                buf[..., :wl] = leads[b:b + span, None]
+                buf[..., wl:wl + wk] = keys[j:j + rows]
+                _format_fields(values, buf[..., wl + wk:].reshape(
+                    *values.shape, 4), tab)
+                buf[..., -1] |= np.uint64(10 << 56)  # the newline, last byte
+                text = buf.view(np.uint8)
+                f.write(text[text != 0])
 
 
 # epsilon sweep -------------------------------------------------------------
@@ -465,13 +448,11 @@ def eos_demo(scenario, gap_threshold=None):
 # dispatch ------------------------------------------------------------------
 
 def _write_paths(path, sol):
-    """One block per time node: t, path id, Y, Z and (if recorded) A."""
-    parts = [sol.Z] if sol.A is None else [sol.Z, sol.A]
-    header = ["t", "path_id", "Y"] + [f"{p}{k}" for p, a in zip("ZA", parts)
-                                      for k in range(a.shape[2])]
-    write_csv(path, header, np.arange(len(sol.Y)), (
-        ((t,), np.column_stack([sol.Y[:, i]] + [a[:, i] for a in parts]))
-        for i, t in enumerate(sol.grid.times)))
+    """One row per node and path: t, path id, Y, Z and (if recorded) A."""
+    cols = {f"{p}{k}": a[:, :, k].T for p, a in zip("ZA", (sol.Z, sol.A))
+            if a is not None for k in range(a.shape[2])}
+    write_csv(path, ["t", "path_id", "Y", *cols], sol.grid.times[:, None],
+              np.arange(len(sol.Y)), [sol.Y.T, *cols.values()])
 
 
 def run_scenario(cfg, out_dir, paths_dump=False):
@@ -498,16 +479,16 @@ def run_scenario(cfg, out_dir, paths_dump=False):
         summary.update(rep)
         summary["y0"] = rep["y0_mc"]
         grid = surface.grid
-        write_csv(f"{out}.surface.csv", ["t", "x", "u"], grid.xs,
-                  (((t,), u[:, None]) for t, u in zip(grid.ts, surface.u)))
+        write_csv(f"{out}.surface.csv", ["t", "x", "u"], grid.ts[:, None],
+                  grid.xs, [surface.u])
         ok = rep["abs_err"] <= max(0.02, 3.0 * rep["stderr"])
 
     elif kind == "epsilon_sweep":
         res = epsilon_sweep(sc, **params)
         summary.update(res)
         write_csv(f"{out}.sweep.csv", ["epsilon", "sup_y_err", "z_err_l2"],
-                  res["epsilons"],
-                  [((), np.column_stack([res["sup_y_err"], res["z_err_l2"]]))])
+                  [()], res["epsilons"],
+                  [[res["sup_y_err"]], [res["z_err_l2"]]])
 
     elif kind == "eos_demo":
         res = eos_demo(sc, **params)

@@ -39,9 +39,9 @@ class PdeError(ValueError):
 @dataclass(frozen=True)
 class PdeGrid:
     """The uniform x grid ``xs`` of ``n_x`` nodes on ``[x_min, x_max]`` and
-    ``n_t`` time steps on ``[t0, T]``. A grid is refused when numpy could
-    not size the oracle's arrays, or when its cells are too narrow for the
-    cell lookup (``_MIN_CELL``)."""
+    ``n_t`` time steps on ``[t0, T]``, finite and ``t0 < T``. A grid is
+    refused when numpy could not size the oracle's arrays, or when its
+    cells are too narrow for the cell lookup (``_MIN_CELL``)."""
 
     x_min: float
     x_max: float
@@ -52,11 +52,13 @@ class PdeGrid:
 
     def __post_init__(self):
         x_min = as_number(PdeError, self.x_min, "x_min")
+        t0 = as_number(PdeError, self.t0, "t0")
         for name, value in (
                 ("x_min", x_min),
                 ("x_max", as_number(PdeError, self.x_max, "x_max", above=x_min)),
                 ("n_x", as_integer(PdeError, self.n_x, "n_x", 8)),
-                ("n_t", as_integer(PdeError, self.n_t, "n_t", 2))):
+                ("n_t", as_integer(PdeError, self.n_t, "n_t", 2)),
+                ("t0", t0), ("T", as_number(PdeError, self.T, "T", above=t0))):
             object.__setattr__(self, name, value)
         # the sweep holds an (n_x, n_x) step matrix and an (n_t + 1, n_x)
         # surface of float64; numpy sizes no array past intp's bytes
@@ -97,6 +99,21 @@ def check_sde(sde):
         raise PdeError("PDE oracle requires constant volatility")
 
 
+def check_grid(pgrid, scenario):
+    """Returns ``pgrid`` if it fits the scenario: an SDE in the oracle's
+    scope (``check_sde``), its [t0, T], and x0, where u0 is read."""
+    check_sde(scenario.sde)
+    grid = scenario.grid
+    if (pgrid.t0, pgrid.T) != (grid.t0, grid.T):
+        raise PdeError(f"the surface spans [{pgrid.t0:g}, {pgrid.T:g}], "
+                       f"the scenario [{grid.t0:g}, {grid.T:g}]")
+    x0 = float(scenario.sde.x0[0])
+    if not pgrid.x_min <= x0 <= pgrid.x_max:
+        raise PdeError(f"the surface's x range [{pgrid.x_min:g}, "
+                       f"{pgrid.x_max:g}] does not hold x0 = {x0:g}")
+    return pgrid
+
+
 def auto_grid(sde, grid, n_x=400):
     """Domain x0 +/- 6 sigma sqrt(T - t0) and four PDE steps per Monte Carlo
     step, so PDE row 4i lies on Monte Carlo node i."""
@@ -110,9 +127,10 @@ def auto_grid(sde, grid, n_x=400):
     return PdeGrid(x0 - span, x0 + span, n_x, 4 * grid.n_steps, grid.t0, grid.T)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValueSurface:
-    """The oracle's solution on ``grid``: finite arrays of its shape."""
+    """The oracle's solution on ``grid``: finite arrays of its shape, held
+    as read-only views, so the surface stays finite once made."""
 
     u: np.ndarray  # (n_t + 1, n_x), row 0 = t0, last row = T
     grid: PdeGrid
@@ -121,10 +139,12 @@ class ValueSurface:
     def __post_init__(self):
         for name, shape in (("u", (self.grid.n_t + 1, self.grid.n_x)),
                             ("u0_discretisation_err", (self.grid.n_x,))):
-            a = getattr(self, name)
-            if np.shape(a) != shape or not np.isfinite(a).all():
+            a = np.asarray(getattr(self, name), dtype=float).view()
+            if a.shape != shape or not np.isfinite(a).all():
                 raise PdeError(f"{name} must be a finite array of shape "
                                f"{shape}")
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     def value_at(self, t_index, x):
         """Linear interpolation in x at a stored time row."""
@@ -269,7 +289,7 @@ def solve_pde(driver, uset, sde, payoff, pgrid):
 
 def feynman_kac_compare(scenario, surface):
     """Compare the Monte Carlo solution with the FD oracle's ``surface``
-    of the same problem, which must span the scenario's [t0, T]: the
+    of the same problem, on a grid that fits it (``check_grid``): the
     time-zero values and the values along the paths. The Monte Carlo
     side is one ``backward_sweep``, and like ``epsilon_sweep`` it keeps no
     full solution: at each node it keeps only the RMS over paths of
@@ -277,11 +297,7 @@ def feynman_kac_compare(scenario, surface):
     to t_i, and it reads Y0 and its stderr off node 0.
     """
     sc = scenario
-    check_sde(sc.sde)
-    pgrid = surface.grid
-    if (pgrid.t0, pgrid.T) != (sc.grid.t0, sc.grid.T):
-        raise PdeError(f"the surface spans [{pgrid.t0:g}, {pgrid.T:g}], "
-                       f"the scenario [{sc.grid.t0:g}, {sc.grid.T:g}]")
+    pgrid = check_grid(surface.grid, sc)
     rows = np.clip(np.rint((sc.grid.times - pgrid.t0) / pgrid.dt_pde), 0,
                    pgrid.n_t).astype(int)
     rms = []

@@ -133,8 +133,8 @@ class UncertaintySet:
         raise NotImplementedError
 
     def linear_max_batch(self, C):
-        """For each row c of a (n, dim) batch of functionals, the max over
-        the set of <c, a> and an argmax: an (n,) and an (n, dim) array."""
+        """The support function at each row c of a (n, dim) batch of
+        functionals: the (n,) maxima over the set of <c, a>."""
         raise NotImplementedError
 
     def fixed_element(self):
@@ -180,8 +180,7 @@ class Box(UncertaintySet):
     def linear_max_batch(self, C):
         C = _check_batch(C, self.dim)
         # per-coordinate sign selection; c == 0 picks the lower bound
-        args = np.where(C > 0, self.upper, self.lower)
-        return row_sum(args * C), args
+        return row_sum(np.where(C > 0, self.upper, self.lower) * C)
 
     def fixed_element(self):
         return self.lower.copy()
@@ -216,12 +215,9 @@ class Ball(UncertaintySet):
 
     def linear_max_batch(self, C):
         C = _check_batch(C, self.dim)
-        nc = np.sqrt(row_sq(C))
-        args = np.tile(self.center, (len(C), 1))
-        nz = nc > 0
-        args[nz] += self.radius * C[nz] / nc[nz, None]
         # BLAS's matrix-vector kernel sums a column-major C in another order
-        return np.ascontiguousarray(C) @ self.center + self.radius * nc, args
+        return (np.ascontiguousarray(C) @ self.center
+                + self.radius * np.sqrt(row_sq(C)))
 
     def fixed_element(self):
         return self.center.copy()
@@ -264,8 +260,7 @@ class PointCloud(UncertaintySet):
         C = _check_batch(C, self.dim)
         # BLAS sums a column-major C of one or many columns in another order
         V = np.ascontiguousarray(C) @ self.points.T
-        idx = np.argmax(V, axis=1)
-        return V[np.arange(len(C)), idx], self.points[idx]
+        return V[np.arange(len(C)), np.argmax(V, axis=1)]
 
     def fixed_element(self):
         return self.points[0].copy()
@@ -318,13 +313,11 @@ class UnionSet(UncertaintySet):
 
     def linear_max_batch(self, C):
         C = _check_batch(C, self.dim)
-        vals, args = self.members[0].linear_max_batch(C)
+        vals = self.members[0].linear_max_batch(C)
         for m in self.members[1:]:
-            v, a = m.linear_max_batch(C)
-            better = v > vals  # strict: keeps the lowest member index on ties
-            vals = np.where(better, v, vals)
-            args[better] = a[better]
-        return vals, args
+            v = m.linear_max_batch(C)
+            vals = np.where(v > vals, v, vals)
+        return vals
 
     def fixed_element(self):
         return self.members[0].fixed_element()

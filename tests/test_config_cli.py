@@ -568,6 +568,24 @@ def test_cli_validate_rejects_a_partial_pde_grid(tmp_path, capsys, keys,
     assert f"needs {missing}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bounds, message", [
+    # validated, then ran with u0 read at the clamped edge x = 1: exit 1
+    # with abs_err 0.48 on the unit box's fk_check at 2k paths
+    ("pde.x_min = 1.0\npde.x_max = 3.0\n",
+     "pde: the surface's x range [1, 3] does not hold x0 = 0"),
+    ("pde.x_min = -3.0\npde.x_max = -0.5\n", "does not hold x0 = 0"),
+    ("pde.x_min = 0.0\npde.x_max = 3.0\n", None),
+    ("pde.x_min = -3.0\npde.x_max = 0.0\n", None),
+], ids=["above", "below", "at_x_min", "at_x_max"])
+def test_cli_validate_rejects_a_pde_grid_without_x0(tmp_path, capsys, bounds,
+                                                    message):
+    p = tmp_path / "fk.cfg"
+    p.write_text(FK + bounds + "pde.n_t = 80\n")
+    assert main(["validate", str(p)]) == (0 if message is None else 2)
+    if message is not None:
+        assert message in capsys.readouterr().err
+
+
 def test_explicit_pde_grid_takes_the_default_n_x():
     from thetabsde.pde import PdeGrid
     cfg = parse_config(FK + "pde.x_min = -3.0\npde.x_max = 3.0\npde.n_t = 20\n")

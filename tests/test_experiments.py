@@ -462,64 +462,72 @@ def test_eos_honours_y_clip():
     assert np.array_equal(res["a_path_mean"], clipped)
 
 
-def csv_oracle(header, keys, blocks):
+def csv_oracle(header, leads, keys, columns):
     """The CSV text with every value formatted on its own."""
     return ",".join(header) + "\n" + "".join(
-        ",".join(format(float(v), ".17g") for v in (*lead, key, *row)) + "\n"
-        for lead, values in blocks for key, row in zip(keys, values))
+        ",".join(format(float(v), ".17g")
+                 for v in (*lead, key, *(c[b][j] for c in columns))) + "\n"
+        for b, lead in enumerate(leads) for j, key in enumerate(keys))
+
+
+def check_write_csv(path, header, leads, keys, columns):
+    write_csv(path, header, leads, keys, columns)
+    text = path.read_text()
+    assert text == csv_oracle(header, leads, keys, columns)
+    return text
 
 
 def test_write_csv_matches_per_value_formatting(tmp_path, monkeypatch):
     path = tmp_path / "x.csv"
-    edge = [-0.0, 5e-324, 1e22, 0.1, np.inf, -np.inf, np.nan, -7e-300]
+    edge = np.array([-0.0, 5e-324, 1e22, 0.1, np.inf, -np.inf, np.nan,
+                     -7e-300])
     ids = [0, 1, 12345, 10 ** 15]
-    blocks = [((t,), np.array(edge, dtype=float).reshape(4, 2))
-              for t in (0.0, 1.0 / 3.0, -0.0, 2.5)]
-    write_csv(path, ["t", "path_id", "a", "b"], np.array(ids), iter(blocks))
-    text = path.read_text()
-    assert text == csv_oracle(["t", "path_id", "a", "b"], ids, blocks)
+    leads = [(t,) for t in (0.0, 1.0 / 3.0, -0.0, 2.5)]
+    columns = [np.tile(edge[0::2], (4, 1)), np.tile(edge[1::2], (4, 1))]
+    text = check_write_csv(path, ["t", "path_id", "a", "b"], leads,
+                           np.array(ids), columns)
     # integer keys come out as integer text
     assert text.splitlines()[4].split(",")[1] == str(10 ** 15)
 
-    # chunk boundaries inside the key templates, two leads
+    # chunk boundaries inside a lead's keys, two fields per lead
     rng = np.random.default_rng(3)
     n = 2 * 1024 + 37
     keys = np.ldexp(rng.standard_normal(n), rng.integers(-1070, 1020, n))
-    blocks = [((t, -t), np.ldexp(rng.standard_normal((n, 3)),
-                                 rng.integers(-1070, 1020, (n, 3))))
-              for t in (0.1, 7e-300)]
-    header = ["s", "r", "key", "u", "v", "w"]
-    write_csv(path, header, keys, iter(blocks))
-    assert path.read_text() == csv_oracle(header, keys, blocks)
+    leads = [(t, -t) for t in (0.1, 7e-300)]
+    columns = [np.ldexp(rng.standard_normal((2, n)),
+                        rng.integers(-1070, 1020, (2, n))) for _ in range(3)]
+    check_write_csv(path, ["s", "r", "key", "u", "v", "w"], leads, keys,
+                    columns)
 
-    # no lead: one block, the epsilon sweep's shape
-    blocks = [((), np.array([[1e-3, 0.25], [np.nan, -0.0], [1e22, 5e-324]]))]
-    keys = [0.5, 0.25, 0.125]
-    write_csv(path, ["epsilon", "a", "b"], keys, blocks)
-    assert path.read_text() == csv_oracle(["epsilon", "a", "b"], keys, blocks)
+    # no lead field: the epsilon sweep's shape
+    check_write_csv(path, ["epsilon", "a", "b"], [()], [0.5, 0.25, 0.125],
+                    [[[1e-3, np.nan, 1e22]], [[0.25, -0.0, 5e-324]]])
 
-    # chunks of 5 values (2 rows of 2): chunks that end mid-block, blocks
-    # longer than a chunk, leads and keys of different lengths, a change
-    # of row width, and rows with no values
-    monkeypatch.setattr(experiments, "_CHUNK", 5)
+    # chunks of 2 rows (5 values, 2 per row), which split each lead's 3
+    # keys, and of 6 rows (13 values), which hold 2 whole leads and leave
+    # a last chunk of one lead
     keys = [0, 12345, 1.0 / 3.0]
-    blocks = [((t,), np.array([[0.1, -2.5], [1e-7, 1e300], [7.0, np.nan]]))
-              for t in (0.0, 1.0 / 3.0, -7e-300, 2.0)]
-    write_csv(path, ["t", "key", "a", "b"], keys, iter(blocks))
-    assert path.read_text() == csv_oracle(["t", "key", "a", "b"], keys, blocks)
-    blocks = [blocks[0], ((0.5, -1e-9), np.array([[3.0], [-0.0], [1e22]])),
-              blocks[1]]
-    write_csv(path, ["t", "key", "a", "b"], keys, iter(blocks))
-    assert path.read_text() == csv_oracle(["t", "key", "a", "b"], keys, blocks)
-    blocks = [((t,), np.zeros((3, 0))) for t in (0.25, 1e-5)]
-    write_csv(path, ["t", "key"], keys, iter(blocks))
-    assert path.read_text() == csv_oracle(["t", "key"], keys, blocks)
-    monkeypatch.undo()
+    leads = [(t,) for t in (0.0, 1.0 / 3.0, -7e-300, 2.0, 1e300)]
+    columns = [np.resize([0.1, 1e-7, 7.0, -2.5], (5, 3)),
+               np.resize([1e300, np.nan, -0.0], (5, 3))]
+    for chunk in (5, 13):
+        monkeypatch.setattr(experiments, "_CHUNK", chunk)
+        check_write_csv(path, ["t", "key", "a", "b"], leads, keys, columns)
 
-    with pytest.raises(ExperimentError, match="3 keys"):
-        write_csv(path, ["t", "x", "u"], keys, [((0.0,), np.zeros((2, 1)))])
-    with pytest.raises(ExperimentError, match="header"):  # lead missing
-        write_csv(path, ["t", "x", "u"], keys, [((), np.zeros((3, 1)))])
+
+def test_write_csv_refuses_columns_that_do_not_fit(tmp_path):
+    path, keys = tmp_path / "x.csv", [0.0, 1.0, 2.0]
+    leads, header = [(0.0,), (1.0,)], ["t", "x", "u"]
+    write_csv(path, header, leads, keys, [np.zeros((2, 3))])
+    for leads, columns in (
+            (leads, [np.zeros((2, 2))]),  # a key short
+            (leads, [np.zeros((3, 3))]),  # a lead over
+            (leads, [np.zeros(6)]),  # not a (leads, keys) table
+            ([()], [np.zeros((1, 3))]),  # the header's lead is missing
+            (leads, [np.zeros((2, 3))] * 2),  # a column over the header
+            ([(0.0, 1.0), (1.0, 2.0)], [])):  # no column
+        with pytest.raises(ExperimentError, match="do not fit"):
+            write_csv(path, header, leads, keys, columns)
 
 
 def formatted(x):

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -209,6 +209,21 @@ def test_pde_grid_rejects_non_finite_bounds_and_single_steps():
         PdeGrid(-1.0, 1.0, 16.5, 10, 0.0, 1.0)
 
 
+def test_pde_grid_rejects_a_non_finite_or_empty_time_span():
+    # each was made, and its first ts, dt_pde or solve_pde raised an
+    # EngineError from TimeGrid
+    for t0, T, match in ((1.0, 0.0, "T must be finite and > 1.0"),
+                         (0.0, 0.0, "T must be finite and > 0.0"),
+                         (0.0, np.nan, "T must be finite"),
+                         (0.0, np.inf, "T must be finite"),
+                         (-np.inf, 1.0, "t0 must be finite"),
+                         (np.nan, 1.0, "t0 must be finite")):
+        with pytest.raises(PdeError, match=match):
+            PdeGrid(-1.0, 1.0, 8, 4, t0, T)
+    g = PdeGrid(-1.0, 1.0, 8, 4, 0.5, 1.5)
+    assert (g.t0, g.T, g.dt_pde) == (0.5, 1.5, 0.25)
+
+
 def test_pde_grid_rejects_a_grid_numpy_cannot_size():
     # the (n_x, n_x) step matrix and the (n_t + 1, n_x) surface: numpy
     # sizes no array past np.iinfo(np.intp).max bytes
@@ -308,6 +323,26 @@ def test_value_surface_refuses_non_finite_or_misshaped_arrays():
                            (u, np.zeros(9)), (u, err[None]), (u, 0.0)):
         with pytest.raises(PdeError, match=r"of shape \("):
             tb.ValueSurface(u_bad, g, err_bad)
+
+
+def test_value_surface_cannot_be_written_once_made():
+    # a write after construction reached the cell lookup, which reads
+    # only finite rows: u[1, 3:5] = inf gave nan where np.interp gives inf
+    g = PdeGrid(-1.0, 1.0, 8, 2, 0.0, 1.0)
+    u, err = np.zeros((3, 8)), np.zeros(8)
+    surface = tb.ValueSurface(u, g, err)
+    assert np.shares_memory(surface.u, u)  # a view, not a copy
+    with pytest.raises(ValueError, match="read-only"):
+        surface.u[1, 3:5] = np.inf
+    with pytest.raises(ValueError, match="read-only"):
+        surface.u0_discretisation_err[0] = np.nan
+    for name in ("u", "u0_discretisation_err", "grid"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(surface, name, None)
+    solved = solve_pde(tb.ZeroDriver(), UNIT_BOX, make_sde(),
+                       tb.Payoff([0.0, 0.0, 1.0]), heat_grid(n_x=50))
+    assert not solved.u.flags.writeable
+    assert not solved.u0_discretisation_err.flags.writeable
 
 
 def test_solve_pde_raises_before_a_non_finite_row():
@@ -439,6 +474,16 @@ def test_fk_compare_refuses_a_surface_of_another_time_span():
         with pytest.raises(PdeError, match="the surface spans"):
             tb.feynman_kac_compare(sc, fk_surface(other))
     assert tb.feynman_kac_compare(sc, fk_surface(sc))["abs_err"] < 0.02
+
+
+def test_fk_compare_refuses_a_surface_without_x0():
+    # u0 was read at the grid's clamped edge
+    sc = fk_scenario(7, n_paths=100)
+    for x_min, x_max in ((1.0, 3.0), (-3.0, -0.5)):
+        surface = solve_pde(sc.driver, sc.uset, sc.sde, sc.terminal,
+                            PdeGrid(x_min, x_max, 50, 80, 0.0, 1.0))
+        with pytest.raises(PdeError, match="does not hold x0 = 0"):
+            tb.feynman_kac_compare(sc, surface)
 
 
 def test_fk_compare_checks_the_scenario_sde():

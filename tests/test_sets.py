@@ -130,7 +130,7 @@ def test_box_projection_is_bitwise_the_norm_formula(dim):
             one = box.project(P[i])
             assert np.array_equal(one.point, pts[i]) and one.distance == dist[i]
     C = rng.standard_normal((500, dim))
-    vals, args = box.linear_max_batch(C)
+    vals = box.linear_max_batch(C)
     ref = np.sum(np.where(C > 0, box.upper, box.lower) * C, axis=1)
     assert np.array_equal(vals, ref)
 
@@ -194,24 +194,17 @@ def test_linear_max_against_enumeration():
     g = np.vstack([g1, g2])
     for _ in range(20):
         c = rng.standard_normal(2)
-        vals, args = u.linear_max_batch(c[None])
-        val, arg = vals[0], args[0]
+        val = u.linear_max_batch(c[None])[0]
         assert val >= np.max(g @ c) - 1e-9
-        assert u.contains(arg, tol=1e-9)
+        # the support functions of the box and the ball, in closed form
+        closed = max(abs(c[0]) + abs(c[1]), 3.0 * c[0] + 0.5 * np.hypot(*c))
+        assert val == pytest.approx(closed, abs=1e-12)
     # the batch agrees with batches of one
     C = rng.standard_normal((50, 2))
-    vals, args = u.linear_max_batch(C)
+    vals = u.linear_max_batch(C)
     for i in range(50):
-        v, a = u.linear_max_batch(C[i][None])
+        v = u.linear_max_batch(C[i][None])
         assert vals[i] == pytest.approx(v[0], abs=1e-12)
-        assert np.allclose(args[i], a[0])
-
-
-def test_box_linear_max_zero_coefficient_picks_lower():
-    b = Box([0.0, -2.0], [1.0, 3.0])
-    vals, args = b.linear_max_batch(np.array([[0.0, 1.0]]))
-    val, arg = vals[0], args[0]
-    assert arg[0] == 0.0 and arg[1] == 3.0 and val == pytest.approx(3.0)
 
 
 def test_set_validation_errors():
@@ -233,14 +226,6 @@ def test_set_validation_errors():
         PointCloud(np.zeros((2, 65)))
     with pytest.raises(SetError, match="non-finite"):
         PointCloud([[0.0, np.nan]])
-
-
-def test_union_linear_max_tie_keeps_lowest_member_index():
-    u = UnionSet([PointCloud([[1.0, 0.0]]), PointCloud([[0.0, 1.0]])])
-    c = np.array([1.0, 1.0])
-    vals, args = u.linear_max_batch(c.reshape(1, -1))
-    assert vals[0] == 1.0
-    assert np.array_equal(args[0], [1.0, 0.0])
 
 
 def test_union_projects_each_member_once(monkeypatch):
@@ -614,20 +599,15 @@ def oracle_project(s, p):
 
 
 def oracle_linear_max(s, c):
-    """(max of <c, a>, argmax): lowest member index, then lex smallest."""
+    """The max of <c, a> over the set: over a box's corners and a cloud's
+    points, in closed form on a ball."""
     if isinstance(s, UnionSet):
-        per = [oracle_linear_max(m, c) for m in s.members]
-        return max(per, key=lambda r: r[0])  # first maximum on ties
+        return max(oracle_linear_max(m, c) for m in s.members)
     if isinstance(s, Ball):
-        nc = math.sqrt(_dot(c, c))
-        if nc == 0.0:
-            return _dot(s.center, c), list(s.center)
-        return (_dot(s.center, c) + s.radius * nc,
-                [m + s.radius * v / nc for m, v in zip(s.center, c)])
+        return _dot(s.center, c) + s.radius * math.sqrt(_dot(c, c))
     cands = itertools.product(*zip(s.lower, s.upper)) if isinstance(s, Box) \
-        else map(tuple, s.points)
-    val, neg = max((_dot(q, c), tuple(-v for v in q)) for q in cands)
-    return val, [-v for v in neg]
+        else s.points
+    return max(_dot(q, c) for q in cands)
 
 
 HALF = st.integers(-6, 6).map(lambda k: k / 2)
@@ -671,25 +651,21 @@ def test_batched_scalar_and_oracle_geometry_agree(case):
                               rec.member_index)
     assert pts.shape == P.shape
     assert dist.shape == gaps.shape == index.shape == (len(P),)
-    vals, args = uset.linear_max_batch(C)
+    vals = uset.linear_max_batch(C)
     for i, p in enumerate(P):
         r = uset.project(p)
         assert np.array_equal(r.point, pts[i]) and r.distance == dist[i]
         assert r.medial_gap == gaps[i] and r.member_index == index[i]
-        val, arg = uset.linear_max_batch(C[i][None])
-        assert val[0] == vals[i] and np.array_equal(arg[0], args[i])
+        assert uset.linear_max_batch(C[i][None])[0] == vals[i]
 
         q, d, gap, mi = oracle_project(uset, p)
         assert abs(dist[i] - d) <= tol
         assert gaps[i] == gap if math.isinf(gap) else abs(gaps[i] - gap) <= tol
         assert abs(_dist(p, pts[i]) - d) <= tol
         assert oracle_project(uset, pts[i])[1] <= tol  # a point of the set
-        ov, oa = oracle_linear_max(uset, C[i])
-        assert abs(vals[i] - ov) <= tol and abs(_dot(args[i], C[i]) - ov) <= tol
-        assert oracle_project(uset, args[i])[1] <= tol
+        assert abs(vals[i] - oracle_linear_max(uset, C[i])) <= tol
         if exact:
             assert np.array_equal(pts[i], q) and index[i] == mi
-            assert np.array_equal(args[i], oa)
     # the projected points lie in the set, which is what makes every
     # maximizer the solver records feasible
     scale = 1.0 + max(np.max(np.abs(P)), np.max(np.abs(pts)))
